@@ -17,10 +17,8 @@ from .oeis import (
     AlignmentReport,
     AlignmentStatus,
     BFile,
-    FetchFailed,
     FixtureMissing,
     MalformedBFile,
-    Source,
     align,
     fetch_bfile,
     parse_bfile,

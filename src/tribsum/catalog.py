@@ -18,6 +18,10 @@ from .core import SequenceDef
 class UnknownSequence(KeyError):
     """Lookup of a key that is not in the catalog."""
 
+    def __str__(self) -> str:
+        # KeyError.__str__ would quote the message like the repr of a key.
+        return Exception.__str__(self)
+
 
 @dataclass(frozen=True)
 class CatalogEntry:

@@ -9,6 +9,7 @@ precondition error, 3 verification mismatch, 4 OEIS check failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -24,15 +25,7 @@ from .core import (
     format_rational,
     term_matrix,
 )
-from .oeis import (
-    FetchFailed,
-    FixtureMissing,
-    MalformedBFile,
-    AlignmentStatus,
-    Source,
-    align,
-    fetch_bfile,
-)
+from .oeis import AlignmentStatus, FixtureMissing, MalformedBFile, align, fetch_bfile
 from .sums import Direction, Parity, SumMismatch, SumQuery, evaluate
 
 EXIT_OK = 0
@@ -64,6 +57,21 @@ def _sequence_from_args(args: argparse.Namespace) -> SequenceDef:
                           values["w0"], values["w1"], values["w2"])
 
 
+@contextlib.contextmanager
+def _any_digit_count():
+    """Lift the int -> str digit limit (4300 by default) while a result is
+    rendered, then restore it, so input parsing and in-process callers keep it."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7: no limit
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
 def _emit(args: argparse.Namespace, record: dict, text: str) -> None:
     if args.format == "json":
         print(json.dumps(record, sort_keys=True))
@@ -74,7 +82,8 @@ def _emit(args: argparse.Namespace, record: dict, text: str) -> None:
 def _cmd_term(args: argparse.Namespace) -> int:
     seq = _sequence_from_args(args)
     value = term_matrix(seq, args.n)
-    rendered = format_rational(value)
+    with _any_digit_count():
+        rendered = format_rational(value)
     _emit(args, {"command": "term", "seq": args.seq, "n": args.n,
                  "value": rendered}, rendered)
     return EXIT_OK
@@ -84,7 +93,8 @@ def _cmd_sum(args: argparse.Namespace) -> int:
     seq = _sequence_from_args(args)
     query = SumQuery(Direction(args.dir), Parity(args.parity), args.n)
     result = evaluate(seq, query, check=args.check)
-    rendered = format_rational(result.value)
+    with _any_digit_count():
+        rendered = format_rational(result.value)
     _emit(args, {"command": "sum", "seq": args.seq, "dir": args.dir,
                  "parity": args.parity, "n": args.n, "value": rendered,
                  "case_used": result.case_used.name,
@@ -118,7 +128,6 @@ def _cmd_oeis_check(args: argparse.Namespace) -> int:
     entries = list_all()
     if args.seq is not None:
         entries = [lookup(args.seq)]
-    source = Source.NETWORK if args.network else Source.FIXTURE_DIR
     fixture_dir = Path(args.fixture_dir) if args.fixture_dir else None
     any_failed = False
     for entry in entries:
@@ -129,8 +138,8 @@ def _cmd_oeis_check(args: argparse.Namespace) -> int:
                   f"{entry.key}: skipped: no OEIS id")
             continue
         try:
-            bfile = fetch_bfile(oeis_id, source, fixture_dir)
-        except (FixtureMissing, FetchFailed, MalformedBFile) as exc:
+            bfile = fetch_bfile(oeis_id, fixture_dir)
+        except (FixtureMissing, MalformedBFile) as exc:
             any_failed = True
             _emit(args, {"command": "oeis-check", "seq": entry.key,
                          "oeis_id": oeis_id, "status": "error",
@@ -234,8 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="compare catalog sequences against OEIS b-files")
     p_oeis.add_argument("--seq", help="restrict to one catalog key")
     p_oeis.add_argument("--count", type=int, default=50)
-    p_oeis.add_argument("--network", action="store_true",
-                        help="fetch from oeis.org instead of local fixtures")
     p_oeis.add_argument("--fixture-dir", help="override the fixture directory")
     p_oeis.set_defaults(func=_cmd_oeis_check)
 

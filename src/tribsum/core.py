@@ -7,11 +7,14 @@ well: W_{-m} = -(s/t)*W_{-(m-1)} - (r/t)*W_{-(m-2)} + (1/t)*W_{-(m-3)}.
 All arithmetic is exact over the rationals (``fractions.Fraction``); there
 are no floating-point code paths.  Two evaluators are provided: a sliding
 window iteration (O(|n|)) and companion-matrix binary exponentiation
-(O(log |n|) matrix products).
+(O(log |n|) matrix products).  The sum-query types live here too, so that
+both the closed forms and the literal oracle can depend on them without
+depending on each other.
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
@@ -31,7 +34,7 @@ def as_rational(value: RationalLike) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         if "." in value or "e" in value.lower():
@@ -90,6 +93,50 @@ class SequenceDef:
     ) -> "SequenceDef":
         return cls(RecurrenceParams(as_rational(r), as_rational(s), as_rational(t)),
                    w0, w1, w2, name, oeis_id)
+
+
+class Direction(enum.Enum):
+    FORWARD = "fwd"
+    BACKWARD = "bwd"
+
+
+class Parity(enum.Enum):
+    ALL = "all"
+    EVEN = "even"
+    ODD = "odd"
+
+
+@dataclass(frozen=True)
+class SumQuery:
+    """Which sum is requested: direction x parity x bound n."""
+
+    direction: Direction
+    parity: Parity
+    n: int
+
+    def __post_init__(self) -> None:
+        if isinstance(self.n, bool) or not isinstance(self.n, int):
+            raise TypeError(f"the bound n must be an int, not {self.n!r}")
+        if self.direction is Direction.BACKWARD:
+            if self.n < 1:
+                raise ValueError("backward sums start at k = 1; need n >= 1")
+        elif self.n < 0:
+            raise ValueError("forward sums need n >= 0")
+
+
+def query_indices(query: SumQuery) -> list[int]:
+    """The term indices the query sums over, in summation order."""
+    if query.direction is Direction.FORWARD:
+        if query.parity is Parity.ALL:
+            return list(range(query.n + 1))
+        if query.parity is Parity.EVEN:
+            return [2 * k for k in range(query.n + 1)]
+        return [2 * k + 1 for k in range(query.n + 1)]
+    if query.parity is Parity.ALL:
+        return [-k for k in range(1, query.n + 1)]
+    if query.parity is Parity.EVEN:
+        return [-2 * k for k in range(1, query.n + 1)]
+    return [-2 * k + 1 for k in range(1, query.n + 1)]
 
 
 Row = tuple[Fraction, Fraction, Fraction]

@@ -5,8 +5,9 @@ per line, '#'-prefixed lines ignored, indices contiguous.  Alignment finds
 the shift between this package's W_0-based indexing and the b-file's own
 offset by searching a small window of candidate shifts.
 
-All bundled tests run offline from fixtures; network retrieval is an
-explicit opt-in that caches into the fixture directory.
+B-files are read only from a fixture directory: the bundled package data,
+or a directory named by ``TRIBSUM_FIXTURE_DIR`` or by the caller.  Nothing
+here touches the network.
 """
 
 from __future__ import annotations
@@ -14,15 +15,13 @@ from __future__ import annotations
 import enum
 import os
 import re
-import tempfile
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .core import SequenceDef, term_iterative
+from .core import SequenceDef
+from .oracle import term_table
 
 FIXTURE_DIR_ENV = "TRIBSUM_FIXTURE_DIR"
 
@@ -43,15 +42,6 @@ class MalformedBFile(ValueError):
 
 class FixtureMissing(FileNotFoundError):
     """No fixture file exists for the requested OEIS ID."""
-
-
-class FetchFailed(OSError):
-    """Network retrieval of a b-file failed."""
-
-
-class Source(enum.Enum):
-    NETWORK = "network"
-    FIXTURE_DIR = "fixture-dir"
 
 
 class AlignmentStatus(enum.Enum):
@@ -114,16 +104,20 @@ def align(seq: SequenceDef, bfile: BFile,
 
     A shift sigma matches when term(n) == b-file value at index n + sigma
     for at least *min_match* consecutive n starting at the first
-    overlapping index.
+    overlapping index.  The terms for every candidate shift come from one
+    term table.
     """
     lo, hi = bfile.offset, bfile.entries[-1][0]
+
+    def first(sigma: int) -> int:
+        # Without a backward step (t = 0) the overlap starts at W_0 at the earliest.
+        return lo - sigma if seq.params.t != 0 else max(lo - sigma, 0)
+
+    table = term_table(seq, first(SHIFT_WINDOW[-1]), hi - SHIFT_WINDOW[0])
     for sigma in SHIFT_WINDOW:
-        n0 = lo - sigma
-        if seq.params.t == 0:
-            n0 = max(n0, 0)
         matched = 0
-        for n in range(n0, hi - sigma + 1):
-            if term_iterative(seq, n) != bfile.value_at(n + sigma):
+        for n in range(first(sigma), hi - sigma + 1):
+            if table[n] != bfile.value_at(n + sigma):
                 break
             matched += 1
         if matched >= min_match:
@@ -147,33 +141,9 @@ def default_fixture_dir() -> Path:
     return Path(str(resources.files("tribsum") / "fixtures"))
 
 
-def _fetch_from_network(oeis_id: str, cache_dir: Path) -> str:
-    url = f"https://oeis.org/{oeis_id}/{_fixture_filename(oeis_id)}"
-    try:
-        with urllib.request.urlopen(url, timeout=30) as response:
-            content = response.read().decode("utf-8")
-    except (urllib.error.URLError, OSError, UnicodeDecodeError) as exc:
-        raise FetchFailed(f"could not fetch {url}: {exc}") from exc
-    # Atomic create-then-rename so concurrent writers never interleave.
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(content)
-        os.replace(tmp_path, cache_dir / _fixture_filename(oeis_id))
-    except OSError:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
-    return content
-
-
-def fetch_bfile(oeis_id: str, source: Source = Source.FIXTURE_DIR,
-                fixture_dir: Optional[Path] = None) -> BFile:
-    """Load a b-file from the fixture directory or from oeis.org."""
+def fetch_bfile(oeis_id: str, fixture_dir: Optional[Path] = None) -> BFile:
+    """Load a b-file from *fixture_dir*, else from :func:`default_fixture_dir`."""
     directory = fixture_dir if fixture_dir is not None else default_fixture_dir()
-    if source is Source.NETWORK:
-        return parse_bfile(_fetch_from_network(oeis_id, directory), oeis_id)
     path = directory / _fixture_filename(oeis_id)
     if not path.is_file():
         raise FixtureMissing(f"no fixture for {oeis_id} at {path}")

@@ -20,58 +20,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .core import (
-    NegativeIndexWithZeroT,
+from .core import (  # Direction, Parity, SumQuery, query_indices: re-exported
+    Direction,
+    Parity,
     RecurrenceParams,
     SequenceDef,
+    SumQuery,
+    query_indices,
     term_iterative,
     term_matrix,
 )
+# The literal sum: the fallback path, and the reference for check=True.
+from .oracle import oracle_sum as sum_oracle
 
 # Below this |index| the sliding window beats the matrix path; tunable.
 _MATRIX_CROSSOVER = 64
-
-
-class Direction(enum.Enum):
-    FORWARD = "fwd"
-    BACKWARD = "bwd"
-
-
-class Parity(enum.Enum):
-    ALL = "all"
-    EVEN = "even"
-    ODD = "odd"
-
-
-@dataclass(frozen=True)
-class SumQuery:
-    """Which sum is requested: direction x parity x bound n."""
-
-    direction: Direction
-    parity: Parity
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.direction is Direction.BACKWARD:
-            if self.n < 1:
-                raise ValueError("backward sums start at k = 1; need n >= 1")
-        elif self.n < 0:
-            raise ValueError("forward sums need n >= 0")
-
-
-def query_indices(query: SumQuery) -> list[int]:
-    """The term indices the query sums over, in summation order."""
-    if query.direction is Direction.FORWARD:
-        if query.parity is Parity.ALL:
-            return list(range(query.n + 1))
-        if query.parity is Parity.EVEN:
-            return [2 * k for k in range(query.n + 1)]
-        return [2 * k + 1 for k in range(query.n + 1)]
-    if query.parity is Parity.ALL:
-        return [-k for k in range(1, query.n + 1)]
-    if query.parity is Parity.EVEN:
-        return [-2 * k for k in range(1, query.n + 1)]
-    return [-2 * k + 1 for k in range(1, query.n + 1)]
 
 
 class FormulaCase(enum.Enum):
@@ -355,37 +318,6 @@ def closed_form_value(case: FormulaCase, seq: SequenceDef, n: int,
     if term is None:
         term = lambda k: _term(seq, k)
     return _CLOSED_FORMS[case](seq, n, term)
-
-
-def sum_oracle(seq: SequenceDef, query: SumQuery) -> Fraction:
-    """Literal term-by-term sum; ground truth and fallback path.
-
-    Walks the index range once with the sliding-window recurrence, adding
-    the terms the query selects.
-    """
-    r, s, t = seq.params.r, seq.params.s, seq.params.t
-    total = Fraction(0)
-    if query.direction is Direction.FORWARD:
-        top = max(query_indices(query))
-        window = (seq.w0, seq.w1, seq.w2)
-        for k in range(top + 1):
-            if k < 3:
-                w = window[k]
-            else:
-                w = r * window[2] + s * window[1] + t * window[0]
-                window = (window[1], window[2], w)
-            if query.parity is Parity.ALL or (k % 2 == 0) == (query.parity is Parity.EVEN):
-                total += w
-        return total
-    if t == 0:
-        raise NegativeIndexWithZeroT("backward sums require t != 0")
-    bottom = min(query_indices(query))
-    low, mid, high = seq.w0, seq.w1, seq.w2
-    for k in range(-1, bottom - 1, -1):
-        low, mid, high = (high - r * mid - s * low) / t, low, mid
-        if query.parity is Parity.ALL or (k % 2 == 0) == (query.parity is Parity.EVEN):
-            total += low
-    return total
 
 
 def evaluate(seq: SequenceDef, query: SumQuery, check: bool = False) -> SumResult:

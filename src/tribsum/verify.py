@@ -24,7 +24,6 @@ from .sums import (
     denominators,
     evaluate,
     select_case,
-    sum_oracle,
 )
 
 ALL_QUERY_FAMILIES = tuple(
@@ -79,43 +78,17 @@ def random_sequence(rng: random.Random,
         return SequenceDef(params, w0, w1, w2)
 
 
-def _query_range(direction: Direction, max_n: int) -> range:
-    return range(1, max_n + 1) if direction is Direction.BACKWARD else range(max_n + 1)
-
-
-def build_term_table(seq: SequenceDef, lo: int, hi: int) -> dict[int, Fraction]:
-    """Terms W_lo .. W_hi computed once, for table-driven sweeps."""
-    table = {0: seq.w0, 1: seq.w1, 2: seq.w2}
-    r, s, t = seq.params.r, seq.params.s, seq.params.t
-    for n in range(3, hi + 1):
-        table[n] = r * table[n - 1] + s * table[n - 2] + t * table[n - 3]
-    for n in range(-1, lo - 1, -1):
-        table[n] = (table[n + 3] - r * table[n + 2] - s * table[n + 1]) / t
-    return table
-
-
-def _added_index(direction: Direction, parity: Parity, n: int) -> int:
-    """The index whose term enters the sum when the bound grows to n."""
-    sign = 1 if direction is Direction.FORWARD else -1
-    if parity is Parity.ALL:
-        return sign * n
-    if parity is Parity.EVEN:
-        return sign * 2 * n
-    return sign * 2 * n + 1 if sign < 0 else 2 * n + 1
-
-
 def sweep_formula_vs_oracle(seqs: Iterable[SequenceDef], max_n: int) -> SuiteReport:
     """Every dispatched closed form must equal the literal sum exactly.
 
-    Oracle values come from incremental prefix sums over a term table, so
-    the sweep is linear in max_n per family.
+    Oracle values come from the oracle's term table and running prefix
+    sums, so the sweep is linear in max_n per family.
     """
     report = SuiteReport("formula-vs-oracle")
     for seq in seqs:
         has_backward = seq.params.t != 0
         span = 2 * max_n + 3
-        table = build_term_table(seq, -span if has_backward else 0, span)
-        term = table.__getitem__
+        term = oracle.term_table(seq, -span if has_backward else 0, span).__getitem__
         for direction, parity in ALL_QUERY_FAMILIES:
             if direction is Direction.BACKWARD and not has_backward:
                 continue
@@ -124,17 +97,15 @@ def sweep_formula_vs_oracle(seqs: Iterable[SequenceDef], max_n: int) -> SuiteRep
                                         1 if direction is Direction.BACKWARD else 0))
             if case is FormulaCase.OracleFallback:
                 continue
-            running = Fraction(0)
-            for n in _query_range(direction, max_n):
-                running += term(_added_index(direction, parity, n))
+            for n, expected in oracle.prefix_sums(seq, direction, parity, max_n):
                 got = closed_form_value(case, seq, n, term)
-                if got == running:
+                if got == expected:
                     report.ok()
                 else:
                     report.fail(
                         f"{seq.name or seq.params} {direction.value}/"
                         f"{parity.value} n={n}: {case.name} gave {got}, "
-                        f"oracle {running}")
+                        f"oracle {expected}")
     return report
 
 
@@ -226,9 +197,10 @@ def sweep_identities(max_n: int,
             continue
         seq = defs[ident.sequence_key]
         term = lambda k: term_iterative(seq, k)
-        for n in range(ident.min_n, max_n + 1):
-            expected = oracle.oracle_sum(
-                seq, SumQuery(ident.direction, ident.parity, n))
+        for n, expected in oracle.prefix_sums(seq, ident.direction,
+                                              ident.parity, max_n):
+            if n < ident.min_n:
+                continue
             got = ident.clause(term, n)
             if got == expected:
                 report.ok()

@@ -21,7 +21,8 @@ from tribsum.core import (
     term_matrix,
 )
 from tribsum.oeis import AlignmentStatus, align, fetch_bfile
-from tribsum.oracle import oracle_sum, oracle_term
+from tribsum.oracle import oracle_sum, oracle_term, prefix_sums
+from tribsum.oracle import term_table as build_term_table
 from tribsum.sums import (
     Direction,
     FormulaCase,
@@ -33,7 +34,6 @@ from tribsum.sums import (
 )
 from tribsum.verify import (
     ALL_QUERY_FAMILIES,
-    build_term_table,
     random_rational,
     random_sequence,
     sweep_formula_vs_oracle,
@@ -58,13 +58,9 @@ def report(capfd):
 
 def _incremental_oracle_check(seq, families, max_n, term_table):
     """Yield (query, literal sum) pairs built from incremental prefix sums."""
-    from tribsum.verify import _added_index, _query_range
     for direction, parity in families:
-        running = Fraction(0)
-        for n in _query_range(direction, max_n):
-            running += term_table[_added_index(direction, parity, n)]
-            query = SumQuery(direction, parity, n)
-            yield query, running
+        for n, running in prefix_sums(seq, direction, parity, max_n):
+            yield SumQuery(direction, parity, n), running
 
 
 def test_criterion_1_sum_operations_match_oracle(report):

@@ -1,7 +1,10 @@
 import json
+import sys
 
 import pytest
 
+from tribsum.catalog import lookup
+from tribsum.core import term_matrix
 from tribsum.cli import (
     EXIT_MISMATCH,
     EXIT_OEIS,
@@ -67,6 +70,10 @@ class TestTerm:
         assert code == EXIT_USAGE
         assert "unknown sequence" in err
 
+    def test_unknown_sequence_message_unquoted(self, capsys):
+        _, _, err = run(capsys, "term", "--seq", "nope", "--n", "3")
+        assert err.startswith("error: unknown sequence 'nope'; known keys: tribonacci")
+
     def test_zero_t_negative_index(self, capsys):
         code, _, _ = run(capsys, "term",
                          "--r", "1", "--s", "1", "--t", "0",
@@ -81,6 +88,23 @@ class TestTerm:
         record = json.loads(out)
         assert record == {"command": "term", "seq": "tribonacci",
                           "n": 13, "value": "927"}
+
+
+    def test_output_above_digit_limit(self, capsys):
+        # W_20000 has 5293 digits, above the interpreter's default limit of
+        # 4300 for int -> str; the limit must be back in place afterwards.
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "--format", "json",
+                             "term", "--seq", "tribonacci", "--n", "20000")
+        assert (code, err) == (EXIT_OK, "")
+        assert sys.get_int_max_str_digits() == limit
+        value = json.loads(out)["value"]
+        sys.set_int_max_str_digits(0)
+        try:
+            assert int(value) == term_matrix(lookup("tribonacci").definition, 20000)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(value) == 5293
 
 
 class TestSum:

@@ -45,6 +45,11 @@ class TestRationalHelpers:
         assert (q.numerator, q.denominator) == (3, 2)
         assert as_rational("-6/4") == Fraction(-3, 2)
 
+    @pytest.mark.parametrize("bad", [True, False, 1.5, None])
+    def test_non_rational_rejected(self, bad):
+        with pytest.raises(TypeError):
+            as_rational(bad)
+
 
 class TestTermIterative:
     def test_initial_terms(self, tribonacci):

@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import tribsum
 from tribsum.catalog import lookup
 from tribsum.oeis import (
     AlignmentStatus,
@@ -116,3 +120,14 @@ class TestFetch:
         (tmp_path / "b000073.txt").write_text("5 99\n6 98\n")
         bfile = fetch_bfile("A000073", fixture_dir=Path(tmp_path))
         assert bfile.offset == 5
+
+
+def test_import_leaves_network_modules_unloaded():
+    src = str(Path(tribsum.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, tribsum; "
+            "print(sorted(m for m in ('urllib.request', 'http.client') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tribsum.core import NegativeIndexWithZeroT, SequenceDef, term_iterative
-from tribsum.oracle import oracle_sum, oracle_term
-from tribsum.sums import Direction, Parity, SumQuery
+from tribsum.oracle import oracle_sum, oracle_term, prefix_sums, term_table
+from tribsum.sums import Direction, Parity, SumQuery, query_indices
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 
@@ -57,3 +57,37 @@ class TestOracleSum:
         seq = SequenceDef.of(1, 1, 0, 0, 1, 1)
         with pytest.raises(NegativeIndexWithZeroT):
             oracle_sum(seq, SumQuery(Direction.BACKWARD, Parity.ALL, 2))
+
+    @given(r=rationals, s=rationals, t=rationals,
+           w0=rationals, w1=rationals, w2=rationals,
+           n=st.integers(min_value=1, max_value=20))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_independent_terms(self, r, s, t, w0, w1, w2, n):
+        # Sums and every prefix sum against term_iterative, which shares no
+        # code with the oracle's walk; backward families need t != 0.
+        seq = SequenceDef.of(r, s, t, w0, w1, w2)
+        directions = [Direction.FORWARD] + ([Direction.BACKWARD] if t != 0 else [])
+        for direction in directions:
+            for parity in Parity:
+                prefixes = list(prefix_sums(seq, direction, parity, n))
+                first = 1 if direction is Direction.BACKWARD else 0
+                assert [m for m, _ in prefixes] == list(range(first, n + 1))
+                for m, running in prefixes:
+                    q = SumQuery(direction, parity, m)
+                    expected = sum((term_iterative(seq, k) for k in query_indices(q)),
+                                   Fraction(0))
+                    assert running == expected
+                    assert oracle_sum(seq, q) == expected
+
+
+class TestTermTable:
+    def test_span(self, tribonacci):
+        table = term_table(tribonacci, -4, 7)
+        assert sorted(table) == list(range(-4, 8))
+        assert all(table[k] == term_iterative(tribonacci, k) for k in table)
+
+    def test_forward_only(self):
+        seq = SequenceDef.of(1, 1, 0, 0, 1, 1)
+        assert term_table(seq, 0, 3) == {0: 0, 1: 1, 2: 1, 3: 2}
+        with pytest.raises(NegativeIndexWithZeroT):
+            term_table(seq, -1, 3)

@@ -40,6 +40,11 @@ class TestQueryValidation:
     def test_forward_zero_allowed(self):
         assert SumQuery(Direction.FORWARD, Parity.ALL, 0).n == 0
 
+    @pytest.mark.parametrize("bad", [True, False, 2.5, 3.0, "3", Fraction(3)])
+    def test_non_int_bound_rejected(self, bad):
+        with pytest.raises(TypeError):
+            SumQuery(Direction.FORWARD, Parity.ALL, bad)
+
     def test_indices(self):
         assert query_indices(SumQuery(Direction.FORWARD, Parity.EVEN, 2)) == [0, 2, 4]
         assert query_indices(SumQuery(Direction.BACKWARD, Parity.ODD, 3)) == [-1, -3, -5]
