@@ -12,6 +12,7 @@ from .core import (
     format_rational,
     term_iterative,
     term_matrix,
+    window,
 )
 from .oeis import (
     AlignmentReport,

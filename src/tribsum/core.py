@@ -5,11 +5,12 @@ initial terms W_0, W_1, W_2.  When t != 0 the recurrence runs backward as
 well: W_{-m} = -(s/t)*W_{-(m-1)} - (r/t)*W_{-(m-2)} + (1/t)*W_{-(m-3)}.
 
 All arithmetic is exact over the rationals (``fractions.Fraction``); there
-are no floating-point code paths.  Two evaluators are provided: a sliding
-window iteration (O(|n|)) and companion-matrix binary exponentiation
-(O(log |n|) matrix products).  The sum-query types live here too, so that
-both the closed forms and the literal oracle can depend on them without
-depending on each other.
+are no floating-point code paths.  The kernel, :func:`window`, returns
+(W_m, W_{m+1}, W_{m+2}) from one power of the companion matrix or of its
+inverse (O(log |m|) products); :func:`term_iterative` is an independent
+O(|n|) walk.  The sum-query types live here too, so that both the closed
+forms and the literal oracle can depend on them without depending on
+each other.
 """
 
 from __future__ import annotations
@@ -95,6 +96,12 @@ class SequenceDef:
                    w0, w1, w2, name, oeis_id)
 
 
+def _require_int(value: object, what: str) -> None:
+    """Raise TypeError unless *value* is an int (bool is not accepted)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an int, not {value!r}")
+
+
 class Direction(enum.Enum):
     FORWARD = "fwd"
     BACKWARD = "bwd"
@@ -115,8 +122,7 @@ class SumQuery:
     n: int
 
     def __post_init__(self) -> None:
-        if isinstance(self.n, bool) or not isinstance(self.n, int):
-            raise TypeError(f"the bound n must be an int, not {self.n!r}")
+        _require_int(self.n, "the bound n")
         if self.direction is Direction.BACKWARD:
             if self.n < 1:
                 raise ValueError("backward sums start at k = 1; need n >= 1")
@@ -177,23 +183,17 @@ class MultiplicationCounter:
 
 def term_iterative(seq: SequenceDef, n: int) -> Fraction:
     """Return W_n by sliding-window iteration; O(|n|) time, O(1) live values."""
+    _require_int(n, "the index n")
     r, s, t = seq.params.r, seq.params.s, seq.params.t
+    # low = W_k, mid = W_{k+1}, high = W_{k+2}, stepping k from 0 toward n
+    low, mid, high = seq.w0, seq.w1, seq.w2
     if n >= 0:
-        if n == 0:
-            return seq.w0
-        if n == 1:
-            return seq.w1
-        if n == 2:
-            return seq.w2
-        a, b, c = seq.w0, seq.w1, seq.w2
-        for _ in range(3, n + 1):
-            a, b, c = b, c, r * c + s * b + t * a
-        return c
+        for _ in range(n):
+            low, mid, high = mid, high, r * high + s * mid + t * low
+        return low
     if t == 0:
         raise NegativeIndexWithZeroT(
             f"W_{n} undefined: backward recurrence requires t != 0")
-    # low = W_k, mid = W_{k+1}, high = W_{k+2}, stepping k down from 0
-    low, mid, high = seq.w0, seq.w1, seq.w2
     for _ in range(-n):
         low, mid, high = (high - r * mid - s * low) / t, low, mid
     return low
@@ -242,28 +242,33 @@ def _inverse_companion(params: RecurrenceParams) -> Matrix3:
     )
 
 
+def window(seq: SequenceDef, m: int,
+           counter: Optional[MultiplicationCounter] = None) -> Row:
+    """Return (W_m, W_{m+1}, W_{m+2}) from one companion-matrix power.
+
+    The state (W_{k+2}, W_{k+1}, W_k) advances by M, so M**m, or (M^-1)**|m|
+    when m < 0 (needs t != 0), maps (W_2, W_1, W_0) to the window at m.
+    """
+    _require_int(m, "the index m")
+    if m == 0:
+        return seq.w0, seq.w1, seq.w2
+    if m > 0:
+        step = companion_matrix(seq.params).rows
+    elif seq.params.t == 0:
+        raise NegativeIndexWithZeroT(
+            f"W_{m} undefined: inverse companion matrix requires t != 0")
+    else:
+        step = _inverse_companion(seq.params)
+    high, mid, low = _mat_vec(_mat_pow(step, abs(m), counter),
+                              (seq.w2, seq.w1, seq.w0), counter)
+    return low, mid, high
+
+
 def term_matrix(seq: SequenceDef, n: int,
                 counter: Optional[MultiplicationCounter] = None) -> Fraction:
-    """Return W_n via companion-matrix binary exponentiation.
+    """Return W_n, the first term of ``window(seq, n)``.
 
-    Exactly equal to ``term_iterative(seq, n)`` on every input.  The state
-    vector is anchored at (W_2, W_1, W_0): for n >= 2 the answer is the top
-    entry of M**(n-2) applied to it; for n < 0 the bottom entry of the
-    inverse matrix raised to |n|.  Either way at most
-    2*ceil(log2(|n| + 1)) + 2 matrix products are performed.
+    Exactly equal to ``term_iterative(seq, n)`` on every input, with at
+    most 2*ceil(log2(|n| + 1)) + 2 matrix products.
     """
-    if n == 0:
-        return seq.w0
-    if n == 1:
-        return seq.w1
-    if n == 2:
-        return seq.w2
-    state: Row = (seq.w2, seq.w1, seq.w0)
-    if n > 2:
-        power = _mat_pow(companion_matrix(seq.params).rows, n - 2, counter)
-        return _mat_vec(power, state, counter)[0]
-    if seq.params.t == 0:
-        raise NegativeIndexWithZeroT(
-            f"W_{n} undefined: inverse companion matrix requires t != 0")
-    power = _mat_pow(_inverse_companion(seq.params), -n, counter)
-    return _mat_vec(power, state, counter)[2]
+    return window(seq, n, counter)[0]

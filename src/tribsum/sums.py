@@ -11,6 +11,11 @@ do not vanish, plus dedicated formulas for the degenerate triple
 (r, s, t) = (0, 2, 1) where d2 = 0 and the sums pick up a term linear in n.
 Parameter triples with no proven formula fall back to the literal sum,
 flagged as ``OracleFallback`` in the result.
+
+Every clause reads three consecutive terms plus the initial terms, so a
+closed-form sum costs one :func:`~tribsum.core.window`, i.e. one matrix
+power.  Each :class:`FormulaCase` value is its (direction, parity,
+condition); the direction and parity fix where the window starts.
 """
 
 from __future__ import annotations
@@ -27,36 +32,33 @@ from .core import (  # Direction, Parity, SumQuery, query_indices: re-exported
     SequenceDef,
     SumQuery,
     query_indices,
-    term_iterative,
-    term_matrix,
+    window,
 )
 # The literal sum: the fallback path, and the reference for check=True.
 from .oracle import oracle_sum as sum_oracle
 
-# Below this |index| the sliding window beats the matrix path; tunable.
-_MATRIX_CROSSOVER = 64
-
 
 class FormulaCase(enum.Enum):
-    """Which closed-form clause (or fallback) applies to a (params, query) pair."""
+    """Which closed-form clause (or fallback) applies to a (params, query)
+    pair; the value is (direction, parity, condition)."""
 
-    FwdAll_Generic = enum.auto()
-    FwdEven_Generic = enum.auto()
-    FwdOdd_Generic = enum.auto()
-    FwdEven_S1 = enum.auto()
-    FwdOdd_S1 = enum.auto()
-    Fwd_021_All = enum.auto()
-    Fwd_021_Even = enum.auto()
-    Fwd_021_Odd = enum.auto()
-    BwdAll_Generic = enum.auto()
-    BwdEven_Generic = enum.auto()
-    BwdOdd_Generic = enum.auto()
-    BwdEven_RplusT0 = enum.auto()
-    BwdOdd_RplusT0 = enum.auto()
-    Bwd_021_All = enum.auto()
-    Bwd_021_Even = enum.auto()
-    Bwd_021_Odd = enum.auto()
-    OracleFallback = enum.auto()
+    FwdAll_Generic = (Direction.FORWARD, Parity.ALL, "generic")
+    FwdEven_Generic = (Direction.FORWARD, Parity.EVEN, "generic")
+    FwdOdd_Generic = (Direction.FORWARD, Parity.ODD, "generic")
+    FwdEven_S1 = (Direction.FORWARD, Parity.EVEN, "s=1")
+    FwdOdd_S1 = (Direction.FORWARD, Parity.ODD, "s=1")
+    Fwd_021_All = (Direction.FORWARD, Parity.ALL, "021")
+    Fwd_021_Even = (Direction.FORWARD, Parity.EVEN, "021")
+    Fwd_021_Odd = (Direction.FORWARD, Parity.ODD, "021")
+    BwdAll_Generic = (Direction.BACKWARD, Parity.ALL, "generic")
+    BwdEven_Generic = (Direction.BACKWARD, Parity.EVEN, "generic")
+    BwdOdd_Generic = (Direction.BACKWARD, Parity.ODD, "generic")
+    BwdEven_RplusT0 = (Direction.BACKWARD, Parity.EVEN, "r+t=0")
+    BwdOdd_RplusT0 = (Direction.BACKWARD, Parity.ODD, "r+t=0")
+    Bwd_021_All = (Direction.BACKWARD, Parity.ALL, "021")
+    Bwd_021_Even = (Direction.BACKWARD, Parity.EVEN, "021")
+    Bwd_021_Odd = (Direction.BACKWARD, Parity.ODD, "021")
+    OracleFallback = (None, None, "oracle")
 
 
 @dataclass(frozen=True)
@@ -89,25 +91,6 @@ def _is_021(params: RecurrenceParams) -> bool:
     return (params.r, params.s, params.t) == (0, 2, 1)
 
 
-_CASE_021 = {
-    (Direction.FORWARD, Parity.ALL): FormulaCase.Fwd_021_All,
-    (Direction.FORWARD, Parity.EVEN): FormulaCase.Fwd_021_Even,
-    (Direction.FORWARD, Parity.ODD): FormulaCase.Fwd_021_Odd,
-    (Direction.BACKWARD, Parity.ALL): FormulaCase.Bwd_021_All,
-    (Direction.BACKWARD, Parity.EVEN): FormulaCase.Bwd_021_Even,
-    (Direction.BACKWARD, Parity.ODD): FormulaCase.Bwd_021_Odd,
-}
-
-_CASE_GENERIC = {
-    (Direction.FORWARD, Parity.ALL): FormulaCase.FwdAll_Generic,
-    (Direction.FORWARD, Parity.EVEN): FormulaCase.FwdEven_Generic,
-    (Direction.FORWARD, Parity.ODD): FormulaCase.FwdOdd_Generic,
-    (Direction.BACKWARD, Parity.ALL): FormulaCase.BwdAll_Generic,
-    (Direction.BACKWARD, Parity.EVEN): FormulaCase.BwdEven_Generic,
-    (Direction.BACKWARD, Parity.ODD): FormulaCase.BwdOdd_Generic,
-}
-
-
 def select_case(params: RecurrenceParams, query: SumQuery) -> FormulaCase:
     """Pick the one formula clause proven for these parameters.
 
@@ -118,25 +101,16 @@ def select_case(params: RecurrenceParams, query: SumQuery) -> FormulaCase:
     specializations of the generic ones and are never dispatched to; they
     exist as cross-checks.
     """
-    key = (query.direction, query.parity)
     if _is_021(params):
-        return _CASE_021[key]
+        return FormulaCase((query.direction, query.parity, "021"))
     d = denominators(params)
-    if query.parity is Parity.ALL:
-        if d.d1 != 0:
-            return _CASE_GENERIC[key]
-    elif d.d1 * d.d2 != 0:
-        return _CASE_GENERIC[key]
+    gate = d.d1 if query.parity is Parity.ALL else d.d1 * d.d2
+    if gate != 0:
+        return FormulaCase((query.direction, query.parity, "generic"))
     return FormulaCase.OracleFallback
 
 
 TermFn = Callable[[int], Fraction]
-
-
-def _term(seq: SequenceDef, k: int) -> Fraction:
-    if abs(k) > _MATRIX_CROSSOVER:
-        return term_matrix(seq, k)
-    return term_iterative(seq, k)
 
 
 def _fwd_all_generic(seq: SequenceDef, n: int, term: TermFn) -> Fraction:
@@ -209,7 +183,8 @@ def _fwd_021_even(seq: SequenceDef, n: int, term: TermFn) -> Fraction:
 
 def _fwd_021_odd(seq: SequenceDef, n: int, term: TermFn) -> Fraction:
     _require_021(seq)
-    return (term(2 * n + 3) + term(2 * n + 2) - term(2 * n + 1)
+    # Reads 2n..2n+2 like the other even/odd clauses: here W_{2n+3} = 2*W_{2n+1} + W_{2n}.
+    return (term(2 * n + 2) + term(2 * n + 1) + term(2 * n)
             + 2 * n * (-seq.w2 + seq.w1 + seq.w0)
             - seq.w2 + seq.w1 - seq.w0) / 2
 
@@ -306,18 +281,33 @@ _CLOSED_FORMS: dict[FormulaCase, Callable[[SequenceDef, int, TermFn], Fraction]]
 }
 
 
+def _window_start(direction: Direction, parity: Parity, n: int) -> int:
+    """First index of the three-term window a family's clauses read."""
+    if direction is Direction.FORWARD:
+        return n + 1 if parity is Parity.ALL else 2 * n
+    return -n - 3 if parity is Parity.ALL else -2 * n - 1
+
+
 def closed_form_value(case: FormulaCase, seq: SequenceDef, n: int,
                       term: TermFn | None = None) -> Fraction:
     """Evaluate a specific closed-form clause directly (no dispatch).
 
-    *term* lets callers supply a precomputed term table; by default terms
-    come from the iterative/matrix evaluators.
+    *term* lets callers supply a precomputed term table.  By default the
+    clause reads one window at its family's start, served as a lookup
+    that raises KeyError on any index outside it.
     """
     if case is FormulaCase.OracleFallback:
         raise ValueError("OracleFallback has no closed form")
     if term is None:
-        term = lambda k: _term(seq, k)
+        m = _window_start(*case.value[:2], n)
+        term = dict(zip(range(m, m + 3), window(seq, m))).__getitem__
     return _CLOSED_FORMS[case](seq, n, term)
+
+
+def _brief(value: Fraction) -> str:
+    """A rational in decimal when short, else only its size in bits."""
+    bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+    return str(value) if bits <= 256 else f"<{bits}-bit rational>"
 
 
 def evaluate(seq: SequenceDef, query: SumQuery, check: bool = False) -> SumResult:
@@ -330,13 +320,13 @@ def evaluate(seq: SequenceDef, query: SumQuery, check: bool = False) -> SumResul
     if case is FormulaCase.OracleFallback:
         value = sum_oracle(seq, query)
     else:
-        value = _CLOSED_FORMS[case](seq, query.n, lambda k: _term(seq, k))
+        value = closed_form_value(case, seq, query.n)
     if check:
         expected = sum_oracle(seq, query)
         if value != expected:
             raise SumMismatch(
-                f"{case.name} gave {value}, literal sum is {expected} "
-                f"for {seq.name or seq.params} {query}")
+                f"{case.name} gave {_brief(value)}, literal sum is "
+                f"{_brief(expected)} for {seq.name or seq.params} {query}")
         return SumResult(value, case, oracle_checked=True)
     return SumResult(value, case)
 

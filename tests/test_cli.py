@@ -144,6 +144,21 @@ class TestSum:
         assert record["value"] == "1"
         assert record["oracle_checked"] is True
 
+    def test_mismatch_above_digit_limit(self, capsys, monkeypatch):
+        # The literal sum at n = 17000 has about 4500 digits; reporting the
+        # mismatch must not hit the int -> str limit and exit as a usage error.
+        from fractions import Fraction
+
+        import tribsum.sums as sums
+        broken = dict(sums._CLOSED_FORMS)
+        broken[sums.FormulaCase.FwdAll_Generic] = lambda seq, n, term: Fraction(999)
+        monkeypatch.setattr(sums, "_CLOSED_FORMS", broken)
+        code, _, err = run(capsys, "sum", "--seq", "tribonacci",
+                           "--dir", "fwd", "--parity", "all", "--n", "17000",
+                           "--check")
+        assert code == EXIT_MISMATCH
+        assert "FwdAll_Generic gave 999" in err
+
     def test_backward_n_zero_rejected(self, capsys):
         code, _, _ = run(capsys, "sum", "--seq", "tribonacci",
                          "--dir", "bwd", "--parity", "all", "--n", "0")

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tribsum.core import (
@@ -15,7 +15,9 @@ from tribsum.core import (
     format_rational,
     term_iterative,
     term_matrix,
+    window,
 )
+from tribsum.oracle import oracle_term
 
 rationals = st.fractions(
     min_value=-9, max_value=9, max_denominator=9)
@@ -49,6 +51,13 @@ class TestRationalHelpers:
     def test_non_rational_rejected(self, bad):
         with pytest.raises(TypeError):
             as_rational(bad)
+
+
+@pytest.mark.parametrize("kernel", [window, term_matrix, term_iterative])
+@pytest.mark.parametrize("bad", [True, False, 2.5, 3.0, "3", Fraction(3), None])
+def test_kernels_reject_non_int_index(tribonacci, kernel, bad):
+    with pytest.raises(TypeError, match="index"):
+        kernel(tribonacci, bad)
 
 
 class TestTermIterative:
@@ -153,3 +162,31 @@ class TestTermMatrix:
         term_matrix(tribonacci, n, counter)
         bound = 2 * math.ceil(math.log2(abs(n) + 1)) + 2
         assert counter.count <= bound
+
+
+class TestWindow:
+    def test_tribonacci(self, tribonacci):
+        assert window(tribonacci, 0) == (0, 1, 1)
+        assert window(tribonacci, 7) == (24, 44, 81)
+        assert window(tribonacci, -5) == (2, 0, -1)
+
+    def test_zero_t_negative_index_raises(self):
+        seq = seq_of(1, 1, 0, 0, 1, 1)
+        with pytest.raises(NegativeIndexWithZeroT):
+            window(seq, -1)
+        assert window(seq, 3) == (2, 3, 5)
+
+    @given(r=rationals, s=rationals, t=rationals,
+           w0=rationals, w1=rationals, w2=rationals,
+           m=st.integers(min_value=-300, max_value=300))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_oracle(self, r, s, t, w0, w1, w2, m):
+        assume(m >= 0 or t != 0)
+        seq = seq_of(r, s, t, w0, w1, w2)
+        assert window(seq, m) == tuple(oracle_term(seq, m + d) for d in range(3))
+
+    @pytest.mark.parametrize("m", [1, 2, 17, 1000, -1, -2, -999])
+    def test_one_power(self, tribonacci, m):
+        counter = MultiplicationCounter()
+        window(tribonacci, m, counter)
+        assert counter.count <= 2 * (abs(m).bit_length() - 1) + 1

@@ -1,10 +1,16 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tribsum.core import NegativeIndexWithZeroT, RecurrenceParams, SequenceDef
+import tribsum.sums as sums
+from tribsum.core import (
+    NegativeIndexWithZeroT,
+    RecurrenceParams,
+    SequenceDef,
+    term_iterative,
+)
 from tribsum.sums import (
     Direction,
     FormulaCase,
@@ -287,3 +293,84 @@ class TestDegenerateLinearTerm:
         second = [b - a for a, b in zip(first, first[1:])]
         assert all(df == slope for df in first)
         assert all(ddf == 0 for ddf in second)
+
+
+# The first index of the three-term window each family's clauses read.
+WINDOW_START = {
+    (Direction.FORWARD, Parity.ALL): lambda n: n + 1,
+    (Direction.FORWARD, Parity.EVEN): lambda n: 2 * n,
+    (Direction.FORWARD, Parity.ODD): lambda n: 2 * n,
+    (Direction.BACKWARD, Parity.ALL): lambda n: -n - 3,
+    (Direction.BACKWARD, Parity.EVEN): lambda n: -2 * n - 1,
+    (Direction.BACKWARD, Parity.ODD): lambda n: -2 * n - 1,
+}
+
+# A sequence meeting each condition's guard, with d1 * d2 != 0 outside "021".
+CONDITION_SEQ = {
+    "generic": seq_of(Fraction(1, 2), 3, -2, 1, Fraction(2, 3), -1),
+    "s=1": seq_of(2, 1, 1, 0, 1, 2),
+    "r+t=0": seq_of(-2, 3, 2, 1, Fraction(1, 2), -1),
+    "021": seq_of(0, 2, 1, 3, -2, Fraction(5, 3)),
+}
+
+CLOSED_CASES = [c for c in FormulaCase if c is not FormulaCase.OracleFallback]
+
+
+class TestWindowDispatch:
+    @pytest.mark.parametrize("case", CLOSED_CASES, ids=lambda c: c.name)
+    def test_clause_reads_only_its_window(self, case):
+        direction, parity, condition = case.value
+        seq = CONDITION_SEQ[condition]
+        for n in (1, 2, 5, 40, 333):
+            read = set()
+
+            def term(k):
+                read.add(k)
+                return term_iterative(seq, k)
+
+            value = closed_form_value(case, seq, n, term)
+            m = WINDOW_START[direction, parity](n)
+            assert read <= {m, m + 1, m + 2}
+            assert value == closed_form_value(case, seq, n)
+
+    def test_default_window_rejects_outside_index(self, tribonacci, monkeypatch):
+        broken = dict(sums._CLOSED_FORMS)
+        broken[FormulaCase.FwdAll_Generic] = lambda seq, n, term: term(n)
+        monkeypatch.setattr(sums, "_CLOSED_FORMS", broken)
+        with pytest.raises(KeyError):
+            closed_form_value(FormulaCase.FwdAll_Generic, tribonacci, 7)
+
+    @pytest.mark.parametrize("condition", ["generic", "021"])
+    @pytest.mark.parametrize("family", list(WINDOW_START),
+                             ids=lambda f: f"{f[0].value}-{f[1].value}")
+    def test_evaluate_computes_one_window(self, monkeypatch, family, condition):
+        real_window = sums.window
+        calls = []
+
+        def counting_window(seq, m, counter=None):
+            calls.append(m)
+            return real_window(seq, m, counter)
+
+        monkeypatch.setattr(sums, "window", counting_window)
+        result = evaluate(CONDITION_SEQ[condition], SumQuery(*family, 1000))
+        assert result.case_used.value == (*family, condition)
+        assert calls == [WINDOW_START[family](1000)]
+
+
+class TestTelescoping:
+    @given(r=rationals, s=rationals, t=rationals,
+           w0=rationals, w1=rationals, w2=rationals,
+           n=st.integers(min_value=2, max_value=400))
+    @settings(max_examples=25, deadline=None)
+    def test_difference_is_added_term(self, r, s, t, w0, w1, w2, n):
+        seq = seq_of(r, s, t, w0, w1, w2)
+        d = denominators(seq.params)
+        assume(d.d1 * d.d2 != 0)
+        for direction, parity in WINDOW_START:
+            if direction is Direction.BACKWARD and t == 0:
+                continue
+            query = SumQuery(direction, parity, n)
+            added = query_indices(query)[-1]
+            step = (evaluate(seq, query).value
+                    - evaluate(seq, SumQuery(direction, parity, n - 1)).value)
+            assert step == term_iterative(seq, added)
