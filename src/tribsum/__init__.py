@@ -2,13 +2,11 @@
 
 from .catalog import CatalogEntry, UnknownSequence, list_all, lookup
 from .core import (
-    CompanionMatrix,
     MultiplicationCounter,
     NegativeIndexWithZeroT,
     RecurrenceParams,
     SequenceDef,
     as_rational,
-    companion_matrix,
     format_rational,
     term_iterative,
     term_matrix,

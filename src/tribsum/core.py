@@ -6,11 +6,11 @@ well: W_{-m} = -(s/t)*W_{-(m-1)} - (r/t)*W_{-(m-2)} + (1/t)*W_{-(m-3)}.
 
 All arithmetic is exact over the rationals (``fractions.Fraction``); there
 are no floating-point code paths.  The kernel, :func:`window`, returns
-(W_m, W_{m+1}, W_{m+2}) from one power of the companion matrix or of its
-inverse (O(log |m|) products); :func:`term_iterative` is an independent
-O(|n|) walk.  The sum-query types live here too, so that both the closed
-forms and the literal oracle can depend on them without depending on
-each other.
+(W_m, W_{m+1}, W_{m+2}) from x^m modulo the characteristic polynomial
+x^3 - r*x^2 - s*x - t, three coefficients raised by O(log |m|) polynomial
+products; :func:`term_iterative` is an independent O(|n|) walk.  The
+sum-query types live here too, so that both the closed forms and the
+literal oracle can depend on them without depending on each other.
 """
 
 from __future__ import annotations
@@ -146,34 +146,11 @@ def query_indices(query: SumQuery) -> list[int]:
 
 
 Row = tuple[Fraction, Fraction, Fraction]
-Matrix3 = tuple[Row, Row, Row]
-
-
-@dataclass(frozen=True)
-class CompanionMatrix:
-    """The 3x3 companion matrix [[r, s, t], [1, 0, 0], [0, 1, 0]]."""
-
-    rows: Matrix3
-
-    def determinant(self) -> Fraction:
-        (a, b, c), (d, e, f), (g, h, i) = self.rows
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
-def companion_matrix(params: RecurrenceParams) -> CompanionMatrix:
-    """Build the companion matrix advancing the state (W_{n+2}, W_{n+1}, W_n)."""
-    one = Fraction(1)
-    zero = Fraction(0)
-    return CompanionMatrix((
-        (params.r, params.s, params.t),
-        (one, zero, zero),
-        (zero, one, zero),
-    ))
 
 
 @dataclass
 class MultiplicationCounter:
-    """Counts matrix-matrix and matrix-vector products for cost assertions."""
+    """Counts polynomial products and window combines for cost assertions."""
 
     count: int = field(default=0)
 
@@ -199,69 +176,61 @@ def term_iterative(seq: SequenceDef, n: int) -> Fraction:
     return low
 
 
-def _mat_mul(a: Matrix3, b: Matrix3,
-             counter: Optional[MultiplicationCounter]) -> Matrix3:
-    if counter is not None:
-        counter.tick()
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
-        for i in range(3)
-    )  # type: ignore[return-value]
-
-
-def _mat_vec(a: Matrix3, v: Row,
+def _mul_mod(a: Row, b: Row, params: RecurrenceParams,
              counter: Optional[MultiplicationCounter]) -> Row:
+    """(a0 + a1*x + a2*x^2) * (b0 + b1*x + b2*x^2) mod x^3 - r*x^2 - s*x - t."""
     if counter is not None:
         counter.tick()
-    return tuple(sum(a[i][k] * v[k] for k in range(3)) for i in range(3))  # type: ignore[return-value]
-
-
-def _mat_pow(m: Matrix3, e: int,
-             counter: Optional[MultiplicationCounter]) -> Matrix3:
-    """m**e for e >= 1, left-to-right square and multiply.
-
-    Performs at most 2*(bits(e) - 1) matrix products.
-    """
-    result = m
-    for bit in bin(e)[3:]:
-        result = _mat_mul(result, result, counter)
-        if bit == "1":
-            result = _mat_mul(result, m, counter)
-    return result
-
-
-def _inverse_companion(params: RecurrenceParams) -> Matrix3:
-    # Closed-form inverse of [[r, s, t], [1, 0, 0], [0, 1, 0]]; exists iff t != 0.
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    p0 = a0 * b0
+    p1 = a0 * b1 + a1 * b0
+    p2 = a0 * b2 + a1 * b1 + a2 * b0
+    p3 = a1 * b2 + a2 * b1
+    p4 = a2 * b2
     r, s, t = params.r, params.s, params.t
-    one = Fraction(1)
-    zero = Fraction(0)
-    return (
-        (zero, one, zero),
-        (zero, zero, one),
-        (one / t, -r / t, -s / t),
-    )
+    # x^4 = r*x^3 + s*x^2 + t*x, then x^3 = r*x^2 + s*x + t.
+    p3 += r * p4
+    return p0 + t * p3, p1 + t * p4 + s * p3, p2 + s * p4 + r * p3
 
 
 def window(seq: SequenceDef, m: int,
            counter: Optional[MultiplicationCounter] = None) -> Row:
-    """Return (W_m, W_{m+1}, W_{m+2}) from one companion-matrix power.
+    """Return (W_m, W_{m+1}, W_{m+2}) from one polynomial power.
 
-    The state (W_{k+2}, W_{k+1}, W_k) advances by M, so M**m, or (M^-1)**|m|
-    when m < 0 (needs t != 0), maps (W_2, W_1, W_0) to the window at m.
+    The shift W_k -> W_{k+1} satisfies the characteristic polynomial
+    x^3 - r*x^2 - s*x - t, so with x^m = c0 + c1*x + c2*x^2 modulo it,
+    W_{m+j} = c0*W_j + c1*W_{j+1} + c2*W_{j+2} (Cayley-Hamilton; Fiduccia
+    1985).  For m < 0 the base is x^-1 = (x^2 - r*x - s)/t, which needs
+    t != 0.  Costs at most 2*(bits(|m|) - 1) products plus one combine.
     """
     _require_int(m, "the index m")
     if m == 0:
         return seq.w0, seq.w1, seq.w2
+    params = seq.params
+    r, s, t = params.r, params.s, params.t
     if m > 0:
-        step = companion_matrix(seq.params).rows
-    elif seq.params.t == 0:
+        base = (Fraction(0), Fraction(1), Fraction(0))
+    elif t == 0:
         raise NegativeIndexWithZeroT(
-            f"W_{m} undefined: inverse companion matrix requires t != 0")
+            f"W_{m} undefined: x has no inverse modulo the characteristic "
+            f"polynomial when t = 0")
     else:
-        step = _inverse_companion(seq.params)
-    high, mid, low = _mat_vec(_mat_pow(step, abs(m), counter),
-                              (seq.w2, seq.w1, seq.w0), counter)
-    return low, mid, high
+        base = (-s / t, -r / t, 1 / t)
+    c = base
+    for bit in bin(abs(m))[3:]:
+        c = _mul_mod(c, c, params, counter)
+        if bit == "1":
+            c = _mul_mod(c, base, params, counter)
+    if counter is not None:
+        counter.tick()
+    c0, c1, c2 = c
+    w0, w1, w2 = seq.w0, seq.w1, seq.w2
+    w3 = r * w2 + s * w1 + t * w0
+    w4 = r * w3 + s * w2 + t * w1
+    return (c0 * w0 + c1 * w1 + c2 * w2,
+            c0 * w1 + c1 * w2 + c2 * w3,
+            c0 * w2 + c1 * w3 + c2 * w4)
 
 
 def term_matrix(seq: SequenceDef, n: int,
@@ -269,6 +238,6 @@ def term_matrix(seq: SequenceDef, n: int,
     """Return W_n, the first term of ``window(seq, n)``.
 
     Exactly equal to ``term_iterative(seq, n)`` on every input, with at
-    most 2*ceil(log2(|n| + 1)) + 2 matrix products.
+    most 2*ceil(log2(|n| + 1)) + 2 polynomial products.
     """
     return window(seq, n, counter)[0]

@@ -13,9 +13,9 @@ Parameter triples with no proven formula fall back to the literal sum,
 flagged as ``OracleFallback`` in the result.
 
 Every clause reads three consecutive terms plus the initial terms, so a
-closed-form sum costs one :func:`~tribsum.core.window`, i.e. one matrix
-power.  Each :class:`FormulaCase` value is its (direction, parity,
-condition); the direction and parity fix where the window starts.
+closed-form sum costs one :func:`~tribsum.core.window`, i.e. one
+polynomial power.  Each :class:`FormulaCase` value is its (direction,
+parity, condition); the direction and parity fix where the window starts.
 """
 
 from __future__ import annotations
@@ -313,14 +313,14 @@ def _brief(value: Fraction) -> str:
 def evaluate(seq: SequenceDef, query: SumQuery, check: bool = False) -> SumResult:
     """Compute the queried sum via the dispatched clause.
 
-    With ``check=True`` the literal sum is computed as well and a
-    :class:`SumMismatch` is raised on disagreement.
+    With ``check=True`` a closed-form value is compared with the literal
+    sum and a :class:`SumMismatch` is raised on disagreement.  The fallback
+    value is the literal sum itself, so it is computed only once.
     """
     case = select_case(seq.params, query)
     if case is FormulaCase.OracleFallback:
-        value = sum_oracle(seq, query)
-    else:
-        value = closed_form_value(case, seq, query.n)
+        return SumResult(sum_oracle(seq, query), case, oracle_checked=check)
+    value = closed_form_value(case, seq, query.n)
     if check:
         expected = sum_oracle(seq, query)
         if value != expected:

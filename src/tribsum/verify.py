@@ -10,11 +10,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from . import identities, oracle
 from .catalog import CatalogEntry, list_all
-from .core import RecurrenceParams, SequenceDef, term_iterative
+from .core import RecurrenceParams, SequenceDef
 from .sums import (
     Direction,
     FormulaCase,
@@ -78,6 +78,13 @@ def random_sequence(rng: random.Random,
         return SequenceDef(params, w0, w1, w2)
 
 
+def _oracle_terms(seq: SequenceDef, max_n: int) -> Callable[[int], Fraction]:
+    """W_k for |k| <= 2*max_n + 3 (k >= 0 when t = 0): every index a clause
+    bounded by max_n reads, from one oracle walk each way."""
+    span = 2 * max_n + 3
+    return oracle.term_table(seq, -span if seq.params.t != 0 else 0, span).__getitem__
+
+
 def sweep_formula_vs_oracle(seqs: Iterable[SequenceDef], max_n: int) -> SuiteReport:
     """Every dispatched closed form must equal the literal sum exactly.
 
@@ -87,8 +94,7 @@ def sweep_formula_vs_oracle(seqs: Iterable[SequenceDef], max_n: int) -> SuiteRep
     report = SuiteReport("formula-vs-oracle")
     for seq in seqs:
         has_backward = seq.params.t != 0
-        span = 2 * max_n + 3
-        term = oracle.term_table(seq, -span if has_backward else 0, span).__getitem__
+        term = _oracle_terms(seq, max_n)
         for direction, parity in ALL_QUERY_FAMILIES:
             if direction is Direction.BACKWARD and not has_backward:
                 continue
@@ -192,11 +198,13 @@ def sweep_identities(max_n: int,
     """The named-sequence closed forms must equal the literal sums."""
     report = SuiteReport("named-sequence-identities")
     defs = {entry.key: entry.definition for entry in list_all()}
+    terms = {key: _oracle_terms(seq, max_n) for key, seq in defs.items()
+             if keys is None or key in keys}
     for ident in identities.SUM_IDENTITIES:
-        if keys is not None and ident.sequence_key not in keys:
+        if ident.sequence_key not in terms:
             continue
         seq = defs[ident.sequence_key]
-        term = lambda k: term_iterative(seq, k)
+        term = terms[ident.sequence_key]
         for n, expected in oracle.prefix_sums(seq, ident.direction,
                                               ident.parity, max_n):
             if n < ident.min_n:

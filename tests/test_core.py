@@ -2,25 +2,29 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tribsum.core import (
     MultiplicationCounter,
     NegativeIndexWithZeroT,
-    RecurrenceParams,
     SequenceDef,
     as_rational,
-    companion_matrix,
     format_rational,
     term_iterative,
     term_matrix,
     window,
 )
-from tribsum.oracle import oracle_term
+from tribsum.oracle import term_table
 
 rationals = st.fractions(
     min_value=-9, max_value=9, max_denominator=9)
+
+
+# A rational triple with t != +-1, so the base x^-1 of negative powers
+# has non-trivial coefficients.
+RATIONAL_T = dict(r=Fraction(1, 2), s=Fraction(-1), t=Fraction(2, 3),
+                  w0=Fraction(1, 2), w1=Fraction(-3), w2=Fraction(4, 5))
 
 
 def seq_of(r, s, t, w0, w1, w2):
@@ -103,30 +107,6 @@ class TestTermIterative:
                 assert term_iterative(seq, n).denominator == 1
 
 
-class TestCompanionMatrix:
-    def test_layout(self):
-        m = companion_matrix(RecurrenceParams(1, 1, 1))
-        assert m.rows == ((1, 1, 1), (1, 0, 0), (0, 1, 0))
-        m = companion_matrix(RecurrenceParams(0, 2, 1))
-        assert m.rows == ((0, 2, 1), (1, 0, 0), (0, 1, 0))
-
-    def test_determinant_is_t(self):
-        assert companion_matrix(RecurrenceParams(2, 1, 1)).determinant() == 1
-        assert companion_matrix(
-            RecurrenceParams(Fraction(1, 3), 5, Fraction(-2, 7))
-        ).determinant() == Fraction(-2, 7)
-
-    def test_advances_state(self, tribonacci):
-        m = companion_matrix(tribonacci.params).rows
-        for n in range(-5, 10):
-            state = tuple(term_iterative(tribonacci, n + d) for d in (2, 1, 0))
-            advanced = tuple(
-                sum(m[i][k] * state[k] for k in range(3)) for i in range(3))
-            expected = tuple(
-                term_iterative(tribonacci, n + 1 + d) for d in (2, 1, 0))
-            assert advanced == expected
-
-
 class TestTermMatrix:
     def test_identity_exponent(self, tribonacci):
         assert term_matrix(tribonacci, 2) == 1
@@ -180,12 +160,20 @@ class TestWindow:
            w0=rationals, w1=rationals, w2=rationals,
            m=st.integers(min_value=-300, max_value=300))
     @settings(max_examples=40, deadline=None)
+    @example(**RATIONAL_T, m=4095)
+    @example(**RATIONAL_T, m=4097)
+    @example(**RATIONAL_T, m=2**12)
+    @example(**RATIONAL_T, m=-4095)
+    @example(**RATIONAL_T, m=-4097)
+    @example(**RATIONAL_T, m=-2**12)
     def test_matches_oracle(self, r, s, t, w0, w1, w2, m):
         assume(m >= 0 or t != 0)
         seq = seq_of(r, s, t, w0, w1, w2)
-        assert window(seq, m) == tuple(oracle_term(seq, m + d) for d in range(3))
+        table = term_table(seq, m, m + 2)
+        assert window(seq, m) == (table[m], table[m + 1], table[m + 2])
 
-    @pytest.mark.parametrize("m", [1, 2, 17, 1000, -1, -2, -999])
+    @pytest.mark.parametrize("m", [1, 2, 17, 1000, 4095, 4097, 2**12,
+                                   -1, -2, -999, -4095, -4097, -2**12])
     def test_one_power(self, tribonacci, m):
         counter = MultiplicationCounter()
         window(tribonacci, m, counter)

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import tribsum.sums as sums
@@ -209,6 +209,27 @@ class TestEvaluate:
                        check=True)
         assert res.oracle_checked
 
+    @pytest.mark.parametrize("coefficients, case", [
+        ((1, 1, -1), FormulaCase.OracleFallback),
+        ((1, 1, 1), FormulaCase.FwdAll_Generic),
+    ])
+    def test_check_sums_literally_once(self, monkeypatch, coefficients, case):
+        real_sum_oracle = sums.sum_oracle
+        calls = []
+
+        def counting_sum_oracle(seq, query):
+            calls.append(query)
+            return real_sum_oracle(seq, query)
+
+        monkeypatch.setattr(sums, "sum_oracle", counting_sum_oracle)
+        seq = seq_of(*coefficients, 0, 1, 1)
+        query = SumQuery(Direction.FORWARD, Parity.ALL, 50)
+        res = evaluate(seq, query, check=True)
+        assert res.case_used is case
+        assert res.oracle_checked
+        assert res.value == real_sum_oracle(seq, query)
+        assert calls == [query]
+
     def test_check_detects_corruption(self, tribonacci, monkeypatch):
         import tribsum.sums as sums
         broken = dict(sums._CLOSED_FORMS)
@@ -251,6 +272,25 @@ class TestParityPartition:
                 left = (sum_backward_even(seq, n).value
                         + sum_backward_odd(seq, n).value)
                 assert left == sum_backward_all(seq, 2 * n).value
+
+    @given(s=rationals, t=rationals, zero_d2=st.booleans(),
+           w0=rationals, w1=rationals, w2=rationals,
+           n=st.integers(min_value=0, max_value=40))
+    @settings(max_examples=40, deadline=None)
+    @example(s=Fraction(2), t=Fraction(1), zero_d2=True,
+             w0=Fraction(0), w1=Fraction(1), w2=Fraction(1), n=40)
+    def test_degenerate_triples(self, s, t, zero_d2, w0, w1, w2, n):
+        # d1 = 0 when r = 1 - s - t, d2 = 0 when r = s - t - 1; the
+        # d2 = 0 family contains (0, 2, 1).
+        r = s - t - 1 if zero_d2 else 1 - s - t
+        seq = seq_of(r, s, t, w0, w1, w2)
+        d = denominators(seq.params)
+        assert (d.d2 if zero_d2 else d.d1) == 0
+        left = sum_forward_even(seq, n).value + sum_forward_odd(seq, n).value
+        assert left == sum_forward_all(seq, 2 * n + 1).value
+        if t != 0 and n >= 1:
+            left = sum_backward_even(seq, n).value + sum_backward_odd(seq, n).value
+            assert left == sum_backward_all(seq, 2 * n).value
 
 
 class TestSpecializations:
