@@ -2,8 +2,9 @@
 
 Subcommands: term, sum, verify, oeis-check, bench, catalog.  Results print
 as plain text by default; ``--format json`` emits one self-contained JSON
-record per result (newline-delimited).  Exit codes: 0 success, 2 usage or
-precondition error, 3 verification mismatch, 4 OEIS check failure.
+record per result (newline-delimited), and each error as one JSON record
+on stderr.  Exit codes: 0 success, 2 usage or precondition error, 3
+verification mismatch, 4 OEIS check failure.
 """
 
 from __future__ import annotations
@@ -77,6 +78,20 @@ def _emit(args: argparse.Namespace, record: dict, text: str) -> None:
         print(json.dumps(record, sort_keys=True))
     else:
         print(text)
+
+
+def _error(args: argparse.Namespace, code: int, exc: Exception,
+           prefix: str = "") -> int:
+    """Write *exc* to stderr, as *prefix* and its message or as a JSON
+    record, and return the exit *code*."""
+    if args.format == "json":
+        text = json.dumps({"command": args.subcommand, "status": "error",
+                           "error": type(exc).__name__, "message": str(exc),
+                           "exit": code}, sort_keys=True)
+    else:
+        text = f"{prefix}{exc}"
+    print(text, file=sys.stderr)
+    return code
 
 
 def _cmd_term(args: argparse.Namespace) -> int:
@@ -181,8 +196,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         naive = oracle.oracle_sum(seq, query)
         oracle_ns = time.perf_counter_ns() - start
         if closed.value != naive:
-            print(f"mismatch at n={n}", file=sys.stderr)
-            return EXIT_MISMATCH
+            return _error(args, EXIT_MISMATCH, SumMismatch(f"mismatch at n={n}"))
         ratio = oracle_ns / closed_ns if closed_ns else float("inf")
         _emit(args, {"command": "bench", "seq": args.seq, "n": n,
                      "case_used": closed.case_used.name,
@@ -265,12 +279,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.func(args)
     except SumMismatch as exc:
-        print(f"mismatch: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
+        return _error(args, EXIT_MISMATCH, exc, "mismatch: ")
     except (UnknownSequence, NegativeIndexWithZeroT, ValueError,
             ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(args, EXIT_USAGE, exc, "error: ")
 
 
 if __name__ == "__main__":

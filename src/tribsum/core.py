@@ -7,8 +7,10 @@ well: W_{-m} = -(s/t)*W_{-(m-1)} - (r/t)*W_{-(m-2)} + (1/t)*W_{-(m-3)}.
 All arithmetic is exact over the rationals (``fractions.Fraction``); there
 are no floating-point code paths.  The kernel, :func:`window`, returns
 (W_m, W_{m+1}, W_{m+2}) from x^m modulo the characteristic polynomial
-x^3 - r*x^2 - s*x - t, three coefficients raised by O(log |m|) polynomial
-products; :func:`term_iterative` is an independent O(|n|) walk.  The
+x^3 - r*x^2 - s*x - t.  It scales y = q*x, with q the common denominator
+of r, s and t, so its O(log |m|) polynomial products run on three int
+coefficients, and it divides once per term at the end.
+:func:`term_iterative` is an independent O(|n|) walk on Fractions.  The
 sum-query types live here too, so that both the closed forms and the
 literal oracle can depend on them without depending on each other.
 """
@@ -16,6 +18,7 @@ literal oracle can depend on them without depending on each other.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
@@ -146,11 +149,13 @@ def query_indices(query: SumQuery) -> list[int]:
 
 
 Row = tuple[Fraction, Fraction, Fraction]
+IntRow = tuple[int, int, int]
 
 
 @dataclass
 class MultiplicationCounter:
-    """Counts polynomial products and window combines for cost assertions."""
+    """Counts the integer polynomial products and the final combine of
+    :func:`window`, for cost assertions."""
 
     count: int = field(default=0)
 
@@ -176,9 +181,13 @@ def term_iterative(seq: SequenceDef, n: int) -> Fraction:
     return low
 
 
-def _mul_mod(a: Row, b: Row, params: RecurrenceParams,
-             counter: Optional[MultiplicationCounter]) -> Row:
-    """(a0 + a1*x + a2*x^2) * (b0 + b1*x + b2*x^2) mod x^3 - r*x^2 - s*x - t."""
+def _mul_mod(a: IntRow, b: IntRow, coeffs: IntRow,
+             counter: Optional[MultiplicationCounter]) -> IntRow:
+    """(a0 + a1*y + a2*y^2) * (b0 + b1*y + b2*y^2) mod y^3 - R*y^2 - S*y - T.
+
+    *coeffs* is the integer triple (R, S, T) of the scaled polynomial (see
+    :func:`window`); all coefficients are ints, so no step pays a gcd.
+    """
     if counter is not None:
         counter.tick()
     a0, a1, a2 = a
@@ -188,49 +197,67 @@ def _mul_mod(a: Row, b: Row, params: RecurrenceParams,
     p2 = a0 * b2 + a1 * b1 + a2 * b0
     p3 = a1 * b2 + a2 * b1
     p4 = a2 * b2
-    r, s, t = params.r, params.s, params.t
-    # x^4 = r*x^3 + s*x^2 + t*x, then x^3 = r*x^2 + s*x + t.
-    p3 += r * p4
-    return p0 + t * p3, p1 + t * p4 + s * p3, p2 + s * p4 + r * p3
+    R, S, T = coeffs
+    # y^4 = R*y^3 + S*y^2 + T*y, then y^3 = R*y^2 + S*y + T.
+    p3 += R * p4
+    return p0 + T * p3, p1 + T * p4 + S * p3, p2 + S * p4 + R * p3
 
 
 def window(seq: SequenceDef, m: int,
            counter: Optional[MultiplicationCounter] = None) -> Row:
-    """Return (W_m, W_{m+1}, W_{m+2}) from one polynomial power.
+    """Return (W_m, W_{m+1}, W_{m+2}) from one polynomial power on ints.
 
     The shift W_k -> W_{k+1} satisfies the characteristic polynomial
     x^3 - r*x^2 - s*x - t, so with x^m = c0 + c1*x + c2*x^2 modulo it,
     W_{m+j} = c0*W_j + c1*W_{j+1} + c2*W_{j+2} (Cayley-Hamilton; Fiduccia
-    1985).  For m < 0 the base is x^-1 = (x^2 - r*x - s)/t, which needs
-    t != 0.  Costs at most 2*(bits(|m|) - 1) products plus one combine.
+    1985).  With q the least common denominator of r, s and t, y = q*x
+    satisfies y^3 - R*y^2 - S*y - T with integers R = r*q, S = s*q^2 and
+    T = t*q^3, so the power is raised on int coefficients: y^m for m > 0,
+    and for m < 0 (which needs t != 0) (y^2 - R*y - S)^|m| = (T/y)^|m|.
+    Then x^m is y^m / q^m, resp. (y^2 - R*y - S)^|m| * q^|m| / T^|m|, and
+    each term is one integer combination and one division.  Costs at
+    most 2*(bits(|m|) - 1) products plus one combine.
     """
     _require_int(m, "the index m")
     if m == 0:
         return seq.w0, seq.w1, seq.w2
-    params = seq.params
-    r, s, t = params.r, params.s, params.t
+    r, s, t = seq.params.r, seq.params.s, seq.params.t
+    q = math.lcm(r.denominator, s.denominator, t.denominator)
+    coeffs = R, S, T = (r.numerator * (q // r.denominator),
+                        s.numerator * (q // s.denominator) * q,
+                        t.numerator * (q // t.denominator) * q * q)
     if m > 0:
-        base = (Fraction(0), Fraction(1), Fraction(0))
-    elif t == 0:
+        base = (0, 1, 0)
+        scale_num, scale_den = 1, q ** m
+    elif T == 0:
         raise NegativeIndexWithZeroT(
             f"W_{m} undefined: x has no inverse modulo the characteristic "
             f"polynomial when t = 0")
     else:
-        base = (-s / t, -r / t, 1 / t)
+        base = (-S, -R, 1)
+        scale_num, scale_den = q ** -m, T ** -m
     c = base
     for bit in bin(abs(m))[3:]:
-        c = _mul_mod(c, c, params, counter)
+        c = _mul_mod(c, c, coeffs, counter)
         if bit == "1":
-            c = _mul_mod(c, base, params, counter)
+            c = _mul_mod(c, base, coeffs, counter)
     if counter is not None:
         counter.tick()
-    c0, c1, c2 = c
+    # u_k = d*q^k*W_k are integers with u_k = R*u_{k-1} + S*u_{k-2} +
+    # T*u_{k-3}, so a0*u_j + a1*u_{j+1} + a2*u_{j+2} is
+    # d*q^j*W_{m+j} * scale_den / scale_num.
     w0, w1, w2 = seq.w0, seq.w1, seq.w2
-    w3 = r * w2 + s * w1 + t * w0
-    w4 = r * w3 + s * w2 + t * w1
-    return (c0 * w0 + c1 * w1 + c2 * w2,
-            c0 * w1 + c1 * w2 + c2 * w3,
-            c0 * w2 + c1 * w3 + c2 * w4)
+    d = math.lcm(w0.denominator, w1.denominator, w2.denominator)
+    u0 = w0.numerator * (d // w0.denominator)
+    u1 = w1.numerator * (d // w1.denominator) * q
+    u2 = w2.numerator * (d // w2.denominator) * q * q
+    u3 = R * u2 + S * u1 + T * u0
+    u4 = R * u3 + S * u2 + T * u1
+    a0, a1, a2 = c
+    den = d * scale_den
+    return (Fraction((a0 * u0 + a1 * u1 + a2 * u2) * scale_num, den),
+            Fraction((a0 * u1 + a1 * u2 + a2 * u3) * scale_num, den * q),
+            Fraction((a0 * u2 + a1 * u3 + a2 * u4) * scale_num, den * q * q))
 
 
 def term_matrix(seq: SequenceDef, n: int,

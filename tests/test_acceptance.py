@@ -151,9 +151,9 @@ def test_criterion_5_named_sequence_identities(report):
 
 
 def test_criterion_6_term_evaluators_agree(report):
-    """Matrix, iterative, and oracle term evaluation coincide; the matrix
-    path stays within the logarithmic multiplication budget."""
-    name = "6: term evaluators agree; matrix op-count bound"
+    """Polynomial-power, iterative, and oracle term evaluation coincide;
+    the polynomial power stays within the logarithmic product bound."""
+    name = "6: term evaluators agree; polynomial-product bound"
     failures = 0
     checks = 0
     for entry in list_all():

@@ -1,8 +1,10 @@
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
+import tribsum.sums as sums
 from tribsum.catalog import lookup
 from tribsum.core import term_matrix
 from tribsum.cli import (
@@ -18,6 +20,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _break_fwd_all(monkeypatch):
+    """Make the FwdAll_Generic clause return 999 for every query."""
+    broken = dict(sums._CLOSED_FORMS)
+    broken[sums.FormulaCase.FwdAll_Generic] = lambda seq, n, term: Fraction(999)
+    monkeypatch.setattr(sums, "_CLOSED_FORMS", broken)
 
 
 class TestTerm:
@@ -147,12 +156,7 @@ class TestSum:
     def test_mismatch_above_digit_limit(self, capsys, monkeypatch):
         # The literal sum at n = 17000 has about 4500 digits; reporting the
         # mismatch must not hit the int -> str limit and exit as a usage error.
-        from fractions import Fraction
-
-        import tribsum.sums as sums
-        broken = dict(sums._CLOSED_FORMS)
-        broken[sums.FormulaCase.FwdAll_Generic] = lambda seq, n, term: Fraction(999)
-        monkeypatch.setattr(sums, "_CLOSED_FORMS", broken)
+        _break_fwd_all(monkeypatch)
         code, _, err = run(capsys, "sum", "--seq", "tribonacci",
                            "--dir", "fwd", "--parity", "all", "--n", "17000",
                            "--check")
@@ -262,3 +266,57 @@ class TestCatalog:
             "pell-perrin", "jacobsthal-padovan", "jacobsthal-perrin",
             "narayana", "third-order-jacobsthal",
             "third-order-jacobsthal-lucas"]
+
+
+class TestJsonErrors:
+    def json_error(self, capsys, *argv):
+        code, out, err = run(capsys, "--format", "json", *argv)
+        assert out == ""
+        [line] = err.splitlines()
+        record = json.loads(line)
+        assert record["status"] == "error"
+        assert record["exit"] == code
+        return code, record
+
+    def test_unknown_sequence(self, capsys):
+        code, record = self.json_error(capsys, "term", "--seq", "nope",
+                                       "--n", "3")
+        assert code == EXIT_USAGE
+        assert record["command"] == "term"
+        assert record["error"] == "UnknownSequence"
+        assert record["message"].startswith("unknown sequence 'nope'; known keys:")
+
+    def test_negative_index_zero_t(self, capsys):
+        code, record = self.json_error(capsys, "term",
+                                       "--r", "1", "--s", "1", "--t", "0",
+                                       "--w0", "0", "--w1", "1", "--w2", "1",
+                                       "--n", "-2")
+        assert code == EXIT_USAGE
+        assert record["error"] == "NegativeIndexWithZeroT"
+
+    def test_check_mismatch(self, capsys, monkeypatch):
+        _break_fwd_all(monkeypatch)
+        code, record = self.json_error(capsys, "sum", "--seq", "tribonacci",
+                                       "--dir", "fwd", "--parity", "all",
+                                       "--n", "10", "--check")
+        assert code == EXIT_MISMATCH
+        assert record["command"] == "sum"
+        assert record["error"] == "SumMismatch"
+        assert "FwdAll_Generic gave 999" in record["message"]
+
+    def test_bench_mismatch(self, capsys, monkeypatch):
+        _break_fwd_all(monkeypatch)
+        code, record = self.json_error(capsys, "bench", "--n", "10")
+        assert code == EXIT_MISMATCH
+        assert record == {"command": "bench", "status": "error",
+                          "error": "SumMismatch",
+                          "message": "mismatch at n=10", "exit": EXIT_MISMATCH}
+
+    def test_text_mode_unchanged(self, capsys, monkeypatch):
+        _break_fwd_all(monkeypatch)
+        code, out, err = run(capsys, "bench", "--n", "10")
+        assert (code, err) == (EXIT_MISMATCH, "mismatch at n=10\n")
+        code, _, err = run(capsys, "sum", "--seq", "tribonacci", "--dir", "fwd",
+                           "--parity", "all", "--n", "10", "--check")
+        assert code == EXIT_MISMATCH
+        assert err.startswith("mismatch: FwdAll_Generic gave 999")

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from tribsum import core
 from tribsum.core import (
     MultiplicationCounter,
     NegativeIndexWithZeroT,
@@ -25,6 +27,23 @@ rationals = st.fractions(
 # has non-trivial coefficients.
 RATIONAL_T = dict(r=Fraction(1, 2), s=Fraction(-1), t=Fraction(2, 3),
                   w0=Fraction(1, 2), w1=Fraction(-3), w2=Fraction(4, 5))
+
+
+# Pairwise coprime denominators: q = lcm(7, 4, 9) = 252 scales the kernel.
+Q252 = (Fraction(3, 7), Fraction(-5, 4), Fraction(2, 9))
+Q252_INITIAL = dict(w0=Fraction(1, 2), w1=Fraction(-3), w2=Fraction(4, 5))
+
+
+@st.composite
+def coprime_triples(draw):
+    """(r, s, t) in lowest terms with pairwise coprime denominators <= 9."""
+    dens = draw(st.tuples(*[st.integers(1, 9)] * 3).filter(
+        lambda ds: all(math.gcd(a, b) == 1
+                       for a, b in itertools.combinations(ds, 2))))
+    return tuple(
+        Fraction(draw(st.integers(-9, 9).filter(
+            lambda k, d=d: math.gcd(k, d) == 1)), d)
+        for d in dens)
 
 
 def seq_of(r, s, t, w0, w1, w2):
@@ -171,6 +190,39 @@ class TestWindow:
         seq = seq_of(r, s, t, w0, w1, w2)
         table = term_table(seq, m, m + 2)
         assert window(seq, m) == (table[m], table[m + 1], table[m + 2])
+
+    @given(triple=coprime_triples(), w0=rationals, w1=rationals,
+           w2=rationals, m=st.integers(min_value=-300, max_value=300))
+    @settings(max_examples=40, deadline=None)
+    @example(triple=Q252, **Q252_INITIAL, m=1)
+    @example(triple=Q252, **Q252_INITIAL, m=-1)
+    @example(triple=Q252, **Q252_INITIAL, m=2)
+    @example(triple=Q252, **Q252_INITIAL, m=-2)
+    @example(triple=Q252, **Q252_INITIAL, m=4097)
+    @example(triple=Q252, **Q252_INITIAL, m=-4097)
+    def test_scaled_kernel_matches_oracle(self, triple, w0, w1, w2, m):
+        r, s, t = triple
+        assume(m >= 0 or t != 0)
+        seq = seq_of(r, s, t, w0, w1, w2)
+        table = term_table(seq, m, m + 2)
+        assert window(seq, m) == (table[m], table[m + 1], table[m + 2])
+
+    @pytest.mark.parametrize("m", [2, 5, 300, -2, -5, -300])
+    def test_mul_mod_sees_only_ints(self, monkeypatch, m):
+        seen = []
+        mul_mod = core._mul_mod
+
+        def checked(a, b, coeffs, counter):
+            product = mul_mod(a, b, coeffs, counter)
+            seen.extend((*a, *b, *product))
+            seen.extend(coeffs if isinstance(coeffs, tuple) else [coeffs])
+            return product
+
+        monkeypatch.setattr(core, "_mul_mod", checked)
+        seq = seq_of(*Q252, **Q252_INITIAL)
+        assert window(seq, m) == tuple(term_iterative(seq, k)
+                                       for k in range(m, m + 3))
+        assert seen and all(type(v) is int for v in seen)
 
     @pytest.mark.parametrize("m", [1, 2, 17, 1000, 4095, 4097, 2**12,
                                    -1, -2, -999, -4095, -4097, -2**12])
