@@ -8,7 +8,6 @@ from .core import (
     SequenceDef,
     as_rational,
     format_rational,
-    term_iterative,
     term_matrix,
     window,
 )
@@ -22,7 +21,7 @@ from .oeis import (
     fetch_bfile,
     parse_bfile,
 )
-from .oracle import oracle_sum, oracle_term
+from .oracle import oracle_sum, oracle_term, oracle_term as term_iterative
 from .sums import (
     Denominators,
     Direction,

@@ -37,8 +37,7 @@ class CatalogEntry:
 
 
 def _entry(key, display, w0, w1, w2, r, s, t, oeis_ids, shift=None):
-    seq = SequenceDef.of(r, s, t, w0, w1, w2, name=display,
-                         oeis_id=oeis_ids[0] if oeis_ids else None)
+    seq = SequenceDef.of(r, s, t, w0, w1, w2, name=display)
     return CatalogEntry(key, display, seq, tuple(oeis_ids), shift)
 
 

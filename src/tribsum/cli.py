@@ -19,13 +19,7 @@ from typing import Optional
 
 from . import oracle, verify
 from .catalog import UnknownSequence, list_all, lookup
-from .core import (
-    NegativeIndexWithZeroT,
-    SequenceDef,
-    as_rational,
-    format_rational,
-    term_matrix,
-)
+from .core import NegativeIndexWithZeroT, SequenceDef, format_rational, term_matrix
 from .oeis import AlignmentStatus, FixtureMissing, MalformedBFile, align, fetch_bfile
 from .sums import Direction, Parity, SumMismatch, SumQuery, evaluate
 
@@ -35,6 +29,17 @@ EXIT_MISMATCH = 3
 EXIT_OEIS = 4
 
 _PARAM_FLAGS = ("r", "s", "t", "w0", "w1", "w2")
+
+
+class UsageError(Exception):
+    """A command line argparse rejected; ``parser`` is the parser that did."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        exc = UsageError(message)
+        exc.parser = self
+        raise exc
 
 
 def _add_sequence_args(parser: argparse.ArgumentParser) -> None:
@@ -53,9 +58,7 @@ def _sequence_from_args(args: argparse.Namespace) -> SequenceDef:
         missing = [f"--{f}" for f in _PARAM_FLAGS if getattr(args, f) is None]
         raise ValueError(f"need --seq or all of --r/--s/--t/--w0/--w1/--w2 "
                          f"(missing {', '.join(missing)})")
-    values = {flag: as_rational(getattr(args, flag)) for flag in _PARAM_FLAGS}
-    return SequenceDef.of(values["r"], values["s"], values["t"],
-                          values["w0"], values["w1"], values["w2"])
+    return SequenceDef.of(*(getattr(args, flag) for flag in _PARAM_FLAGS))
 
 
 @contextlib.contextmanager
@@ -224,7 +227,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tribsum",
         description="Exact terms and closed-form partial sums of "
                     "generalized Tribonacci sequences.")
@@ -275,9 +278,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # Filled as parsing goes: --format is set before any later argument fails.
+    args = argparse.Namespace()
     try:
+        parser.parse_args(argv, args)
         return args.func(args)
+    except UsageError as exc:
+        if args.format != "json":
+            argparse.ArgumentParser.error(exc.parser, str(exc))  # usage text, exit 2
+        return _error(args, EXIT_USAGE, exc)
     except SumMismatch as exc:
         return _error(args, EXIT_MISMATCH, exc, "mismatch: ")
     except (UnknownSequence, NegativeIndexWithZeroT, ValueError,

@@ -9,8 +9,8 @@ are no floating-point code paths.  The kernel, :func:`window`, returns
 (W_m, W_{m+1}, W_{m+2}) from x^m modulo the characteristic polynomial
 x^3 - r*x^2 - s*x - t.  It scales y = q*x, with q the common denominator
 of r, s and t, so its O(log |m|) polynomial products run on three int
-coefficients, and it divides once per term at the end.
-:func:`term_iterative` is an independent O(|n|) walk on Fractions.  The
+coefficients, and it divides once per term at the end.  The O(|n|)
+literal walk it is checked against lives in :mod:`tribsum.oracle`.  The
 sum-query types live here too, so that both the closed forms and the
 literal oracle can depend on them without depending on each other.
 """
@@ -63,9 +63,8 @@ class RecurrenceParams:
     t: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "r", as_rational(self.r))
-        object.__setattr__(self, "s", as_rational(self.s))
-        object.__setattr__(self, "t", as_rational(self.t))
+        for attr in ("r", "s", "t"):
+            object.__setattr__(self, attr, as_rational(getattr(self, attr)))
 
 
 @dataclass(frozen=True)
@@ -77,7 +76,6 @@ class SequenceDef:
     w1: Fraction
     w2: Fraction
     name: Optional[str] = None
-    oeis_id: Optional[str] = None
 
     def __post_init__(self) -> None:
         for attr in ("w0", "w1", "w2"):
@@ -93,10 +91,8 @@ class SequenceDef:
         w1: RationalLike,
         w2: RationalLike,
         name: Optional[str] = None,
-        oeis_id: Optional[str] = None,
     ) -> "SequenceDef":
-        return cls(RecurrenceParams(as_rational(r), as_rational(s), as_rational(t)),
-                   w0, w1, w2, name, oeis_id)
+        return cls(RecurrenceParams(r, s, t), w0, w1, w2, name)
 
 
 def _require_int(value: object, what: str) -> None:
@@ -161,24 +157,6 @@ class MultiplicationCounter:
 
     def tick(self) -> None:
         self.count += 1
-
-
-def term_iterative(seq: SequenceDef, n: int) -> Fraction:
-    """Return W_n by sliding-window iteration; O(|n|) time, O(1) live values."""
-    _require_int(n, "the index n")
-    r, s, t = seq.params.r, seq.params.s, seq.params.t
-    # low = W_k, mid = W_{k+1}, high = W_{k+2}, stepping k from 0 toward n
-    low, mid, high = seq.w0, seq.w1, seq.w2
-    if n >= 0:
-        for _ in range(n):
-            low, mid, high = mid, high, r * high + s * mid + t * low
-        return low
-    if t == 0:
-        raise NegativeIndexWithZeroT(
-            f"W_{n} undefined: backward recurrence requires t != 0")
-    for _ in range(-n):
-        low, mid, high = (high - r * mid - s * low) / t, low, mid
-    return low
 
 
 def _mul_mod(a: IntRow, b: IntRow, coeffs: IntRow,
@@ -264,7 +242,7 @@ def term_matrix(seq: SequenceDef, n: int,
                 counter: Optional[MultiplicationCounter] = None) -> Fraction:
     """Return W_n, the first term of ``window(seq, n)``.
 
-    Exactly equal to ``term_iterative(seq, n)`` on every input, with at
-    most 2*ceil(log2(|n| + 1)) + 2 polynomial products.
+    Exactly equal to the literal walk ``oracle.oracle_term(seq, n)`` on
+    every input, with at most 2*ceil(log2(|n| + 1)) + 2 polynomial products.
     """
     return window(seq, n, counter)[0]

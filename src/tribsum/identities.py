@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .sums import Direction, Parity
+from .sums import Direction, Parity, TermFn
 
-TermFn = Callable[[int], Fraction]
 Clause = Callable[[TermFn, int], Fraction]
 
 H = Fraction(1, 2)

@@ -6,14 +6,12 @@ the shift between this package's W_0-based indexing and the b-file's own
 offset by searching a small window of candidate shifts.
 
 B-files are read only from a fixture directory: the bundled package data,
-or a directory named by ``TRIBSUM_FIXTURE_DIR`` or by the caller.  Nothing
-here touches the network.
+or a directory the caller names.  Nothing here touches the network.
 """
 
 from __future__ import annotations
 
 import enum
-import os
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -22,8 +20,6 @@ from typing import Optional
 
 from .core import SequenceDef
 from .oracle import term_table
-
-FIXTURE_DIR_ENV = "TRIBSUM_FIXTURE_DIR"
 
 # Candidate index shifts, smallest first.  The window reaches to +6 because
 # the Padovan entry sits five positions deep in its b-file.
@@ -94,16 +90,11 @@ def parse_bfile(content: str, oeis_id: str = "") -> BFile:
     return BFile(oeis_id, tuple(entries))
 
 
-def serialize_bfile(bfile: BFile) -> str:
-    return "".join(f"{i} {v}\n" for i, v in bfile.entries)
-
-
-def align(seq: SequenceDef, bfile: BFile,
-          min_match: int = MIN_MATCHED_TERMS) -> AlignmentReport:
+def align(seq: SequenceDef, bfile: BFile) -> AlignmentReport:
     """Search for the smallest shift aligning *seq* with *bfile*.
 
     A shift sigma matches when term(n) == b-file value at index n + sigma
-    for at least *min_match* consecutive n starting at the first
+    for at least MIN_MATCHED_TERMS consecutive n starting at the first
     overlapping index.  The terms for every candidate shift come from one
     term table.
     """
@@ -120,7 +111,7 @@ def align(seq: SequenceDef, bfile: BFile,
             if table[n] != bfile.value_at(n + sigma):
                 break
             matched += 1
-        if matched >= min_match:
+        if matched >= MIN_MATCHED_TERMS:
             return AlignmentReport(bfile.oeis_id, sigma, matched,
                                    AlignmentStatus.ALIGNED)
     return AlignmentReport(bfile.oeis_id, None, 0, AlignmentStatus.NO_ALIGNMENT)
@@ -134,10 +125,7 @@ def _fixture_filename(oeis_id: str) -> str:
 
 
 def default_fixture_dir() -> Path:
-    """The fixture directory: env override, else the bundled package data."""
-    env = os.environ.get(FIXTURE_DIR_ENV)
-    if env:
-        return Path(env)
+    """The bundled fixture directory."""
     return Path(str(resources.files("tribsum") / "fixtures"))
 
 

@@ -1,11 +1,12 @@
 """The literal reference implementation used as ground truth by every test.
 
 Everything here rests on one streaming walk of the recurrence, forward from
-W_0 or backward from W_{-1}, that holds three live terms.  Terms, term
-tables, literal sums and running prefix sums are all read off that walk.
-Nothing here shares code with the closed forms in :mod:`tribsum.sums` or
-with the term evaluators in :mod:`tribsum.core`, so an agreement between
-them is meaningful.
+W_0 or backward from W_{-1}, that holds three live terms.  It is the
+package's only O(|n|) recurrence walk: terms, term tables, literal sums and
+running prefix sums are all read off it, and ``tribsum.term_iterative`` is
+:func:`oracle_term`.  Nothing here shares code with the closed forms in
+:mod:`tribsum.sums` or with the polynomial-power kernel in
+:mod:`tribsum.core`, so an agreement between them is meaningful.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from fractions import Fraction
 from itertools import accumulate, islice
 from typing import Iterator
 
-from .core import Direction, NegativeIndexWithZeroT, Parity, SequenceDef, SumQuery
+from .core import (Direction, NegativeIndexWithZeroT, Parity, SequenceDef,
+                   SumQuery, _require_int)
 
 
 def _walk(seq: SequenceDef, direction: Direction) -> Iterator[Fraction]:
@@ -34,6 +36,7 @@ def _walk(seq: SequenceDef, direction: Direction) -> Iterator[Fraction]:
 
 def oracle_term(seq: SequenceDef, n: int) -> Fraction:
     """W_n, reached by walking from the initial terms."""
+    _require_int(n, "the index n")
     if n >= 0:
         return next(islice(_walk(seq, Direction.FORWARD), n, None))
     return next(islice(_walk(seq, Direction.BACKWARD), -n - 1, None))

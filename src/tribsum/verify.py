@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterable, Optional
 
 from . import identities, oracle
@@ -61,21 +62,17 @@ def random_rational(rng: random.Random) -> Fraction:
     return Fraction(num, den)
 
 
-def random_sequence(rng: random.Random,
-                    nonzero_t: bool = False,
-                    nonzero_d: bool = False) -> SequenceDef:
+def _nondegenerate(params: RecurrenceParams) -> bool:
+    d = denominators(params)
+    return d.d1 * d.d2 != 0
+
+
+def random_sequence(rng: random.Random, nonzero_d: bool = False) -> SequenceDef:
     """A random sequence with numerators and denominators in [-9, 9]."""
     while True:
-        r, s, t = (random_rational(rng) for _ in range(3))
-        if nonzero_t and t == 0:
-            continue
-        params = RecurrenceParams(r, s, t)
-        if nonzero_d:
-            d = denominators(params)
-            if d.d1 * d.d2 == 0:
-                continue
-        w0, w1, w2 = (random_rational(rng) for _ in range(3))
-        return SequenceDef(params, w0, w1, w2)
+        params = RecurrenceParams(*(random_rational(rng) for _ in range(3)))
+        if not nonzero_d or _nondegenerate(params):
+            return SequenceDef(params, *(random_rational(rng) for _ in range(3)))
 
 
 def _oracle_terms(seq: SequenceDef, max_n: int) -> Callable[[int], Fraction]:
@@ -83,6 +80,20 @@ def _oracle_terms(seq: SequenceDef, max_n: int) -> Callable[[int], Fraction]:
     bounded by max_n reads, from one oracle walk each way."""
     span = 2 * max_n + 3
     return oracle.term_table(seq, -span if seq.params.t != 0 else 0, span).__getitem__
+
+
+def _against_oracle(report: SuiteReport, seq: SequenceDef, direction: Direction,
+                    parity: Parity, max_n: int, clause: Callable[[int], Fraction],
+                    label: str, source: str) -> None:
+    """Check clause(n) against the literal sum for every bound n <= max_n
+    of one family, reading the running sums off one oracle walk."""
+    for n, expected in oracle.prefix_sums(seq, direction, parity, max_n):
+        got = clause(n)
+        if got == expected:
+            report.ok()
+        else:
+            report.fail(f"{label} {direction.value}/{parity.value} n={n}: "
+                        f"{source} gave {got}, oracle {expected}")
 
 
 def sweep_formula_vs_oracle(seqs: Iterable[SequenceDef], max_n: int) -> SuiteReport:
@@ -93,25 +104,16 @@ def sweep_formula_vs_oracle(seqs: Iterable[SequenceDef], max_n: int) -> SuiteRep
     """
     report = SuiteReport("formula-vs-oracle")
     for seq in seqs:
-        has_backward = seq.params.t != 0
         term = _oracle_terms(seq, max_n)
         for direction, parity in ALL_QUERY_FAMILIES:
-            if direction is Direction.BACKWARD and not has_backward:
+            backward = direction is Direction.BACKWARD
+            if backward and seq.params.t == 0:
                 continue
-            case = select_case(seq.params,
-                               SumQuery(direction, parity,
-                                        1 if direction is Direction.BACKWARD else 0))
-            if case is FormulaCase.OracleFallback:
-                continue
-            for n, expected in oracle.prefix_sums(seq, direction, parity, max_n):
-                got = closed_form_value(case, seq, n, term)
-                if got == expected:
-                    report.ok()
-                else:
-                    report.fail(
-                        f"{seq.name or seq.params} {direction.value}/"
-                        f"{parity.value} n={n}: {case.name} gave {got}, "
-                        f"oracle {expected}")
+            case = select_case(seq.params, SumQuery(direction, parity, 1 if backward else 0))
+            if case is not FormulaCase.OracleFallback:
+                _against_oracle(report, seq, direction, parity, max_n,
+                                partial(closed_form_value, case, seq, term=term),
+                                str(seq.name or seq.params), case.name)
     return report
 
 
@@ -119,25 +121,49 @@ def sweep_parity_partition(seqs: Iterable[SequenceDef], max_n: int) -> SuiteRepo
     """even(n) + odd(n) must equal all(2n+1) forward and all(2n) backward."""
     report = SuiteReport("parity-partition")
     for seq in seqs:
-        for n in range(max_n + 1):
-            fwd = (evaluate(seq, SumQuery(Direction.FORWARD, Parity.EVEN, n)).value
-                   + evaluate(seq, SumQuery(Direction.FORWARD, Parity.ODD, n)).value)
-            whole = evaluate(seq, SumQuery(Direction.FORWARD, Parity.ALL, 2 * n + 1)).value
-            if fwd == whole:
-                report.ok()
-            else:
-                report.fail(f"{seq.name or seq.params} forward n={n}")
-        if seq.params.t == 0:
-            continue
-        for n in range(1, max_n + 1):
-            bwd = (evaluate(seq, SumQuery(Direction.BACKWARD, Parity.EVEN, n)).value
-                   + evaluate(seq, SumQuery(Direction.BACKWARD, Parity.ODD, n)).value)
-            whole = evaluate(seq, SumQuery(Direction.BACKWARD, Parity.ALL, 2 * n)).value
-            if bwd == whole:
-                report.ok()
-            else:
-                report.fail(f"{seq.name or seq.params} backward n={n}")
+        for direction in (Direction.FORWARD, Direction.BACKWARD):
+            backward = direction is Direction.BACKWARD
+            if backward and seq.params.t == 0:
+                continue
+            for n in range(1 if backward else 0, max_n + 1):
+                parts = sum(evaluate(seq, SumQuery(direction, parity, n)).value
+                            for parity in (Parity.EVEN, Parity.ODD))
+                whole = SumQuery(direction, Parity.ALL, 2 * n if backward else 2 * n + 1)
+                if parts == evaluate(seq, whole).value:
+                    report.ok()
+                else:
+                    report.fail(f"{seq.name or seq.params} "
+                                f"{direction.name.lower()} n={n}")
     return report
+
+
+def _s_equals_one(rng: random.Random) -> RecurrenceParams:
+    """(r, 1, t) with r + t != 0 and d1*d2 != 0."""
+    while True:
+        r = random_rational(rng)
+        t = random_rational(rng)
+        params = RecurrenceParams(r, Fraction(1), t)
+        if r + t != 0 and _nondegenerate(params):
+            return params
+
+
+def _r_plus_t_zero(rng: random.Random) -> RecurrenceParams:
+    """(-t, s, t) with t != 0, s != 1 and d1*d2 != 0."""
+    while True:
+        t = random_rational(rng)
+        s = random_rational(rng)
+        params = RecurrenceParams(-t, s, t)
+        if t != 0 and s != 1 and _nondegenerate(params):
+            return params
+
+
+# (parameter sampler, (special, generic) clause pairs, first n) per specialization.
+_SPECIALIZATIONS = (
+    (_s_equals_one, ((FormulaCase.FwdEven_S1, FormulaCase.FwdEven_Generic),
+                     (FormulaCase.FwdOdd_S1, FormulaCase.FwdOdd_Generic)), 0),
+    (_r_plus_t_zero, ((FormulaCase.BwdEven_RplusT0, FormulaCase.BwdEven_Generic),
+                      (FormulaCase.BwdOdd_RplusT0, FormulaCase.BwdOdd_Generic)), 1),
+)
 
 
 def sweep_specializations(rng: random.Random, count: int, max_n: int = 10) -> SuiteReport:
@@ -148,48 +174,14 @@ def sweep_specializations(rng: random.Random, count: int, max_n: int = 10) -> Su
     """
     report = SuiteReport("specializations")
     for _ in range(count):
-        # s = 1 branch
-        while True:
-            r = random_rational(rng)
-            t = random_rational(rng)
-            params = RecurrenceParams(r, Fraction(1), t)
-            d = denominators(params)
-            if r + t != 0 and d.d1 * d.d2 != 0:
-                break
-        seq = SequenceDef(params, random_rational(rng), random_rational(rng),
-                          random_rational(rng))
-        for n in range(max_n + 1):
-            pairs = (
-                (FormulaCase.FwdEven_S1, FormulaCase.FwdEven_Generic),
-                (FormulaCase.FwdOdd_S1, FormulaCase.FwdOdd_Generic),
-            )
-            for special, generic in pairs:
-                if closed_form_value(special, seq, n) == closed_form_value(generic, seq, n):
-                    report.ok()
-                else:
-                    report.fail(f"{special.name} != {generic.name} at {seq.params} n={n}")
-        # r + t = 0 branch
-        while True:
-            t = random_rational(rng)
-            s = random_rational(rng)
-            if t == 0 or s == 1:
-                continue
-            params = RecurrenceParams(-t, s, t)
-            d = denominators(params)
-            if d.d1 * d.d2 != 0:
-                break
-        seq = SequenceDef(params, random_rational(rng), random_rational(rng),
-                          random_rational(rng))
-        for n in range(1, max_n + 1):
-            pairs = (
-                (FormulaCase.BwdEven_RplusT0, FormulaCase.BwdEven_Generic),
-                (FormulaCase.BwdOdd_RplusT0, FormulaCase.BwdOdd_Generic),
-            )
-            for special, generic in pairs:
-                if closed_form_value(special, seq, n) == closed_form_value(generic, seq, n):
-                    report.ok()
-                else:
-                    report.fail(f"{special.name} != {generic.name} at {seq.params} n={n}")
+        for sample, pairs, first in _SPECIALIZATIONS:
+            seq = SequenceDef(sample(rng), *(random_rational(rng) for _ in range(3)))
+            for n in range(first, max_n + 1):
+                for special, generic in pairs:
+                    if closed_form_value(special, seq, n) == closed_form_value(generic, seq, n):
+                        report.ok()
+                    else:
+                        report.fail(f"{special.name} != {generic.name} at {seq.params} n={n}")
     return report
 
 
@@ -201,22 +193,10 @@ def sweep_identities(max_n: int,
     terms = {key: _oracle_terms(seq, max_n) for key, seq in defs.items()
              if keys is None or key in keys}
     for ident in identities.SUM_IDENTITIES:
-        if ident.sequence_key not in terms:
-            continue
-        seq = defs[ident.sequence_key]
-        term = terms[ident.sequence_key]
-        for n, expected in oracle.prefix_sums(seq, ident.direction,
-                                              ident.parity, max_n):
-            if n < ident.min_n:
-                continue
-            got = ident.clause(term, n)
-            if got == expected:
-                report.ok()
-            else:
-                report.fail(
-                    f"{ident.sequence_key} {ident.direction.value}/"
-                    f"{ident.parity.value} n={n}: identity gave {got}, "
-                    f"oracle {expected}")
+        key = ident.sequence_key
+        if key in terms:
+            _against_oracle(report, defs[key], ident.direction, ident.parity, max_n,
+                            partial(ident.clause, terms[key]), key, "identity")
     return report
 
 
@@ -232,11 +212,10 @@ def run_all(max_n: int = 100,
     if random_count:
         rng = random.Random(seed)
         seqs = seqs + [random_sequence(rng) for _ in range(random_count)]
-    reports = [
+    return [
         sweep_formula_vs_oracle(seqs, max_n),
         sweep_parity_partition(seqs, min(max_n, 50)),
         sweep_specializations(random.Random(seed + 1), max(random_count, 10)),
         sweep_identities(min(max_n, 50),
                          keys={e.key for e in entries}),
     ]
-    return reports

@@ -1,7 +1,7 @@
 import pytest
 
 from tribsum.catalog import UnknownSequence, list_all, lookup
-from tribsum.core import term_iterative
+from tribsum import term_iterative
 from tribsum.oeis import fetch_bfile
 
 

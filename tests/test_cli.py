@@ -312,6 +312,31 @@ class TestJsonErrors:
                           "error": "SumMismatch",
                           "message": "mismatch at n=10", "exit": EXIT_MISMATCH}
 
+    @pytest.mark.parametrize("argv, command, message", [
+        (("term", "--seq", "tribonacci", "--n", "abc"), "term",
+         "argument --n: invalid int value: 'abc'"),
+        (("sum", "--seq", "tribonacci", "--dir", "up", "--parity", "all",
+          "--n", "3"), "sum", "argument --dir: invalid choice: 'up'"),
+        (("catalog", "--bogus"), "catalog", "unrecognized arguments: --bogus"),
+        ((), None, "the following arguments are required: subcommand"),
+    ], ids=["bad-int", "bad-choice", "unrecognized", "no-subcommand"])
+    def test_argparse_error(self, capsys, argv, command, message):
+        code, record = self.json_error(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert record["command"] == command
+        assert record["error"] == "UsageError"
+        assert record["message"].startswith(message)
+
+    def test_argparse_error_text_mode(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["term", "--seq", "tribonacci", "--n", "abc"])
+        captured = capsys.readouterr()
+        assert exc.value.code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.startswith("usage: tribsum term ")
+        assert captured.err.endswith(
+            "tribsum term: error: argument --n: invalid int value: 'abc'\n")
+
     def test_text_mode_unchanged(self, capsys, monkeypatch):
         _break_fwd_all(monkeypatch)
         code, out, err = run(capsys, "bench", "--n", "10")

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tribsum import core
+from tribsum import core, term_iterative
 from tribsum.core import (
     MultiplicationCounter,
     NegativeIndexWithZeroT,
     SequenceDef,
     as_rational,
     format_rational,
-    term_iterative,
     term_matrix,
     window,
 )
@@ -76,7 +75,8 @@ class TestRationalHelpers:
             as_rational(bad)
 
 
-@pytest.mark.parametrize("kernel", [window, term_matrix, term_iterative])
+@pytest.mark.parametrize("kernel", [window, term_matrix, term_iterative],
+                         ids=["window", "term_matrix", "term_iterative"])
 @pytest.mark.parametrize("bad", [True, False, 2.5, 3.0, "3", Fraction(3), None])
 def test_kernels_reject_non_int_index(tribonacci, kernel, bad):
     with pytest.raises(TypeError, match="index"):

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from tribsum.catalog import list_all
-from tribsum.core import term_iterative
+from tribsum import term_iterative
 from tribsum.identities import SUM_IDENTITIES
 from tribsum.oracle import oracle_sum
 from tribsum.sums import Direction, Parity, SumQuery

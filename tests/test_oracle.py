@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tribsum.core import NegativeIndexWithZeroT, SequenceDef, term_iterative
+from tribsum.core import NegativeIndexWithZeroT, SequenceDef, window
 from tribsum.oracle import oracle_sum, oracle_term, prefix_sums, term_table
 from tribsum.sums import Direction, Parity, SumQuery, query_indices
 
@@ -35,7 +35,7 @@ class TestOracleTerm:
     @settings(max_examples=50, deadline=None)
     def test_matches_iterative(self, r, s, t, w0, w1, w2, n):
         seq = SequenceDef.of(r, s, t, w0, w1, w2)
-        assert oracle_term(seq, n) == term_iterative(seq, n)
+        assert oracle_term(seq, n) == window(seq, n)[0]
 
 
 class TestOracleSum:
@@ -63,8 +63,8 @@ class TestOracleSum:
            n=st.integers(min_value=1, max_value=20))
     @settings(max_examples=50, deadline=None)
     def test_matches_independent_terms(self, r, s, t, w0, w1, w2, n):
-        # Sums and every prefix sum against term_iterative, which shares no
-        # code with the oracle's walk; backward families need t != 0.
+        # Sums and every prefix sum against terms from core.window, which
+        # shares no code with the oracle's walk; backward families need t != 0.
         seq = SequenceDef.of(r, s, t, w0, w1, w2)
         directions = [Direction.FORWARD] + ([Direction.BACKWARD] if t != 0 else [])
         for direction in directions:
@@ -74,7 +74,7 @@ class TestOracleSum:
                 assert [m for m, _ in prefixes] == list(range(first, n + 1))
                 for m, running in prefixes:
                     q = SumQuery(direction, parity, m)
-                    expected = sum((term_iterative(seq, k) for k in query_indices(q)),
+                    expected = sum((window(seq, k)[0] for k in query_indices(q)),
                                    Fraction(0))
                     assert running == expected
                     assert oracle_sum(seq, q) == expected
@@ -84,7 +84,7 @@ class TestTermTable:
     def test_span(self, tribonacci):
         table = term_table(tribonacci, -4, 7)
         assert sorted(table) == list(range(-4, 8))
-        assert all(table[k] == term_iterative(tribonacci, k) for k in table)
+        assert all(table[k] == window(tribonacci, k)[0] for k in table)
 
     def test_forward_only(self):
         seq = SequenceDef.of(1, 1, 0, 0, 1, 1)

@@ -9,8 +9,8 @@ from tribsum.core import (
     NegativeIndexWithZeroT,
     RecurrenceParams,
     SequenceDef,
-    term_iterative,
 )
+from tribsum import term_iterative
 from tribsum.sums import (
     Direction,
     FormulaCase,
@@ -322,7 +322,6 @@ class TestDegenerateLinearTerm:
     def test_even_sum_affine_in_n(self):
         # For (0, 2, 1), even-sum minus W_{2n+1} is affine with slope
         # W_2 - W_1 - W_0: second differences vanish.
-        from tribsum.core import term_iterative
         seq = seq_of(0, 2, 1, 3, -2, Fraction(5, 3))
         slope = seq.w2 - seq.w1 - seq.w0
         values = []
