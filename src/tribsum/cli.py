@@ -186,7 +186,7 @@ def _cmd_oeis_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    seq = lookup(args.seq).definition if args.seq else lookup("tribonacci").definition
+    seq = lookup(args.seq).definition
     header = f"{'n':>10} {'closed_ns':>14} {'oracle_ns':>14} {'speedup':>9}"
     if args.format == "text":
         print(header)

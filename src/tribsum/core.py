@@ -8,11 +8,12 @@ All arithmetic is exact over the rationals (``fractions.Fraction``); there
 are no floating-point code paths.  The kernel, :func:`window`, returns
 (W_m, W_{m+1}, W_{m+2}) from x^m modulo the characteristic polynomial
 x^3 - r*x^2 - s*x - t.  It scales y = q*x, with q the common denominator
-of r, s and t, so its O(log |m|) polynomial products run on three int
-coefficients, and it divides once per term at the end.  The O(|n|)
-literal walk it is checked against lives in :mod:`tribsum.oracle`.  The
-sum-query types live here too, so that both the closed forms and the
-literal oracle can depend on them without depending on each other.
+of r, s and t, so its O(log |m|) polynomial steps (squares, shifts by y
+and multiplies) run on three int coefficients, and it divides once per
+term at the end.  The O(|n|) literal walk it is checked against lives in
+:mod:`tribsum.oracle`.  The sum-query types live here too, so that both
+the closed forms and the literal oracle can depend on them without
+depending on each other.
 """
 
 from __future__ import annotations
@@ -150,13 +151,22 @@ IntRow = tuple[int, int, int]
 
 @dataclass
 class MultiplicationCounter:
-    """Counts the integer polynomial products and the final combine of
-    :func:`window`, for cost assertions."""
+    """Counts the polynomial steps of :func:`window` (each square, shift by
+    y or multiply is one tick) and its final combine, for cost assertions."""
 
     count: int = field(default=0)
 
     def tick(self) -> None:
         self.count += 1
+
+
+def _reduce(p0: int, p1: int, p2: int, p3: int, p4: int,
+            coeffs: IntRow) -> IntRow:
+    """p0 + p1*y + ... + p4*y^4 mod y^3 - R*y^2 - S*y - T."""
+    R, S, T = coeffs
+    # y^4 = R*y^3 + S*y^2 + T*y, then y^3 = R*y^2 + S*y + T.
+    p3 += R * p4
+    return p0 + T * p3, p1 + T * p4 + S * p3, p2 + S * p4 + R * p3
 
 
 def _mul_mod(a: IntRow, b: IntRow, coeffs: IntRow,
@@ -165,20 +175,34 @@ def _mul_mod(a: IntRow, b: IntRow, coeffs: IntRow,
 
     *coeffs* is the integer triple (R, S, T) of the scaled polynomial (see
     :func:`window`); all coefficients are ints, so no step pays a gcd.
+    One tick: a general multiply forms nine coefficient products.
     """
     if counter is not None:
         counter.tick()
     a0, a1, a2 = a
     b0, b1, b2 = b
-    p0 = a0 * b0
-    p1 = a0 * b1 + a1 * b0
-    p2 = a0 * b2 + a1 * b1 + a2 * b0
-    p3 = a1 * b2 + a2 * b1
-    p4 = a2 * b2
+    return _reduce(a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0,
+                   a1 * b2 + a2 * b1, a2 * b2, coeffs)
+
+
+def _sqr_mod(a: IntRow, coeffs: IntRow,
+             counter: Optional[MultiplicationCounter]) -> IntRow:
+    """``_mul_mod(a, a, coeffs, counter)`` from six coefficient products."""
+    if counter is not None:
+        counter.tick()
+    a0, a1, a2 = a
+    return _reduce(a0 * a0, (a0 * a1) << 1, ((a0 * a2) << 1) + a1 * a1,
+                   (a1 * a2) << 1, a2 * a2, coeffs)
+
+
+def _shift_mod(a: IntRow, coeffs: IntRow,
+               counter: Optional[MultiplicationCounter]) -> IntRow:
+    """``_mul_mod(a, (0, 1, 0), coeffs, counter)``: a times y, in linear time."""
+    if counter is not None:
+        counter.tick()
+    a0, a1, a2 = a
     R, S, T = coeffs
-    # y^4 = R*y^3 + S*y^2 + T*y, then y^3 = R*y^2 + S*y + T.
-    p3 += R * p4
-    return p0 + T * p3, p1 + T * p4 + S * p3, p2 + S * p4 + R * p3
+    return T * a2, a0 + S * a2, a1 + R * a2
 
 
 def window(seq: SequenceDef, m: int,
@@ -193,8 +217,11 @@ def window(seq: SequenceDef, m: int,
     T = t*q^3, so the power is raised on int coefficients: y^m for m > 0,
     and for m < 0 (which needs t != 0) (y^2 - R*y - S)^|m| = (T/y)^|m|.
     Then x^m is y^m / q^m, resp. (y^2 - R*y - S)^|m| * q^|m| / T^|m|, and
-    each term is one integer combination and one division.  Costs at
-    most 2*(bits(|m|) - 1) products plus one combine.
+    each term is one integer combination and one division.  Each bit of
+    |m| after the leading one costs a square (six products) and each set
+    bit a step by the base: a linear-time shift for m > 0, a multiply by
+    the small-integer base for m < 0.  That is at most 2*(bits(|m|) - 1)
+    ticks plus one for the combine.
     """
     _require_int(m, "the index m")
     if m == 0:
@@ -216,9 +243,10 @@ def window(seq: SequenceDef, m: int,
         scale_num, scale_den = q ** -m, T ** -m
     c = base
     for bit in bin(abs(m))[3:]:
-        c = _mul_mod(c, c, coeffs, counter)
+        c = _sqr_mod(c, coeffs, counter)
         if bit == "1":
-            c = _mul_mod(c, base, coeffs, counter)
+            c = (_shift_mod(c, coeffs, counter) if m > 0
+                 else _mul_mod(c, base, coeffs, counter))
     if counter is not None:
         counter.tick()
     # u_k = d*q^k*W_k are integers with u_k = R*u_{k-1} + S*u_{k-2} +
@@ -243,6 +271,6 @@ def term_matrix(seq: SequenceDef, n: int,
     """Return W_n, the first term of ``window(seq, n)``.
 
     Exactly equal to the literal walk ``oracle.oracle_term(seq, n)`` on
-    every input, with at most 2*ceil(log2(|n| + 1)) + 2 polynomial products.
+    every input, with at most 2*ceil(log2(|n| + 1)) + 2 counted steps.
     """
     return window(seq, n, counter)[0]

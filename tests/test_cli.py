@@ -286,6 +286,16 @@ class TestJsonErrors:
         assert record["error"] == "UnknownSequence"
         assert record["message"].startswith("unknown sequence 'nope'; known keys:")
 
+    def test_bench_empty_seq(self, capsys):
+        """An empty --seq is an unknown key for bench, as it is for term."""
+        code, record = self.json_error(capsys, "bench", "--seq", "",
+                                       "--n", "10")
+        _, term_record = self.json_error(capsys, "term", "--seq", "",
+                                         "--n", "10")
+        assert code == EXIT_USAGE
+        assert record == {**term_record, "command": "bench"}
+        assert record["error"] == "UnknownSequence"
+
     def test_negative_index_zero_t(self, capsys):
         code, record = self.json_error(capsys, "term",
                                        "--r", "1", "--s", "1", "--t", "0",

@@ -209,16 +209,20 @@ class TestWindow:
 
     @pytest.mark.parametrize("m", [2, 5, 300, -2, -5, -300])
     def test_mul_mod_sees_only_ints(self, monkeypatch, m):
+        """Every kernel product helper (multiply, square, shift) gets and
+        returns ints only."""
         seen = []
-        mul_mod = core._mul_mod
 
-        def checked(a, b, coeffs, counter):
-            product = mul_mod(a, b, coeffs, counter)
-            seen.extend((*a, *b, *product))
-            seen.extend(coeffs if isinstance(coeffs, tuple) else [coeffs])
-            return product
+        def checking(helper):
+            def checked(*args):  # operand rows and coeffs, then counter
+                product = helper(*args)
+                for row in (*args[:-1], product):
+                    seen.extend(row)
+                return product
+            return checked
 
-        monkeypatch.setattr(core, "_mul_mod", checked)
+        for name in ("_mul_mod", "_sqr_mod", "_shift_mod"):
+            monkeypatch.setattr(core, name, checking(getattr(core, name)))
         seq = seq_of(*Q252, **Q252_INITIAL)
         assert window(seq, m) == tuple(term_iterative(seq, k)
                                        for k in range(m, m + 3))
@@ -230,3 +234,33 @@ class TestWindow:
         counter = MultiplicationCounter()
         window(tribonacci, m, counter)
         assert counter.count <= 2 * (abs(m).bit_length() - 1) + 1
+
+    @pytest.mark.parametrize("m", [sign * k for k in (1, 2, 3, 7, 1000, 4095,
+                                                      4096, 4097, 10**5)
+                                   for sign in (1, -1)])
+    def test_tick_count(self, tribonacci, m):
+        """One tick per square and per set bit after the leading one, plus
+        the combine."""
+        counter = MultiplicationCounter()
+        window(tribonacci, m, counter)
+        assert counter.count == (abs(m).bit_length()
+                                 + bin(abs(m)).count("1") - 1)
+
+
+# Signed ints from 0 to about 10^4 bits, zero included.
+big_ints = st.integers(0, 10_000).flatmap(
+    lambda bits: st.integers(-(1 << bits), 1 << bits))
+coeff_triples = st.tuples(*[st.integers(-2**64, 2**64)] * 3)
+
+
+class TestProductHelpers:
+    @given(a=st.tuples(big_ints, big_ints, big_ints), coeffs=coeff_triples)
+    @settings(max_examples=200, deadline=None)
+    @example(a=(0, 0, 0), coeffs=(1, 1, 1))
+    @example(a=(0, 0, 1), coeffs=(0, 0, 0))
+    @example(a=(-(1 << 10_000), 1 << 9_999, -1), coeffs=(-7, 3, 0))
+    def test_square_and_shift_match_mul_mod(self, a, coeffs):
+        assert core._sqr_mod(a, coeffs, None) == core._mul_mod(a, a, coeffs,
+                                                               None)
+        assert core._shift_mod(a, coeffs, None) == core._mul_mod(
+            a, (0, 1, 0), coeffs, None)
