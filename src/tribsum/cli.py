@@ -97,6 +97,11 @@ def _error(args: argparse.Namespace, code: int, exc: Exception,
     return code
 
 
+def _require_at_least(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise ValueError(f"{flag} must be at least {low}, not {value}")
+
+
 def _cmd_term(args: argparse.Namespace) -> int:
     seq = _sequence_from_args(args)
     value = term_matrix(seq, args.n)
@@ -122,6 +127,8 @@ def _cmd_sum(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    _require_at_least("--max-n", args.max_n, 0)
+    _require_at_least("--random", args.random, 0)
     reports = verify.run_all(max_n=args.max_n, seq_filter=args.seq,
                              random_count=args.random, seed=args.seed)
     all_ok = all(r.succeeded for r in reports)
@@ -143,6 +150,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_oeis_check(args: argparse.Namespace) -> int:
+    _require_at_least("--count", args.count, 1)
     entries = list_all()
     if args.seq is not None:
         entries = [lookup(args.seq)]

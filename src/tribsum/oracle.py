@@ -1,53 +1,95 @@
 """The literal reference implementation used as ground truth by every test.
 
 Everything here rests on one streaming walk of the recurrence, forward from
-W_0 or backward from W_{-1}, that holds three live terms.  It is the
-package's only O(|n|) recurrence walk: terms, term tables, literal sums and
-running prefix sums are all read off it, and ``tribsum.term_iterative`` is
-:func:`oracle_term`.  Nothing here shares code with the closed forms in
-:mod:`tribsum.sums` or with the polynomial-power kernel in
-:mod:`tribsum.core`, so an agreement between them is meaningful.
+W_0 or backward from W_{-1}, that holds three live terms.  The walk steps on
+ints: with q the common denominator of the coefficients and d that of the
+starting terms, u_k = d*q^k*W_k follows a recurrence with integer
+coefficients, and each result is one division of such an int at the end.
+It is the package's only O(|n|) recurrence walk: terms, term tables,
+literal sums and running prefix sums are all read off it, and
+``tribsum.term_iterative`` is :func:`oracle_term`.  Nothing here shares
+code with the closed forms in :mod:`tribsum.sums` or with the
+polynomial-power kernel in :mod:`tribsum.core`, so an agreement between
+them is meaningful.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import islice
 from typing import Iterator
 
 from .core import (Direction, NegativeIndexWithZeroT, Parity, SequenceDef,
                    SumQuery, _require_int)
 
 
-def _walk(seq: SequenceDef, direction: Direction) -> Iterator[Fraction]:
-    """W_0, W_1, W_2, ... forward, or W_{-1}, W_{-2}, ... backward, without end."""
+def _walk(seq: SequenceDef, direction: Direction) -> tuple[int, int, Iterator[int]]:
+    """(q, d, ints) where the j-th int is d*q^j times the j-th term walked:
+    W_j forward, W_{-j-1} backward, without end.
+
+    The ints come from one generator holding three live terms, and a reader
+    divides once per result it returns.  Each step is
+    u_k = R*u_{k-1} + S*u_{k-2} + T*u_{k-3} with the integers R = r*q,
+    S = s*q^2 and T = t*q^3.  Backward is the forward walk of the reversed
+    recurrence (-s/t, -r/t, 1/t) from (W_2, W_1, W_0), with its own q, past
+    its first three terms.
+    """
     r, s, t = seq.params.r, seq.params.s, seq.params.t
-    low, mid, high = seq.w0, seq.w1, seq.w2
+    starts = (seq.w0, seq.w1, seq.w2)
+    if direction is Direction.BACKWARD:
+        if t == 0:
+            raise NegativeIndexWithZeroT("stepping backward requires t != 0")
+        r, s, t = -s / t, -r / t, 1 / t
+        starts = starts[::-1]
+    q = math.lcm(r.denominator, s.denominator, t.denominator)
+    d = math.lcm(*(w.denominator for w in starts))
+    ints = _steps(*(int(c * q**k) for k, c in enumerate((r, s, t), 1)),
+                  *(int(w * d * q**k) for k, w in enumerate(starts)))
     if direction is Direction.FORWARD:
-        while True:
-            yield low
-            low, mid, high = mid, high, r * high + s * mid + t * low
-    if t == 0:
-        raise NegativeIndexWithZeroT("stepping backward requires t != 0")
+        return q, d, ints
+    return q, d * q**3, islice(ints, 3, None)
+
+
+def _steps(R: int, S: int, T: int, low: int, mid: int, high: int) -> Iterator[int]:
     while True:
-        low, mid, high = (high - r * mid - s * low) / t, low, mid
         yield low
+        low, mid, high = mid, high, R * high + S * mid + T * low
 
 
 def oracle_term(seq: SequenceDef, n: int) -> Fraction:
     """W_n, reached by walking from the initial terms."""
     _require_int(n, "the index n")
-    if n >= 0:
-        return next(islice(_walk(seq, Direction.FORWARD), n, None))
-    return next(islice(_walk(seq, Direction.BACKWARD), -n - 1, None))
+    j = n if n >= 0 else -n - 1
+    q, d, ints = _walk(seq, Direction.FORWARD if n >= 0 else Direction.BACKWARD)
+    return Fraction(next(islice(ints, j, None)), d * q**j)
+
+
+def _terms(seq: SequenceDef, direction: Direction, count: int) -> Iterator[Fraction]:
+    q, den, ints = _walk(seq, direction)
+    for u in islice(ints, count):
+        yield Fraction(u, den)
+        den *= q
 
 
 def term_table(seq: SequenceDef, lo: int, hi: int) -> dict[int, Fraction]:
     """W_0 .. W_hi and W_{-1} .. W_lo by index, walked once each way."""
-    table = dict(enumerate(islice(_walk(seq, Direction.FORWARD), max(hi + 1, 0))))
+    table = dict(enumerate(_terms(seq, Direction.FORWARD, max(hi + 1, 0))))
     if lo < 0:
-        table.update(zip(range(-1, lo - 1, -1), _walk(seq, Direction.BACKWARD)))
+        table.update(zip(range(-1, lo - 1, -1), _terms(seq, Direction.BACKWARD, -lo)))
     return table
+
+
+def _added(seq: SequenceDef, direction: Direction,
+           parity: Parity) -> tuple[int, int, int, Iterator[int]]:
+    """(first bound n, q^step, d*q^start, the scaled ints of the terms one
+    sum family adds, in the order the sums grow)."""
+    forward = direction is Direction.FORWARD
+    # Walk positions: W_k sits at k going forward and at -k - 1 going back.
+    start = int(parity is (Parity.ODD if forward else Parity.EVEN))
+    step = 1 if parity is Parity.ALL else 2
+    q, d, ints = _walk(seq, direction)
+    return 0 if forward else 1, q**step, d * q**start, islice(ints, start, None, step)
 
 
 def prefix_sums(seq: SequenceDef, direction: Direction, parity: Parity,
@@ -55,19 +97,26 @@ def prefix_sums(seq: SequenceDef, direction: Direction, parity: Parity,
     """(n, literal sum) for every bound n <= max_n of one sum family.
 
     The terms the family adds are taken from a single walk, in the order
-    the sums grow, and accumulated one at a time.
+    the sums grow, and added one at a time as scaled ints; each yielded
+    sum is one division.
     """
-    forward = direction is Direction.FORWARD
-    # Walk positions: W_k sits at k going forward and at -k - 1 going back.
-    start = int(parity is (Parity.ODD if forward else Parity.EVEN))
-    step = 1 if parity is Parity.ALL else 2
-    added = islice(_walk(seq, direction), start, None, step)
-    return zip(range(0 if forward else 1, max_n + 1), accumulate(added))
+    first, q_step, den, added = _added(seq, direction, parity)
+    total = 0
+    for n, u in zip(range(first, max_n + 1), added):
+        total = total * q_step + u
+        yield n, Fraction(total, den)
+        den *= q_step
 
 
 def oracle_sum(seq: SequenceDef, query: SumQuery) -> Fraction:
-    """The literal sum of the terms selected by *query*, added one by one."""
-    total = Fraction(0)
-    for _, total in prefix_sums(seq, query.direction, query.parity, query.n):
-        pass
-    return total
+    """The literal sum of the terms selected by *query*, added one by one.
+
+    The terms are added as scaled ints (Horner in q^step, so all share the
+    last term's scale) and divided once at the end.
+    """
+    first, q_step, den, added = _added(seq, query.direction, query.parity)
+    count = query.n + 1 - first
+    total = 0
+    for u in islice(added, count):
+        total = total * q_step + u
+    return Fraction(total, den * q_step**(count - 1))

@@ -296,6 +296,25 @@ class TestJsonErrors:
         assert record == {**term_record, "command": "bench"}
         assert record["error"] == "UnknownSequence"
 
+    @pytest.mark.parametrize("argv, message", [
+        (("oeis-check", "--seq", "tribonacci", "--count", "-5"),
+         "--count must be at least 1, not -5"),
+        (("oeis-check", "--seq", "tribonacci", "--count", "0"),
+         "--count must be at least 1, not 0"),
+        (("verify", "--seq", "tribonacci", "--max-n", "-3"),
+         "--max-n must be at least 0, not -3"),
+        (("verify", "--seq", "tribonacci", "--random", "-2"),
+         "--random must be at least 0, not -2"),
+    ], ids=["count-negative", "count-zero", "max-n-negative", "random-negative"])
+    def test_bad_count(self, capsys, argv, message):
+        code, record = self.json_error(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert record == {"command": argv[0], "status": "error",
+                          "error": "ValueError", "message": message,
+                          "exit": EXIT_USAGE}
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
     def test_negative_index_zero_t(self, capsys):
         code, record = self.json_error(capsys, "term",
                                        "--r", "1", "--s", "1", "--t", "0",

@@ -1,14 +1,33 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tribsum.core as core
+import tribsum.oracle as oracle
 from tribsum.core import NegativeIndexWithZeroT, SequenceDef, window
 from tribsum.oracle import oracle_sum, oracle_term, prefix_sums, term_table
 from tribsum.sums import Direction, Parity, SumQuery, query_indices
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+# Denominators 2..9, and numerators up to 9 in size, so the forward q, the
+# starting terms' d and (through 1/t) the backward q are rarely 1.
+fractional = st.builds(Fraction, st.integers(-9, 9), st.integers(2, 9))
+nonzero_fractional = st.builds(Fraction, st.integers(1, 9) | st.integers(-9, -1),
+                               st.integers(2, 9))
+
+
+def reference_terms(seq, lo, hi):
+    """W_lo .. W_hi by the plain Fraction recurrence, one step at a time in
+    each direction from W_0, W_1, W_2; no scaling."""
+    r, s, t = seq.params.r, seq.params.s, seq.params.t
+    terms = {0: seq.w0, 1: seq.w1, 2: seq.w2}
+    for k in range(3, hi + 1):
+        terms[k] = r * terms[k - 1] + s * terms[k - 2] + t * terms[k - 3]
+    for k in range(-1, lo - 1, -1):
+        terms[k] = (terms[k + 3] - r * terms[k + 2] - s * terms[k + 1]) / t
+    return {k: w for k, w in terms.items() if lo <= k <= hi}
 
 
 class TestOracleTerm:
@@ -91,3 +110,61 @@ class TestTermTable:
         assert term_table(seq, 0, 3) == {0: 0, 1: 1, 2: 1, 3: 2}
         with pytest.raises(NegativeIndexWithZeroT):
             term_table(seq, -1, 3)
+
+
+class TestAgainstReference:
+    """The scaled integer walk against an unscaled Fraction recurrence."""
+
+    TRIPLES = [("3/7", "-5/4", "2/9"), ("1/2", "5/3", "-7/5"), ("2", "-3/2", "4/3")]
+
+    @given(r=fractional | rationals, s=fractional | rationals, t=nonzero_fractional,
+           w0=fractional, w1=fractional | rationals, w2=fractional)
+    @example(*TRIPLES[0], 1, "-2/3", "5/2")
+    @example(*TRIPLES[1], "1/3", 0, "-9/8")
+    @example(*TRIPLES[2], "5/6", -1, "1/4")
+    @settings(max_examples=60, deadline=None)
+    def test_terms(self, r, s, t, w0, w1, w2):
+        seq = SequenceDef.of(r, s, t, w0, w1, w2)
+        expected = reference_terms(seq, -60, 60)
+        assert term_table(seq, -60, 60) == expected
+        for n in range(-60, 61):
+            assert oracle_term(seq, n) == expected[n]
+
+    @given(r=fractional | rationals, s=fractional | rationals,
+           t=nonzero_fractional | st.just(Fraction(0)),
+           w0=fractional, w1=fractional | rationals, w2=fractional)
+    @example(*TRIPLES[0], 1, "-2/3", "5/2")
+    @example("1/2", "-3/4", 0, "1/5", "2/3", 1)
+    @settings(max_examples=60, deadline=None)
+    def test_sums(self, r, s, t, w0, w1, w2):
+        seq = SequenceDef.of(r, s, t, w0, w1, w2)
+        max_n = 25
+        terms = reference_terms(seq, -2 * max_n if t != 0 else 0, 2 * max_n + 1)
+        for direction in Direction:
+            if direction is Direction.BACKWARD and t == 0:
+                continue
+            for parity in Parity:
+                prefixes = list(prefix_sums(seq, direction, parity, max_n))
+                first = 1 if direction is Direction.BACKWARD else 0
+                assert [m for m, _ in prefixes] == list(range(first, max_n + 1))
+                for m, running in prefixes:
+                    q = SumQuery(direction, parity, m)
+                    expected = sum((terms[k] for k in query_indices(q)), Fraction(0))
+                    assert running == expected
+                    assert oracle_sum(seq, q) == expected
+
+    @pytest.mark.parametrize("triple", TRIPLES)
+    def test_backward_scale_differs(self, triple):
+        """Each listed triple has a t numerator other than +-1, so the
+        backward walk's q differs from the forward one's."""
+        seq = SequenceDef.of(*triple, 1, 1, 1)
+        forward_q = oracle._walk(seq, Direction.FORWARD)[0]
+        backward_q = oracle._walk(seq, Direction.BACKWARD)[0]
+        assert forward_q > 1 and backward_q > 1 and forward_q != backward_q
+
+    def test_binds_no_kernel_code(self):
+        kernel = ("window", "_mul_mod", "_sqr_mod", "_shift_mod", "_reduce")
+        assert not set(kernel) & set(vars(oracle))
+        kernel_objects = [getattr(core, name) for name in kernel]
+        assert not any(value is obj for value in vars(oracle).values()
+                       for obj in kernel_objects)
