@@ -195,6 +195,8 @@ def _cmd_oeis_check(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     seq = lookup(args.seq).definition
+    for n in args.n:
+        _require_at_least("--n", n, 0)
     header = f"{'n':>10} {'closed_ns':>14} {'oracle_ns':>14} {'speedup':>9}"
     if args.format == "text":
         print(header)

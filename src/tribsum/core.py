@@ -6,10 +6,11 @@ well: W_{-m} = -(s/t)*W_{-(m-1)} - (r/t)*W_{-(m-2)} + (1/t)*W_{-(m-3)}.
 
 All arithmetic is exact over the rationals (``fractions.Fraction``); there
 are no floating-point code paths.  The kernel, :func:`window`, returns
-(W_m, W_{m+1}, W_{m+2}) from x^m modulo the characteristic polynomial
-x^3 - r*x^2 - s*x - t.  It scales y = q*x, with q the common denominator
-of r, s and t, so its O(log |m|) polynomial steps (squares, shifts by y
-and multiplies) run on three int coefficients, and it divides once per
+(W_m, W_{m+1}, W_{m+2}) from x^|m| modulo the characteristic polynomial
+x^3 - r*x^2 - s*x - t, or for m < 0 modulo that of the reversed
+recurrence (-s/t, -r/t, 1/t).  It scales y = q*x, with q the common
+denominator of that triple, so its O(log |m|) polynomial steps (squares
+and shifts by y) run on three int coefficients, and it divides once per
 term at the end.  The O(|n|) literal walk it is checked against lives in
 :mod:`tribsum.oracle`.  The sum-query types live here too, so that both
 the closed forms and the literal oracle can depend on them without
@@ -151,8 +152,8 @@ IntRow = tuple[int, int, int]
 
 @dataclass
 class MultiplicationCounter:
-    """Counts the polynomial steps of :func:`window` (each square, shift by
-    y or multiply is one tick) and its final combine, for cost assertions."""
+    """Counts the polynomial steps of :func:`window` (each square or shift
+    by y is one tick) and its final combine, for cost assertions."""
 
     count: int = field(default=0)
 
@@ -160,44 +161,29 @@ class MultiplicationCounter:
         self.count += 1
 
 
-def _reduce(p0: int, p1: int, p2: int, p3: int, p4: int,
-            coeffs: IntRow) -> IntRow:
-    """p0 + p1*y + ... + p4*y^4 mod y^3 - R*y^2 - S*y - T."""
-    R, S, T = coeffs
-    # y^4 = R*y^3 + S*y^2 + T*y, then y^3 = R*y^2 + S*y + T.
-    p3 += R * p4
-    return p0 + T * p3, p1 + T * p4 + S * p3, p2 + S * p4 + R * p3
-
-
-def _mul_mod(a: IntRow, b: IntRow, coeffs: IntRow,
+def _sqr_mod(a: IntRow, coeffs: IntRow,
              counter: Optional[MultiplicationCounter]) -> IntRow:
-    """(a0 + a1*y + a2*y^2) * (b0 + b1*y + b2*y^2) mod y^3 - R*y^2 - S*y - T.
+    """(a0 + a1*y + a2*y^2)^2 mod y^3 - R*y^2 - S*y - T, from six
+    coefficient products.
 
     *coeffs* is the integer triple (R, S, T) of the scaled polynomial (see
     :func:`window`); all coefficients are ints, so no step pays a gcd.
-    One tick: a general multiply forms nine coefficient products.
     """
     if counter is not None:
         counter.tick()
     a0, a1, a2 = a
-    b0, b1, b2 = b
-    return _reduce(a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0,
-                   a1 * b2 + a2 * b1, a2 * b2, coeffs)
-
-
-def _sqr_mod(a: IntRow, coeffs: IntRow,
-             counter: Optional[MultiplicationCounter]) -> IntRow:
-    """``_mul_mod(a, a, coeffs, counter)`` from six coefficient products."""
-    if counter is not None:
-        counter.tick()
-    a0, a1, a2 = a
-    return _reduce(a0 * a0, (a0 * a1) << 1, ((a0 * a2) << 1) + a1 * a1,
-                   (a1 * a2) << 1, a2 * a2, coeffs)
+    R, S, T = coeffs
+    p4 = a2 * a2
+    # y^4 = R*y^3 + S*y^2 + T*y, then y^3 = R*y^2 + S*y + T.
+    p3 = ((a1 * a2) << 1) + R * p4
+    return (a0 * a0 + T * p3,
+            ((a0 * a1) << 1) + T * p4 + S * p3,
+            ((a0 * a2) << 1) + a1 * a1 + S * p4 + R * p3)
 
 
 def _shift_mod(a: IntRow, coeffs: IntRow,
                counter: Optional[MultiplicationCounter]) -> IntRow:
-    """``_mul_mod(a, (0, 1, 0), coeffs, counter)``: a times y, in linear time."""
+    """(a0 + a1*y + a2*y^2) * y mod y^3 - R*y^2 - S*y - T, in linear time."""
     if counter is not None:
         counter.tick()
     a0, a1, a2 = a
@@ -210,49 +196,45 @@ def window(seq: SequenceDef, m: int,
     """Return (W_m, W_{m+1}, W_{m+2}) from one polynomial power on ints.
 
     The shift W_k -> W_{k+1} satisfies the characteristic polynomial
-    x^3 - r*x^2 - s*x - t, so with x^m = c0 + c1*x + c2*x^2 modulo it,
-    W_{m+j} = c0*W_j + c1*W_{j+1} + c2*W_{j+2} (Cayley-Hamilton; Fiduccia
+    x^3 - r*x^2 - s*x - t, so with x^k = c0 + c1*x + c2*x^2 modulo it,
+    W_{k+j} = c0*W_j + c1*W_{j+1} + c2*W_{j+2} (Cayley-Hamilton; Fiduccia
     1985).  With q the least common denominator of r, s and t, y = q*x
     satisfies y^3 - R*y^2 - S*y - T with integers R = r*q, S = s*q^2 and
-    T = t*q^3, so the power is raised on int coefficients: y^m for m > 0,
-    and for m < 0 (which needs t != 0) (y^2 - R*y - S)^|m| = (T/y)^|m|.
-    Then x^m is y^m / q^m, resp. (y^2 - R*y - S)^|m| * q^|m| / T^|m|, and
-    each term is one integer combination and one division.  Each bit of
-    |m| after the leading one costs a square (six products) and each set
-    bit a step by the base: a linear-time shift for m > 0, a multiply by
-    the small-integer base for m < 0.  That is at most 2*(bits(|m|) - 1)
-    ticks plus one for the combine.
+    T = t*q^3, so y^k is raised on int coefficients, x^k is y^k / q^k, and
+    each term is one integer combination and one division.  For m < 0
+    (which needs t != 0) the same forward power runs on the reversed
+    sequence V_j = W_{2-j}, which follows (-s/t, -r/t, 1/t) from
+    (W_2, W_1, W_0) with its own q: (V_k, V_{k+1}, V_{k+2}) at k = -m is
+    the window reversed.  Each bit of |m| after the leading one costs a
+    square (six products) and each set bit a linear-time shift by y.
+    That is at most 2*(bits(|m|) - 1) ticks plus one for the combine.
     """
     _require_int(m, "the index m")
     if m == 0:
         return seq.w0, seq.w1, seq.w2
     r, s, t = seq.params.r, seq.params.s, seq.params.t
+    w0, w1, w2 = seq.w0, seq.w1, seq.w2
+    k = abs(m)
+    if m < 0:
+        if t == 0:
+            raise NegativeIndexWithZeroT(
+                f"W_{m} undefined: x has no inverse modulo the characteristic "
+                f"polynomial when t = 0")
+        r, s, t = -s / t, -r / t, 1 / t
+        w0, w2 = w2, w0
     q = math.lcm(r.denominator, s.denominator, t.denominator)
     coeffs = R, S, T = (r.numerator * (q // r.denominator),
                         s.numerator * (q // s.denominator) * q,
                         t.numerator * (q // t.denominator) * q * q)
-    if m > 0:
-        base = (0, 1, 0)
-        scale_num, scale_den = 1, q ** m
-    elif T == 0:
-        raise NegativeIndexWithZeroT(
-            f"W_{m} undefined: x has no inverse modulo the characteristic "
-            f"polynomial when t = 0")
-    else:
-        base = (-S, -R, 1)
-        scale_num, scale_den = q ** -m, T ** -m
-    c = base
-    for bit in bin(abs(m))[3:]:
+    c = (0, 1, 0)
+    for bit in bin(k)[3:]:
         c = _sqr_mod(c, coeffs, counter)
         if bit == "1":
-            c = (_shift_mod(c, coeffs, counter) if m > 0
-                 else _mul_mod(c, base, coeffs, counter))
+            c = _shift_mod(c, coeffs, counter)
     if counter is not None:
         counter.tick()
-    # u_k = d*q^k*W_k are integers with u_k = R*u_{k-1} + S*u_{k-2} +
-    # T*u_{k-3}, so a0*u_j + a1*u_{j+1} + a2*u_{j+2} is
-    # d*q^j*W_{m+j} * scale_den / scale_num.
-    w0, w1, w2 = seq.w0, seq.w1, seq.w2
+    # u_j = d*q^j*W_j are integers with u_j = R*u_{j-1} + S*u_{j-2} +
+    # T*u_{j-3}, so a0*u_j + a1*u_{j+1} + a2*u_{j+2} is d*q^(k+j)*W_{k+j}.
     d = math.lcm(w0.denominator, w1.denominator, w2.denominator)
     u0 = w0.numerator * (d // w0.denominator)
     u1 = w1.numerator * (d // w1.denominator) * q
@@ -260,10 +242,11 @@ def window(seq: SequenceDef, m: int,
     u3 = R * u2 + S * u1 + T * u0
     u4 = R * u3 + S * u2 + T * u1
     a0, a1, a2 = c
-    den = d * scale_den
-    return (Fraction((a0 * u0 + a1 * u1 + a2 * u2) * scale_num, den),
-            Fraction((a0 * u1 + a1 * u2 + a2 * u3) * scale_num, den * q),
-            Fraction((a0 * u2 + a1 * u3 + a2 * u4) * scale_num, den * q * q))
+    den = d * q ** k
+    terms = (Fraction(a0 * u0 + a1 * u1 + a2 * u2, den),
+             Fraction(a0 * u1 + a1 * u2 + a2 * u3, den * q),
+             Fraction(a0 * u2 + a1 * u3 + a2 * u4, den * q * q))
+    return terms if m > 0 else terms[::-1]
 
 
 def term_matrix(seq: SequenceDef, n: int,
@@ -271,6 +254,7 @@ def term_matrix(seq: SequenceDef, n: int,
     """Return W_n, the first term of ``window(seq, n)``.
 
     Exactly equal to the literal walk ``oracle.oracle_term(seq, n)`` on
-    every input, with at most 2*ceil(log2(|n| + 1)) + 2 counted steps.
+    every input, with at most 2*ceil(log2(|n| + 1)) + 2 counted squares,
+    shifts and combine; negative n walks the reversed recurrence forward.
     """
     return window(seq, n, counter)[0]

@@ -14,7 +14,7 @@ from functools import partial
 from typing import Callable, Iterable, Optional
 
 from . import identities, oracle
-from .catalog import CatalogEntry, list_all
+from .catalog import CatalogEntry, list_all, lookup
 from .core import RecurrenceParams, SequenceDef
 from .sums import (
     Direction,
@@ -207,7 +207,7 @@ def run_all(max_n: int = 100,
     """The full verification battery, as driven by the CLI."""
     entries: list[CatalogEntry] = list_all()
     if seq_filter is not None:
-        entries = [e for e in entries if e.key == seq_filter]
+        entries = [lookup(seq_filter)]
     seqs = [e.definition for e in entries]
     if random_count:
         rng = random.Random(seed)

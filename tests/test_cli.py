@@ -296,6 +296,16 @@ class TestJsonErrors:
         assert record == {**term_record, "command": "bench"}
         assert record["error"] == "UnknownSequence"
 
+    def test_verify_unknown_seq(self, capsys):
+        """An unknown --seq is an error for verify, as it is for term."""
+        code, record = self.json_error(capsys, "verify", "--seq", "nosuch",
+                                       "--max-n", "3")
+        _, term_record = self.json_error(capsys, "term", "--seq", "nosuch",
+                                         "--n", "3")
+        assert code == EXIT_USAGE
+        assert record == {**term_record, "command": "verify"}
+        assert record["error"] == "UnknownSequence"
+
     @pytest.mark.parametrize("argv, message", [
         (("oeis-check", "--seq", "tribonacci", "--count", "-5"),
          "--count must be at least 1, not -5"),
@@ -305,7 +315,9 @@ class TestJsonErrors:
          "--max-n must be at least 0, not -3"),
         (("verify", "--seq", "tribonacci", "--random", "-2"),
          "--random must be at least 0, not -2"),
-    ], ids=["count-negative", "count-zero", "max-n-negative", "random-negative"])
+        (("bench", "--n", "10", "-3"), "--n must be at least 0, not -3"),
+    ], ids=["count-negative", "count-zero", "max-n-negative", "random-negative",
+            "bench-n-negative"])
     def test_bad_count(self, capsys, argv, message):
         code, record = self.json_error(capsys, *argv)
         assert code == EXIT_USAGE

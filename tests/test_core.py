@@ -22,8 +22,8 @@ rationals = st.fractions(
     min_value=-9, max_value=9, max_denominator=9)
 
 
-# A rational triple with t != +-1, so the base x^-1 of negative powers
-# has non-trivial coefficients.
+# A rational triple with t != +-1, so the reversed recurrence
+# (-s/t, -r/t, 1/t) that negative indices walk has a denominator of its own.
 RATIONAL_T = dict(r=Fraction(1, 2), s=Fraction(-1), t=Fraction(2, 3),
                   w0=Fraction(1, 2), w1=Fraction(-3), w2=Fraction(4, 5))
 
@@ -209,8 +209,8 @@ class TestWindow:
 
     @pytest.mark.parametrize("m", [2, 5, 300, -2, -5, -300])
     def test_mul_mod_sees_only_ints(self, monkeypatch, m):
-        """Every kernel product helper (multiply, square, shift) gets and
-        returns ints only."""
+        """Every kernel product helper (square, shift) gets and returns ints
+        only."""
         seen = []
 
         def checking(helper):
@@ -221,7 +221,7 @@ class TestWindow:
                 return product
             return checked
 
-        for name in ("_mul_mod", "_sqr_mod", "_shift_mod"):
+        for name in ("_sqr_mod", "_shift_mod"):
             monkeypatch.setattr(core, name, checking(getattr(core, name)))
         seq = seq_of(*Q252, **Q252_INITIAL)
         assert window(seq, m) == tuple(term_iterative(seq, k)
@@ -253,6 +253,22 @@ big_ints = st.integers(0, 10_000).flatmap(
 coeff_triples = st.tuples(*[st.integers(-2**64, 2**64)] * 3)
 
 
+def mul_mod(a, b, coeffs):
+    """Schoolbook product of two rows a0 + a1*y + a2*y^2, reduced top-down
+    modulo y^3 - R*y^2 - S*y - T; a reference sharing no code with core."""
+    R, S, T = coeffs
+    p = [0] * 5
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            p[i + j] += ai * bj
+    for top in (4, 3):  # y^top = R*y^(top-1) + S*y^(top-2) + T*y^(top-3)
+        lead = p.pop()
+        p[top - 1] += R * lead
+        p[top - 2] += S * lead
+        p[top - 3] += T * lead
+    return tuple(p)
+
+
 class TestProductHelpers:
     @given(a=st.tuples(big_ints, big_ints, big_ints), coeffs=coeff_triples)
     @settings(max_examples=200, deadline=None)
@@ -260,7 +276,5 @@ class TestProductHelpers:
     @example(a=(0, 0, 1), coeffs=(0, 0, 0))
     @example(a=(-(1 << 10_000), 1 << 9_999, -1), coeffs=(-7, 3, 0))
     def test_square_and_shift_match_mul_mod(self, a, coeffs):
-        assert core._sqr_mod(a, coeffs, None) == core._mul_mod(a, a, coeffs,
-                                                               None)
-        assert core._shift_mod(a, coeffs, None) == core._mul_mod(
-            a, (0, 1, 0), coeffs, None)
+        assert core._sqr_mod(a, coeffs, None) == mul_mod(a, a, coeffs)
+        assert core._shift_mod(a, coeffs, None) == mul_mod(a, (0, 1, 0), coeffs)
