@@ -5,13 +5,15 @@ initial terms W_0, W_1, W_2.  When t != 0 the recurrence runs backward as
 well: W_{-m} = -(s/t)*W_{-(m-1)} - (r/t)*W_{-(m-2)} + (1/t)*W_{-(m-3)}.
 
 All arithmetic is exact over the rationals (``fractions.Fraction``); there
-are no floating-point code paths.  The kernel, :func:`window`, returns
-(W_m, W_{m+1}, W_{m+2}) from x^|m| modulo the characteristic polynomial
-x^3 - r*x^2 - s*x - t, or for m < 0 modulo that of the reversed
+are no floating-point code paths.  The kernel, :func:`scaled_window`,
+finds (W_m, W_{m+1}, W_{m+2}) from x^|m| modulo the characteristic
+polynomial x^3 - r*x^2 - s*x - t, or for m < 0 modulo that of the reversed
 recurrence (-s/t, -r/t, 1/t).  It scales y = q*x, with q the common
 denominator of that triple, so its O(log |m|) polynomial steps (squares
-and shifts by y) run on three int coefficients, and it divides once per
-term at the end.  The O(|n|) literal walk it is checked against lives in
+and shifts by y) run on three int coefficients, and it returns three int
+numerators over one common denominator: one division per query, made by
+:func:`window`, :func:`term_matrix` or the closed-form sum that reads
+them.  The O(|n|) literal walk it is checked against lives in
 :mod:`tribsum.oracle`.  The sum-query types live here too, so that both
 the closed forms and the literal oracle can depend on them without
 depending on each other.
@@ -133,27 +135,20 @@ class SumQuery:
 
 def query_indices(query: SumQuery) -> list[int]:
     """The term indices the query sums over, in summation order."""
+    step = 1 if query.parity is Parity.ALL else 2
+    odd = int(query.parity is Parity.ODD)
     if query.direction is Direction.FORWARD:
-        if query.parity is Parity.ALL:
-            return list(range(query.n + 1))
-        if query.parity is Parity.EVEN:
-            return [2 * k for k in range(query.n + 1)]
-        return [2 * k + 1 for k in range(query.n + 1)]
-    if query.parity is Parity.ALL:
-        return [-k for k in range(1, query.n + 1)]
-    if query.parity is Parity.EVEN:
-        return [-2 * k for k in range(1, query.n + 1)]
-    return [-2 * k + 1 for k in range(1, query.n + 1)]
+        return [step * k + odd for k in range(query.n + 1)]
+    return [odd - step * k for k in range(1, query.n + 1)]
 
 
-Row = tuple[Fraction, Fraction, Fraction]
 IntRow = tuple[int, int, int]
 
 
 @dataclass
 class MultiplicationCounter:
-    """Counts the polynomial steps of :func:`window` (each square or shift
-    by y is one tick) and its final combine, for cost assertions."""
+    """Counts the polynomial steps of :func:`scaled_window` (each square or
+    shift by y is one tick) and its final combine, for cost assertions."""
 
     count: int = field(default=0)
 
@@ -163,11 +158,8 @@ class MultiplicationCounter:
 
 def _sqr_mod(a: IntRow, coeffs: IntRow,
              counter: Optional[MultiplicationCounter]) -> IntRow:
-    """(a0 + a1*y + a2*y^2)^2 mod y^3 - R*y^2 - S*y - T, from six
-    coefficient products.
-
-    *coeffs* is the integer triple (R, S, T) of the scaled polynomial (see
-    :func:`window`); all coefficients are ints, so no step pays a gcd.
+    """(a0 + a1*y + a2*y^2)^2 mod y^3 - R*y^2 - S*y - T, from six products
+    of int coefficients, so no step pays a gcd (see :func:`scaled_window`).
     """
     if counter is not None:
         counter.tick()
@@ -191,43 +183,41 @@ def _shift_mod(a: IntRow, coeffs: IntRow,
     return T * a2, a0 + S * a2, a1 + R * a2
 
 
-def window(seq: SequenceDef, m: int,
-           counter: Optional[MultiplicationCounter] = None) -> Row:
-    """Return (W_m, W_{m+1}, W_{m+2}) from one polynomial power on ints.
+def scaled_window(seq: SequenceDef, m: int, counter: Optional[MultiplicationCounter] = None
+                  ) -> tuple[IntRow, int]:
+    """((n0, n1, n2), D) with W_{m+j} = n_j / D, from one polynomial power on
+    ints; nothing is divided.
 
-    The shift W_k -> W_{k+1} satisfies the characteristic polynomial
-    x^3 - r*x^2 - s*x - t, so with x^k = c0 + c1*x + c2*x^2 modulo it,
+    With x^k = c0 + c1*x + c2*x^2 modulo x^3 - r*x^2 - s*x - t,
     W_{k+j} = c0*W_j + c1*W_{j+1} + c2*W_{j+2} (Cayley-Hamilton; Fiduccia
     1985).  With q the least common denominator of r, s and t, y = q*x
-    satisfies y^3 - R*y^2 - S*y - T with integers R = r*q, S = s*q^2 and
-    T = t*q^3, so y^k is raised on int coefficients, x^k is y^k / q^k, and
-    each term is one integer combination and one division.  For m < 0
-    (which needs t != 0) the same forward power runs on the reversed
-    sequence V_j = W_{2-j}, which follows (-s/t, -r/t, 1/t) from
-    (W_2, W_1, W_0) with its own q: (V_k, V_{k+1}, V_{k+2}) at k = -m is
-    the window reversed.  Each bit of |m| after the leading one costs a
-    square (six products) and each set bit a linear-time shift by y.
-    That is at most 2*(bits(|m|) - 1) ticks plus one for the combine.
+    satisfies y^3 - R*y^2 - S*y - T with ints R = r*q, S = s*q^2, T = t*q^3.
+    For m < 0 (t != 0) the same power runs on V_j = W_{2-j}, which follows
+    (-s/t, -r/t, 1/t) from (W_2, W_1, W_0) with its own q, and the window
+    comes back reversed.  D = d*q^(|m|+2), d the common denominator of the
+    initial terms (D = d at m = 0).  Each bit of |m| after the leading one
+    costs a six-product square, each set bit a shift by y: at most
+    2*(bits(|m|) - 1) ticks, plus one for the combine.
     """
     _require_int(m, "the index m")
-    if m == 0:
-        return seq.w0, seq.w1, seq.w2
-    r, s, t = seq.params.r, seq.params.s, seq.params.t
     w0, w1, w2 = seq.w0, seq.w1, seq.w2
-    k = abs(m)
+    d = math.lcm(w0.denominator, w1.denominator, w2.denominator)
+    u0, u1, u2 = (w.numerator * (d // w.denominator) for w in (w0, w1, w2))
+    if m == 0:
+        return (u0, u1, u2), d
+    r, s, t = seq.params.r, seq.params.s, seq.params.t
+    rn, rd, sn, sd, tn, td = (r.numerator, r.denominator, s.numerator,
+                              s.denominator, t.numerator, t.denominator)
     if m < 0:
-        if t == 0:
-            raise NegativeIndexWithZeroT(
-                f"W_{m} undefined: x has no inverse modulo the characteristic "
-                f"polynomial when t = 0")
-        r, s, t = -s / t, -r / t, 1 / t
-        w0, w2 = w2, w0
-    q = math.lcm(r.denominator, s.denominator, t.denominator)
-    coeffs = R, S, T = (r.numerator * (q // r.denominator),
-                        s.numerator * (q // s.denominator) * q,
-                        t.numerator * (q // t.denominator) * q * q)
+        if tn == 0:
+            raise NegativeIndexWithZeroT(f"W_{m} undefined: stepping back needs t != 0")
+        # (-s/t, -r/t, 1/t) as integer pairs, not in lowest terms.
+        rn, rd, sn, sd, tn, td = -sn * td, sd * tn, -rn * td, rd * tn, td, tn
+        u0, u2 = u2, u0
+    q = math.lcm(rd // math.gcd(rn, rd), sd // math.gcd(sn, sd), td // math.gcd(tn, td))
+    coeffs = R, S, T = rn * q // rd, sn * q * q // sd, tn * q ** 3 // td
     c = (0, 1, 0)
-    for bit in bin(k)[3:]:
+    for bit in bin(abs(m))[3:]:
         c = _sqr_mod(c, coeffs, counter)
         if bit == "1":
             c = _shift_mod(c, coeffs, counter)
@@ -235,26 +225,30 @@ def window(seq: SequenceDef, m: int,
         counter.tick()
     # u_j = d*q^j*W_j are integers with u_j = R*u_{j-1} + S*u_{j-2} +
     # T*u_{j-3}, so a0*u_j + a1*u_{j+1} + a2*u_{j+2} is d*q^(k+j)*W_{k+j}.
-    d = math.lcm(w0.denominator, w1.denominator, w2.denominator)
-    u0 = w0.numerator * (d // w0.denominator)
-    u1 = w1.numerator * (d // w1.denominator) * q
-    u2 = w2.numerator * (d // w2.denominator) * q * q
+    u1, u2 = u1 * q, u2 * q * q
     u3 = R * u2 + S * u1 + T * u0
     u4 = R * u3 + S * u2 + T * u1
     a0, a1, a2 = c
-    den = d * q ** k
-    terms = (Fraction(a0 * u0 + a1 * u1 + a2 * u2, den),
-             Fraction(a0 * u1 + a1 * u2 + a2 * u3, den * q),
-             Fraction(a0 * u2 + a1 * u3 + a2 * u4, den * q * q))
-    return terms if m > 0 else terms[::-1]
+    nums = ((a0 * u0 + a1 * u1 + a2 * u2) * q * q,
+            (a0 * u1 + a1 * u2 + a2 * u3) * q,
+            a0 * u2 + a1 * u3 + a2 * u4)
+    return (nums if m > 0 else nums[::-1]), d * q ** (abs(m) + 2)
+
+
+def window(seq: SequenceDef, m: int, counter: Optional[MultiplicationCounter] = None
+           ) -> tuple[Fraction, Fraction, Fraction]:
+    """(W_m, W_{m+1}, W_{m+2}): :func:`scaled_window` over its denominator."""
+    nums, den = scaled_window(seq, m, counter)
+    return tuple(Fraction(n, den) for n in nums)
 
 
 def term_matrix(seq: SequenceDef, n: int,
                 counter: Optional[MultiplicationCounter] = None) -> Fraction:
-    """Return W_n, the first term of ``window(seq, n)``.
+    """Return W_n, the first term of ``window(seq, n)``, as one Fraction.
 
     Exactly equal to the literal walk ``oracle.oracle_term(seq, n)`` on
     every input, with at most 2*ceil(log2(|n| + 1)) + 2 counted squares,
     shifts and combine; negative n walks the reversed recurrence forward.
     """
-    return window(seq, n, counter)[0]
+    nums, den = scaled_window(seq, n, counter)
+    return Fraction(nums[0], den)

@@ -12,10 +12,10 @@ do not vanish, plus dedicated formulas for the degenerate triple
 Parameter triples with no proven formula fall back to the literal sum,
 flagged as ``OracleFallback`` in the result.
 
-Every clause reads three consecutive terms plus the initial terms, so a
-closed-form sum costs one :func:`~tribsum.core.window`, i.e. one
-polynomial power.  Each :class:`FormulaCase` value is its (direction,
-parity, condition); the direction and parity fix where the window starts.
+Every clause reads three consecutive terms plus the initial terms: one
+:func:`~tribsum.core.scaled_window` and one division per sum.  Each
+:class:`FormulaCase` value is its (direction, parity, condition); the
+direction and parity fix where the window starts.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .core import (  # Direction, Parity, SumQuery, query_indices: re-exported
     SequenceDef,
     SumQuery,
     query_indices,
-    window,
+    scaled_window,
 )
 # The literal sum: the fallback path, and the reference for check=True.
 from .oracle import oracle_sum as sum_oracle
@@ -294,14 +294,20 @@ def closed_form_value(case: FormulaCase, seq: SequenceDef, n: int,
 
     *term* lets callers supply a precomputed term table.  By default the
     clause reads one window at its family's start, served as a lookup
-    that raises KeyError on any index outside it.
+    that raises KeyError on any index outside it.  Each clause is linear in
+    the sequence, so it runs on the ints D*W (D the window's common
+    denominator) and the value is divided by D once.
     """
     if case is FormulaCase.OracleFallback:
         raise ValueError("OracleFallback has no closed form")
-    if term is None:
-        m = _window_start(*case.value[:2], n)
-        term = dict(zip(range(m, m + 3), window(seq, m))).__getitem__
-    return _CLOSED_FORMS[case](seq, n, term)
+    if term is not None:
+        return _CLOSED_FORMS[case](seq, n, term)
+    m = _window_start(*case.value[:2], n)
+    nums, den = scaled_window(seq, m)
+    scaled = SequenceDef(seq.params, *(w.numerator * (den // w.denominator)
+                                       for w in (seq.w0, seq.w1, seq.w2)))
+    term = dict(zip(range(m, m + 3), nums)).__getitem__
+    return _CLOSED_FORMS[case](scaled, n, term) / den
 
 
 def _brief(value: Fraction) -> str:

@@ -13,6 +13,7 @@ from tribsum.core import (
     SequenceDef,
     as_rational,
     format_rational,
+    scaled_window,
     term_matrix,
     window,
 )
@@ -278,3 +279,66 @@ class TestProductHelpers:
     def test_square_and_shift_match_mul_mod(self, a, coeffs):
         assert core._sqr_mod(a, coeffs, None) == mul_mod(a, a, coeffs)
         assert core._shift_mod(a, coeffs, None) == mul_mod(a, (0, 1, 0), coeffs)
+
+
+def raised_scale(seq, m):
+    """q of the triple the kernel raises at m: (r, s, t) forward, the
+    reversed recurrence (-s/t, -r/t, 1/t) for m < 0."""
+    r, s, t = seq.params.r, seq.params.s, seq.params.t
+    triple = (r, s, t) if m >= 0 else (-s / t, -r / t, 1 / t)
+    return math.lcm(*(c.denominator for c in triple))
+
+
+class TestScaledWindow:
+    """The integer core: three int numerators over one common denominator."""
+
+    @given(triple=st.one_of(
+               st.just(Q252),
+               st.just(tuple(RATIONAL_T[k] for k in "rst")),
+               st.tuples(rationals, rationals, rationals)),
+           w0=rationals, w1=rationals, w2=rationals,
+           m=st.integers(min_value=-300, max_value=300))
+    @settings(max_examples=120, deadline=None)
+    @example(triple=Q252, **Q252_INITIAL, m=0)
+    @example(triple=Q252, **Q252_INITIAL, m=1)
+    @example(triple=Q252, **Q252_INITIAL, m=-1)
+    @example(triple=Q252, **Q252_INITIAL, m=300)
+    @example(triple=Q252, **Q252_INITIAL, m=-300)
+    @example(triple=tuple(RATIONAL_T[k] for k in "rst"), w0=Fraction(1, 2),
+             w1=Fraction(-3), w2=Fraction(4, 5), m=-7)
+    def test_numerators_over_one_denominator(self, triple, w0, w1, w2, m):
+        r, s, t = triple
+        assume(m >= 0 or t != 0)
+        seq = seq_of(r, s, t, w0, w1, w2)
+        nums, den = scaled_window(seq, m)
+        assert all(type(v) is int for v in (*nums, den))
+        table = term_table(seq, m, m + 2)
+        assert tuple(Fraction(v, den) for v in nums) == (
+            table[m], table[m + 1], table[m + 2])
+        d = math.lcm(w0.denominator, w1.denominator, w2.denominator)
+        expected = d if m == 0 else d * raised_scale(seq, m) ** (abs(m) + 2)
+        assert den == expected
+
+    def test_zero_t_negative_index_raises(self):
+        with pytest.raises(NegativeIndexWithZeroT):
+            scaled_window(seq_of(1, 1, 0, 0, 1, 1), -1)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 5, 300, 4097, -1, -2, -5, -300, -4097])
+    def test_term_matrix_builds_one_fraction(self, monkeypatch, m):
+        """Counting every Fraction constructed, operator results included:
+        term_matrix makes only the one it returns."""
+        built = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        for seq in (seq_of(*Q252, **Q252_INITIAL), seq_of(1, 1, 1, 0, 0, 1)):
+            expected = term_iterative(seq, m)
+            built.clear()
+            monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+            value = term_matrix(seq, m)
+            monkeypatch.undo()
+            assert value == expected
+            assert len(built) == 1

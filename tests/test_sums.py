@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from tribsum.core import (
     SequenceDef,
 )
 from tribsum import term_iterative
+from tribsum.oracle import term_table
 from tribsum.sums import (
     Direction,
     FormulaCase,
@@ -354,13 +356,23 @@ CONDITION_SEQ = {
 
 CLOSED_CASES = [c for c in FormulaCase if c is not FormulaCase.OracleFallback]
 
+# Pairwise coprime denominators 7, 4, 9: the forward kernel scale q is 252.
+Q252_SEQ = seq_of(Fraction(3, 7), Fraction(-5, 4), Fraction(2, 9),
+                  Fraction(1, 2), -3, Fraction(4, 5))
+
 
 class TestWindowDispatch:
     @pytest.mark.parametrize("case", CLOSED_CASES, ids=lambda c: c.name)
     def test_clause_reads_only_its_window(self, case):
+        """The clause reads its window only, and the default integer path
+        (one division by D) equals the clause on the oracle's terms."""
         direction, parity, condition = case.value
-        seq = CONDITION_SEQ[condition]
-        for n in (1, 2, 5, 40, 333):
+        # n = 0 puts the forward even/odd window at m = 0, where D = d.
+        first = 0 if direction is Direction.FORWARD else 1
+        seqs = [CONDITION_SEQ[condition]]
+        if condition == "generic":
+            seqs.append(Q252_SEQ)
+        for seq, n in itertools.product(seqs, (first, 1, 2, 5, 40, 333)):
             read = set()
 
             def term(k):
@@ -383,17 +395,66 @@ class TestWindowDispatch:
     @pytest.mark.parametrize("family", list(WINDOW_START),
                              ids=lambda f: f"{f[0].value}-{f[1].value}")
     def test_evaluate_computes_one_window(self, monkeypatch, family, condition):
-        real_window = sums.window
+        real_window = sums.scaled_window
         calls = []
 
         def counting_window(seq, m, counter=None):
             calls.append(m)
             return real_window(seq, m, counter)
 
-        monkeypatch.setattr(sums, "window", counting_window)
+        monkeypatch.setattr(sums, "scaled_window", counting_window)
         result = evaluate(CONDITION_SEQ[condition], SumQuery(*family, 1000))
         assert result.case_used.value == (*family, condition)
         assert calls == [WINDOW_START[family](1000)]
+
+
+def table_term(seq, n):
+    """The oracle's terms at every index a clause bounded by n can read."""
+    span = 2 * n + 3
+    return term_table(seq, -span if seq.params.t != 0 else 0, span).__getitem__
+
+
+class TestIntegerCombine:
+    """Without a *term*, a clause runs on D*W and divides by D once."""
+
+    @given(r=rationals, s=rationals, t=rationals,
+           w0=rationals, w1=rationals, w2=rationals,
+           n=st.integers(min_value=0, max_value=60))
+    @settings(max_examples=40, deadline=None)
+    @example(r=Fraction(3, 7), s=Fraction(-5, 4), t=Fraction(2, 9),
+             w0=Fraction(1, 2), w1=Fraction(-3), w2=Fraction(4, 5), n=0)
+    def test_generic_random(self, r, s, t, w0, w1, w2, n):
+        seq = seq_of(r, s, t, w0, w1, w2)
+        d = denominators(seq.params)
+        assume(d.d1 * d.d2 != 0)
+        term = table_term(seq, n)
+        for case in CLOSED_CASES:
+            direction, _, condition = case.value
+            if condition != "generic" or (direction is Direction.BACKWARD
+                                          and (t == 0 or n == 0)):
+                continue
+            assert closed_form_value(case, seq, n) == closed_form_value(
+                case, seq, n, term=term)
+
+    @pytest.mark.parametrize("family", list(WINDOW_START),
+                             ids=lambda f: f"{f[0].value}-{f[1].value}")
+    def test_one_kernel_sized_normalisation(self, monkeypatch, family):
+        """Of all Fractions a sum builds, one has both a numerator and a
+        denominator the kernel's size: the division by D."""
+        built = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        value = evaluate(Q252_SEQ, SumQuery(*family, 1000)).value
+        monkeypatch.undo()
+        assert value.denominator.bit_length() > 1000
+        big = [args for args in built if len(args) == 2
+               and min(abs(a).bit_length() for a in args) > 1000]
+        assert len(big) == 1
 
 
 class TestTelescoping:
