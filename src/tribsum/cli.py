@@ -2,9 +2,10 @@
 
 Subcommands: term, sum, verify, oeis-check, bench, catalog.  Results print
 as plain text by default; ``--format json`` emits one self-contained JSON
-record per result (newline-delimited), and each error as one JSON record
-on stderr.  Exit codes: 0 success, 2 usage or precondition error, 3
-verification mismatch, 4 OEIS check failure.
+record per result (newline-delimited), verify's failures inside their
+suite's record, and each error as one JSON record on stderr.  Exit codes:
+0 success, 2 usage or precondition error, 3 verification mismatch, 4 OEIS
+check failure.
 """
 
 from __future__ import annotations
@@ -135,12 +136,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for report in reports:
         record = {"command": "verify", "suite": report.name,
                   "passed": report.passed, "failed": report.failed,
-                  "status": "PASS" if report.succeeded else "FAIL"}
+                  "status": "PASS" if report.succeeded else "FAIL",
+                  "failures": report.failures}
         text = (f"{report.name}: {'PASS' if report.succeeded else 'FAIL'} "
                 f"({report.passed} passed, {report.failed} failed)")
         _emit(args, record, text)
-        for failure in report.failures:
-            print(f"  {failure}", file=sys.stderr)
+        if args.format != "json":
+            for failure in report.failures:
+                print(f"  {failure}", file=sys.stderr)
     total = sum(r.passed for r in reports)
     _emit(args, {"command": "verify", "suite": "total", "passed": total,
                  "failed": sum(r.failed for r in reports),

@@ -12,10 +12,10 @@ do not vanish, plus dedicated formulas for the degenerate triple
 Parameter triples with no proven formula fall back to the literal sum,
 flagged as ``OracleFallback`` in the result.
 
-Every clause reads three consecutive terms plus the initial terms: one
-:func:`~tribsum.core.scaled_window` and one division per sum.  Each
-:class:`FormulaCase` value is its (direction, parity, condition); the
-direction and parity fix where the window starts.
+Each :class:`FormulaCase` value is its (direction, parity, condition); one
+predicate, :func:`_holds`, says where a condition is proven.  A clause reads
+plain values (r, s, t, W_0, W_1, W_2, n) and three consecutive terms: one
+:func:`~tribsum.core.scaled_window` and one division per sum.
 """
 
 from __future__ import annotations
@@ -87,111 +87,82 @@ def denominators(params: RecurrenceParams) -> Denominators:
     return Denominators(r + s + t - 1, r - s + t + 1)
 
 
-def _is_021(params: RecurrenceParams) -> bool:
-    return (params.r, params.s, params.t) == (0, 2, 1)
+def _holds(condition: str, parity: Parity, r, s, t) -> bool:
+    """Whether the clauses of *condition* are proven at (r, s, t); "generic"
+    gates on d1 (parity ALL) or d1*d2, and "oracle" never holds."""
+    if condition == "generic":
+        d1 = r + s + t - 1
+        return (d1 if parity is Parity.ALL else d1 * (r - s + t + 1)) != 0
+    if condition == "021":
+        return (r, s, t) == (0, 2, 1)
+    if condition == "s=1":
+        return s == 1 and r + t != 0
+    return condition == "r+t=0" and r + t == 0 and s != 1
 
 
 def select_case(params: RecurrenceParams, query: SumQuery) -> FormulaCase:
-    """Pick the one formula clause proven for these parameters.
-
-    Priority: the exact triple (0, 2, 1) first (its dedicated formulas are
-    the only ones defined there, since d2 = 0); then the generic clause
-    gated on d1 != 0 (parity ALL) or d1*d2 != 0 (EVEN/ODD); otherwise the
-    oracle fallback.  The S1 and RplusT0 clauses are algebraic
-    specializations of the generic ones and are never dispatched to; they
-    exist as cross-checks.
-    """
-    if _is_021(params):
-        return FormulaCase((query.direction, query.parity, "021"))
-    d = denominators(params)
-    gate = d.d1 if query.parity is Parity.ALL else d.d1 * d.d2
-    if gate != 0:
-        return FormulaCase((query.direction, query.parity, "generic"))
+    """The clause of the first of "021" (d2 = 0 there) and "generic" that
+    :func:`_holds`, else the oracle fallback.  The S1 and RplusT0 clauses
+    specialize the generic ones: cross-checks, never dispatched to."""
+    for condition in ("021", "generic"):
+        if _holds(condition, query.parity, params.r, params.s, params.t):
+            return FormulaCase((query.direction, query.parity, condition))
     return FormulaCase.OracleFallback
 
 
 TermFn = Callable[[int], Fraction]
 
 
-def _fwd_all_generic(seq: SequenceDef, n: int, term: TermFn) -> Fraction:
-    r, s, t = seq.params.r, seq.params.s, seq.params.t
-    w0, w1, w2 = seq.w0, seq.w1, seq.w2
+def _fwd_all_generic(r, s, t, w0, w1, w2, n: int, term: TermFn) -> Fraction:
     num = (term(n + 3) + (1 - r) * term(n + 2)
            + (1 - r - s) * term(n + 1)
            - w2 + (r - 1) * w1 + (r + s - 1) * w0)
     return num / (r + s + t - 1)
 
 
-def _fwd_even_generic(seq: SequenceDef, n: int, term: TermFn) -> Fraction:
-    r, s, t = seq.params.r, seq.params.s, seq.params.t
-    w0, w1, w2 = seq.w0, seq.w1, seq.w2
-    d = denominators(seq.params)
+def _fwd_even_generic(r, s, t, w0, w1, w2, n: int, term: TermFn) -> Fraction:
     num = ((1 - s) * term(2 * n + 2)
            + (t + r * s) * term(2 * n + 1)
            + (t * t + r * t) * term(2 * n)
            + (s - 1) * w2
            + (-t - r * s) * w1
            + (-1 + r * r - s * s + r * t + 2 * s) * w0)
-    return num / (d.d1 * d.d2)
+    return num / ((r + s + t - 1) * (r - s + t + 1))
 
 
-def _fwd_odd_generic(seq: SequenceDef, n: int, term: TermFn) -> Fraction:
-    r, s, t = seq.params.r, seq.params.s, seq.params.t
-    w0, w1, w2 = seq.w0, seq.w1, seq.w2
-    d = denominators(seq.params)
+def _fwd_odd_generic(r, s, t, w0, w1, w2, n: int, term: TermFn) -> Fraction:
     num = ((r + t) * term(2 * n + 2)
            + (s - s * s + t * t + r * t) * term(2 * n + 1)
            + (t - s * t) * term(2 * n)
            + (-r - t) * w2
            + (-1 + s + r * r + r * t) * w1
            + (-t + s * t) * w0)
-    return num / (d.d1 * d.d2)
+    return num / ((r + s + t - 1) * (r - s + t + 1))
 
 
-def _fwd_even_s1(seq: SequenceDef, n: int, term: TermFn) -> Fraction:
-    r, s, t = seq.params.r, seq.params.s, seq.params.t
-    if s != 1 or r + t == 0:
-        raise ValueError("specialized even-sum form needs s = 1 and r + t != 0")
-    return (term(2 * n + 1) + t * term(2 * n)
-            - seq.w1 + r * seq.w0) / (r + t)
+def _fwd_even_s1(r, s, t, w0, w1, w2, n: int, term: TermFn) -> Fraction:
+    return (term(2 * n + 1) + t * term(2 * n) - w1 + r * w0) / (r + t)
 
 
-def _fwd_odd_s1(seq: SequenceDef, n: int, term: TermFn) -> Fraction:
-    r, s, t = seq.params.r, seq.params.s, seq.params.t
-    if s != 1 or r + t == 0:
-        raise ValueError("specialized odd-sum form needs s = 1 and r + t != 0")
-    return (term(2 * n + 2) + t * term(2 * n + 1)
-            - seq.w2 + r * seq.w1) / (r + t)
+def _fwd_odd_s1(r, s, t, w0, w1, w2, n: int, term: TermFn) -> Fraction:
+    return (term(2 * n + 2) + t * term(2 * n + 1) - w2 + r * w1) / (r + t)
 
 
-def _require_021(seq: SequenceDef) -> None:
-    if not _is_021(seq.params):
-        raise ValueError("this clause is proven only for (r, s, t) = (0, 2, 1)")
+def _fwd_021_all(r, s, t, w0, w1, w2, n: int, term: TermFn) -> Fraction:
+    return (term(n + 3) + term(n + 2) - term(n + 1) - w2 - w1 + w0) / 2
 
 
-def _fwd_021_all(seq: SequenceDef, n: int, term: TermFn) -> Fraction:
-    _require_021(seq)
-    return (term(n + 3) + term(n + 2) - term(n + 1)
-            - seq.w2 - seq.w1 + seq.w0) / 2
+def _fwd_021_even(r, s, t, w0, w1, w2, n: int, term: TermFn) -> Fraction:
+    return term(2 * n + 1) + (w2 - w1 - w0) * n + w0 - w1
 
 
-def _fwd_021_even(seq: SequenceDef, n: int, term: TermFn) -> Fraction:
-    _require_021(seq)
-    return (term(2 * n + 1) + (seq.w2 - seq.w1 - seq.w0) * n
-            + seq.w0 - seq.w1)
-
-
-def _fwd_021_odd(seq: SequenceDef, n: int, term: TermFn) -> Fraction:
-    _require_021(seq)
+def _fwd_021_odd(r, s, t, w0, w1, w2, n: int, term: TermFn) -> Fraction:
     # Reads 2n..2n+2 like the other even/odd clauses: here W_{2n+3} = 2*W_{2n+1} + W_{2n}.
     return (term(2 * n + 2) + term(2 * n + 1) + term(2 * n)
-            + 2 * n * (-seq.w2 + seq.w1 + seq.w0)
-            - seq.w2 + seq.w1 - seq.w0) / 2
+            + 2 * n * (-w2 + w1 + w0) - w2 + w1 - w0) / 2
 
 
-def _bwd_all_generic(seq: SequenceDef, n: int, term: TermFn) -> Fraction:
-    r, s, t = seq.params.r, seq.params.s, seq.params.t
-    w0, w1, w2 = seq.w0, seq.w1, seq.w2
+def _bwd_all_generic(r, s, t, w0, w1, w2, n: int, term: TermFn) -> Fraction:
     num = (-(r + s + t) * term(-n - 1)
            - (s + t) * term(-n - 2)
            - t * term(-n - 3)
@@ -199,69 +170,50 @@ def _bwd_all_generic(seq: SequenceDef, n: int, term: TermFn) -> Fraction:
     return num / (r + s + t - 1)
 
 
-def _bwd_even_generic(seq: SequenceDef, n: int, term: TermFn) -> Fraction:
-    r, s, t = seq.params.r, seq.params.s, seq.params.t
-    w0, w1, w2 = seq.w0, seq.w1, seq.w2
-    d = denominators(seq.params)
+def _bwd_even_generic(r, s, t, w0, w1, w2, n: int, term: TermFn) -> Fraction:
     num = (-(r + t) * term(-2 * n + 1)
            + (r * r + r * t + s - 1) * term(-2 * n)
            + (s * t - t) * term(-2 * n - 1)
            + (1 - s) * w2
            + (t + r * s) * w1
            + (1 - r * t - 2 * s - r * r + s * s) * w0)
-    return num / (d.d1 * d.d2)
+    return num / ((r + s + t - 1) * (r - s + t + 1))
 
 
-def _bwd_odd_generic(seq: SequenceDef, n: int, term: TermFn) -> Fraction:
-    r, s, t = seq.params.r, seq.params.s, seq.params.t
-    w0, w1, w2 = seq.w0, seq.w1, seq.w2
-    d = denominators(seq.params)
+def _bwd_odd_generic(r, s, t, w0, w1, w2, n: int, term: TermFn) -> Fraction:
     num = ((s - 1) * term(-2 * n + 1)
            - (t + r * s) * term(-2 * n)
            - (t * t + r * t) * term(-2 * n - 1)
            + (r + t) * w2
            + (1 - r * r - r * t - s) * w1
            + (t - s * t) * w0)
-    return num / (d.d1 * d.d2)
+    return num / ((r + s + t - 1) * (r - s + t + 1))
 
 
-def _bwd_even_r_plus_t_zero(seq: SequenceDef, n: int, term: TermFn) -> Fraction:
-    r, s, t = seq.params.r, seq.params.s, seq.params.t
-    if r + t != 0 or s == 1:
-        raise ValueError("specialized backward even form needs r + t = 0, s != 1")
+def _bwd_even_r_plus_t_zero(r, s, t, w0, w1, w2, n: int, term: TermFn) -> Fraction:
     return (-term(-2 * n) - t * term(-2 * n - 1)
-            + seq.w2 + t * seq.w1 + (1 - s) * seq.w0) / (s - 1)
+            + w2 + t * w1 + (1 - s) * w0) / (s - 1)
 
 
-def _bwd_odd_r_plus_t_zero(seq: SequenceDef, n: int, term: TermFn) -> Fraction:
-    r, s, t = seq.params.r, seq.params.s, seq.params.t
-    if r + t != 0 or s == 1:
-        raise ValueError("specialized backward odd form needs r + t = 0, s != 1")
-    return (-term(-2 * n + 1) - t * term(-2 * n)
-            + seq.w1 + t * seq.w0) / (s - 1)
+def _bwd_odd_r_plus_t_zero(r, s, t, w0, w1, w2, n: int, term: TermFn) -> Fraction:
+    return (-term(-2 * n + 1) - t * term(-2 * n) + w1 + t * w0) / (s - 1)
 
 
-def _bwd_021_all(seq: SequenceDef, n: int, term: TermFn) -> Fraction:
-    _require_021(seq)
+def _bwd_021_all(r, s, t, w0, w1, w2, n: int, term: TermFn) -> Fraction:
     return (-3 * term(-n - 1) - 3 * term(-n - 2)
-            - term(-n - 3) + seq.w2 + seq.w1 - seq.w0) / 2
+            - term(-n - 3) + w2 + w1 - w0) / 2
 
 
-def _bwd_021_even(seq: SequenceDef, n: int, term: TermFn) -> Fraction:
-    _require_021(seq)
-    return (-term(-2 * n + 1) + term(-2 * n)
-            + (seq.w1 - seq.w0) + (seq.w2 - seq.w1 - seq.w0) * n)
+def _bwd_021_even(r, s, t, w0, w1, w2, n: int, term: TermFn) -> Fraction:
+    return -term(-2 * n + 1) + term(-2 * n) + (w1 - w0) + (w2 - w1 - w0) * n
 
 
-def _bwd_021_odd(seq: SequenceDef, n: int, term: TermFn) -> Fraction:
-    _require_021(seq)
-    return (term(-2 * n + 1) - 3 * term(-2 * n)
-            - term(-2 * n - 1)
-            + (seq.w2 - seq.w1 + seq.w0)
-            + 2 * (-seq.w2 + seq.w1 + seq.w0) * n) / 2
+def _bwd_021_odd(r, s, t, w0, w1, w2, n: int, term: TermFn) -> Fraction:
+    return (term(-2 * n + 1) - 3 * term(-2 * n) - term(-2 * n - 1)
+            + (w2 - w1 + w0) + 2 * (-w2 + w1 + w0) * n) / 2
 
 
-_CLOSED_FORMS: dict[FormulaCase, Callable[[SequenceDef, int, TermFn], Fraction]] = {
+_CLOSED_FORMS: dict[FormulaCase, Callable[..., Fraction]] = {
     FormulaCase.FwdAll_Generic: _fwd_all_generic,
     FormulaCase.FwdEven_Generic: _fwd_even_generic,
     FormulaCase.FwdOdd_Generic: _fwd_odd_generic,
@@ -281,33 +233,33 @@ _CLOSED_FORMS: dict[FormulaCase, Callable[[SequenceDef, int, TermFn], Fraction]]
 }
 
 
-def _window_start(direction: Direction, parity: Parity, n: int) -> int:
-    """First index of the three-term window a family's clauses read."""
-    if direction is Direction.FORWARD:
-        return n + 1 if parity is Parity.ALL else 2 * n
-    return -n - 3 if parity is Parity.ALL else -2 * n - 1
-
-
 def closed_form_value(case: FormulaCase, seq: SequenceDef, n: int,
                       term: TermFn | None = None) -> Fraction:
     """Evaluate a specific closed-form clause directly (no dispatch).
 
-    *term* lets callers supply a precomputed term table.  By default the
-    clause reads one window at its family's start, served as a lookup
-    that raises KeyError on any index outside it.  Each clause is linear in
-    the sequence, so it runs on the ints D*W (D the window's common
-    denominator) and the value is divided by D once.
-    """
-    if case is FormulaCase.OracleFallback:
-        raise ValueError("OracleFallback has no closed form")
+    ValueError where :func:`_holds` fails a special condition, and for
+    OracleFallback; a generic clause off its gate divides by zero.  n follows
+    :class:`SumQuery`'s rules.  *term* supplies the terms; by default the
+    clause reads one window (a lookup raising KeyError elsewhere) on the ints
+    D*W, D its common denominator, and the value is divided by D once."""
+    direction, parity, condition = case.value
+    r, s, t = seq.params.r, seq.params.s, seq.params.t
+    if condition != "generic" and not _holds(condition, parity, r, s, t):
+        raise ValueError(f"{case.name} is not a proven closed form at "
+                         f"(r, s, t) = ({r}, {s}, {t})")
+    SumQuery(direction, parity, n)  # checks n by the query's rules
     if term is not None:
-        return _CLOSED_FORMS[case](seq, n, term)
-    m = _window_start(*case.value[:2], n)
+        return _CLOSED_FORMS[case](r, s, t, seq.w0, seq.w1, seq.w2, n, term)
+    if direction is Direction.FORWARD:  # m: the window's first index
+        m = n + 1 if parity is Parity.ALL else 2 * n
+    else:
+        m = -n - 3 if parity is Parity.ALL else -2 * n - 1
     nums, den = scaled_window(seq, m)
-    scaled = SequenceDef(seq.params, *(w.numerator * (den // w.denominator)
-                                       for w in (seq.w0, seq.w1, seq.w2)))
+    # Fractions, so that an all-int clause still divides exactly.
+    w0, w1, w2 = (Fraction(w.numerator * (den // w.denominator))
+                  for w in (seq.w0, seq.w1, seq.w2))
     term = dict(zip(range(m, m + 3), nums)).__getitem__
-    return _CLOSED_FORMS[case](scaled, n, term) / den
+    return _CLOSED_FORMS[case](r, s, t, w0, w1, w2, n, term) / den
 
 
 def _brief(value: Fraction) -> str:
@@ -333,8 +285,7 @@ def evaluate(seq: SequenceDef, query: SumQuery, check: bool = False) -> SumResul
             raise SumMismatch(
                 f"{case.name} gave {_brief(value)}, literal sum is "
                 f"{_brief(expected)} for {seq.name or seq.params} {query}")
-        return SumResult(value, case, oracle_checked=True)
-    return SumResult(value, case)
+    return SumResult(value, case, oracle_checked=check)
 
 
 def sum_forward_all(seq: SequenceDef, n: int, check: bool = False) -> SumResult:

@@ -25,7 +25,8 @@ def run(capsys, *argv):
 def _break_fwd_all(monkeypatch):
     """Make the FwdAll_Generic clause return 999 for every query."""
     broken = dict(sums._CLOSED_FORMS)
-    broken[sums.FormulaCase.FwdAll_Generic] = lambda seq, n, term: Fraction(999)
+    broken[sums.FormulaCase.FwdAll_Generic] = (
+        lambda r, s, t, w0, w1, w2, n, term: Fraction(999))
     monkeypatch.setattr(sums, "_CLOSED_FORMS", broken)
 
 
@@ -198,6 +199,27 @@ class TestVerify:
         records = [json.loads(line) for line in out.splitlines()]
         assert records[-1]["suite"] == "total"
         assert records[-1]["status"] == "PASS"
+
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_failures_reported(self, capsys, monkeypatch, fmt):
+        """Text mode lists failures on stderr; JSON mode keeps stdout pure
+        records, the failures inside their suite's record, and stderr empty."""
+        _break_fwd_all(monkeypatch)
+        code, out, err = run(capsys, "--format", fmt, "verify",
+                             "--seq", "perrin", "--max-n", "3")
+        assert code == EXIT_MISMATCH
+        if fmt == "text":
+            assert "formula-vs-oracle: FAIL" in out
+            assert "  Perrin (Padovan-Lucas) fwd/all n=0: FwdAll_Generic" in err
+            return
+        assert err == ""
+        records = [json.loads(line) for line in out.splitlines()]
+        suite = next(r for r in records if r["suite"] == "formula-vs-oracle")
+        assert suite["status"] == "FAIL"
+        assert len(suite["failures"]) == suite["failed"] == 4
+        assert all("FwdAll_Generic gave 999" in f for f in suite["failures"])
+        assert records[-1]["status"] == "FAIL"
 
 
 class TestOeisCheck:

@@ -235,7 +235,8 @@ class TestEvaluate:
     def test_check_detects_corruption(self, tribonacci, monkeypatch):
         import tribsum.sums as sums
         broken = dict(sums._CLOSED_FORMS)
-        broken[FormulaCase.FwdAll_Generic] = lambda seq, n, term: Fraction(999)
+        broken[FormulaCase.FwdAll_Generic] = (
+            lambda r, s, t, w0, w1, w2, n, term: Fraction(999))
         monkeypatch.setattr(sums, "_CLOSED_FORMS", broken)
         with pytest.raises(SumMismatch):
             sums.evaluate(tribonacci,
@@ -386,7 +387,8 @@ class TestWindowDispatch:
 
     def test_default_window_rejects_outside_index(self, tribonacci, monkeypatch):
         broken = dict(sums._CLOSED_FORMS)
-        broken[FormulaCase.FwdAll_Generic] = lambda seq, n, term: term(n)
+        broken[FormulaCase.FwdAll_Generic] = (
+            lambda r, s, t, w0, w1, w2, n, term: term(n))
         monkeypatch.setattr(sums, "_CLOSED_FORMS", broken)
         with pytest.raises(KeyError):
             closed_form_value(FormulaCase.FwdAll_Generic, tribonacci, 7)
@@ -406,6 +408,66 @@ class TestWindowDispatch:
         result = evaluate(CONDITION_SEQ[condition], SumQuery(*family, 1000))
         assert result.case_used.value == (*family, condition)
         assert calls == [WINDOW_START[family](1000)]
+
+
+# Triples just outside each special condition (and plainly outside it).
+OUTSIDE_SEQ = {
+    "021": [CONDITION_SEQ["generic"], seq_of(0, 2, 2, 3, -2, Fraction(5, 3))],
+    "s=1": [CONDITION_SEQ["generic"], seq_of(1, 1, -1, 0, 1, 2)],
+    "r+t=0": [CONDITION_SEQ["generic"], seq_of(1, 1, -1, 1, Fraction(1, 2), -1)],
+    "oracle": [CONDITION_SEQ["generic"], seq_of(1, 1, 1, 0, 0, 1)],
+}
+
+
+class TestSinglePredicate:
+    """One predicate gates the special clauses on both paths, and n is
+    checked by SumQuery's rules before either."""
+
+    @pytest.mark.parametrize("case", [c for c in FormulaCase
+                                      if c.value[2] != "generic"],
+                             ids=lambda c: c.name)
+    def test_special_clause_outside_condition_raises(self, case):
+        for seq in OUTSIDE_SEQ[case.value[2]]:
+            with pytest.raises(ValueError):
+                closed_form_value(case, seq, 3)
+            with pytest.raises(ValueError):
+                closed_form_value(case, seq, 3, term=table_term(seq, 3))
+
+    @pytest.mark.parametrize("case", CLOSED_CASES, ids=lambda c: c.name)
+    def test_integer_path_returns_fraction(self, case):
+        direction, _, condition = case.value
+        seqs = [CONDITION_SEQ[condition]]
+        if condition == "generic":
+            seqs.append(Q252_SEQ)
+        first = 0 if direction is Direction.FORWARD else 1
+        for seq, n in itertools.product(seqs, (first, 1, 2, 7)):
+            assert type(closed_form_value(case, seq, n)) is Fraction
+
+    @pytest.mark.parametrize("case", [FormulaCase.FwdAll_Generic,
+                                      FormulaCase.Fwd_021_Even,
+                                      FormulaCase.BwdOdd_Generic,
+                                      FormulaCase.Bwd_021_All],
+                             ids=lambda c: c.name)
+    @pytest.mark.parametrize("bad", [True, 2.0, "3", Fraction(3)],
+                             ids=repr)
+    def test_non_int_bound_rejected(self, case, bad):
+        seq = CONDITION_SEQ[case.value[2]]
+        with pytest.raises(TypeError, match="the bound n"):
+            closed_form_value(case, seq, bad)
+        with pytest.raises(TypeError, match="the bound n"):
+            closed_form_value(case, seq, bad, term=table_term(seq, 3))
+
+    @pytest.mark.parametrize("case, n", [(FormulaCase.FwdEven_Generic, -1),
+                                         (FormulaCase.Fwd_021_Odd, -1),
+                                         (FormulaCase.BwdAll_Generic, 0),
+                                         (FormulaCase.Bwd_021_Even, 0)],
+                             ids=lambda v: getattr(v, "name", str(v)))
+    def test_out_of_range_bound_rejected(self, case, n):
+        seq = CONDITION_SEQ[case.value[2]]
+        with pytest.raises(ValueError, match="n >= "):
+            closed_form_value(case, seq, n)
+        with pytest.raises(ValueError, match="n >= "):
+            closed_form_value(case, seq, n, term=table_term(seq, 3))
 
 
 def table_term(seq, n):
