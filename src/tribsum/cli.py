@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import oracle, verify
-from .catalog import UnknownSequence, list_all, lookup
+from .catalog import CatalogEntry, UnknownSequence, list_all, lookup
 from .core import NegativeIndexWithZeroT, SequenceDef, format_rational, term_matrix
 from .oeis import AlignmentStatus, FixtureMissing, MalformedBFile, align, fetch_bfile
 from .sums import Direction, Parity, SumMismatch, SumQuery, evaluate
@@ -152,47 +152,36 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all_ok else EXIT_MISMATCH
 
 
+def _oeis_outcome(entry: CatalogEntry, fixture_dir: Optional[Path],
+                  count: int) -> tuple[dict, str]:
+    """One entry's record fields after command and seq, and its text after the key."""
+    oeis_id = entry.primary_oeis_id
+    if oeis_id is None:
+        return {"status": "skipped", "reason": "no OEIS id"}, "skipped: no OEIS id"
+    try:
+        bfile = fetch_bfile(oeis_id, fixture_dir)
+    except (FixtureMissing, MalformedBFile) as exc:
+        return ({"oeis_id": oeis_id, "status": "error", "reason": str(exc)},
+                f"{oeis_id} error: {exc}")
+    report = align(entry.definition, bfile)
+    if report.status is AlignmentStatus.NO_ALIGNMENT:
+        return {"oeis_id": oeis_id, "status": "no-alignment"}, f"{oeis_id} no alignment found"
+    matched = min(report.matched_terms, count)
+    return ({"oeis_id": oeis_id, "status": "aligned", "shift": report.shift,
+             "matched": matched, "requested": count, "ok": matched >= count},
+            f"{oeis_id} aligned (shift {report.shift}), {matched}/{count} match")
+
+
 def _cmd_oeis_check(args: argparse.Namespace) -> int:
     _require_at_least("--count", args.count, 1)
-    entries = list_all()
-    if args.seq is not None:
-        entries = [lookup(args.seq)]
+    entries = list_all() if args.seq is None else [lookup(args.seq)]
     fixture_dir = Path(args.fixture_dir) if args.fixture_dir else None
     any_failed = False
     for entry in entries:
-        oeis_id = entry.primary_oeis_id
-        if oeis_id is None:
-            _emit(args, {"command": "oeis-check", "seq": entry.key,
-                         "status": "skipped", "reason": "no OEIS id"},
-                  f"{entry.key}: skipped: no OEIS id")
-            continue
-        try:
-            bfile = fetch_bfile(oeis_id, fixture_dir)
-        except (FixtureMissing, MalformedBFile) as exc:
-            any_failed = True
-            _emit(args, {"command": "oeis-check", "seq": entry.key,
-                         "oeis_id": oeis_id, "status": "error",
-                         "reason": str(exc)},
-                  f"{entry.key}: {oeis_id} error: {exc}")
-            continue
-        report = align(entry.definition, bfile)
-        if report.status is AlignmentStatus.NO_ALIGNMENT:
-            any_failed = True
-            _emit(args, {"command": "oeis-check", "seq": entry.key,
-                         "oeis_id": oeis_id, "status": "no-alignment"},
-                  f"{entry.key}: {oeis_id} no alignment found")
-            continue
-        matched = min(report.matched_terms, args.count)
-        ok = matched >= args.count
-        if not ok:
-            any_failed = True
-        _emit(args, {"command": "oeis-check", "seq": entry.key,
-                     "oeis_id": oeis_id, "status": "aligned",
-                     "shift": report.shift, "matched": matched,
-                     "requested": args.count,
-                     "ok": ok},
-              f"{entry.key}: {oeis_id} aligned (shift {report.shift}), "
-              f"{matched}/{args.count} match")
+        fields, text = _oeis_outcome(entry, fixture_dir, args.count)
+        any_failed |= fields["status"] != "skipped" and fields.get("ok") is not True
+        _emit(args, {"command": "oeis-check", "seq": entry.key, **fields},
+              f"{entry.key}: {text}")
     return EXIT_OEIS if any_failed else EXIT_OK
 
 

@@ -79,7 +79,10 @@ def parse_bfile(content: str, oeis_id: str = "") -> BFile:
         m = _LINE_RE.match(stripped)
         if m is None:
             raise MalformedBFile(f"line {lineno}: cannot parse {line!r}")
-        index, value = int(m.group(1)), int(m.group(2))
+        try:
+            index, value = int(m.group(1)), int(m.group(2))
+        except ValueError as exc:  # past the interpreter's int conversion limit
+            raise MalformedBFile(f"line {lineno}: {exc}") from None
         if entries and index != entries[-1][0] + 1:
             raise MalformedBFile(
                 f"line {lineno}: index {index} breaks contiguity "

@@ -27,6 +27,7 @@ from typing import Callable
 
 from .core import (  # Direction, Parity, SumQuery, query_indices: re-exported
     Direction,
+    NegativeIndexWithZeroT,
     Parity,
     RecurrenceParams,
     SequenceDef,
@@ -275,6 +276,8 @@ def evaluate(seq: SequenceDef, query: SumQuery, check: bool = False) -> SumResul
     sum and a :class:`SumMismatch` is raised on disagreement.  The fallback
     value is the literal sum itself, so it is computed only once.
     """
+    if query.direction is Direction.BACKWARD and seq.params.t == 0:
+        raise NegativeIndexWithZeroT("backward sums need t != 0")
     case = select_case(seq.params, query)
     if case is FormulaCase.OracleFallback:
         return SumResult(sum_oracle(seq, query), case, oracle_checked=check)

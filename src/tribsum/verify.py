@@ -14,24 +14,20 @@ from functools import partial
 from typing import Callable, Iterable, Optional
 
 from . import identities, oracle
-from .catalog import CatalogEntry, list_all, lookup
-from .core import RecurrenceParams, SequenceDef
+from .catalog import list_all, lookup
+from .core import SequenceDef
 from .sums import (
     Direction,
     FormulaCase,
     Parity,
     SumQuery,
+    _holds,
     closed_form_value,
-    denominators,
     evaluate,
     select_case,
 )
 
-ALL_QUERY_FAMILIES = tuple(
-    (direction, parity)
-    for direction in (Direction.FORWARD, Direction.BACKWARD)
-    for parity in (Parity.ALL, Parity.EVEN, Parity.ODD)
-)
+ALL_QUERY_FAMILIES = tuple((direction, parity) for direction in Direction for parity in Parity)
 
 
 @dataclass
@@ -62,17 +58,13 @@ def random_rational(rng: random.Random) -> Fraction:
     return Fraction(num, den)
 
 
-def _nondegenerate(params: RecurrenceParams) -> bool:
-    d = denominators(params)
-    return d.d1 * d.d2 != 0
-
-
 def random_sequence(rng: random.Random, nonzero_d: bool = False) -> SequenceDef:
-    """A random sequence with numerators and denominators in [-9, 9]."""
+    """A random sequence with numerators and denominators in [-9, 9]; with
+    *nonzero_d*, on a triple where the generic even/odd clauses hold."""
     while True:
-        params = RecurrenceParams(*(random_rational(rng) for _ in range(3)))
-        if not nonzero_d or _nondegenerate(params):
-            return SequenceDef(params, *(random_rational(rng) for _ in range(3)))
+        r, s, t = (random_rational(rng) for _ in range(3))
+        if not nonzero_d or _holds("generic", Parity.EVEN, r, s, t):
+            return SequenceDef.of(r, s, t, *(random_rational(rng) for _ in range(3)))
 
 
 def _oracle_terms(seq: SequenceDef, max_n: int) -> Callable[[int], Fraction]:
@@ -137,47 +129,36 @@ def sweep_parity_partition(seqs: Iterable[SequenceDef], max_n: int) -> SuiteRepo
     return report
 
 
-def _s_equals_one(rng: random.Random) -> RecurrenceParams:
-    """(r, 1, t) with r + t != 0 and d1*d2 != 0."""
+_SPECIALIZATION_MAX_N = 10
+
+
+def _pinned(rng: random.Random, condition: str) -> tuple[Fraction, ...]:
+    """(a, 1, b) for "s=1", else (-a, b, a) with t = a != 0 (backward clauses),
+    from random a and b, where *condition* holds.  The generic even/odd gate
+    then holds too: d1*d2 is (r + t)^2 under s = 1 and -(s - 1)^2 under r + t = 0."""
     while True:
-        r = random_rational(rng)
-        t = random_rational(rng)
-        params = RecurrenceParams(r, Fraction(1), t)
-        if r + t != 0 and _nondegenerate(params):
-            return params
+        a, b = random_rational(rng), random_rational(rng)
+        r, s, t = (a, Fraction(1), b) if condition == "s=1" else (-a, b, a)
+        if _holds(condition, Parity.EVEN, r, s, t) and (condition == "s=1" or t != 0):
+            return r, s, t
 
 
-def _r_plus_t_zero(rng: random.Random) -> RecurrenceParams:
-    """(-t, s, t) with t != 0, s != 1 and d1*d2 != 0."""
-    while True:
-        t = random_rational(rng)
-        s = random_rational(rng)
-        params = RecurrenceParams(-t, s, t)
-        if t != 0 and s != 1 and _nondegenerate(params):
-            return params
-
-
-# (parameter sampler, (special, generic) clause pairs, first n) per specialization.
-_SPECIALIZATIONS = (
-    (_s_equals_one, ((FormulaCase.FwdEven_S1, FormulaCase.FwdEven_Generic),
-                     (FormulaCase.FwdOdd_S1, FormulaCase.FwdOdd_Generic)), 0),
-    (_r_plus_t_zero, ((FormulaCase.BwdEven_RplusT0, FormulaCase.BwdEven_Generic),
-                      (FormulaCase.BwdOdd_RplusT0, FormulaCase.BwdOdd_Generic)), 1),
-)
-
-
-def sweep_specializations(rng: random.Random, count: int, max_n: int = 10) -> SuiteReport:
-    """The simplified clauses must agree with the generic ones, term for term.
-
-    Covers the s = 1 forward even/odd forms (needs r + t != 0) and the
-    r + t = 0 backward even/odd forms (needs s != 1 and d1*d2 != 0).
-    """
+def sweep_specializations(rng: random.Random, count: int) -> SuiteReport:
+    """Each "s=1" and "r+t=0" clause of :class:`FormulaCase` must agree with
+    the generic clause of its direction and parity, term for term, on *count*
+    :func:`_pinned` triples per condition and every bound n up to 10."""
     report = SuiteReport("specializations")
+    pairs = {condition: [(case, FormulaCase((*case.value[:2], "generic")))
+                         for case in FormulaCase if case.value[2] == condition]
+             for condition in ("s=1", "r+t=0")}
     for _ in range(count):
-        for sample, pairs, first in _SPECIALIZATIONS:
-            seq = SequenceDef(sample(rng), *(random_rational(rng) for _ in range(3)))
-            for n in range(first, max_n + 1):
-                for special, generic in pairs:
+        for condition, cases in pairs.items():
+            seq = SequenceDef.of(*_pinned(rng, condition),
+                                 *(random_rational(rng) for _ in range(3)))
+            for n in range(_SPECIALIZATION_MAX_N + 1):
+                for special, generic in cases:
+                    if n == 0 and special.value[0] is Direction.BACKWARD:
+                        continue  # backward sums start at n = 1
                     if closed_form_value(special, seq, n) == closed_form_value(generic, seq, n):
                         report.ok()
                     else:
@@ -205,9 +186,7 @@ def run_all(max_n: int = 100,
             random_count: int = 0,
             seed: int = 0) -> list[SuiteReport]:
     """The full verification battery, as driven by the CLI."""
-    entries: list[CatalogEntry] = list_all()
-    if seq_filter is not None:
-        entries = [lookup(seq_filter)]
+    entries = list_all() if seq_filter is None else [lookup(seq_filter)]
     seqs = [e.definition for e in entries]
     if random_count:
         rng = random.Random(seed)

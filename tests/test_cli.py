@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 import tribsum.sums as sums
-from tribsum.catalog import lookup
+from tribsum.catalog import list_all, lookup
 from tribsum.core import term_matrix
+from tribsum.oeis import default_fixture_dir
 from tribsum.cli import (
     EXIT_MISMATCH,
     EXIT_OEIS,
@@ -256,6 +257,61 @@ class TestOeisCheck:
         assert code == EXIT_OEIS
         assert "no alignment" in out
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_records(self, capsys, tmp_path, fmt):
+        """Each of the five outcomes: its exit code, its exact JSON record
+        and its exact text line."""
+        (tmp_path / "b001608.txt").write_text("".join(f"{n} 0\n" for n in range(40)))
+        trib = {"command": "oeis-check", "seq": "tribonacci", "oeis_id": "A000073",
+                "status": "aligned", "shift": 1}
+        missing = f"no fixture for A078012 at {tmp_path / 'b078012.txt'}"
+        cases = [
+            (("--seq", "tribonacci"), EXIT_OK,
+             {**trib, "matched": 50, "requested": 50, "ok": True},
+             "tribonacci: A000073 aligned (shift 1), 50/50 match"),
+            (("--seq", "tribonacci", "--count", "3000"), EXIT_OEIS,
+             {**trib, "matched": 100, "requested": 3000, "ok": False},
+             "tribonacci: A000073 aligned (shift 1), 100/3000 match"),
+            (("--seq", "pell-perrin"), EXIT_OK,
+             {"command": "oeis-check", "seq": "pell-perrin", "status": "skipped",
+              "reason": "no OEIS id"},
+             "pell-perrin: skipped: no OEIS id"),
+            (("--seq", "narayana", "--fixture-dir", str(tmp_path)), EXIT_OEIS,
+             {"command": "oeis-check", "seq": "narayana", "oeis_id": "A078012",
+              "status": "error", "reason": missing},
+             f"narayana: A078012 error: {missing}"),
+            (("--seq", "perrin", "--fixture-dir", str(tmp_path)), EXIT_OEIS,
+             {"command": "oeis-check", "seq": "perrin", "oeis_id": "A001608",
+              "status": "no-alignment"},
+             "perrin: A001608 no alignment found"),
+        ]
+        for argv, exit_code, record, text in cases:
+            code, out, err = run(capsys, "--format", fmt, "oeis-check", *argv)
+            assert (code, err) == (exit_code, "")
+            if fmt == "json":
+                assert [json.loads(line) for line in out.splitlines()] == [record]
+            else:
+                assert out == text + "\n"
+
+    def test_oversized_value_is_an_entry_error(self, capsys, tmp_path):
+        """A b-file value past the int conversion limit fails its own entry,
+        not the run; the limit itself is left as it was."""
+        lines = (default_fixture_dir() / "b000073.txt").read_text().splitlines()
+        lines[60] = "60 " + "7" * 5000
+        (tmp_path / "b000073.txt").write_text("\n".join(lines) + "\n")
+        (tmp_path / "b001608.txt").write_text(
+            (default_fixture_dir() / "b001608.txt").read_text())
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "--format", "json", "oeis-check",
+                             "--fixture-dir", str(tmp_path))
+        assert sys.get_int_max_str_digits() == limit
+        assert (code, err) == (EXIT_OEIS, "")
+        records = {r["seq"]: r for r in map(json.loads, out.splitlines())}
+        assert set(records) == {entry.key for entry in list_all()}
+        assert records["tribonacci"]["status"] == "error"
+        assert records["tribonacci"]["reason"].startswith("line 61: ")
+        assert records["perrin"]["ok"] is True
+
 
 class TestBench:
     def test_reports_speedup(self, capsys):
@@ -356,6 +412,22 @@ class TestJsonErrors:
                                        "--n", "-2")
         assert code == EXIT_USAGE
         assert record["error"] == "NegativeIndexWithZeroT"
+
+    @pytest.mark.parametrize("r, s", [("1", "1"), ("1/2", "1/2")],
+                             ids=["closed-form", "fallback"])
+    def test_backward_sum_zero_t(self, capsys, r, s):
+        """A backward sum with t = 0 fails with one message, whichever path
+        the triple would dispatch to."""
+        argv = ("sum", "--r", r, "--s", s, "--t", "0", "--w0", "0", "--w1", "1",
+                "--w2", "1", "--dir", "bwd", "--parity", "all", "--n", "3")
+        message = "backward sums need t != 0"
+        code, record = self.json_error(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert record == {"command": "sum", "status": "error",
+                          "error": "NegativeIndexWithZeroT", "message": message,
+                          "exit": EXIT_USAGE}
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
 
     def test_check_mismatch(self, capsys, monkeypatch):
         _break_fwd_all(monkeypatch)

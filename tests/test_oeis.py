@@ -43,6 +43,12 @@ class TestParse:
         with pytest.raises(MalformedBFile):
             parse_bfile("0 1\n2 3\n")
 
+    def test_value_past_digit_limit_rejected(self):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(MalformedBFile, match=r"^line 3: "):
+            parse_bfile("0 1\n# comment\n1 " + "9" * 5000 + "\n")
+        assert sys.get_int_max_str_digits() == limit
+
     def test_empty_rejected(self):
         with pytest.raises(MalformedBFile):
             parse_bfile("# only a comment\n")
