@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -30,6 +31,7 @@ EXIT_MISMATCH = 3
 EXIT_OEIS = 4
 
 _PARAM_FLAGS = ("r", "s", "t", "w0", "w1", "w2")
+_PARAM_OPTIONS = {f"--{flag}" for flag in _PARAM_FLAGS}
 
 
 class UsageError(Exception):
@@ -282,6 +284,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     # Filled as parsing goes: --format is set before any later argument fails.
     args = argparse.Namespace()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):  # argparse takes a separate "-p/q" for an option
+        if argv[i - 1] in _PARAM_OPTIONS and re.fullmatch(r"-\d+/\d+", argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
         parser.parse_args(argv, args)
         return args.func(args)

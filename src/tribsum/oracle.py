@@ -114,6 +114,8 @@ def oracle_sum(seq: SequenceDef, query: SumQuery) -> Fraction:
     The terms are added as scaled ints (Horner in q^step, so all share the
     last term's scale) and divided once at the end.
     """
+    if query.direction is Direction.BACKWARD and seq.params.t == 0:
+        raise NegativeIndexWithZeroT("backward sums need t != 0")
     first, q_step, den, added = _added(seq, query.direction, query.parity)
     count = query.n + 1 - first
     total = 0

@@ -12,15 +12,16 @@ do not vanish, plus dedicated formulas for the degenerate triple
 Parameter triples with no proven formula fall back to the literal sum,
 flagged as ``OracleFallback`` in the result.
 
-Each :class:`FormulaCase` value is its (direction, parity, condition); one
-predicate, :func:`_holds`, says where a condition is proven.  A clause reads
-plain values (r, s, t, W_0, W_1, W_2, n) and three consecutive terms: one
-:func:`~tribsum.core.scaled_window` and one division per sum.
+One table, :func:`_gate`, gives each condition's divisor; :func:`_holds`
+says where it is proven.  Clauses return numerators homogeneous in
+(r, s, t, o): a sum reads the ints L*(r, s, t, 1) and D*W of one
+:func:`~tribsum.core.scaled_window` and builds one Fraction.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -88,25 +89,47 @@ def denominators(params: RecurrenceParams) -> Denominators:
     return Denominators(r + s + t - 1, r - s + t + 1)
 
 
-def _holds(condition: str, parity: Parity, r, s, t) -> bool:
-    """Whether the clauses of *condition* are proven at (r, s, t); "generic"
-    gates on d1 (parity ALL) or d1*d2, and "oracle" never holds."""
+def _gate(condition: str, parity: Parity, r, s, t, o=1):
+    """The divisor of *condition*'s clauses at (r, s, t) over o: d1 = r+s+t-o
+    (parity ALL) or d1*d2, d2 = r-s+t+o, for "generic"; r + t for "s=1";
+    s - o for "r+t=0"; 2 (1 for EVEN) for "021".  Each clause's numerator is
+    homogeneous in (r, s, t, o) of its gate's degree, and at o = 1 it is the
+    paper's formula, term for term."""
     if condition == "generic":
-        d1 = r + s + t - 1
-        return (d1 if parity is Parity.ALL else d1 * (r - s + t + 1)) != 0
-    if condition == "021":
-        return (r, s, t) == (0, 2, 1)
+        d1 = r + s + t - o
+        return d1 if parity is Parity.ALL else d1 * (r - s + t + o)
     if condition == "s=1":
-        return s == 1 and r + t != 0
-    return condition == "r+t=0" and r + t == 0 and s != 1
+        return r + t
+    if condition == "r+t=0":
+        return s - o
+    return 1 if parity is Parity.EVEN else 2
+
+
+def _holds(condition: str, parity: Parity, r, s, t, o=1) -> bool:
+    """Whether *condition*'s clauses are proven at (r, s, t) over o: "021" at
+    (0, 2, 1), the others where pinned with a nonzero :func:`_gate`."""
+    if condition == "021":
+        return (r, s, t) == (0, 2 * o, o)
+    pinned = (condition == "generic" or condition == "s=1" and s == o
+              or condition == "r+t=0" and r + t == 0)
+    return pinned and _gate(condition, parity, r, s, t, o) != 0
+
+
+def _integer_triple(params: RecurrenceParams) -> tuple[int, int, int, int]:
+    """(R, S, T, L) = L*(r, s, t, 1), L the least common denominator of r, s, t."""
+    r, s, t = params.r, params.s, params.t
+    L = math.lcm(r.denominator, s.denominator, t.denominator)
+    return (r.numerator * (L // r.denominator), s.numerator * (L // s.denominator),
+            t.numerator * (L // t.denominator), L)
 
 
 def select_case(params: RecurrenceParams, query: SumQuery) -> FormulaCase:
     """The clause of the first of "021" (d2 = 0 there) and "generic" that
     :func:`_holds`, else the oracle fallback.  The S1 and RplusT0 clauses
     specialize the generic ones: cross-checks, never dispatched to."""
+    triple = _integer_triple(params)
     for condition in ("021", "generic"):
-        if _holds(condition, query.parity, params.r, params.s, params.t):
+        if _holds(condition, query.parity, *triple):
             return FormulaCase((query.direction, query.parity, condition))
     return FormulaCase.OracleFallback
 
@@ -114,107 +137,96 @@ def select_case(params: RecurrenceParams, query: SumQuery) -> FormulaCase:
 TermFn = Callable[[int], Fraction]
 
 
-def _fwd_all_generic(r, s, t, w0, w1, w2, n: int, term: TermFn) -> Fraction:
-    num = (term(n + 3) + (1 - r) * term(n + 2)
-           + (1 - r - s) * term(n + 1)
-           - w2 + (r - 1) * w1 + (r + s - 1) * w0)
-    return num / (r + s + t - 1)
+def _fwd_all_generic(r, s, t, o, w0, w1, w2, n: int, term: TermFn):
+    return (o * term(n + 3) + (o - r) * term(n + 2) + (o - r - s) * term(n + 1)
+            - o * w2 + (r - o) * w1 + (r + s - o) * w0)
 
 
-def _fwd_even_generic(r, s, t, w0, w1, w2, n: int, term: TermFn) -> Fraction:
-    num = ((1 - s) * term(2 * n + 2)
-           + (t + r * s) * term(2 * n + 1)
-           + (t * t + r * t) * term(2 * n)
-           + (s - 1) * w2
-           + (-t - r * s) * w1
-           + (-1 + r * r - s * s + r * t + 2 * s) * w0)
-    return num / ((r + s + t - 1) * (r - s + t + 1))
+def _fwd_even_generic(r, s, t, o, w0, w1, w2, n: int, term: TermFn):
+    return ((o - s) * o * term(2 * n + 2)
+            + (o * t + r * s) * term(2 * n + 1)
+            + (t * t + r * t) * term(2 * n)
+            + (s - o) * o * w2
+            + (-o * t - r * s) * w1
+            + (-o * o + r * r - s * s + r * t + 2 * s * o) * w0)
 
 
-def _fwd_odd_generic(r, s, t, w0, w1, w2, n: int, term: TermFn) -> Fraction:
-    num = ((r + t) * term(2 * n + 2)
-           + (s - s * s + t * t + r * t) * term(2 * n + 1)
-           + (t - s * t) * term(2 * n)
-           + (-r - t) * w2
-           + (-1 + s + r * r + r * t) * w1
-           + (-t + s * t) * w0)
-    return num / ((r + s + t - 1) * (r - s + t + 1))
+def _fwd_odd_generic(r, s, t, o, w0, w1, w2, n: int, term: TermFn):
+    return ((r + t) * o * term(2 * n + 2)
+            + (s * o - s * s + t * t + r * t) * term(2 * n + 1)
+            + (t * o - s * t) * term(2 * n)
+            + (-r - t) * o * w2
+            + (-o * o + s * o + r * r + r * t) * w1
+            + (-t * o + s * t) * w0)
 
 
-def _fwd_even_s1(r, s, t, w0, w1, w2, n: int, term: TermFn) -> Fraction:
-    return (term(2 * n + 1) + t * term(2 * n) - w1 + r * w0) / (r + t)
+def _fwd_even_s1(r, s, t, o, w0, w1, w2, n: int, term: TermFn):
+    return o * term(2 * n + 1) + t * term(2 * n) - o * w1 + r * w0
 
 
-def _fwd_odd_s1(r, s, t, w0, w1, w2, n: int, term: TermFn) -> Fraction:
-    return (term(2 * n + 2) + t * term(2 * n + 1) - w2 + r * w1) / (r + t)
+def _fwd_odd_s1(r, s, t, o, w0, w1, w2, n: int, term: TermFn):
+    return o * term(2 * n + 2) + t * term(2 * n + 1) - o * w2 + r * w1
 
 
-def _fwd_021_all(r, s, t, w0, w1, w2, n: int, term: TermFn) -> Fraction:
-    return (term(n + 3) + term(n + 2) - term(n + 1) - w2 - w1 + w0) / 2
+def _fwd_021_all(r, s, t, o, w0, w1, w2, n: int, term: TermFn):
+    return term(n + 3) + term(n + 2) - term(n + 1) - w2 - w1 + w0
 
 
-def _fwd_021_even(r, s, t, w0, w1, w2, n: int, term: TermFn) -> Fraction:
+def _fwd_021_even(r, s, t, o, w0, w1, w2, n: int, term: TermFn):
     return term(2 * n + 1) + (w2 - w1 - w0) * n + w0 - w1
 
 
-def _fwd_021_odd(r, s, t, w0, w1, w2, n: int, term: TermFn) -> Fraction:
+def _fwd_021_odd(r, s, t, o, w0, w1, w2, n: int, term: TermFn):
     # Reads 2n..2n+2 like the other even/odd clauses: here W_{2n+3} = 2*W_{2n+1} + W_{2n}.
     return (term(2 * n + 2) + term(2 * n + 1) + term(2 * n)
-            + 2 * n * (-w2 + w1 + w0) - w2 + w1 - w0) / 2
+            + 2 * n * (-w2 + w1 + w0) - w2 + w1 - w0)
 
 
-def _bwd_all_generic(r, s, t, w0, w1, w2, n: int, term: TermFn) -> Fraction:
-    num = (-(r + s + t) * term(-n - 1)
-           - (s + t) * term(-n - 2)
-           - t * term(-n - 3)
-           + w2 + (1 - r) * w1 + (1 - r - s) * w0)
-    return num / (r + s + t - 1)
+def _bwd_all_generic(r, s, t, o, w0, w1, w2, n: int, term: TermFn):
+    return (-(r + s + t) * term(-n - 1) - (s + t) * term(-n - 2) - t * term(-n - 3)
+            + o * w2 + (o - r) * w1 + (o - r - s) * w0)
 
 
-def _bwd_even_generic(r, s, t, w0, w1, w2, n: int, term: TermFn) -> Fraction:
-    num = (-(r + t) * term(-2 * n + 1)
-           + (r * r + r * t + s - 1) * term(-2 * n)
-           + (s * t - t) * term(-2 * n - 1)
-           + (1 - s) * w2
-           + (t + r * s) * w1
-           + (1 - r * t - 2 * s - r * r + s * s) * w0)
-    return num / ((r + s + t - 1) * (r - s + t + 1))
+def _bwd_even_generic(r, s, t, o, w0, w1, w2, n: int, term: TermFn):
+    return (-(r + t) * o * term(-2 * n + 1)
+            + (r * r + r * t + s * o - o * o) * term(-2 * n)
+            + (s * t - t * o) * term(-2 * n - 1)
+            + (o - s) * o * w2
+            + (t * o + r * s) * w1
+            + (o * o - r * t - 2 * s * o - r * r + s * s) * w0)
 
 
-def _bwd_odd_generic(r, s, t, w0, w1, w2, n: int, term: TermFn) -> Fraction:
-    num = ((s - 1) * term(-2 * n + 1)
-           - (t + r * s) * term(-2 * n)
-           - (t * t + r * t) * term(-2 * n - 1)
-           + (r + t) * w2
-           + (1 - r * r - r * t - s) * w1
-           + (t - s * t) * w0)
-    return num / ((r + s + t - 1) * (r - s + t + 1))
+def _bwd_odd_generic(r, s, t, o, w0, w1, w2, n: int, term: TermFn):
+    return ((s - o) * o * term(-2 * n + 1)
+            - (t * o + r * s) * term(-2 * n)
+            - (t * t + r * t) * term(-2 * n - 1)
+            + (r + t) * o * w2
+            + (o * o - r * r - r * t - s * o) * w1
+            + (t * o - s * t) * w0)
 
 
-def _bwd_even_r_plus_t_zero(r, s, t, w0, w1, w2, n: int, term: TermFn) -> Fraction:
-    return (-term(-2 * n) - t * term(-2 * n - 1)
-            + w2 + t * w1 + (1 - s) * w0) / (s - 1)
+def _bwd_even_r_plus_t_zero(r, s, t, o, w0, w1, w2, n: int, term: TermFn):
+    return -o * term(-2 * n) - t * term(-2 * n - 1) + o * w2 + t * w1 + (o - s) * w0
 
 
-def _bwd_odd_r_plus_t_zero(r, s, t, w0, w1, w2, n: int, term: TermFn) -> Fraction:
-    return (-term(-2 * n + 1) - t * term(-2 * n) + w1 + t * w0) / (s - 1)
+def _bwd_odd_r_plus_t_zero(r, s, t, o, w0, w1, w2, n: int, term: TermFn):
+    return -o * term(-2 * n + 1) - t * term(-2 * n) + o * w1 + t * w0
 
 
-def _bwd_021_all(r, s, t, w0, w1, w2, n: int, term: TermFn) -> Fraction:
-    return (-3 * term(-n - 1) - 3 * term(-n - 2)
-            - term(-n - 3) + w2 + w1 - w0) / 2
+def _bwd_021_all(r, s, t, o, w0, w1, w2, n: int, term: TermFn):
+    return -3 * term(-n - 1) - 3 * term(-n - 2) - term(-n - 3) + w2 + w1 - w0
 
 
-def _bwd_021_even(r, s, t, w0, w1, w2, n: int, term: TermFn) -> Fraction:
+def _bwd_021_even(r, s, t, o, w0, w1, w2, n: int, term: TermFn):
     return -term(-2 * n + 1) + term(-2 * n) + (w1 - w0) + (w2 - w1 - w0) * n
 
 
-def _bwd_021_odd(r, s, t, w0, w1, w2, n: int, term: TermFn) -> Fraction:
+def _bwd_021_odd(r, s, t, o, w0, w1, w2, n: int, term: TermFn):
     return (term(-2 * n + 1) - 3 * term(-2 * n) - term(-2 * n - 1)
-            + (w2 - w1 + w0) + 2 * (-w2 + w1 + w0) * n) / 2
+            + (w2 - w1 + w0) + 2 * (-w2 + w1 + w0) * n)
 
 
-_CLOSED_FORMS: dict[FormulaCase, Callable[..., Fraction]] = {
+_CLOSED_FORMS: dict[FormulaCase, Callable] = {
     FormulaCase.FwdAll_Generic: _fwd_all_generic,
     FormulaCase.FwdEven_Generic: _fwd_even_generic,
     FormulaCase.FwdOdd_Generic: _fwd_odd_generic,
@@ -240,27 +252,31 @@ def closed_form_value(case: FormulaCase, seq: SequenceDef, n: int,
 
     ValueError where :func:`_holds` fails a special condition, and for
     OracleFallback; a generic clause off its gate divides by zero.  n follows
-    :class:`SumQuery`'s rules.  *term* supplies the terms; by default the
-    clause reads one window (a lookup raising KeyError elsewhere) on the ints
-    D*W, D its common denominator, and the value is divided by D once."""
+    :class:`SumQuery`'s rules; a backward clause needs t != 0.  *term*
+    supplies the terms, and the clause at (r, s, t, 1) is divided by its gate.
+    By default the clause reads one window (a lookup raising KeyError
+    elsewhere) on ints, :func:`_integer_triple` and D*W with D the window's
+    common denominator, and the sum is one Fraction over gate*D."""
     direction, parity, condition = case.value
-    r, s, t = seq.params.r, seq.params.s, seq.params.t
-    if condition != "generic" and not _holds(condition, parity, r, s, t):
+    p = seq.params
+    r, s, t, o = (p.r, p.s, p.t, 1) if term is not None else _integer_triple(p)
+    if condition != "generic" and not _holds(condition, parity, r, s, t, o):
         raise ValueError(f"{case.name} is not a proven closed form at "
-                         f"(r, s, t) = ({r}, {s}, {t})")
+                         f"(r, s, t) = ({p.r}, {p.s}, {p.t})")
     SumQuery(direction, parity, n)  # checks n by the query's rules
+    if direction is Direction.BACKWARD and t == 0:
+        raise NegativeIndexWithZeroT("backward sums need t != 0")
+    clause, gate = _CLOSED_FORMS[case], _gate(condition, parity, r, s, t, o)
     if term is not None:
-        return _CLOSED_FORMS[case](r, s, t, seq.w0, seq.w1, seq.w2, n, term)
+        return clause(r, s, t, o, seq.w0, seq.w1, seq.w2, n, term) / gate
     if direction is Direction.FORWARD:  # m: the window's first index
         m = n + 1 if parity is Parity.ALL else 2 * n
     else:
         m = -n - 3 if parity is Parity.ALL else -2 * n - 1
     nums, den = scaled_window(seq, m)
-    # Fractions, so that an all-int clause still divides exactly.
-    w0, w1, w2 = (Fraction(w.numerator * (den // w.denominator))
-                  for w in (seq.w0, seq.w1, seq.w2))
+    w0, w1, w2 = (w.numerator * (den // w.denominator) for w in (seq.w0, seq.w1, seq.w2))
     term = dict(zip(range(m, m + 3), nums)).__getitem__
-    return _CLOSED_FORMS[case](r, s, t, w0, w1, w2, n, term) / den
+    return Fraction(clause(r, s, t, o, w0, w1, w2, n, term), gate * den)
 
 
 def _brief(value: Fraction) -> str:
@@ -276,8 +292,6 @@ def evaluate(seq: SequenceDef, query: SumQuery, check: bool = False) -> SumResul
     sum and a :class:`SumMismatch` is raised on disagreement.  The fallback
     value is the literal sum itself, so it is computed only once.
     """
-    if query.direction is Direction.BACKWARD and seq.params.t == 0:
-        raise NegativeIndexWithZeroT("backward sums need t != 0")
     case = select_case(seq.params, query)
     if case is FormulaCase.OracleFallback:
         return SumResult(sum_oracle(seq, query), case, oracle_checked=check)

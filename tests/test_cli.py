@@ -6,7 +6,7 @@ import pytest
 
 import tribsum.sums as sums
 from tribsum.catalog import list_all, lookup
-from tribsum.core import term_matrix
+from tribsum.core import SequenceDef, format_rational, term_matrix
 from tribsum.oeis import default_fixture_dir
 from tribsum.cli import (
     EXIT_MISMATCH,
@@ -27,7 +27,7 @@ def _break_fwd_all(monkeypatch):
     """Make the FwdAll_Generic clause return 999 for every query."""
     broken = dict(sums._CLOSED_FORMS)
     broken[sums.FormulaCase.FwdAll_Generic] = (
-        lambda r, s, t, w0, w1, w2, n, term: Fraction(999))
+        lambda r, s, t, o, w0, w1, w2, n, term: Fraction(999))
     monkeypatch.setattr(sums, "_CLOSED_FORMS", broken)
 
 
@@ -164,6 +164,26 @@ class TestSum:
                            "--check")
         assert code == EXIT_MISMATCH
         assert "FwdAll_Generic gave 999" in err
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_separate_negative_fraction(self, capsys, fmt):
+        """A rational option takes "-p/q" as its own argument, as it takes
+        "--s=-p/q"; --n and the other arguments parse as before."""
+        tail = ("--t", "2/9", "--w1", "0", "--w2", "-3", "--dir", "bwd",
+                "--parity", "odd", "--n", "40", "--check")
+        separate = run(capsys, "--format", fmt, "sum", "--r", "3/7",
+                       "--s", "-5/4", "--w0", "-1/2", *tail)
+        joined = run(capsys, "--format", fmt, "sum", "--r", "3/7",
+                     "--s=-5/4", "--w0=-1/2", *tail)
+        assert separate == joined
+        code, out, err = separate
+        seq = SequenceDef.of("3/7", "-5/4", "2/9", "-1/2", 0, -3)
+        assert (code, err) == (EXIT_OK, "")
+        assert format_rational(sums.sum_backward_odd(seq, 40).value) in out
+        code, out, err = run(capsys, "--format", fmt, "sum", "--seq", "tribonacci",
+                             "--dir", "fwd", "--parity", "all", "--n", "-5")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "forward sums need n >= 0" in err
 
     def test_backward_n_zero_rejected(self, capsys):
         code, _, _ = run(capsys, "sum", "--seq", "tribonacci",
@@ -454,7 +474,12 @@ class TestJsonErrors:
           "--n", "3"), "sum", "argument --dir: invalid choice: 'up'"),
         (("catalog", "--bogus"), "catalog", "unrecognized arguments: --bogus"),
         ((), None, "the following arguments are required: subcommand"),
-    ], ids=["bad-int", "bad-choice", "unrecognized", "no-subcommand"])
+        (("term", "--seq", "tribonacci", "--n", "-5/4"), "term",
+         "argument --n: expected one argument"),
+        (("term", "--seq", "tribonacci", "--n", "3", "--s"), "term",
+         "argument --s: expected one argument"),
+    ], ids=["bad-int", "bad-choice", "unrecognized", "no-subcommand",
+            "n-negative-fraction", "s-without-value"])
     def test_argparse_error(self, capsys, argv, command, message):
         code, record = self.json_error(capsys, *argv)
         assert code == EXIT_USAGE

@@ -183,6 +183,19 @@ class TestBackwardSums:
         with pytest.raises(NegativeIndexWithZeroT):
             sum_backward_all(seq, 3)
 
+    @pytest.mark.parametrize("parity", list(Parity), ids=lambda p: p.value)
+    def test_zero_t_one_message(self, parity):
+        """Every backward path names the sum, not an index it would walk to."""
+        seq = seq_of(1, 1, 0, 0, 1, 1)  # d1 = d2 = 1: the generic clauses hold
+        query = SumQuery(Direction.BACKWARD, parity, 3)
+        case = FormulaCase((Direction.BACKWARD, parity, "generic"))
+        for call in (lambda: closed_form_value(case, seq, 3),
+                     lambda: closed_form_value(case, seq, 3, term=term_iterative),
+                     lambda: sum_oracle(seq, query), lambda: evaluate(seq, query)):
+            with pytest.raises(NegativeIndexWithZeroT,
+                               match=r"^backward sums need t != 0$"):
+                call()
+
 
 class TestSumOracle:
     def test_forward_all(self, tribonacci):
@@ -236,7 +249,7 @@ class TestEvaluate:
         import tribsum.sums as sums
         broken = dict(sums._CLOSED_FORMS)
         broken[FormulaCase.FwdAll_Generic] = (
-            lambda r, s, t, w0, w1, w2, n, term: Fraction(999))
+            lambda r, s, t, o, w0, w1, w2, n, term: Fraction(999))
         monkeypatch.setattr(sums, "_CLOSED_FORMS", broken)
         with pytest.raises(SumMismatch):
             sums.evaluate(tribonacci,
@@ -361,6 +374,16 @@ CLOSED_CASES = [c for c in FormulaCase if c is not FormulaCase.OracleFallback]
 Q252_SEQ = seq_of(Fraction(3, 7), Fraction(-5, 4), Fraction(2, 9),
                   Fraction(1, 2), -3, Fraction(4, 5))
 
+# A sequence meeting each condition on a triple with a common denominator
+# L > 1, so that the integer path scales it; only (0, 2, 1) meets "021".
+SCALED_SEQ = {
+    "generic": Q252_SEQ,
+    "s=1": seq_of(Fraction(1, 2), 1, Fraction(2, 3), 1, Fraction(-1, 3), 2),
+    "r+t=0": seq_of(Fraction(-2, 3), Fraction(3, 2), Fraction(2, 3),
+                    1, Fraction(1, 2), -1),
+    "021": CONDITION_SEQ["021"],
+}
+
 
 class TestWindowDispatch:
     @pytest.mark.parametrize("case", CLOSED_CASES, ids=lambda c: c.name)
@@ -388,7 +411,7 @@ class TestWindowDispatch:
     def test_default_window_rejects_outside_index(self, tribonacci, monkeypatch):
         broken = dict(sums._CLOSED_FORMS)
         broken[FormulaCase.FwdAll_Generic] = (
-            lambda r, s, t, w0, w1, w2, n, term: term(n))
+            lambda r, s, t, o, w0, w1, w2, n, term: term(n))
         monkeypatch.setattr(sums, "_CLOSED_FORMS", broken)
         with pytest.raises(KeyError):
             closed_form_value(FormulaCase.FwdAll_Generic, tribonacci, 7)
@@ -477,7 +500,8 @@ def table_term(seq, n):
 
 
 class TestIntegerCombine:
-    """Without a *term*, a clause runs on D*W and divides by D once."""
+    """Without a *term*, a clause runs on L*(r, s, t, 1) and D*W, and the sum
+    is one Fraction over its gate times D."""
 
     @given(r=rationals, s=rationals, t=rationals,
            w0=rationals, w1=rationals, w2=rationals,
@@ -486,17 +510,66 @@ class TestIntegerCombine:
     @example(r=Fraction(3, 7), s=Fraction(-5, 4), t=Fraction(2, 9),
              w0=Fraction(1, 2), w1=Fraction(-3), w2=Fraction(4, 5), n=0)
     def test_generic_random(self, r, s, t, w0, w1, w2, n):
-        seq = seq_of(r, s, t, w0, w1, w2)
-        d = denominators(seq.params)
-        assume(d.d1 * d.d2 != 0)
-        term = table_term(seq, n)
+        """Every closed case, on the random triple pinned to its condition."""
+        pinned = {"generic": (r, s, t), "s=1": (r, 1, t), "r+t=0": (-t, s, t),
+                  "021": (0, 2, 1)}
         for case in CLOSED_CASES:
-            direction, _, condition = case.value
-            if condition != "generic" or (direction is Direction.BACKWARD
-                                          and (t == 0 or n == 0)):
+            direction, parity, condition = case.value
+            triple = pinned[condition]
+            if not sums._holds(condition, parity, *triple) or (
+                    direction is Direction.BACKWARD and (triple[2] == 0 or n == 0)):
                 continue
+            seq = seq_of(*triple, w0, w1, w2)
             assert closed_form_value(case, seq, n) == closed_form_value(
-                case, seq, n, term=term)
+                case, seq, n, term=table_term(seq, n))
+
+    @pytest.mark.parametrize("case", CLOSED_CASES, ids=lambda c: c.name)
+    @given(k=st.integers(min_value=2, max_value=10**6),
+           n=st.integers(min_value=0, max_value=30))
+    @settings(max_examples=20, deadline=None)
+    def test_clause_is_homogeneous(self, case, k, n):
+        """clause(k*r, k*s, k*t, k) over its gate there is the sum at o = 1."""
+        direction, parity, condition = case.value
+        seq = SCALED_SEQ[condition]
+        n += direction is Direction.BACKWARD
+        term = table_term(seq, n)
+
+        def value(o):
+            scaled = (o * seq.params.r, o * seq.params.s, o * seq.params.t, o)
+            numerator = sums._CLOSED_FORMS[case](*scaled, seq.w0, seq.w1, seq.w2,
+                                                 n, term)
+            return numerator / sums._gate(condition, parity, *scaled)
+
+        assert value(k) == value(1) == closed_form_value(case, seq, n, term=term)
+
+    @pytest.mark.parametrize("case", CLOSED_CASES, ids=lambda c: c.name)
+    def test_one_fraction_per_sum(self, monkeypatch, tribonacci, case):
+        """Counting every Fraction constructed: the integer path builds only
+        the one it returns, and dispatch builds none."""
+        direction, parity, condition = case.value
+        seqs = [Q252_SEQ, tribonacci] if condition == "generic" else [SCALED_SEQ[condition]]
+        bounds = (0, 1, 300) if direction is Direction.FORWARD else (1, 300)
+        built = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        for seq, n in itertools.product(seqs, bounds):
+            query = SumQuery(direction, parity, n)
+            expected = sum_oracle(seq, query)
+            built.clear()
+            monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+            value = closed_form_value(case, seq, n)
+            monkeypatch.undo()
+            assert value == expected
+            assert len(built) == 1
+            built.clear()
+            monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+            select_case(seq.params, query)
+            monkeypatch.undo()
+            assert built == []
 
     @pytest.mark.parametrize("family", list(WINDOW_START),
                              ids=lambda f: f"{f[0].value}-{f[1].value}")
