@@ -9,8 +9,7 @@ confirmed by the alignment search in :mod:`tribsum.oeis`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import SequenceDef
 
@@ -23,8 +22,7 @@ class UnknownSequence(KeyError):
         return Exception.__str__(self)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     key: str
     display_name: str
     definition: SequenceDef

@@ -19,7 +19,7 @@ import time
 from pathlib import Path
 from typing import Optional
 
-from . import oracle, verify
+from . import oracle
 from .catalog import CatalogEntry, UnknownSequence, list_all, lookup
 from .core import NegativeIndexWithZeroT, SequenceDef, format_rational, term_matrix
 from .oeis import AlignmentStatus, FixtureMissing, MalformedBFile, align, fetch_bfile
@@ -130,6 +130,7 @@ def _cmd_sum(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify  # only this subcommand needs verify and identities
     _require_at_least("--max-n", args.max_n, 0)
     _require_at_least("--random", args.random, 0)
     reports = verify.run_all(max_n=args.max_n, seq_filter=args.seq,
@@ -216,11 +217,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_catalog(args: argparse.Namespace) -> int:
     for entry in list_all():
         seq = entry.definition
-        params = (f"r={format_rational(seq.params.r)} "
-                  f"s={format_rational(seq.params.s)} "
-                  f"t={format_rational(seq.params.t)}")
-        init = (f"W0={format_rational(seq.w0)} W1={format_rational(seq.w1)} "
-                f"W2={format_rational(seq.w2)}")
+        params = " ".join(f"{k}={format_rational(v)}" for k, v in zip("rst", seq.params))
+        init = " ".join(f"W{j}={format_rational(w)}"
+                        for j, w in enumerate((seq.w0, seq.w1, seq.w2)))
         ids = ", ".join(entry.oeis_ids) if entry.oeis_ids else "-"
         _emit(args, {"command": "catalog", "key": entry.key,
                      "display_name": entry.display_name,

@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -58,44 +57,36 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-@dataclass(frozen=True)
-class RecurrenceParams:
+# The records below are tuples.  NamedTuple forbids defining __new__ in its
+# class body, so each one that coerces or checks its fields subclasses one.
+_Params = NamedTuple("_Params", [("r", Fraction), ("s", Fraction), ("t", Fraction)])
+
+
+class RecurrenceParams(_Params):
     """The coefficient triple (r, s, t) of the recurrence."""
 
-    r: Fraction
-    s: Fraction
-    t: Fraction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for attr in ("r", "s", "t"):
-            object.__setattr__(self, attr, as_rational(getattr(self, attr)))
+    def __new__(cls, r: RationalLike, s: RationalLike, t: RationalLike) -> "RecurrenceParams":
+        return super().__new__(cls, as_rational(r), as_rational(s), as_rational(t))
 
 
-@dataclass(frozen=True)
-class SequenceDef:
+_Sequence = NamedTuple("_Sequence", [("params", RecurrenceParams), ("w0", Fraction),
+                                     ("w1", Fraction), ("w2", Fraction), ("name", Optional[str])])
+
+
+class SequenceDef(_Sequence):
     """A recurrence plus its three initial terms and optional metadata."""
 
-    params: RecurrenceParams
-    w0: Fraction
-    w1: Fraction
-    w2: Fraction
-    name: Optional[str] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for attr in ("w0", "w1", "w2"):
-            object.__setattr__(self, attr, as_rational(getattr(self, attr)))
+    def __new__(cls, params: RecurrenceParams, w0: RationalLike, w1: RationalLike,
+                w2: RationalLike, name: Optional[str] = None) -> "SequenceDef":
+        return super().__new__(cls, params, *map(as_rational, (w0, w1, w2)), name)
 
     @classmethod
-    def of(
-        cls,
-        r: RationalLike,
-        s: RationalLike,
-        t: RationalLike,
-        w0: RationalLike,
-        w1: RationalLike,
-        w2: RationalLike,
-        name: Optional[str] = None,
-    ) -> "SequenceDef":
+    def of(cls, r: RationalLike, s: RationalLike, t: RationalLike, w0: RationalLike,
+           w1: RationalLike, w2: RationalLike, name: Optional[str] = None) -> "SequenceDef":
         return cls(RecurrenceParams(r, s, t), w0, w1, w2, name)
 
 
@@ -116,21 +107,22 @@ class Parity(enum.Enum):
     ODD = "odd"
 
 
-@dataclass(frozen=True)
-class SumQuery:
+_Query = NamedTuple("_Query", [("direction", Direction), ("parity", Parity), ("n", int)])
+
+
+class SumQuery(_Query):
     """Which sum is requested: direction x parity x bound n."""
 
-    direction: Direction
-    parity: Parity
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _require_int(self.n, "the bound n")
-        if self.direction is Direction.BACKWARD:
-            if self.n < 1:
+    def __new__(cls, direction: Direction, parity: Parity, n: int) -> "SumQuery":
+        _require_int(n, "the bound n")
+        if direction is Direction.BACKWARD:
+            if n < 1:
                 raise ValueError("backward sums start at k = 1; need n >= 1")
-        elif self.n < 0:
+        elif n < 0:
             raise ValueError("forward sums need n >= 0")
+        return super().__new__(cls, direction, parity, n)
 
 
 def query_indices(query: SumQuery) -> list[int]:
@@ -145,12 +137,15 @@ def query_indices(query: SumQuery) -> list[int]:
 IntRow = tuple[int, int, int]
 
 
-@dataclass
 class MultiplicationCounter:
     """Counts the polynomial steps of :func:`scaled_window` (each square or
     shift by y is one tick) and its final combine, for cost assertions."""
 
-    count: int = field(default=0)
+    def __init__(self, count: int = 0) -> None:
+        self.count = count
+
+    def __repr__(self) -> str:
+        return f"MultiplicationCounter(count={self.count!r})"
 
     def tick(self) -> None:
         self.count += 1

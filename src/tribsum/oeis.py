@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import SequenceDef
 from .oracle import term_table
@@ -45,8 +43,7 @@ class AlignmentStatus(enum.Enum):
     NO_ALIGNMENT = "no-alignment"
 
 
-@dataclass(frozen=True)
-class BFile:
+class BFile(NamedTuple):
     oeis_id: str
     entries: tuple[tuple[int, int], ...]
 
@@ -61,8 +58,7 @@ class BFile:
         return self.entries[index - first][1]
 
 
-@dataclass(frozen=True)
-class AlignmentReport:
+class AlignmentReport(NamedTuple):
     oeis_id: str
     shift: Optional[int]
     matched_terms: int
@@ -128,8 +124,9 @@ def _fixture_filename(oeis_id: str) -> str:
 
 
 def default_fixture_dir() -> Path:
-    """The bundled fixture directory."""
-    return Path(str(resources.files("tribsum") / "fixtures"))
+    """The bundled fixture directory, next to this module (what
+    ``importlib.resources.files`` gives for an installed or source tree)."""
+    return Path(__file__).parent / "fixtures"
 
 
 def fetch_bfile(oeis_id: str, fixture_dir: Optional[Path] = None) -> BFile:

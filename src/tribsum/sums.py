@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .core import (  # Direction, Parity, SumQuery, query_indices: re-exported
     Direction,
@@ -63,16 +62,14 @@ class FormulaCase(enum.Enum):
     OracleFallback = (None, None, "oracle")
 
 
-@dataclass(frozen=True)
-class Denominators:
+class Denominators(NamedTuple):
     """The two gate expressions whose vanishing disables the closed forms."""
 
     d1: Fraction
     d2: Fraction
 
 
-@dataclass(frozen=True)
-class SumResult:
+class SumResult(NamedTuple):
     value: Fraction
     case_used: FormulaCase
     oracle_checked: bool = False
@@ -123,15 +120,18 @@ def _integer_triple(params: RecurrenceParams) -> tuple[int, int, int, int]:
             t.numerator * (L // t.denominator), L)
 
 
-def select_case(params: RecurrenceParams, query: SumQuery) -> FormulaCase:
-    """The clause of the first of "021" (d2 = 0 there) and "generic" that
-    :func:`_holds`, else the oracle fallback.  The S1 and RplusT0 clauses
-    specialize the generic ones: cross-checks, never dispatched to."""
-    triple = _integer_triple(params)
+def _dispatch(triple: tuple[int, int, int, int], query: SumQuery) -> FormulaCase:
     for condition in ("021", "generic"):
         if _holds(condition, query.parity, *triple):
             return FormulaCase((query.direction, query.parity, condition))
     return FormulaCase.OracleFallback
+
+
+def select_case(params: RecurrenceParams, query: SumQuery) -> FormulaCase:
+    """The clause of the first of "021" (d2 = 0 there) and "generic" that
+    :func:`_holds`, else the oracle fallback.  The S1 and RplusT0 clauses
+    specialize the generic ones: cross-checks, never dispatched to."""
+    return _dispatch(_integer_triple(params), query)
 
 
 TermFn = Callable[[int], Fraction]
@@ -259,11 +259,20 @@ def closed_form_value(case: FormulaCase, seq: SequenceDef, n: int,
     common denominator, and the sum is one Fraction over gate*D."""
     direction, parity, condition = case.value
     p = seq.params
-    r, s, t, o = (p.r, p.s, p.t, 1) if term is not None else _integer_triple(p)
-    if condition != "generic" and not _holds(condition, parity, r, s, t, o):
+    triple = (p.r, p.s, p.t, 1) if term is not None else _integer_triple(p)
+    if condition != "generic" and not _holds(condition, parity, *triple):
         raise ValueError(f"{case.name} is not a proven closed form at "
                          f"(r, s, t) = ({p.r}, {p.s}, {p.t})")
     SumQuery(direction, parity, n)  # checks n by the query's rules
+    return _combine(case, seq, n, triple, term)
+
+
+def _combine(case: FormulaCase, seq: SequenceDef, n: int, triple: tuple,
+             term: TermFn | None = None) -> Fraction:
+    """:func:`closed_form_value` past its checks of *case* and n, on *triple*
+    = (r, s, t, 1) with *term*, else = :func:`_integer_triple`."""
+    direction, parity, condition = case.value
+    r, s, t, o = triple
     if direction is Direction.BACKWARD and t == 0:
         raise NegativeIndexWithZeroT("backward sums need t != 0")
     clause, gate = _CLOSED_FORMS[case], _gate(condition, parity, r, s, t, o)
@@ -292,10 +301,11 @@ def evaluate(seq: SequenceDef, query: SumQuery, check: bool = False) -> SumResul
     sum and a :class:`SumMismatch` is raised on disagreement.  The fallback
     value is the literal sum itself, so it is computed only once.
     """
-    case = select_case(seq.params, query)
+    triple = _integer_triple(seq.params)
+    case = _dispatch(triple, query)
     if case is FormulaCase.OracleFallback:
         return SumResult(sum_oracle(seq, query), case, oracle_checked=check)
-    value = closed_form_value(case, seq, query.n)
+    value = _combine(case, seq, query.n, triple)
     if check:
         expected = sum_oracle(seq, query)
         if value != expected:

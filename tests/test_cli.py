@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import tribsum
 import tribsum.sums as sums
 from tribsum.catalog import list_all, lookup
 from tribsum.core import SequenceDef, format_rational, term_matrix
@@ -505,3 +509,41 @@ class TestJsonErrors:
                            "--parity", "all", "--n", "10", "--check")
         assert code == EXIT_MISMATCH
         assert err.startswith("mismatch: FwdAll_Generic gave 999")
+
+
+# Modules a cold term, sum, catalog or oeis-check call must not load.
+_COLD_UNUSED = {"dataclasses", "inspect", "importlib.resources", "tribsum.verify",
+                "tribsum.identities"}
+
+_COLD_SCRIPT = """
+import contextlib, io, json, sys
+import argparse, enum, fractions, json, re, typing
+baseline = set(sys.modules)
+from tribsum import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["--format", "json", *argv]) for argv in (
+        ["term", "--seq", "tribonacci", "--n", "20000"],
+        ["sum", "--r", "3/7", "--s", "-5/4", "--t", "2/9", "--w0", "1/2", "--w1", "0",
+         "--w2", "-3", "--dir", "bwd", "--parity", "odd", "--n", "40", "--check"],
+        ["catalog"], ["oeis-check", "--seq", "tribonacci"])]
+    after = set(sys.modules)
+    codes.append(cli.main(["verify", "--seq", "perrin", "--max-n", "3"]))
+print(json.dumps({"codes": codes, "baseline": sorted(baseline), "after": sorted(after),
+                  "verify": sorted(set(sys.modules) - after)}))
+"""
+
+
+def test_cold_cli_loads_only_what_it_uses():
+    """A fresh interpreter running term, sum, catalog and oeis-check loads
+    none of _COLD_UNUSED beyond what its baseline stdlib imports load;
+    verify then loads both of the package's verification modules."""
+    src = str(Path(tribsum.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _COLD_SCRIPT], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    seen = json.loads(out)
+    assert seen["codes"] == [EXIT_OK] * 5
+    loaded = set(seen["after"]) - set(seen["baseline"])
+    assert {"tribsum.cli", "tribsum.sums", "tribsum.oeis"} <= loaded
+    assert loaded & _COLD_UNUSED == set()
+    assert {"tribsum.verify", "tribsum.identities"} <= set(seen["verify"])

@@ -1,0 +1,134 @@
+"""The contract of the package's record types, which are ``NamedTuple``s.
+
+Pinned here: their reprs, read-only fields, equality, hashing, pickling
+and argument coercion.  Being tuples, they also iterate, have a length and
+compare equal to the plain tuple of their fields;
+``test_tuple_equality_is_by_value_only`` pins that choice.
+"""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from tribsum import (
+    AlignmentReport,
+    AlignmentStatus,
+    BFile,
+    CatalogEntry,
+    Denominators,
+    Direction,
+    FormulaCase,
+    MultiplicationCounter,
+    Parity,
+    RecurrenceParams,
+    SequenceDef,
+    SumQuery,
+    SumResult,
+    lookup,
+)
+
+PARAMS = RecurrenceParams("1/2", 1, -1)
+SEQ = SequenceDef(PARAMS, "3", 0, 1)
+QUERY = SumQuery(Direction.FORWARD, Parity.EVEN, 3)
+RESULT = SumResult(Fraction(67, 16), FormulaCase.FwdEven_Generic)
+
+# One instance of every record type, built twice from equal arguments.
+RECORDS = {
+    "RecurrenceParams": lambda: RecurrenceParams("1/2", 1, -1),
+    "SequenceDef": lambda: SequenceDef(RecurrenceParams("1/2", 1, -1), "3", 0, 1, "x"),
+    "SumQuery": lambda: SumQuery(Direction.BACKWARD, Parity.ODD, 4),
+    "SumResult": lambda: SumResult(Fraction(67, 16), FormulaCase.FwdEven_Generic, True),
+    "Denominators": lambda: Denominators(Fraction(-1, 2), Fraction(3)),
+    "CatalogEntry": lambda: CatalogEntry("k", "K", SEQ, ("A000001",), 2),
+    "BFile": lambda: BFile("A000001", ((0, 1), (1, 1))),
+    "AlignmentReport": lambda: AlignmentReport("A000001", 1, 10, AlignmentStatus.ALIGNED),
+}
+
+
+def test_pinned_reprs():
+    assert repr(SEQ) == (
+        "SequenceDef(params=RecurrenceParams(r=Fraction(1, 2), s=Fraction(1, 1), "
+        "t=Fraction(-1, 1)), w0=Fraction(3, 1), w1=Fraction(0, 1), "
+        "w2=Fraction(1, 1), name=None)")
+    assert repr(RESULT) == (
+        "SumResult(value=Fraction(67, 16), case_used=<FormulaCase.FwdEven_Generic: "
+        "(<Direction.FORWARD: 'fwd'>, <Parity.EVEN: 'even'>, 'generic')>, "
+        "oracle_checked=False)")
+    assert repr(MultiplicationCounter()) == "MultiplicationCounter(count=0)"
+
+
+def test_sequence_coerces_its_arguments():
+    assert (SEQ.params.r, SEQ.params.s, SEQ.params.t) == (Fraction(1, 2), 1, -1)
+    assert (SEQ.w0, SEQ.w1, SEQ.w2, SEQ.name) == (3, 0, 1, None)
+    assert all(type(v) is Fraction for v in (*SEQ.params, SEQ.w0, SEQ.w1, SEQ.w2))
+    assert SEQ == SequenceDef.of("1/2", "1", -1, 3, 0, "1")
+    with pytest.raises(ValueError, match="not an exact rational literal"):
+        SequenceDef(PARAMS, "0.5", 0, 1)
+    with pytest.raises(TypeError, match="cannot interpret"):
+        RecurrenceParams(0.5, 1, 1)
+
+
+@pytest.mark.parametrize("args, error, message", [
+    ((Direction.BACKWARD, Parity.ALL, 0), ValueError,
+     "backward sums start at k = 1; need n >= 1"),
+    ((Direction.FORWARD, Parity.ALL, -1), ValueError, "forward sums need n >= 0"),
+    ((Direction.FORWARD, Parity.ALL, 1.0), TypeError, "the bound n must be an int, not 1.0"),
+    ((Direction.FORWARD, Parity.ALL, True), TypeError, "the bound n must be an int, not True"),
+])
+def test_sum_query_messages(args, error, message):
+    with pytest.raises(error) as info:
+        SumQuery(*args)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("make", RECORDS.values(), ids=list(RECORDS))
+class TestRecord:
+    def test_equality_and_hash(self, make):
+        a, b = make(), make()
+        assert a is not b and a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        changed = a._replace(**{a._fields[-1]: None})
+        assert changed != a
+
+    def test_fields_are_read_only(self, make):
+        record = make()
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+        with pytest.raises(AttributeError):
+            record.not_a_field = 1
+
+    def test_pickle_and_deepcopy(self, make):
+        record = make()
+        for twin in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record),
+                     copy.copy(record)):
+            assert type(twin) is type(record)
+            assert twin == record and hash(twin) == hash(record)
+
+    def test_is_a_tuple_of_its_fields(self, make):
+        record = make()
+        fields = tuple(getattr(record, name) for name in record._fields)
+        assert isinstance(record, tuple)
+        assert tuple(record) == fields and len(record) == len(fields)
+        assert record == fields and hash(record) == hash(fields)
+
+
+def test_tuple_equality_is_by_value_only():
+    """Records compare as tuples: a record equals the plain tuple of its
+    fields, and records of different types with equal fields are equal."""
+    assert QUERY == (Direction.FORWARD, Parity.EVEN, 3)
+    assert PARAMS == (Fraction(1, 2), 1, -1)
+    assert Denominators(1, 2) == (1, 2) == BFile(1, 2)
+    assert lookup("tribonacci").definition.params == (1, 1, 1)
+    r, s, t = PARAMS
+    assert (r, s, t) == (Fraction(1, 2), 1, -1)
+
+
+def test_counter_is_not_a_tuple():
+    """Its count field would shadow tuple.count, so it stays a plain class."""
+    counter = MultiplicationCounter()
+    counter.tick()
+    counter.tick()
+    assert counter.count == 2 and not isinstance(counter, tuple)

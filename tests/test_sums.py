@@ -591,6 +591,32 @@ class TestIntegerCombine:
                and min(abs(a).bit_length() for a in args) > 1000]
         assert len(big) == 1
 
+    @pytest.mark.parametrize("case", CLOSED_CASES, ids=lambda c: c.name)
+    def test_integer_triple_once_per_sum(self, monkeypatch, case):
+        """evaluate scales (r, s, t) once, for dispatch and combine together;
+        closed_form_value, called directly, scales it itself."""
+        direction, parity, condition = case.value
+        seq = SCALED_SEQ[condition]
+        calls = []
+        original = sums._integer_triple
+
+        def counting(params):
+            calls.append(params)
+            return original(params)
+
+        monkeypatch.setattr(sums, "_integer_triple", counting)
+        for n in (1, 40):
+            query = SumQuery(direction, parity, n)
+            if select_case(seq.params, query) is not case:
+                continue  # S1 and RplusT0 clauses are never dispatched to
+            calls.clear()
+            result = evaluate(seq, query)
+            assert result.case_used is case
+            assert calls == [seq.params]
+        calls.clear()
+        assert closed_form_value(case, seq, 1) == sum_oracle(seq, SumQuery(direction, parity, 1))
+        assert calls == [seq.params]
+
 
 class TestTelescoping:
     @given(r=rationals, s=rationals, t=rationals,
