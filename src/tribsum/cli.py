@@ -4,8 +4,8 @@ Subcommands: term, sum, verify, oeis-check, bench, catalog.  Results print
 as plain text by default; ``--format json`` emits one self-contained JSON
 record per result (newline-delimited), verify's failures inside their
 suite's record, and each error as one JSON record on stderr.  Exit codes:
-0 success, 2 usage or precondition error, 3 verification mismatch, 4 OEIS
-check failure.
+0 success, 1 output pipe closed by its reader, 2 usage or precondition
+error, 3 verification mismatch, 4 OEIS check failure.
 """
 
 from __future__ import annotations
@@ -13,10 +13,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import re
 import sys
 import time
-from pathlib import Path
 from typing import Optional
 
 from . import oracle
@@ -26,6 +26,7 @@ from .oeis import AlignmentStatus, FixtureMissing, MalformedBFile, align, fetch_
 from .sums import Direction, Parity, SumMismatch, SumQuery, evaluate
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_USAGE = 2
 EXIT_MISMATCH = 3
 EXIT_OEIS = 4
@@ -155,7 +156,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all_ok else EXIT_MISMATCH
 
 
-def _oeis_outcome(entry: CatalogEntry, fixture_dir: Optional[Path],
+def _oeis_outcome(entry: CatalogEntry, fixture_dir: Optional[str],
                   count: int) -> tuple[dict, str]:
     """One entry's record fields after command and seq, and its text after the key."""
     oeis_id = entry.primary_oeis_id
@@ -178,7 +179,7 @@ def _oeis_outcome(entry: CatalogEntry, fixture_dir: Optional[Path],
 def _cmd_oeis_check(args: argparse.Namespace) -> int:
     _require_at_least("--count", args.count, 1)
     entries = list_all() if args.seq is None else [lookup(args.seq)]
-    fixture_dir = Path(args.fixture_dir) if args.fixture_dir else None
+    fixture_dir = args.fixture_dir or None
     any_failed = False
     for entry in entries:
         fields, text = _oeis_outcome(entry, fixture_dir, args.count)
@@ -289,7 +290,15 @@ def main(argv: Optional[list[str]] = None) -> int:
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
         parser.parse_args(argv, args)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (`tribsum ... | head`).  Point it at
+        # devnull so the flush at exit cannot fail again; see "Note on
+        # SIGPIPE" in the signal module's documentation.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except UsageError as exc:
         if args.format != "json":
             argparse.ArgumentParser.error(exc.parser, str(exc))  # usage text, exit 2

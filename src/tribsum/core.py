@@ -10,7 +10,9 @@ finds (W_m, W_{m+1}, W_{m+2}) from x^|m| modulo the characteristic
 polynomial x^3 - r*x^2 - s*x - t, or for m < 0 modulo that of the reversed
 recurrence (-s/t, -r/t, 1/t).  It scales y = q*x, with q the common
 denominator of that triple, so its O(log |m|) polynomial steps (squares
-and shifts by y) run on three int coefficients, and it returns three int
+and shifts by y) run on three int coefficients; a square forms six
+products of them up to _FIVE_SQUARE_BITS bits and five bignum squares
+above that crossover (see :func:`_sqr_mod`).  It returns three int
 numerators over one common denominator: one division per query, made by
 :func:`window`, :func:`term_matrix` or the closed-form sum that reads
 them.  The O(|n|) literal walk it is checked against lives in
@@ -151,21 +153,48 @@ class MultiplicationCounter:
         self.count += 1
 
 
+# Bits of a2 above which _sqr_mod squares by five bignum squares instead
+# of six products: CPython squares a large int in about half the time of a
+# product, but on small operands the linear-time interpolation costs more
+# than that saves.  Measured break-even: about 768 bits; 1024 keeps a margin.
+_FIVE_SQUARE_BITS = 1024
+
+
 def _sqr_mod(a: IntRow, coeffs: IntRow,
              counter: Optional[MultiplicationCounter]) -> IntRow:
-    """(a0 + a1*y + a2*y^2)^2 mod y^3 - R*y^2 - S*y - T, from six products
-    of int coefficients, so no step pays a gcd (see :func:`scaled_window`).
+    """(a0 + a1*y + a2*y^2)^2 mod y^3 - R*y^2 - S*y - T on int
+    coefficients, so no step pays a gcd (see :func:`scaled_window`).
+
+    The square p0 + p1*y + ... + p4*y^4 comes from six products while a2
+    has at most _FIVE_SQUARE_BITS bits, and above that from five squares,
+    its values at y = 0, 1, -1, 2 and infinity, interpolated exactly
+    (Toom-3; Brent & Zimmermann, Modern Computer Arithmetic, 1.3.3).
     """
     if counter is not None:
         counter.tick()
     a0, a1, a2 = a
     R, S, T = coeffs
     p4 = a2 * a2
-    # y^4 = R*y^3 + S*y^2 + T*y, then y^3 = R*y^2 + S*y + T.
-    p3 = ((a1 * a2) << 1) + R * p4
-    return (a0 * a0 + T * p3,
-            ((a0 * a1) << 1) + T * p4 + S * p3,
-            ((a0 * a2) << 1) + a1 * a1 + S * p4 + R * p3)
+    # y^4 = R*y^3 + S*y^2 + T*y, then y^3 = R*y^2 + S*y + T.  p4 has at most
+    # 2 * _FIVE_SQUARE_BITS bits exactly when a2 has at most _FIVE_SQUARE_BITS.
+    if p4.bit_length() <= 2 * _FIVE_SQUARE_BITS:
+        # Its own return: a reduction shared with the five-square form cost
+        # small-operand queries about 2 %.
+        p3 = ((a1 * a2) << 1) + R * p4
+        return (a0 * a0 + T * p3,
+                ((a0 * a1) << 1) + T * p4 + S * p3,
+                ((a0 * a2) << 1) + a1 * a1 + S * p4 + R * p3)
+    p0 = a0 * a0
+    even = a0 + a2
+    e_plus, e_minus = (even + a1) ** 2, (even - a1) ** 2
+    e2 = (a0 + (a1 << 1) + (a2 << 2)) ** 2
+    p2 = ((e_plus + e_minus) >> 1) - p0 - p4  # half-sum: p0 + p2 + p4
+    h = (e_plus - e_minus) >> 1               # half-difference: p1 + p3
+    # e2 = p0 + 2*p1 + 4*p2 + 8*p3 + 16*p4, and 2*p1 + 8*p3 = 2*h + 6*p3.
+    p3 = (e2 - p0 - (p2 << 2) - (p4 << 4) - (h << 1)) // 6
+    p1 = h - p3
+    p3 += R * p4
+    return p0 + T * p3, p1 + T * p4 + S * p3, p2 + S * p4 + R * p3
 
 
 def _shift_mod(a: IntRow, coeffs: IntRow,
@@ -191,7 +220,8 @@ def scaled_window(seq: SequenceDef, m: int, counter: Optional[MultiplicationCoun
     (-s/t, -r/t, 1/t) from (W_2, W_1, W_0) with its own q, and the window
     comes back reversed.  D = d*q^(|m|+2), d the common denominator of the
     initial terms (D = d at m = 0).  Each bit of |m| after the leading one
-    costs a six-product square, each set bit a shift by y: at most
+    costs a square (six products, or five squares above the
+    _FIVE_SQUARE_BITS crossover), each set bit a shift by y: at most
     2*(bits(|m|) - 1) ticks, plus one for the combine.
     """
     _require_int(m, "the index m")

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import enum
 import re
-from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
 from .core import SequenceDef
 from .oracle import term_table
+
+if TYPE_CHECKING:  # imported where a path is built, off the term and sum path
+    from pathlib import Path
 
 # Candidate index shifts, smallest first.  The window reaches to +6 because
 # the Padovan entry sits five positions deep in its b-file.
@@ -126,12 +128,14 @@ def _fixture_filename(oeis_id: str) -> str:
 def default_fixture_dir() -> Path:
     """The bundled fixture directory, next to this module (what
     ``importlib.resources.files`` gives for an installed or source tree)."""
+    from pathlib import Path
     return Path(__file__).parent / "fixtures"
 
 
-def fetch_bfile(oeis_id: str, fixture_dir: Optional[Path] = None) -> BFile:
+def fetch_bfile(oeis_id: str, fixture_dir: Optional[Union[str, Path]] = None) -> BFile:
     """Load a b-file from *fixture_dir*, else from :func:`default_fixture_dir`."""
-    directory = fixture_dir if fixture_dir is not None else default_fixture_dir()
+    from pathlib import Path
+    directory = Path(fixture_dir) if fixture_dir is not None else default_fixture_dir()
     path = directory / _fixture_filename(oeis_id)
     if not path.is_file():
         raise FixtureMissing(f"no fixture for {oeis_id} at {path}")

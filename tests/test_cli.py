@@ -13,6 +13,7 @@ from tribsum.catalog import list_all, lookup
 from tribsum.core import SequenceDef, format_rational, term_matrix
 from tribsum.oeis import default_fixture_dir
 from tribsum.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_MISMATCH,
     EXIT_OEIS,
     EXIT_OK,
@@ -547,3 +548,49 @@ def test_cold_cli_loads_only_what_it_uses():
     assert {"tribsum.cli", "tribsum.sums", "tribsum.oeis"} <= loaded
     assert loaded & _COLD_UNUSED == set()
     assert {"tribsum.verify", "tribsum.identities"} <= set(seen["verify"])
+
+
+# Loaded with pathlib, which only fixture paths need.  (argparse's help
+# formatter loads fnmatch through shutil, so fnmatch is not among them.)
+_PATH_MODULES = {"pathlib", "urllib.parse", "ipaddress", "ntpath"}
+
+_NO_PATH_SCRIPT = """
+import contextlib, io, json, sys
+from tribsum import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in (
+        ["term", "--seq", "tribonacci", "--n", "20000"],
+        ["sum", "--r", "3/7", "--s", "-5/4", "--t", "2/9", "--w0", "1/2", "--w1", "0",
+         "--w2", "-3", "--dir", "bwd", "--parity", "odd", "--n", "40", "--check"],
+        ["catalog"])]
+print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
+"""
+
+
+def test_cold_cli_term_sum_catalog_skip_pathlib():
+    """Without site (-S), so no .pth file preloads them, a fresh term, sum
+    and catalog run loads none of _PATH_MODULES."""
+    src = str(Path(tribsum.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-S", "-c", _NO_PATH_SCRIPT], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    seen = json.loads(out)
+    assert seen["codes"] == [EXIT_OK] * 3
+    assert "tribsum.cli" in seen["modules"]
+    assert set(seen["modules"]) & _PATH_MODULES == set()
+
+
+def test_reader_closing_pipe_early_exits_quietly():
+    """W_300000 has about 79,000 digits, more than a pipe buffer holds, so
+    the write fails once the reader has closed its end."""
+    src = str(Path(tribsum.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    with subprocess.Popen([sys.executable, "-m", "tribsum.cli", "term", "--seq",
+                           "tribonacci", "--n", "300000"], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert head.isdigit() and len(head) == 10
+    assert (code, err) == (EXIT_BROKEN_PIPE, b"")

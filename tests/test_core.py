@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -17,6 +18,7 @@ from tribsum.core import (
     term_matrix,
     window,
 )
+from tribsum.catalog import list_all
 from tribsum.oracle import term_table
 
 rationals = st.fractions(
@@ -270,14 +272,40 @@ def mul_mod(a, b, coeffs):
     return tuple(p)
 
 
+# Coefficient bits above which core._sqr_mod switches to its five-square form;
+# 0 forces that form wherever a2 != 0, 10^9 keeps the six-product form.
+FIVE_SQUARE_BITS = core._FIVE_SQUARE_BITS
+SQUARE_FORMS = (0, 10**9)
+
+
+def boundary_examples(test):
+    """Rows with one coefficient alone at FIVE_SQUARE_BITS - 1, + 0 and + 1
+    bits (both the least and the greatest value of that length, signs
+    mixed), the others small, against R, S, T at 0 and at +-2^64."""
+    coeff_rows = ((0, 0, 0), (2**64, -2**64, 2**64), (-2**64, 2**64, -2**64))
+    for position, delta, coeffs in itertools.product(range(3), (-1, 0, 1), coeff_rows):
+        bits = FIVE_SQUARE_BITS + delta
+        for big in (1 << (bits - 1), (1 << bits) - 1):
+            row = [3, -5, 7]
+            row[position] = big if (position + delta) % 2 else -big
+            test = example(a=tuple(row), coeffs=coeffs)(test)
+    return test
+
+
 class TestProductHelpers:
     @given(a=st.tuples(big_ints, big_ints, big_ints), coeffs=coeff_triples)
     @settings(max_examples=200, deadline=None)
     @example(a=(0, 0, 0), coeffs=(1, 1, 1))
     @example(a=(0, 0, 1), coeffs=(0, 0, 0))
     @example(a=(-(1 << 10_000), 1 << 9_999, -1), coeffs=(-7, 3, 0))
+    @boundary_examples
     def test_square_and_shift_match_mul_mod(self, a, coeffs):
-        assert core._sqr_mod(a, coeffs, None) == mul_mod(a, a, coeffs)
+        """The square in the form the gate picks, and in each form forced."""
+        expected = mul_mod(a, a, coeffs)
+        assert core._sqr_mod(a, coeffs, None) == expected
+        for bits in SQUARE_FORMS:
+            with mock.patch.object(core, "_FIVE_SQUARE_BITS", bits):
+                assert core._sqr_mod(a, coeffs, None) == expected
         assert core._shift_mod(a, coeffs, None) == mul_mod(a, (0, 1, 0), coeffs)
 
 
@@ -319,6 +347,22 @@ class TestScaledWindow:
         expected = d if m == 0 else d * raised_scale(seq, m) ** (abs(m) + 2)
         assert den == expected
 
+    @pytest.mark.parametrize("bits", SQUARE_FORMS, ids=["five-square", "six-product"])
+    @given(r=rationals, s=rationals, t=rationals,
+           w0=rationals, w1=rationals, w2=rationals,
+           m=st.integers(min_value=-4097, max_value=4097))
+    @settings(max_examples=15, deadline=None)
+    @example(**RATIONAL_T, m=4097)
+    @example(**RATIONAL_T, m=-4097)
+    def test_each_square_form_matches_oracle(self, bits, r, s, t, w0, w1, w2, m):
+        assume(m >= 0 or t != 0)
+        seq = seq_of(r, s, t, w0, w1, w2)
+        with mock.patch.object(core, "_FIVE_SQUARE_BITS", bits):
+            nums, den = scaled_window(seq, m)
+        table = term_table(seq, m, m + 2)
+        assert tuple(Fraction(v, den) for v in nums) == (
+            table[m], table[m + 1], table[m + 2])
+
     def test_zero_t_negative_index_raises(self):
         with pytest.raises(NegativeIndexWithZeroT):
             scaled_window(seq_of(1, 1, 0, 0, 1, 1), -1)
@@ -342,3 +386,55 @@ class TestScaledWindow:
             monkeypatch.undo()
             assert value == expected
             assert len(built) == 1
+
+
+P61 = (1 << 61) - 1
+
+
+def fraction_mod(value, p=P61):
+    return value.numerator * pow(value.denominator, -1, p) % p
+
+
+def matrix_power_mod(matrix, k, p=P61):
+    """matrix^k mod p for a 3x3 list of rows, by binary powering."""
+    result = [[int(i == j) for j in range(3)] for i in range(3)]
+    while k:
+        if k & 1:
+            result = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*matrix)]
+                      for row in result]
+        matrix = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*matrix)]
+                  for row in matrix]
+        k >>= 1
+    return result
+
+
+def term_mod_p(seq, m, p=P61):
+    """W_m mod p from a power of the 3x3 companion matrix; shares no code
+    with core.  For m < 0 the matrix steps V_j = W_{2-j}, which follows the
+    reversed recurrence (-s/t, -r/t, 1/t), from (W_2, W_1, W_0)."""
+    r, s, t, w0, w1, w2 = (fraction_mod(v, p) for v in (*seq.params, seq.w0, seq.w1, seq.w2))
+    if m < 0:
+        t_inv = pow(t, -1, p)
+        r, s, t = -s * t_inv % p, -r * t_inv % p, t_inv
+        w0, w2, m = w2, w0, 2 - m
+    companion = [[0, 1, 0], [0, 0, 1], [t, s, r]]  # (W_k, W_k+1, W_k+2) -> next
+    first_row = matrix_power_mod(companion, m, p)[0]
+    return (first_row[0] * w0 + first_row[1] * w1 + first_row[2] * w2) % p
+
+
+class TestAboveOracleReach:
+    """term_matrix where the literal oracle cannot go, against W_m mod
+    2^61 - 1; these indices run many levels of the five-square form."""
+
+    @pytest.mark.parametrize("entry", list_all(), ids=lambda entry: entry.key)
+    def test_catalog_mod_p(self, entry):
+        seq = entry.definition
+        indices = [10**5, 2 * 10**5 + 1] + ([-(10**5)] if seq.params.t != 0 else [])
+        for m in indices:
+            assert fraction_mod(term_matrix(seq, m)) == term_mod_p(seq, m), m
+
+    def test_reference_matches_oracle(self, catalog_defs):
+        for seq in catalog_defs:
+            table = term_table(seq, -40, 40)
+            for m in range(-40, 41):
+                assert term_mod_p(seq, m) == fraction_mod(table[m]), (seq.name, m)
