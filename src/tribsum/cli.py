@@ -148,11 +148,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if args.format != "json":
             for failure in report.failures:
                 print(f"  {failure}", file=sys.stderr)
-    total = sum(r.passed for r in reports)
-    _emit(args, {"command": "verify", "suite": "total", "passed": total,
-                 "failed": sum(r.failed for r in reports),
-                 "status": "PASS" if all_ok else "FAIL"},
-          f"{'PASS' if all_ok else 'FAIL'}: {total} checks")
+    passed, failed = sum(r.passed for r in reports), sum(r.failed for r in reports)
+    _emit(args, {"command": "verify", "suite": "total", "passed": passed,
+                 "failed": failed, "status": "PASS" if all_ok else "FAIL"},
+          f"PASS: {passed} checks" if all_ok
+          else f"FAIL: {passed + failed} checks, {failed} failed")
     return EXIT_OK if all_ok else EXIT_MISMATCH
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
+import re
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
@@ -35,8 +36,13 @@ class NegativeIndexWithZeroT(ValueError):
     """A negative index was requested but t = 0, so no backward step exists."""
 
 
+# "p" or "p/q" in ASCII digits, signed, maybe padded.  Fraction's own parser
+# also takes decimals, "_" and non-ASCII digits, differently per Python.
+_LITERAL = re.compile(r"\s*[+-]?[0-9]+(?:/[0-9]+)?\s*")
+
+
 def as_rational(value: RationalLike) -> Fraction:
-    """Coerce an int, string ("p" or "p/q") or Fraction to an exact Fraction.
+    """Coerce an int, string (_LITERAL) or Fraction to an exact Fraction.
 
     Decimal-point and float inputs are rejected: exactness is a hard
     requirement everywhere in this package.
@@ -46,7 +52,7 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        if "." in value or "e" in value.lower():
+        if _LITERAL.fullmatch(value) is None:
             raise ValueError(f"not an exact rational literal: {value!r}")
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")

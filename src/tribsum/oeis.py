@@ -139,4 +139,8 @@ def fetch_bfile(oeis_id: str, fixture_dir: Optional[Union[str, Path]] = None) ->
     path = directory / _fixture_filename(oeis_id)
     if not path.is_file():
         raise FixtureMissing(f"no fixture for {oeis_id} at {path}")
-    return parse_bfile(path.read_text(), oeis_id)
+    try:  # b-files are ASCII, whatever the locale
+        content = path.read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise MalformedBFile(f"{path}: {exc}") from None
+    return parse_bfile(content, oeis_id)

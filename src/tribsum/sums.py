@@ -14,8 +14,9 @@ flagged as ``OracleFallback`` in the result.
 
 One table, :func:`_gate`, gives each condition's divisor; :func:`_holds`
 says where it is proven.  Clauses return numerators homogeneous in
-(r, s, t, o): a sum reads the ints L*(r, s, t, 1) and D*W of one
-:func:`~tribsum.core.scaled_window` and builds one Fraction.
+(r, s, t, o).  There is one combine: a sum reads the ints L*(r, s, t, 1)
+and D*W of one window, from :func:`~tribsum.core.scaled_window` or from a
+caller's term function, and builds one Fraction.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .core import (  # Direction, Parity, SumQuery, query_indices: re-exported
     RecurrenceParams,
     SequenceDef,
     SumQuery,
+    as_rational,
     query_indices,
     scaled_window,
 )
@@ -252,14 +254,16 @@ def closed_form_value(case: FormulaCase, seq: SequenceDef, n: int,
 
     ValueError where :func:`_holds` fails a special condition, and for
     OracleFallback; a generic clause off its gate divides by zero.  n follows
-    :class:`SumQuery`'s rules; a backward clause needs t != 0.  *term*
-    supplies the terms, and the clause at (r, s, t, 1) is divided by its gate.
-    By default the clause reads one window (a lookup raising KeyError
-    elsewhere) on ints, :func:`_integer_triple` and D*W with D the window's
-    common denominator, and the sum is one Fraction over gate*D."""
+    :class:`SumQuery`'s rules; a backward clause needs t != 0.  The clause
+    reads one window W_m..W_{m+2}: from :func:`~tribsum.core.scaled_window`
+    by default, else from *term*, called for exactly those three indices and
+    returning ints or Fractions.  Either way it runs on ints,
+    :func:`_integer_triple` and D*W with D the window's common denominator,
+    and the sum is one Fraction over gate*D; a read outside the window
+    raises KeyError."""
     direction, parity, condition = case.value
     p = seq.params
-    triple = (p.r, p.s, p.t, 1) if term is not None else _integer_triple(p)
+    triple = _integer_triple(p)
     if condition != "generic" and not _holds(condition, parity, *triple):
         raise ValueError(f"{case.name} is not a proven closed form at "
                          f"(r, s, t) = ({p.r}, {p.s}, {p.t})")
@@ -269,20 +273,23 @@ def closed_form_value(case: FormulaCase, seq: SequenceDef, n: int,
 
 def _combine(case: FormulaCase, seq: SequenceDef, n: int, triple: tuple,
              term: TermFn | None = None) -> Fraction:
-    """:func:`closed_form_value` past its checks of *case* and n, on *triple*
-    = (r, s, t, 1) with *term*, else = :func:`_integer_triple`."""
+    """:func:`closed_form_value` past its checks of *case* and n, on
+    *triple* = :func:`_integer_triple`, the window from *term* if given."""
     direction, parity, condition = case.value
     r, s, t, o = triple
     if direction is Direction.BACKWARD and t == 0:
         raise NegativeIndexWithZeroT("backward sums need t != 0")
     clause, gate = _CLOSED_FORMS[case], _gate(condition, parity, r, s, t, o)
-    if term is not None:
-        return clause(r, s, t, o, seq.w0, seq.w1, seq.w2, n, term) / gate
     if direction is Direction.FORWARD:  # m: the window's first index
         m = n + 1 if parity is Parity.ALL else 2 * n
     else:
         m = -n - 3 if parity is Parity.ALL else -2 * n - 1
-    nums, den = scaled_window(seq, m)
+    if term is None:
+        nums, den = scaled_window(seq, m)
+    else:  # W_m..W_{m+2} over one denominator with W_0..W_2
+        window = [as_rational(term(k)) for k in range(m, m + 3)]
+        den = math.lcm(*(v.denominator for v in (*window, seq.w0, seq.w1, seq.w2)))
+        nums = [v.numerator * (den // v.denominator) for v in window]
     w0, w1, w2 = (w.numerator * (den // w.denominator) for w in (seq.w0, seq.w1, seq.w2))
     term = dict(zip(range(m, m + 3), nums)).__getitem__
     return Fraction(clause(r, s, t, o, w0, w1, w2, n, term), gate * den)

@@ -91,7 +91,9 @@ def _against_oracle(report: SuiteReport, seq: SequenceDef, direction: Direction,
 def sweep_formula_vs_oracle(seqs: Iterable[SequenceDef], max_n: int) -> SuiteReport:
     """Every dispatched closed form must equal the literal sum exactly.
 
-    Oracle values come from the oracle's term table and running prefix
+    Each clause reads its window from the oracle's term table and runs
+    through the same integer combine as :func:`evaluate`; only the kernel
+    is left out.  The expected values are the oracle's running prefix
     sums, so the sweep is linear in max_n per family.
     """
     report = SuiteReport("formula-vs-oracle")

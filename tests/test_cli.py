@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -238,6 +239,12 @@ class TestVerify:
         if fmt == "text":
             assert "formula-vs-oracle: FAIL" in out
             assert "  Perrin (Padovan-Lucas) fwd/all n=0: FwdAll_Generic" in err
+            counts = [tuple(map(int, re.search(r"\((\d+) passed, (\d+) failed\)$",
+                                               line).groups()))
+                      for line in out.splitlines()[:-1]]
+            ran, failed = sum(map(sum, counts)), sum(f for _, f in counts)
+            assert failed > 0
+            assert out.splitlines()[-1] == f"FAIL: {ran} checks, {failed} failed"
             return
         assert err == ""
         records = [json.loads(line) for line in out.splitlines()]
@@ -335,6 +342,21 @@ class TestOeisCheck:
         assert set(records) == {entry.key for entry in list_all()}
         assert records["tribonacci"]["status"] == "error"
         assert records["tribonacci"]["reason"].startswith("line 61: ")
+        assert records["perrin"]["ok"] is True
+
+    def test_non_ascii_bfile_is_an_entry_error(self, capsys, tmp_path):
+        """A b-file that is not ASCII fails its own entry as MalformedBFile;
+        the run goes on to check the others."""
+        (tmp_path / "b000073.txt").write_bytes(b"0 0\n1 \xff\n")
+        (tmp_path / "b001608.txt").write_text(
+            (default_fixture_dir() / "b001608.txt").read_text())
+        code, out, err = run(capsys, "--format", "json", "oeis-check",
+                             "--fixture-dir", str(tmp_path))
+        assert (code, err) == (EXIT_OEIS, "")
+        records = {r["seq"]: r for r in map(json.loads, out.splitlines())}
+        assert set(records) == {entry.key for entry in list_all()}
+        assert records["tribonacci"]["status"] == "error"
+        assert "can't decode byte 0xff" in records["tribonacci"]["reason"]
         assert records["perrin"]["ok"] is True
 
 

@@ -56,9 +56,14 @@ class TestRationalHelpers:
     def test_parse_forms(self):
         assert as_rational("7") == 7
         assert as_rational("-3/4") == Fraction(-3, 4)
+        assert as_rational("+5") == 5
+        assert as_rational(" 3/4 ") == Fraction(3, 4)
         assert as_rational(Fraction(1, 2)) == Fraction(1, 2)
 
-    @pytest.mark.parametrize("bad", ["1.5", "2e3", "nan"])
+    # Fraction's parser takes "1 / 2" from 3.12, "1_0" from 3.11 and
+    # non-ASCII digits everywhere; as_rational takes none of them.
+    @pytest.mark.parametrize("bad", ["1.5", "2e3", "nan", "1 / 2", "1_0", "1/2_0",
+                                     "\u0663"])
     def test_decimal_rejected(self, bad):
         with pytest.raises(ValueError):
             as_rational(bad)

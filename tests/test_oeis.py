@@ -116,6 +116,13 @@ class TestFetch:
         bfile = fetch_bfile("A000073", fixture_dir=Path(tmp_path))
         assert bfile.offset == 5
 
+    @pytest.mark.parametrize("content", [b"0 0\n1 \xff\n", "0 0\n1 \u0663\n".encode()],
+                             ids=["0xff", "utf-8-digit"])
+    def test_non_ascii_malformed(self, tmp_path, content):
+        (tmp_path / "b000073.txt").write_bytes(content)
+        with pytest.raises(MalformedBFile, match="can't decode"):
+            fetch_bfile("A000073", fixture_dir=tmp_path)
+
 
 def test_import_leaves_network_modules_unloaded():
     src = str(Path(tribsum.__file__).resolve().parent.parent)

@@ -388,8 +388,8 @@ SCALED_SEQ = {
 class TestWindowDispatch:
     @pytest.mark.parametrize("case", CLOSED_CASES, ids=lambda c: c.name)
     def test_clause_reads_only_its_window(self, case):
-        """The clause reads its window only, and the default integer path
-        (one division by D) equals the clause on the oracle's terms."""
+        """*term* is called for the clause's window, each index once, and
+        the sum on those terms equals the one on the kernel's window."""
         direction, parity, condition = case.value
         # n = 0 puts the forward even/odd window at m = 0, where D = d.
         first = 0 if direction is Direction.FORWARD else 1
@@ -397,15 +397,15 @@ class TestWindowDispatch:
         if condition == "generic":
             seqs.append(Q252_SEQ)
         for seq, n in itertools.product(seqs, (first, 1, 2, 5, 40, 333)):
-            read = set()
+            read = []
 
             def term(k):
-                read.add(k)
+                read.append(k)
                 return term_iterative(seq, k)
 
             value = closed_form_value(case, seq, n, term)
             m = WINDOW_START[direction, parity](n)
-            assert read <= {m, m + 1, m + 2}
+            assert sorted(read) == [m, m + 1, m + 2]
             assert value == closed_form_value(case, seq, n)
 
     def test_default_window_rejects_outside_index(self, tribonacci, monkeypatch):
@@ -500,8 +500,40 @@ def table_term(seq, n):
 
 
 class TestIntegerCombine:
-    """Without a *term*, a clause runs on L*(r, s, t, 1) and D*W, and the sum
-    is one Fraction over its gate times D."""
+    """On either window source, the kernel's or a *term*'s, a clause runs on
+    L*(r, s, t, 1) and D*W, and the sum is one Fraction over its gate times D."""
+
+    @pytest.mark.parametrize("source", ["window", "term"])
+    @pytest.mark.parametrize("case", CLOSED_CASES, ids=lambda c: c.name)
+    def test_clause_sees_only_ints(self, monkeypatch, case, source):
+        """Every argument a clause receives, and every term it reads, is an int."""
+        direction, parity, condition = case.value
+        seq = SCALED_SEQ[condition]
+        clause = sums._CLOSED_FORMS[case]
+        seen = []
+
+        def checked(*args):  # (r, s, t, o, w0, w1, w2, n), then term
+            *values, term = args
+
+            def reading(k):
+                seen.append(term(k))
+                return seen[-1]
+
+            seen.extend(values)
+            return clause(*values, reading)
+
+        monkeypatch.setitem(sums._CLOSED_FORMS, case, checked)
+        for n in (1, 40):
+            term = table_term(seq, n) if source == "term" else None
+            value = closed_form_value(case, seq, n, term)
+            assert value == sum_oracle(seq, SumQuery(direction, parity, n))
+        assert seen and all(type(v) is int for v in seen)
+
+    @pytest.mark.parametrize("case", CLOSED_CASES, ids=lambda c: c.name)
+    def test_float_term_rejected(self, case):
+        seq = CONDITION_SEQ[case.value[2]]
+        with pytest.raises(TypeError, match="exact rational"):
+            closed_form_value(case, seq, 3, term=lambda k: 1.0)
 
     @given(r=rationals, s=rationals, t=rationals,
            w0=rationals, w1=rationals, w2=rationals,

@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
+import tribsum.sums as sums
 from tribsum import verify
+from tribsum.catalog import lookup
 from tribsum.core import RecurrenceParams
 from tribsum.sums import FormulaCase
 
@@ -48,3 +51,11 @@ def test_specializations_cover_every_special_clause(monkeypatch):
             assert s == 1 and r + t != 0
         else:
             assert r + t == 0 and s != 1 and t != 0
+
+
+def test_formula_sweep_checks_the_combine(monkeypatch):
+    """The sweep runs the combine evaluate runs: a wrong final Fraction there
+    fails it."""
+    monkeypatch.setattr(sums, "Fraction", lambda num, den: Fraction(2 * num, den))
+    report = verify.sweep_formula_vs_oracle([lookup("perrin").definition], 5)
+    assert report.failed > 0
