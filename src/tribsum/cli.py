@@ -14,14 +14,14 @@ import argparse
 import contextlib
 import json
 import os
-import re
 import sys
 import time
 from typing import Optional
 
 from . import oracle
 from .catalog import CatalogEntry, UnknownSequence, list_all, lookup
-from .core import NegativeIndexWithZeroT, SequenceDef, format_rational, term_matrix
+from .core import (_LITERAL, NegativeIndexWithZeroT, SequenceDef, format_rational,
+                   term_matrix)
 from .oeis import AlignmentStatus, FixtureMissing, MalformedBFile, align, fetch_bfile
 from .sums import Direction, Parity, SumMismatch, SumQuery, evaluate
 
@@ -50,6 +50,17 @@ def _add_sequence_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seq", help="catalog key (see the catalog subcommand)")
     for flag in _PARAM_FLAGS:
         parser.add_argument(f"--{flag}", help="rational literal, 'p' or 'p/q'")
+
+
+def _integer(text: str) -> int:
+    """An integer option: the rational literal grammar without "/".  A bad
+    value gets the message argparse gives for ``type=int``."""
+    try:
+        if "/" not in text and _LITERAL.fullmatch(text):
+            return int(text)
+    except ValueError:  # past the interpreter's int conversion limit
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _sequence_from_args(args: argparse.Namespace) -> SequenceDef:
@@ -240,37 +251,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_term = sub.add_parser("term", help="evaluate W_n at a signed index")
     _add_sequence_args(p_term)
-    p_term.add_argument("--n", type=int, required=True)
+    p_term.add_argument("--n", type=_integer, required=True)
     p_term.set_defaults(func=_cmd_term)
 
     p_sum = sub.add_parser("sum", help="evaluate a partial sum")
     _add_sequence_args(p_sum)
     p_sum.add_argument("--dir", choices=("fwd", "bwd"), required=True)
     p_sum.add_argument("--parity", choices=("all", "even", "odd"), required=True)
-    p_sum.add_argument("--n", type=int, required=True)
+    p_sum.add_argument("--n", type=_integer, required=True)
     p_sum.add_argument("--check", action="store_true",
                        help="also run the literal sum and fail on mismatch")
     p_sum.set_defaults(func=_cmd_sum)
 
     p_verify = sub.add_parser("verify", help="run the verification sweeps")
     p_verify.add_argument("--seq", help="restrict to one catalog key")
-    p_verify.add_argument("--max-n", type=int, default=100)
-    p_verify.add_argument("--random", type=int, default=0, metavar="K",
+    p_verify.add_argument("--max-n", type=_integer, default=100)
+    p_verify.add_argument("--random", type=_integer, default=0, metavar="K",
                           help="additionally check K random parameter sets")
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_integer, default=0)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_oeis = sub.add_parser("oeis-check",
                             help="compare catalog sequences against OEIS b-files")
     p_oeis.add_argument("--seq", help="restrict to one catalog key")
-    p_oeis.add_argument("--count", type=int, default=50)
+    p_oeis.add_argument("--count", type=_integer, default=50)
     p_oeis.add_argument("--fixture-dir", help="override the fixture directory")
     p_oeis.set_defaults(func=_cmd_oeis_check)
 
     p_bench = sub.add_parser("bench",
                              help="time closed-form sums against the naive sum")
     p_bench.add_argument("--seq", default="tribonacci")
-    p_bench.add_argument("--n", type=int, nargs="+",
+    p_bench.add_argument("--n", type=_integer, nargs="+",
                          default=[1_000, 10_000, 100_000])
     p_bench.set_defaults(func=_cmd_bench)
 
@@ -286,7 +297,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = argparse.Namespace()
     argv = list(sys.argv[1:] if argv is None else argv)
     for i in range(len(argv) - 1, 0, -1):  # argparse takes a separate "-p/q" for an option
-        if argv[i - 1] in _PARAM_OPTIONS and re.fullmatch(r"-\d+/\d+", argv[i]):
+        if (argv[i - 1] in _PARAM_OPTIONS and argv[i].startswith("-")
+                and _LITERAL.fullmatch(argv[i])):
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
         parser.parse_args(argv, args)
@@ -305,8 +317,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _error(args, EXIT_USAGE, exc)
     except SumMismatch as exc:
         return _error(args, EXIT_MISMATCH, exc, "mismatch: ")
-    except (UnknownSequence, NegativeIndexWithZeroT, ValueError,
-            ZeroDivisionError) as exc:
+    except (UnknownSequence, NegativeIndexWithZeroT, ValueError) as exc:
         return _error(args, EXIT_USAGE, exc, "error: ")
 
 

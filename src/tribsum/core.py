@@ -36,9 +36,9 @@ class NegativeIndexWithZeroT(ValueError):
     """A negative index was requested but t = 0, so no backward step exists."""
 
 
-# "p" or "p/q" in ASCII digits, signed, maybe padded.  Fraction's own parser
-# also takes decimals, "_" and non-ASCII digits, differently per Python.
-_LITERAL = re.compile(r"\s*[+-]?[0-9]+(?:/[0-9]+)?\s*")
+# "p" or "p/q" (q > 0) in ASCII digits, signed, maybe padded.  Fraction's own
+# parser also takes decimals, "_" and non-ASCII digits, differently per Python.
+_LITERAL = re.compile(r"\s*[+-]?[0-9]+(?:/0*[1-9][0-9]*)?\s*")
 
 
 def as_rational(value: RationalLike) -> Fraction:

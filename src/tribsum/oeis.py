@@ -29,7 +29,7 @@ SHIFT_WINDOW = range(-3, 7)
 MIN_MATCHED_TERMS = 10
 
 _OEIS_ID_RE = re.compile(r"^A(\d{6})$")
-_LINE_RE = re.compile(r"^\s*(-?\d+)\s+(-?\d+)\s*$")
+_LINE_RE = re.compile(r"^\s*(-?[0-9]+)\s+(-?[0-9]+)\s*$")
 
 
 class MalformedBFile(ValueError):

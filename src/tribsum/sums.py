@@ -12,11 +12,12 @@ do not vanish, plus dedicated formulas for the degenerate triple
 Parameter triples with no proven formula fall back to the literal sum,
 flagged as ``OracleFallback`` in the result.
 
-One table, :func:`_gate`, gives each condition's divisor; :func:`_holds`
-says where it is proven.  Clauses return numerators homogeneous in
-(r, s, t, o).  There is one combine: a sum reads the ints L*(r, s, t, 1)
-and D*W of one window, from :func:`~tribsum.core.scaled_window` or from a
-caller's term function, and builds one Fraction.
+One table, :func:`_gate`, gives each condition's divisor where its clauses
+are proven and 0 everywhere else; dispatch and :func:`closed_form_value`
+read it once per sum.  Clauses return numerators homogeneous in (r, s, t,
+o).  There is one combine: a sum reads the ints L*(r, s, t, 1) and D*W of
+one window, from :func:`~tribsum.core.scaled_window` or from a caller's
+term function, and builds one Fraction.
 """
 
 from __future__ import annotations
@@ -89,29 +90,22 @@ def denominators(params: RecurrenceParams) -> Denominators:
 
 
 def _gate(condition: str, parity: Parity, r, s, t, o=1):
-    """The divisor of *condition*'s clauses at (r, s, t) over o: d1 = r+s+t-o
-    (parity ALL) or d1*d2, d2 = r-s+t+o, for "generic"; r + t for "s=1";
-    s - o for "r+t=0"; 2 (1 for EVEN) for "021".  Each clause's numerator is
-    homogeneous in (r, s, t, o) of its gate's degree, and at o = 1 it is the
-    paper's formula, term for term."""
+    """The divisor of *condition*'s clauses at (r, s, t) over o where they
+    are proven, else 0: d1 = r+s+t-o (parity ALL) or d1*d2, d2 = r-s+t+o,
+    for "generic"; r + t on s = o for "s=1"; s - o on r + t = 0 for
+    "r+t=0"; 2 (1 for EVEN) at (0, 2o, o) for "021"; 0 for "oracle".  Each
+    clause's numerator is homogeneous in (r, s, t, o) of its gate's degree,
+    and at o = 1 it is the paper's formula, term for term."""
     if condition == "generic":
         d1 = r + s + t - o
         return d1 if parity is Parity.ALL else d1 * (r - s + t + o)
     if condition == "s=1":
-        return r + t
+        return r + t if s == o else 0
     if condition == "r+t=0":
-        return s - o
-    return 1 if parity is Parity.EVEN else 2
-
-
-def _holds(condition: str, parity: Parity, r, s, t, o=1) -> bool:
-    """Whether *condition*'s clauses are proven at (r, s, t) over o: "021" at
-    (0, 2, 1), the others where pinned with a nonzero :func:`_gate`."""
-    if condition == "021":
-        return (r, s, t) == (0, 2 * o, o)
-    pinned = (condition == "generic" or condition == "s=1" and s == o
-              or condition == "r+t=0" and r + t == 0)
-    return pinned and _gate(condition, parity, r, s, t, o) != 0
+        return s - o if r + t == 0 else 0
+    if condition == "021" and (r, s, t) == (0, 2 * o, o):
+        return 1 if parity is Parity.EVEN else 2
+    return 0
 
 
 def _integer_triple(params: RecurrenceParams) -> tuple[int, int, int, int]:
@@ -122,18 +116,20 @@ def _integer_triple(params: RecurrenceParams) -> tuple[int, int, int, int]:
             t.numerator * (L // t.denominator), L)
 
 
-def _dispatch(triple: tuple[int, int, int, int], query: SumQuery) -> FormulaCase:
+def _dispatch(triple: tuple, query: SumQuery) -> tuple[FormulaCase, int]:
+    """(case, its gate) for :func:`select_case`, the gate 0 for the fallback."""
     for condition in ("021", "generic"):
-        if _holds(condition, query.parity, *triple):
-            return FormulaCase((query.direction, query.parity, condition))
-    return FormulaCase.OracleFallback
+        gate = _gate(condition, query.parity, *triple)
+        if gate:
+            return FormulaCase((query.direction, query.parity, condition)), gate
+    return FormulaCase.OracleFallback, 0
 
 
 def select_case(params: RecurrenceParams, query: SumQuery) -> FormulaCase:
-    """The clause of the first of "021" (d2 = 0 there) and "generic" that
-    :func:`_holds`, else the oracle fallback.  The S1 and RplusT0 clauses
-    specialize the generic ones: cross-checks, never dispatched to."""
-    return _dispatch(_integer_triple(params), query)
+    """The clause of the first of "021" (d2 = 0 there) and "generic" whose
+    :func:`_gate` is nonzero, else the oracle fallback.  The S1 and RplusT0
+    clauses specialize the generic ones: cross-checks, never dispatched to."""
+    return _dispatch(_integer_triple(params), query)[0]
 
 
 TermFn = Callable[[int], Fraction]
@@ -252,34 +248,34 @@ def closed_form_value(case: FormulaCase, seq: SequenceDef, n: int,
                       term: TermFn | None = None) -> Fraction:
     """Evaluate a specific closed-form clause directly (no dispatch).
 
-    ValueError where :func:`_holds` fails a special condition, and for
-    OracleFallback; a generic clause off its gate divides by zero.  n follows
-    :class:`SumQuery`'s rules; a backward clause needs t != 0.  The clause
-    reads one window W_m..W_{m+2}: from :func:`~tribsum.core.scaled_window`
-    by default, else from *term*, called for exactly those three indices and
-    returning ints or Fractions.  Either way it runs on ints,
-    :func:`_integer_triple` and D*W with D the window's common denominator,
-    and the sum is one Fraction over gate*D; a read outside the window
-    raises KeyError."""
+    ValueError where the case's :func:`_gate` is 0, as it always is for
+    OracleFallback.  n follows :class:`SumQuery`'s rules; a backward clause
+    needs t != 0.  The clause reads one window W_m..W_{m+2}: from
+    :func:`~tribsum.core.scaled_window` by default, else from *term*, called
+    for exactly those three indices and returning ints or Fractions.  Either
+    way it runs on ints, :func:`_integer_triple` and D*W with D the window's
+    common denominator, and the sum is one Fraction over gate*D; a read
+    outside the window raises KeyError."""
     direction, parity, condition = case.value
     p = seq.params
     triple = _integer_triple(p)
-    if condition != "generic" and not _holds(condition, parity, *triple):
+    gate = _gate(condition, parity, *triple)
+    if not gate:
         raise ValueError(f"{case.name} is not a proven closed form at "
                          f"(r, s, t) = ({p.r}, {p.s}, {p.t})")
     SumQuery(direction, parity, n)  # checks n by the query's rules
-    return _combine(case, seq, n, triple, term)
+    return _combine(case, seq, n, triple, gate, term)
 
 
 def _combine(case: FormulaCase, seq: SequenceDef, n: int, triple: tuple,
-             term: TermFn | None = None) -> Fraction:
+             gate: int, term: TermFn | None = None) -> Fraction:
     """:func:`closed_form_value` past its checks of *case* and n, on
-    *triple* = :func:`_integer_triple`, the window from *term* if given."""
-    direction, parity, condition = case.value
+    *triple* = :func:`_integer_triple` and the case's nonzero *gate* there,
+    the window from *term* if given."""
+    direction, parity, _ = case.value
     r, s, t, o = triple
     if direction is Direction.BACKWARD and t == 0:
         raise NegativeIndexWithZeroT("backward sums need t != 0")
-    clause, gate = _CLOSED_FORMS[case], _gate(condition, parity, r, s, t, o)
     if direction is Direction.FORWARD:  # m: the window's first index
         m = n + 1 if parity is Parity.ALL else 2 * n
     else:
@@ -292,7 +288,7 @@ def _combine(case: FormulaCase, seq: SequenceDef, n: int, triple: tuple,
         nums = [v.numerator * (den // v.denominator) for v in window]
     w0, w1, w2 = (w.numerator * (den // w.denominator) for w in (seq.w0, seq.w1, seq.w2))
     term = dict(zip(range(m, m + 3), nums)).__getitem__
-    return Fraction(clause(r, s, t, o, w0, w1, w2, n, term), gate * den)
+    return Fraction(_CLOSED_FORMS[case](r, s, t, o, w0, w1, w2, n, term), gate * den)
 
 
 def _brief(value: Fraction) -> str:
@@ -309,10 +305,10 @@ def evaluate(seq: SequenceDef, query: SumQuery, check: bool = False) -> SumResul
     value is the literal sum itself, so it is computed only once.
     """
     triple = _integer_triple(seq.params)
-    case = _dispatch(triple, query)
-    if case is FormulaCase.OracleFallback:
+    case, gate = _dispatch(triple, query)
+    if not gate:
         return SumResult(sum_oracle(seq, query), case, oracle_checked=check)
-    value = _combine(case, seq, query.n, triple)
+    value = _combine(case, seq, query.n, triple, gate)
     if check:
         expected = sum_oracle(seq, query)
         if value != expected:

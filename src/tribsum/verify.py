@@ -21,7 +21,7 @@ from .sums import (
     FormulaCase,
     Parity,
     SumQuery,
-    _holds,
+    _gate,
     closed_form_value,
     evaluate,
     select_case,
@@ -63,7 +63,7 @@ def random_sequence(rng: random.Random, nonzero_d: bool = False) -> SequenceDef:
     *nonzero_d*, on a triple where the generic even/odd clauses hold."""
     while True:
         r, s, t = (random_rational(rng) for _ in range(3))
-        if not nonzero_d or _holds("generic", Parity.EVEN, r, s, t):
+        if not nonzero_d or _gate("generic", Parity.EVEN, r, s, t):
             return SequenceDef.of(r, s, t, *(random_rational(rng) for _ in range(3)))
 
 
@@ -100,10 +100,9 @@ def sweep_formula_vs_oracle(seqs: Iterable[SequenceDef], max_n: int) -> SuiteRep
     for seq in seqs:
         term = _oracle_terms(seq, max_n)
         for direction, parity in ALL_QUERY_FAMILIES:
-            backward = direction is Direction.BACKWARD
-            if backward and seq.params.t == 0:
+            if direction is Direction.BACKWARD and seq.params.t == 0:
                 continue
-            case = select_case(seq.params, SumQuery(direction, parity, 1 if backward else 0))
+            case = select_case(seq.params, SumQuery(direction, parity, 1))
             if case is not FormulaCase.OracleFallback:
                 _against_oracle(report, seq, direction, parity, max_n,
                                 partial(closed_form_value, case, seq, term=term),
@@ -141,7 +140,7 @@ def _pinned(rng: random.Random, condition: str) -> tuple[Fraction, ...]:
     while True:
         a, b = random_rational(rng), random_rational(rng)
         r, s, t = (a, Fraction(1), b) if condition == "s=1" else (-a, b, a)
-        if _holds(condition, Parity.EVEN, r, s, t) and (condition == "s=1" or t != 0):
+        if _gate(condition, Parity.EVEN, r, s, t) and (condition == "s=1" or t != 0):
             return r, s, t
 
 

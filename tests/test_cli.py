@@ -505,14 +505,43 @@ class TestJsonErrors:
          "argument --n: expected one argument"),
         (("term", "--seq", "tribonacci", "--n", "3", "--s"), "term",
          "argument --s: expected one argument"),
+        (("term", "--seq", "tribonacci", "--n", "1_3"), "term",
+         "argument --n: invalid int value: '1_3'"),
+        (("term", "--seq", "tribonacci", "--n", "\u0661\u0663"), "term",
+         "argument --n: invalid int value: '\u0661\u0663'"),
+        (("verify", "--seed", "\u0661"), "verify",
+         "argument --seed: invalid int value: '\u0661'"),
+        (("bench", "--n", "10", "1_0"), "bench",
+         "argument --n: invalid int value: '1_0'"),
+        (("term", "--seq", "tribonacci", "--n", "1" * 5000), "term",
+         f"argument --n: invalid int value: '{'1' * 5000}'"),
     ], ids=["bad-int", "bad-choice", "unrecognized", "no-subcommand",
-            "n-negative-fraction", "s-without-value"])
+            "n-negative-fraction", "s-without-value", "n-underscore",
+            "n-non-ascii", "seed-non-ascii", "bench-n-underscore",
+            "n-past-digit-limit"])
     def test_argparse_error(self, capsys, argv, command, message):
         code, record = self.json_error(capsys, *argv)
         assert code == EXIT_USAGE
         assert record["command"] == command
         assert record["error"] == "UsageError"
         assert record["message"].startswith(message)
+
+    @pytest.mark.parametrize("n", ["+13", " 13 ", "-13"])
+    def test_signed_int_accepted(self, capsys, n):
+        """Integer options take a sign and padding, as rational literals do."""
+        code, out, err = run(capsys, "term", "--seq", "tribonacci", "--n", n)
+        expected = term_matrix(lookup("tribonacci").definition, int(n))
+        assert (code, out, err) == (EXIT_OK, f"{format_rational(expected)}\n", "")
+
+    @pytest.mark.parametrize("r", ["1/0", "+3/00"])
+    def test_zero_denominator(self, capsys, r):
+        code, record = self.json_error(capsys, "term", "--r", r, "--s", "1",
+                                       "--t", "1", "--w0", "0", "--w1", "1",
+                                       "--w2", "1", "--n", "3")
+        assert record == {"command": "term", "status": "error",
+                          "error": "ValueError",
+                          "message": f"not an exact rational literal: {r!r}",
+                          "exit": EXIT_USAGE}
 
     def test_argparse_error_text_mode(self, capsys):
         with pytest.raises(SystemExit) as exc:

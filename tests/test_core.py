@@ -61,9 +61,10 @@ class TestRationalHelpers:
         assert as_rational(Fraction(1, 2)) == Fraction(1, 2)
 
     # Fraction's parser takes "1 / 2" from 3.12, "1_0" from 3.11 and
-    # non-ASCII digits everywhere; as_rational takes none of them.
+    # non-ASCII digits everywhere; as_rational takes none of them, nor a
+    # zero denominator (ZeroDivisionError from Fraction).
     @pytest.mark.parametrize("bad", ["1.5", "2e3", "nan", "1 / 2", "1_0", "1/2_0",
-                                     "\u0663"])
+                                     "\u0663", "1/0", "-3/00"])
     def test_decimal_rejected(self, bad):
         with pytest.raises(ValueError):
             as_rational(bad)

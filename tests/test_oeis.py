@@ -39,6 +39,10 @@ class TestParse:
         with pytest.raises(MalformedBFile):
             parse_bfile("0 1\nnot a data line\n")
 
+    def test_non_ascii_digit_rejected(self):
+        with pytest.raises(MalformedBFile, match="cannot parse"):
+            parse_bfile("0 1\n1 \u0663\n")
+
     def test_index_gap_rejected(self):
         with pytest.raises(MalformedBFile):
             parse_bfile("0 1\n2 3\n")

@@ -433,28 +433,72 @@ class TestWindowDispatch:
         assert calls == [WINDOW_START[family](1000)]
 
 
-# Triples just outside each special condition (and plainly outside it).
+# Triples just outside each condition (and plainly outside it); for
+# "generic", d1 = 0, then only d2 = 0, which the all-index gate d1 ignores.
 OUTSIDE_SEQ = {
+    "generic": [seq_of(1, 1, -1, 0, 1, 2), seq_of(1, 3, 1, 1, Fraction(1, 2), -1)],
     "021": [CONDITION_SEQ["generic"], seq_of(0, 2, 2, 3, -2, Fraction(5, 3))],
     "s=1": [CONDITION_SEQ["generic"], seq_of(1, 1, -1, 0, 1, 2)],
     "r+t=0": [CONDITION_SEQ["generic"], seq_of(1, 1, -1, 1, Fraction(1, 2), -1)],
     "oracle": [CONDITION_SEQ["generic"], seq_of(1, 1, 1, 0, 0, 1)],
 }
 
+H = Fraction(1, 2)
+
+# condition, (r, s, t), and the divisor _gate documents at o = 1 for parity
+# ALL, EVEN, ODD: nonzero where the clauses are proven, else 0.
+GATE_ROWS = [
+    ("generic", (H, 3, -2), (H, -Fraction(7, 4), -Fraction(7, 4))),  # d2 = -7/2
+    ("generic", (1, 1, -1), (0, 0, 0)),  # d1 = 0
+    ("generic", (1, 3, 1), (4, 0, 0)),  # d2 = 0 only
+    ("s=1", (H, 1, Fraction(1, 3)), (Fraction(5, 6),) * 3),
+    ("s=1", (H, 1, -H), (0, 0, 0)),  # on s = 1 with r + t = 0
+    ("s=1", (H, 2, Fraction(1, 3)), (0, 0, 0)),  # off s = 1
+    ("r+t=0", (-H, Fraction(3, 4), H), (-Fraction(1, 4),) * 3),
+    ("r+t=0", (-H, 1, H), (0, 0, 0)),  # on r + t = 0 with s = 1
+    ("r+t=0", (H, Fraction(3, 4), H), (0, 0, 0)),  # off r + t = 0
+    ("021", (0, 2, 1), (2, 1, 2)),
+    ("021", (0, 2, 2), (0, 0, 0)),
+    ("021", (0, 4, 2), (0, 0, 0)),  # (0, 2o, o) at o = 2, not at o = 1
+    ("oracle", (H, 3, -2), (0, 0, 0)),
+    ("oracle", (0, 2, 1), (0, 0, 0)),
+]
+
+
+def gate_degree(condition, parity):
+    """The degree in (r, s, t, o) of *condition*'s divisor."""
+    if condition == "generic":
+        return 1 if parity is Parity.ALL else 2
+    return 0 if condition in ("021", "oracle") else 1
+
 
 class TestSinglePredicate:
-    """One predicate gates the special clauses on both paths, and n is
-    checked by SumQuery's rules before either."""
+    """One gate table decides every clause on both window sources, and n is
+    checked by SumQuery's rules on either."""
 
-    @pytest.mark.parametrize("case", [c for c in FormulaCase
-                                      if c.value[2] != "generic"],
-                             ids=lambda c: c.name)
+    @pytest.mark.parametrize("case", list(FormulaCase), ids=lambda c: c.name)
     def test_special_clause_outside_condition_raises(self, case):
-        for seq in OUTSIDE_SEQ[case.value[2]]:
-            with pytest.raises(ValueError):
+        _, parity, condition = case.value
+        seqs = OUTSIDE_SEQ[condition]
+        if condition == "generic" and parity is Parity.ALL:
+            seqs = seqs[:1]
+        for seq in seqs:
+            with pytest.raises(ValueError, match="not a proven closed form"):
                 closed_form_value(case, seq, 3)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="not a proven closed form"):
                 closed_form_value(case, seq, 3, term=table_term(seq, 3))
+
+    @pytest.mark.parametrize("condition, triple, divisors", GATE_ROWS,
+                             ids=[f"{c}-{','.join(map(str, t))}" for c, t, _ in GATE_ROWS])
+    def test_gate_table(self, condition, triple, divisors):
+        """_gate at o = 1, and at L*(r, s, t, 1) from _integer_triple, where
+        a divisor of degree k scales by L**k and a 0 stays 0."""
+        ints = sums._integer_triple(RecurrenceParams(*triple))
+        for parity, divisor in zip(Parity, divisors):
+            assert sums._gate(condition, parity, *map(Fraction, triple)) == divisor
+            scaled = sums._gate(condition, parity, *ints)
+            assert type(scaled) is int
+            assert scaled == divisor * ints[3] ** gate_degree(condition, parity)
 
     @pytest.mark.parametrize("case", CLOSED_CASES, ids=lambda c: c.name)
     def test_integer_path_returns_fraction(self, case):
@@ -548,7 +592,7 @@ class TestIntegerCombine:
         for case in CLOSED_CASES:
             direction, parity, condition = case.value
             triple = pinned[condition]
-            if not sums._holds(condition, parity, *triple) or (
+            if not sums._gate(condition, parity, *triple) or (
                     direction is Direction.BACKWARD and (triple[2] == 0 or n == 0)):
                 continue
             seq = seq_of(*triple, w0, w1, w2)
