@@ -296,9 +296,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     # Filled as parsing goes: --format is set before any later argument fails.
     args = argparse.Namespace()
     argv = list(sys.argv[1:] if argv is None else argv)
-    for i in range(len(argv) - 1, 0, -1):  # argparse takes a separate "-p/q" for an option
-        if (argv[i - 1] in _PARAM_OPTIONS and argv[i].startswith("-")
-                and _LITERAL.fullmatch(argv[i])):
+    # argparse takes a separate "-3/4" for an option name; core validates it.
+    for i in range(len(argv) - 1, 0, -1):
+        if (argv[i - 1] in _PARAM_OPTIONS and len(argv[i]) > 1
+                and argv[i][0] == "-" and argv[i][1] in "0123456789"):
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
         parser.parse_args(argv, args)

@@ -28,7 +28,7 @@ SHIFT_WINDOW = range(-3, 7)
 # Consecutive matching terms required to declare an alignment.
 MIN_MATCHED_TERMS = 10
 
-_OEIS_ID_RE = re.compile(r"^A(\d{6})$")
+_OEIS_ID_RE = re.compile(r"A([0-9]{6})")
 _LINE_RE = re.compile(r"^\s*(-?[0-9]+)\s+(-?[0-9]+)\s*$")
 
 
@@ -119,7 +119,7 @@ def align(seq: SequenceDef, bfile: BFile) -> AlignmentReport:
 
 
 def _fixture_filename(oeis_id: str) -> str:
-    m = _OEIS_ID_RE.match(oeis_id)
+    m = _OEIS_ID_RE.fullmatch(oeis_id)
     if m is None:
         raise FixtureMissing(f"not a valid OEIS ID: {oeis_id!r}")
     return f"b{m.group(1)}.txt"

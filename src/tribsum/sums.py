@@ -128,7 +128,7 @@ def _dispatch(triple: tuple, query: SumQuery) -> tuple[FormulaCase, int]:
 def select_case(params: RecurrenceParams, query: SumQuery) -> FormulaCase:
     """The clause of the first of "021" (d2 = 0 there) and "generic" whose
     :func:`_gate` is nonzero, else the oracle fallback.  The S1 and RplusT0
-    clauses specialize the generic ones: cross-checks, never dispatched to."""
+    clauses specialize the generic ones and are never dispatched to."""
     return _dispatch(_integer_triple(params), query)[0]
 
 

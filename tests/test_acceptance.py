@@ -132,8 +132,9 @@ def test_criterion_3_degenerate_triple_clauses(report):
 
 
 def test_criterion_4_specialized_clauses_match_generic(report):
-    """s = 1 and r + t = 0 simplifications agree with the generic forms."""
-    name = "4: specialized clauses vs generic, 100 random sets each"
+    """The s = 1 and r + t = 0 simplifications equal the literal sum on
+    triples pinned to their planes."""
+    name = "4: specialized clauses vs literal sum, 100 random sets each"
     suite = sweep_specializations(random.Random(SEED + 2), count=100)
     ok = suite.succeeded and suite.passed > 0
     report(name, ok, f"{suite.passed} checks, {suite.failed} failures")

@@ -29,11 +29,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def _break_fwd_all(monkeypatch):
-    """Make the FwdAll_Generic clause return 999 for every query."""
+def _break_fwd_all(monkeypatch, value=999):
+    """Make the FwdAll_Generic clause return *value* for every query."""
     broken = dict(sums._CLOSED_FORMS)
     broken[sums.FormulaCase.FwdAll_Generic] = (
-        lambda r, s, t, o, w0, w1, w2, n, term: Fraction(999))
+        lambda r, s, t, o, w0, w1, w2, n, term: Fraction(value))
     monkeypatch.setattr(sums, "_CLOSED_FORMS", broken)
 
 
@@ -253,6 +253,19 @@ class TestVerify:
         assert len(suite["failures"]) == suite["failed"] == 4
         assert all("FwdAll_Generic gave 999" in f for f in suite["failures"])
         assert records[-1]["status"] == "FAIL"
+
+    def test_huge_failure_reported(self, capsys, monkeypatch):
+        """A wrong value past the int-to-str digit limit is a FAIL record
+        with its size, not an error."""
+        _break_fwd_all(monkeypatch, 10**5000)
+        code, out, err = run(capsys, "--format", "json", "verify",
+                             "--seq", "tribonacci", "--max-n", "2")
+        assert (code, err) == (EXIT_MISMATCH, "")
+        records = [json.loads(line) for line in out.splitlines()]
+        suite = next(r for r in records if r["suite"] == "formula-vs-oracle")
+        assert suite["failed"] == 3
+        assert all("FwdAll_Generic gave <16609-bit rational>" in f
+                   for f in suite["failures"])
 
 
 class TestOeisCheck:
@@ -515,10 +528,12 @@ class TestJsonErrors:
          "argument --n: invalid int value: '1_0'"),
         (("term", "--seq", "tribonacci", "--n", "1" * 5000), "term",
          f"argument --n: invalid int value: '{'1' * 5000}'"),
+        (("term", "--r", "-x", "--s", "1", "--t", "1", "--w0", "0", "--w1", "1",
+          "--w2", "1", "--n", "3"), "term", "argument --r: expected one argument"),
     ], ids=["bad-int", "bad-choice", "unrecognized", "no-subcommand",
             "n-negative-fraction", "s-without-value", "n-underscore",
             "n-non-ascii", "seed-non-ascii", "bench-n-underscore",
-            "n-past-digit-limit"])
+            "n-past-digit-limit", "r-not-a-literal"])
     def test_argparse_error(self, capsys, argv, command, message):
         code, record = self.json_error(capsys, *argv)
         assert code == EXIT_USAGE
@@ -541,6 +556,19 @@ class TestJsonErrors:
         assert record == {"command": "term", "status": "error",
                           "error": "ValueError",
                           "message": f"not an exact rational literal: {r!r}",
+                          "exit": EXIT_USAGE}
+
+    @pytest.mark.parametrize("option, value", [("--r", "-3/00"), ("--w0", "-1e5")])
+    def test_malformed_negative_literal(self, capsys, option, value):
+        """A separate value that looks negative is taken as the option's
+        value and rejected as a literal, not reported as missing."""
+        params = {"--r": "1", "--s": "1", "--t": "1", "--w0": "0", "--w1": "1",
+                  "--w2": "1", option: value}
+        code, record = self.json_error(
+            capsys, "term", *(a for item in params.items() for a in item), "--n", "3")
+        assert record == {"command": "term", "status": "error",
+                          "error": "ValueError",
+                          "message": f"not an exact rational literal: {value!r}",
                           "exit": EXIT_USAGE}
 
     def test_argparse_error_text_mode(self, capsys):

@@ -115,6 +115,12 @@ class TestFetch:
         with pytest.raises(FixtureMissing):
             fetch_bfile("A999999x")
 
+    @pytest.mark.parametrize("oeis_id", ["A\u0660\u0660\u0660\u0660\u0667\u0663",
+                                         "A000073\n"], ids=["non-ascii", "newline"])
+    def test_id_must_be_six_ascii_digits(self, oeis_id):
+        with pytest.raises(FixtureMissing, match="not a valid OEIS ID: "):
+            fetch_bfile(oeis_id)
+
     def test_explicit_dir_overrides(self, tmp_path):
         (tmp_path / "b000073.txt").write_text("5 99\n6 98\n")
         bfile = fetch_bfile("A000073", fixture_dir=Path(tmp_path))
