@@ -15,19 +15,24 @@ products of them up to _FIVE_SQUARE_BITS bits and five bignum squares
 above that crossover (see :func:`_sqr_mod`).  It returns three int
 numerators over one common denominator: one division per query, made by
 :func:`window`, :func:`term_matrix` or the closed-form sum that reads
-them.  The O(|n|) literal walk it is checked against lives in
-:mod:`tribsum.oracle`.  The sum-query types live here too, so that both
-the closed forms and the literal oracle can depend on them without
-depending on each other.
+them.  A caller that reads one linear combination of the window
+(:func:`term_matrix`, the sums) can ask for a readout instead: once the
+last square's operands pass _READOUT_BITS, that number comes from a 3x3
+Hankel quadratic form in x^(|m|>>1), three bignum squares instead of the
+square's five (see :func:`_read_window`).  The O(|n|) literal walk it is
+checked against lives in :mod:`tribsum.oracle`.  The sum-query types
+live here too, so that both the closed forms and the literal oracle can
+depend on them without depending on each other.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import re
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -147,7 +152,8 @@ IntRow = tuple[int, int, int]
 
 class MultiplicationCounter:
     """Counts the polynomial steps of :func:`scaled_window` (each square or
-    shift by y is one tick) and its final combine, for cost assertions."""
+    shift by y is one tick) and its final combine, for cost assertions.
+    A last square and shift that a readout replaces tick all the same."""
 
     def __init__(self, count: int = 0) -> None:
         self.count = count
@@ -213,8 +219,72 @@ def _shift_mod(a: IntRow, coeffs: IntRow,
     return T * a2, a0 + S * a2, a1 + R * a2
 
 
-def scaled_window(seq: SequenceDef, m: int, counter: Optional[MultiplicationCounter] = None
-                  ) -> tuple[IntRow, int]:
+# Bits of a2 above which scaled_window(readout=True) reads its one number
+# from the last square's Hankel form (three bignum squares) instead of
+# forming that square (five): below it, building g, the pivots and the
+# caller's unit-window calls cost more than two squares save.  Measured
+# break-even: about 1000 bits for terms, 1500-1800 for integer sums and
+# 3000 for rational sums, whose final gcd dominates; 3072 keeps them all.
+_READOUT_BITS = 3072
+
+
+def _hankel_form(a: IntRow, g: tuple) -> Optional[int]:
+    """sum_ij a_i*a_j*g_{i+j} over i, j in 0..2 by three bignum squares, or
+    None where the diagonal g0, g2, g4 of that Hankel form is all zero.
+
+    One LDL^T step on a nonzero diagonal pivot N turns the form F into
+    N*F = l0^2 + m11*x1^2 + 2*m12*x1*x2 + m22*x2^2, and with a nonzero
+    pivot P = m11 (or m22, the two swapped) P*N*F = P*l0^2 + l1^2 +
+    delta*x2^2.  Where m11 = m22 = 0,
+    2*x1*x2 = ((x1 + x2)^2 - (x1 - x2)^2) / 2.  The g and the pivots are
+    small, so the rest is linear-time, one exact division included.
+    """
+    for pivot, i1, i2 in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+        N = g[2 * pivot]
+        if N:
+            break
+    else:
+        return None
+    x1, x2, h1, h2 = a[i1], a[i2], g[pivot + i1], g[pivot + i2]
+    l0 = N * a[pivot] + h1 * x1 + h2 * x2
+    m11, m12, m22 = N * g[2 * i1] - h1 * h1, N * g[i1 + i2] - h1 * h2, N * g[2 * i2] - h2 * h2
+    if not m11:
+        m11, m22, x1, x2 = m22, m11, x2, x1
+    if not m11:
+        return (l0 ** 2 + m12 * (((x1 + x2) ** 2 - (x1 - x2) ** 2) >> 1)) // N
+    return (m11 * l0 ** 2 + (m11 * x1 + m12 * x2) ** 2
+            + (m11 * m22 - m12 * m12) * x2 ** 2) // (m11 * N)
+
+
+def _read_window(a: IntRow, b: int, coeffs: IntRow, u: IntRow, q: int, backward: bool,
+                 rho: IntRow) -> int:
+    """rho . (n0, n1, n2) for :func:`scaled_window`'s window whose power is
+    y^|m| = (a0 + a1*y + a2*y^2)^2 * y^b, u = (u0, u1, u2) its scaled
+    initial terms, without forming that square.
+
+    c -> rho . nums(c) is linear, and on y^e it is the small int
+    g_e = sum_j rho_j*q^(2-sigma(j))*u_{e+sigma(j)} (sigma reverses the
+    window for m < 0), so the readout is the Hankel form sum a_i*a_j*g_{i+j+b}
+    (:func:`_hankel_form`); where its diagonal vanishes, the full square.
+    """
+    R, S, T = coeffs
+    u = list(u)
+    for _ in range(5):
+        u.append(R * u[-1] + S * u[-2] + T * u[-3])
+    rho0, rho1, rho2 = rho[::-1] if backward else rho
+    rho0, rho1 = rho0 * q * q, rho1 * q
+    g = [rho0 * u[e] + rho1 * u[e + 1] + rho2 * u[e + 2] for e in range(6)]
+    value = _hankel_form(a, g[b:b + 5])
+    if value is None:
+        c = _sqr_mod(a, coeffs, None)
+        if b:
+            c = _shift_mod(c, coeffs, None)
+        value = c[0] * g[0] + c[1] * g[1] + c[2] * g[2]
+    return value
+
+
+def scaled_window(seq: SequenceDef, m: int, counter: Optional[MultiplicationCounter] = None,
+                  readout: bool = False) -> tuple[Union[IntRow, Callable[[IntRow], int]], int]:
     """((n0, n1, n2), D) with W_{m+j} = n_j / D, from one polynomial power on
     ints; nothing is divided.
 
@@ -229,6 +299,12 @@ def scaled_window(seq: SequenceDef, m: int, counter: Optional[MultiplicationCoun
     costs a square (six products, or five squares above the
     _FIVE_SQUARE_BITS crossover), each set bit a shift by y: at most
     2*(bits(|m|) - 1) ticks, plus one for the combine.
+
+    readout=True says the caller reads only linear forms rho . (n0, n1, n2).
+    When the last square's a2 has more than _READOUT_BITS bits, the first
+    item is then a function rho -> rho . (n0, n1, n2) (:func:`_read_window`)
+    that skips that square: three bignum squares instead of five, with the
+    same ticks.  Below the crossover the window comes back as always.
     """
     _require_int(m, "the index m")
     w0, w1, w2 = seq.w0, seq.w1, seq.w2
@@ -247,23 +323,34 @@ def scaled_window(seq: SequenceDef, m: int, counter: Optional[MultiplicationCoun
         u0, u2 = u2, u0
     q = math.lcm(rd // math.gcd(rn, rd), sd // math.gcd(sn, sd), td // math.gcd(tn, td))
     coeffs = R, S, T = rn * q // rd, sn * q * q // sd, tn * q ** 3 // td
+    size = abs(m)
     c = (0, 1, 0)
-    for bit in bin(abs(m))[3:]:
+    for bit in bin(size)[3:-1]:
         c = _sqr_mod(c, coeffs, counter)
         if bit == "1":
             c = _shift_mod(c, coeffs, counter)
-    if counter is not None:
-        counter.tick()
     # u_j = d*q^j*W_j are integers with u_j = R*u_{j-1} + S*u_{j-2} +
     # T*u_{j-3}, so a0*u_j + a1*u_{j+1} + a2*u_{j+2} is d*q^(k+j)*W_{k+j}.
     u1, u2 = u1 * q, u2 * q * q
+    # The last step, y^|m| = (y^(|m| >> 1))^2 * y^(|m| & 1), or its readout.
+    if readout and c[2].bit_length() > _READOUT_BITS:
+        if counter is not None:  # the square, the shift if b, the combine
+            counter.count += 2 + (size & 1)
+        return (functools.partial(_read_window, c, size & 1, coeffs, (u0, u1, u2), q, m < 0),
+                d * q ** (size + 2))
+    if size > 1:
+        c = _sqr_mod(c, coeffs, counter)
+        if size & 1:
+            c = _shift_mod(c, coeffs, counter)
+    if counter is not None:
+        counter.tick()
     u3 = R * u2 + S * u1 + T * u0
     u4 = R * u3 + S * u2 + T * u1
     a0, a1, a2 = c
     nums = ((a0 * u0 + a1 * u1 + a2 * u2) * q * q,
             (a0 * u1 + a1 * u2 + a2 * u3) * q,
             a0 * u2 + a1 * u3 + a2 * u4)
-    return (nums if m > 0 else nums[::-1]), d * q ** (abs(m) + 2)
+    return (nums if m > 0 else nums[::-1]), d * q ** (size + 2)
 
 
 def window(seq: SequenceDef, m: int, counter: Optional[MultiplicationCounter] = None
@@ -280,6 +367,8 @@ def term_matrix(seq: SequenceDef, n: int,
     Exactly equal to the literal walk ``oracle.oracle_term(seq, n)`` on
     every input, with at most 2*ceil(log2(|n| + 1)) + 2 counted squares,
     shifts and combine; negative n walks the reversed recurrence forward.
+    It reads W_n as the readout (1, 0, 0) of the window, so above the
+    _READOUT_BITS crossover the last square is three bignum squares.
     """
-    nums, den = scaled_window(seq, n, counter)
-    return Fraction(nums[0], den)
+    nums, den = scaled_window(seq, n, counter, True)  # readout=True
+    return Fraction(nums((1, 0, 0)) if callable(nums) else nums[0], den)

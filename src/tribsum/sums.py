@@ -17,7 +17,9 @@ are proven and 0 everywhere else; dispatch and :func:`closed_form_value`
 read it once per sum.  Clauses return numerators homogeneous in (r, s, t,
 o).  There is one combine: a sum reads the ints L*(r, s, t, 1) and D*W of
 one window, from :func:`~tribsum.core.scaled_window` or from a caller's
-term function, and builds one Fraction.
+term function, and builds one Fraction.  Past the kernel's readout
+crossover it reads only rho . window from the kernel, with rho and the
+rest K taken from its clause on the zero and the unit windows.
 """
 
 from __future__ import annotations
@@ -271,7 +273,8 @@ def _combine(case: FormulaCase, seq: SequenceDef, n: int, triple: tuple,
              gate: int, term: TermFn | None = None) -> Fraction:
     """:func:`closed_form_value` past its checks of *case* and n, on
     *triple* = :func:`_integer_triple` and the case's nonzero *gate* there,
-    the window from *term* if given."""
+    the window from *term* if given, or read out (:func:`_read_clause`)
+    when the kernel hands back a readout instead of the window."""
     direction, parity, _ = case.value
     r, s, t, o = triple
     if direction is Direction.BACKWARD and t == 0:
@@ -281,14 +284,29 @@ def _combine(case: FormulaCase, seq: SequenceDef, n: int, triple: tuple,
     else:
         m = -n - 3 if parity is Parity.ALL else -2 * n - 1
     if term is None:
-        nums, den = scaled_window(seq, m)
+        nums, den = scaled_window(seq, m, None, True)  # readout=True
     else:  # W_m..W_{m+2} over one denominator with W_0..W_2
         window = [as_rational(term(k)) for k in range(m, m + 3)]
         den = math.lcm(*(v.denominator for v in (*window, seq.w0, seq.w1, seq.w2)))
         nums = [v.numerator * (den // v.denominator) for v in window]
     w0, w1, w2 = (w.numerator * (den // w.denominator) for w in (seq.w0, seq.w1, seq.w2))
-    term = dict(zip(range(m, m + 3), nums)).__getitem__
-    return Fraction(_CLOSED_FORMS[case](r, s, t, o, w0, w1, w2, n, term), gate * den)
+    clause = _CLOSED_FORMS[case]
+    if callable(nums):
+        numerator = _read_clause(nums, clause, (r, s, t, o, w0, w1, w2, n), m)
+    else:
+        numerator = clause(r, s, t, o, w0, w1, w2, n, dict(zip(range(m, m + 3), nums)).__getitem__)
+    return Fraction(numerator, gate * den)
+
+
+def _read_clause(read: Callable, clause: Callable, args: tuple, m: int) -> int:
+    """*clause* on *args* and the window W_m..W_{m+2}, which it reads
+    affinely, as K + rho . window: K and K + rho from the clause on the zero
+    and the unit windows, rho . window from the kernel's readout *read*.
+    Its own function: the comprehension would make _combine's locals
+    cells, which costs every small sum."""
+    K, *at_units = (clause(*args, dict(zip(range(m, m + 3), unit)).__getitem__)
+                    for unit in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    return K + read([v - K for v in at_units])
 
 
 def _brief(value: Fraction) -> str:

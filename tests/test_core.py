@@ -1,5 +1,6 @@
 import itertools
 import math
+import types
 from fractions import Fraction
 from unittest import mock
 
@@ -9,9 +10,12 @@ from hypothesis import strategies as st
 
 from tribsum import core, term_iterative
 from tribsum.core import (
+    Direction,
     MultiplicationCounter,
     NegativeIndexWithZeroT,
+    Parity,
     SequenceDef,
+    SumQuery,
     as_rational,
     format_rational,
     scaled_window,
@@ -19,7 +23,8 @@ from tribsum.core import (
     window,
 )
 from tribsum.catalog import list_all
-from tribsum.oracle import term_table
+from tribsum.oracle import oracle_sum, term_table
+from tribsum.sums import evaluate
 
 rationals = st.fractions(
     min_value=-9, max_value=9, max_denominator=9)
@@ -394,6 +399,118 @@ class TestScaledWindow:
             assert len(built) == 1
 
 
+def hankel_reference(a, g):
+    """sum_ij a_i*a_j*g_{i+j}, written out."""
+    return sum(a[i] * a[j] * g[i + j] for i in range(3) for j in range(3))
+
+
+def readout_reference(a, b, coeffs, u, q, backward, rho):
+    """rho . window for the power (a0 + a1*y + a2*y^2)^2 * y^b: the square
+    by mul_mod, then n_j = q^(2-j) * sum_e c_e*u_{e+j}, reversed for m < 0."""
+    R, S, T = coeffs
+    c = mul_mod(a, a, coeffs)
+    if b:
+        c = mul_mod(c, (0, 1, 0), coeffs)
+    u = list(u)
+    while len(u) < 5:
+        u.append(R * u[-1] + S * u[-2] + T * u[-3])
+    nums = [q ** (2 - j) * sum(c[e] * u[e + j] for e in range(3)) for j in range(3)]
+    if backward:
+        nums.reverse()
+    return sum(w * v for w, v in zip(rho, nums))
+
+
+# One generator g per branch of core._hankel_form: where the first nonzero
+# diagonal pivot N sits, and which of m11 = N*H11 - H01^2 and m22 vanish.
+HANKEL_BRANCHES = {
+    "pivot-0": (2, -1, 3, 5, -7),             # m11 = 6 - 1
+    "pivot-1": (0, 1, 3, 5, -7),              # g0 = 0; m11 = 3*0 - 1
+    "pivot-2": (0, 1, 0, 5, -7),              # g0 = g2 = 0; m11 = 0, m22 = -25
+    "m11=0": (1, 1, 1, 5, 3),                 # m11 = 0, m22 = 3 - 1
+    "m11=m22=0": (1, 1, 1, 5, 1),             # m12 = 5 - 1 only
+    "pivot-2-m11=m22=0": (0, 1, 0, 0, -7),    # m12 = -7 only
+}
+
+
+class TestReadout:
+    """scaled_window(readout=True) above core._READOUT_BITS: one number from
+    the last square's Hankel form, three bignum squares instead of five."""
+
+    @pytest.mark.parametrize("g", HANKEL_BRANCHES.values(), ids=HANKEL_BRANCHES.keys())
+    @given(a=st.tuples(big_ints, big_ints, big_ints))
+    @settings(max_examples=25, deadline=None)
+    @example(a=(0, 0, 0))
+    @example(a=(1 << 5000, -(1 << 4999) + 3, 7))
+    def test_hankel_form_branches(self, g, a):
+        assert core._hankel_form(a, g) == hankel_reference(a, g)
+
+    def test_zero_diagonal_is_left_to_the_square(self):
+        assert core._hankel_form((1 << 4000, 3, -5), (0, 1, 0, 5, 0)) is None
+
+    @given(a=st.tuples(big_ints, big_ints, big_ints),
+           g=st.tuples(*[st.integers(-2, 2)] * 5))
+    @settings(max_examples=200, deadline=None)
+    def test_hankel_form_random(self, a, g):
+        value = core._hankel_form(a, g)
+        if g[0] == g[2] == g[4] == 0:
+            assert value is None
+        else:
+            assert value == hankel_reference(a, g)
+
+    @given(a=st.tuples(big_ints, big_ints, big_ints), b=st.integers(0, 1),
+           coeffs=st.tuples(*[st.integers(-3, 3)] * 3),
+           u=st.tuples(*[st.integers(-3, 3)] * 3), q=st.integers(1, 4),
+           backward=st.booleans(), rho=st.tuples(*[st.integers(-2, 2)] * 3))
+    @settings(max_examples=200, deadline=None)
+    def test_read_window_matches_reference(self, a, b, coeffs, u, q, backward, rho):
+        assert core._read_window(a, b, coeffs, u, q, backward, rho) == readout_reference(
+            a, b, coeffs, u, q, backward, rho)
+
+    @pytest.mark.parametrize("b", [0, 1])
+    def test_zero_diagonal_takes_the_full_square(self, monkeypatch, b):
+        """W = (0, 1, 0) under (0, 2, 0) has u_0 = u_2 = u_4 = 0, so reading
+        W_m at b = 0 meets an all-zero Hankel diagonal and squares instead."""
+        squares = []
+        sqr_mod = core._sqr_mod
+
+        def counting(*args):
+            squares.append(args)
+            return sqr_mod(*args)
+
+        monkeypatch.setattr(core, "_sqr_mod", counting)
+        a, args = (3 << 4000, -(1 << 3999), 5), ((0, 2, 0), (0, 1, 0), 1, False, (1, 0, 0))
+        assert core._read_window(a, b, *args) == readout_reference(a, b, *args)
+        assert len(squares) == 1 - b
+
+    @pytest.mark.parametrize("side", ["above", "below"])
+    @pytest.mark.parametrize("m", [300, 301, -300, -301, 2000, -2001])
+    @pytest.mark.parametrize("seq", [
+        seq_of(1, 1, 1, 0, 0, 1), seq_of(*Q252, **Q252_INITIAL),
+        seq_of(*(RATIONAL_T[k] for k in ("r", "s", "t", "w0", "w1", "w2")))],
+        ids=["tribonacci", "q252", "rational-t"])
+    def test_term_at_crossover(self, monkeypatch, readouts, last_square_bits, seq, m, side):
+        """Just above and just below the crossover, on both parities of m,
+        both signs and q > 1, term_matrix against the literal walk."""
+        bits = last_square_bits(seq, m)
+        monkeypatch.setattr(core, "_READOUT_BITS", bits - (side == "above"))
+        counter = MultiplicationCounter()
+        assert term_matrix(seq, m, counter) == term_table(seq, m, m)[m]
+        assert len(readouts) == (side == "above")
+        assert counter.count == abs(m).bit_length() + bin(abs(m)).count("1") - 1
+
+    @pytest.mark.parametrize("m", [10**5, 10**5 + 1, -(10**5), -(10**5) - 1])
+    def test_same_ticks_above_crossover(self, tribonacci, readouts, m):
+        counter = MultiplicationCounter()
+        term_matrix(tribonacci, m, counter)
+        assert readouts
+        assert counter.count == abs(m).bit_length() + bin(abs(m)).count("1") - 1
+
+    def test_window_reads_all_three(self, tribonacci, readouts):
+        nums, den = scaled_window(tribonacci, 10**5)
+        assert isinstance(nums, tuple) and len(nums) == 3 and not readouts
+        assert Fraction(nums[0], den) == term_matrix(tribonacci, 10**5)
+
+
 P61 = (1 << 61) - 1
 
 
@@ -428,9 +545,69 @@ def term_mod_p(seq, m, p=P61):
     return (first_row[0] * w0 + first_row[1] * w1 + first_row[2] * w2) % p
 
 
+def literal_sums_mod_p(seq, n, p=P61):
+    """The six sums of *seq* at bound n mod p, keyed by (direction,
+    parity) value, from a literal walk forward to W_{2n+1} and back to
+    W_{-2n}; shares no code with core or sums."""
+    r, s, t, w0, w1, w2 = (fraction_mod(v, p) for v in (*seq.params, seq.w0, seq.w1, seq.w2))
+    ahead = [w0, w1, w2]  # W_0, W_1, ...
+    while len(ahead) < 2 * n + 2:
+        ahead.append((r * ahead[-1] + s * ahead[-2] + t * ahead[-3]) % p)
+    t_inv = pow(t, -1, p)
+    back = [w2, w1, w0]  # W_2, W_1, W_0, W_-1, ...: W_-k is back[k + 2]
+    while len(back) < 2 * n + 3:
+        back.append((back[-3] - r * back[-2] - s * back[-1]) * t_inv % p)
+    sums = {("fwd", "all"): ahead[:n + 1], ("fwd", "even"): ahead[:2 * n + 1:2],
+            ("fwd", "odd"): ahead[1:2 * n + 2:2], ("bwd", "all"): back[3:n + 3],
+            ("bwd", "even"): back[4:2 * n + 3:2], ("bwd", "odd"): back[3:2 * n + 2:2]}
+    return {family: sum(terms) % p for family, terms in sums.items()}
+
+
+def module_objects_reached(fn):
+    """Every module-level object *fn* names, following the functions of its
+    own module that it calls."""
+    reached, todo = [], [fn]
+    while todo:
+        f = todo.pop()
+        codes = [f.__code__]
+        while codes:
+            code = codes.pop()
+            codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+            for name in code.co_names:
+                obj = f.__globals__.get(name)
+                if name in f.__globals__ and not any(obj is seen for seen in reached):
+                    reached.append(obj)
+                    if isinstance(obj, types.FunctionType) and obj.__module__ == fn.__module__:
+                        todo.append(obj)
+    return reached
+
+
 class TestAboveOracleReach:
     """term_matrix where the literal oracle cannot go, against W_m mod
-    2^61 - 1; these indices run many levels of the five-square form."""
+    2^61 - 1; these indices run many levels of the five-square form.  And
+    Tribonacci's six sums at the sizes the benchmark's catalog ladder runs,
+    against a literal walk mod 2^61 - 1."""
+
+    @pytest.mark.parametrize("n", [10**5, 10**5 + 1])
+    def test_tribonacci_sums_mod_p(self, tribonacci, readouts, n):
+        for (direction, parity), expected in literal_sums_mod_p(tribonacci, n).items():
+            value = evaluate(tribonacci, SumQuery(Direction(direction), Parity(parity), n)).value
+            assert fraction_mod(value) == expected, (direction, parity)
+        assert len(readouts) == 6
+
+    def test_sum_walk_matches_oracle(self, catalog_defs):
+        for seq in catalog_defs:
+            for n in (1, 2, 7, 30):
+                for (direction, parity), expected in literal_sums_mod_p(seq, n).items():
+                    query = SumQuery(Direction(direction), Parity(parity), n)
+                    assert fraction_mod(oracle_sum(seq, query)) == expected, (seq.name, query)
+
+    def test_walks_bind_no_library_code(self):
+        for walk in (literal_sums_mod_p, term_mod_p):
+            reached = module_objects_reached(walk)
+            assert fraction_mod in reached
+            assert not [obj for obj in reached if isinstance(obj, types.ModuleType)
+                        or str(getattr(obj, "__module__", "")).startswith("tribsum")]
 
     @pytest.mark.parametrize("entry", list_all(), ids=lambda entry: entry.key)
     def test_catalog_mod_p(self, entry):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import tribsum.core as core
 import tribsum.sums as sums
 from tribsum.core import (
     NegativeIndexWithZeroT,
@@ -423,14 +424,55 @@ class TestWindowDispatch:
         real_window = sums.scaled_window
         calls = []
 
-        def counting_window(seq, m, counter=None):
+        def counting_window(seq, m, *args):
             calls.append(m)
-            return real_window(seq, m, counter)
+            return real_window(seq, m, *args)
 
         monkeypatch.setattr(sums, "scaled_window", counting_window)
         result = evaluate(CONDITION_SEQ[condition], SumQuery(*family, 1000))
         assert result.case_used.value == (*family, condition)
         assert calls == [WINDOW_START[family](1000)]
+
+
+class TestReadoutCrossover:
+    """Above core._READOUT_BITS a sum reads one number from the kernel,
+    rho . window plus K, with rho and K from its clause on unit and zero
+    windows; just above and just below it, against the literal sum."""
+
+    @pytest.mark.parametrize("side", ["above", "below"])
+    @pytest.mark.parametrize("n", [150, 151])
+    @pytest.mark.parametrize("seq", [CONDITION_SEQ["generic"], Q252_SEQ, CONDITION_SEQ["021"],
+                                     seq_of(1, 1, 1, 0, 0, 1)],
+                             ids=["generic", "q252", "021", "tribonacci"])
+    @pytest.mark.parametrize("family", list(WINDOW_START),
+                             ids=lambda f: f"{f[0].value}-{f[1].value}")
+    def test_family_at_crossover(self, monkeypatch, readouts, last_square_bits, family, seq,
+                                 n, side):
+        bits = last_square_bits(seq, WINDOW_START[family](n))
+        monkeypatch.setattr(core, "_READOUT_BITS", bits - (side == "above"))
+        query = SumQuery(*family, n)
+        assert evaluate(seq, query).value == sum_oracle(seq, query)
+        assert len(readouts) == (side == "above")
+
+    @pytest.mark.parametrize("case", CLOSED_CASES, ids=lambda c: c.name)
+    def test_every_clause_read_out(self, monkeypatch, readouts, case):
+        """The special clauses too, through closed_form_value."""
+        monkeypatch.setattr(core, "_READOUT_BITS", 0)
+        direction, parity, condition = case.value
+        for seq in (CONDITION_SEQ[condition], SCALED_SEQ[condition]):
+            for n in (40, 41):
+                value = closed_form_value(case, seq, n)
+                assert value == sum_oracle(seq, SumQuery(direction, parity, n))
+        assert len(readouts) == 4
+
+    @pytest.mark.parametrize("family", list(WINDOW_START),
+                             ids=lambda f: f"{f[0].value}-{f[1].value}")
+    def test_021_far_past_crossover(self, readouts, family):
+        """(0, 2, 1), whose clauses add multiples of n to K, at n = 10^4."""
+        seq, query = CONDITION_SEQ["021"], SumQuery(*family, 10_001)
+        result = evaluate(seq, query)
+        assert result.case_used.value[2] == "021" and len(readouts) == 1
+        assert result.value == sum_oracle(seq, query)
 
 
 # Triples just outside each condition (and plainly outside it); for
