@@ -12,14 +12,14 @@ recurrence (-s/t, -r/t, 1/t).  It scales y = q*x, with q the common
 denominator of that triple, so its O(log |m|) polynomial steps (squares
 and shifts by y) run on three int coefficients; a square forms six
 products of them up to _FIVE_SQUARE_BITS bits and five bignum squares
-above that crossover (see :func:`_sqr_mod`).  It returns three int
-numerators over one common denominator: one division per query, made by
-:func:`window`, :func:`term_matrix` or the closed-form sum that reads
-them.  A caller that reads one linear combination of the window
-(:func:`term_matrix`, the sums) can ask for a readout instead: once the
-last square's operands pass _READOUT_BITS, that number comes from a 3x3
+above that crossover (see :func:`_sqr_mod`).  It returns int linear forms
+rho . (n0, n1, n2) of the window's numerators over one common denominator,
+by default the three numerators themselves: one division per query, made
+by :func:`window`, :func:`term_matrix` or the closed-form sum that reads
+them.  Each form is a dot product of the power with small ints; once the
+last square's operands pass _READOUT_BITS, a single form comes from a 3x3
 Hankel quadratic form in x^(|m|>>1), three bignum squares instead of the
-square's five (see :func:`_read_window`).  The O(|n|) literal walk it is
+square's five (see :func:`_last_step`).  The O(|n|) literal walk it is
 checked against lives in :mod:`tribsum.oracle`.  The sum-query types
 live here too, so that both the closed forms and the literal oracle can
 depend on them without depending on each other.
@@ -28,11 +28,10 @@ depend on them without depending on each other.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import re
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -153,7 +152,8 @@ IntRow = tuple[int, int, int]
 class MultiplicationCounter:
     """Counts the polynomial steps of :func:`scaled_window` (each square or
     shift by y is one tick) and its final combine, for cost assertions.
-    A last square and shift that a readout replaces tick all the same."""
+    The last square and shift tick all the same where :func:`_last_step`
+    reads its form without forming them."""
 
     def __init__(self, count: int = 0) -> None:
         self.count = count
@@ -219,10 +219,9 @@ def _shift_mod(a: IntRow, coeffs: IntRow,
     return T * a2, a0 + S * a2, a1 + R * a2
 
 
-# Bits of a2 above which scaled_window(readout=True) reads its one number
-# from the last square's Hankel form (three bignum squares) instead of
-# forming that square (five): below it, building g, the pivots and the
-# caller's unit-window calls cost more than two squares save.  Measured
+# Bits of a2 above which scaled_window reads a single form from the last
+# square's Hankel form (three bignum squares) instead of forming that square
+# (five): below it, the pivots cost more than two squares save.  Measured
 # break-even: about 1000 bits for terms, 1500-1800 for integer sums and
 # 3000 for rational sums, whose final gcd dominates; 3072 keeps them all.
 _READOUT_BITS = 3072
@@ -256,37 +255,47 @@ def _hankel_form(a: IntRow, g: tuple) -> Optional[int]:
             + (m11 * m22 - m12 * m12) * x2 ** 2) // (m11 * N)
 
 
-def _read_window(a: IntRow, b: int, coeffs: IntRow, u: IntRow, q: int, backward: bool,
-                 rho: IntRow) -> int:
-    """rho . (n0, n1, n2) for :func:`scaled_window`'s window whose power is
-    y^|m| = (a0 + a1*y + a2*y^2)^2 * y^b, u = (u0, u1, u2) its scaled
-    initial terms, without forming that square.
+def _last_step(a: IntRow, b: int, coeffs: IntRow, u: IntRow, q: int, backward: bool,
+               forms: tuple) -> tuple[int, ...]:
+    """(rho . (n0, n1, n2) for rho in *forms*) for :func:`scaled_window`'s
+    window whose power is y^|m| = (a0 + a1*y + a2*y^2)^2 * y^b, with
+    u = (u0, u1, u2) its scaled initial terms.
 
     c -> rho . nums(c) is linear, and on y^e it is the small int
     g_e = sum_j rho_j*q^(2-sigma(j))*u_{e+sigma(j)} (sigma reverses the
-    window for m < 0), so the readout is the Hankel form sum a_i*a_j*g_{i+j+b}
-    (:func:`_hankel_form`); where its diagonal vanishes, the full square.
+    window for m < 0), so each form is c0*g_0 + c1*g_1 + c2*g_2 on the
+    square c.  A single form whose a2 has more than _READOUT_BITS bits
+    skips that square: it is the Hankel form sum a_i*a_j*g_{i+j+b}
+    (:func:`_hankel_form`), unless that form's diagonal vanishes.
     """
     R, S, T = coeffs
-    u = list(u)
-    for _ in range(5):
-        u.append(R * u[-1] + S * u[-2] + T * u[-3])
-    rho0, rho1, rho2 = rho[::-1] if backward else rho
-    rho0, rho1 = rho0 * q * q, rho1 * q
-    g = [rho0 * u[e] + rho1 * u[e + 1] + rho2 * u[e + 2] for e in range(6)]
-    value = _hankel_form(a, g[b:b + 5])
-    if value is None:
-        c = _sqr_mod(a, coeffs, None)
-        if b:
-            c = _shift_mod(c, coeffs, None)
-        value = c[0] * g[0] + c[1] * g[1] + c[2] * g[2]
-    return value
+    u0, u1, u2 = u
+    u3 = R * u2 + S * u1 + T * u0
+    u4 = R * u3 + S * u2 + T * u1
+    gs = []
+    for rho in forms:
+        rho0, rho1, rho2 = rho[::-1] if backward else rho
+        rho0, rho1 = rho0 * q * q, rho1 * q
+        gs.append([rho0 * u0 + rho1 * u1 + rho2 * u2, rho0 * u1 + rho1 * u2 + rho2 * u3,
+                   rho0 * u2 + rho1 * u3 + rho2 * u4])
+    if len(gs) == 1 and a[2].bit_length() > _READOUT_BITS:
+        g = gs[0]
+        for _ in range(3):  # g_e follows the recurrence, as u_e does
+            g.append(R * g[-1] + S * g[-2] + T * g[-3])
+        value = _hankel_form(a, g[b:b + 5])
+        if value is not None:
+            return (value,)
+    c0, c1, c2 = _sqr_mod(a, coeffs, None)
+    if b:
+        c0, c1, c2 = _shift_mod((c0, c1, c2), coeffs, None)
+    return tuple([c0 * g[0] + c1 * g[1] + c2 * g[2] for g in gs])
 
 
 def scaled_window(seq: SequenceDef, m: int, counter: Optional[MultiplicationCounter] = None,
-                  readout: bool = False) -> tuple[Union[IntRow, Callable[[IntRow], int]], int]:
-    """((n0, n1, n2), D) with W_{m+j} = n_j / D, from one polynomial power on
-    ints; nothing is divided.
+                  forms: tuple = ((1, 0, 0), (0, 1, 0), (0, 0, 1))) -> tuple[tuple[int, ...], int]:
+    """((rho . (n0, n1, n2) for rho in *forms*), D) with W_{m+j} = n_j / D,
+    from one polynomial power on ints; nothing is divided.  By default the
+    forms are the unit rows, so the first item is the window (n0, n1, n2).
 
     With x^k = c0 + c1*x + c2*x^2 modulo x^3 - r*x^2 - s*x - t,
     W_{k+j} = c0*W_j + c1*W_{j+1} + c2*W_{j+2} (Cayley-Hamilton; Fiduccia
@@ -298,20 +307,17 @@ def scaled_window(seq: SequenceDef, m: int, counter: Optional[MultiplicationCoun
     initial terms (D = d at m = 0).  Each bit of |m| after the leading one
     costs a square (six products, or five squares above the
     _FIVE_SQUARE_BITS crossover), each set bit a shift by y: at most
-    2*(bits(|m|) - 1) ticks, plus one for the combine.
-
-    readout=True says the caller reads only linear forms rho . (n0, n1, n2).
-    When the last square's a2 has more than _READOUT_BITS bits, the first
-    item is then a function rho -> rho . (n0, n1, n2) (:func:`_read_window`)
-    that skips that square: three bignum squares instead of five, with the
-    same ticks.  Below the crossover the window comes back as always.
+    2*(bits(|m|) - 1) ticks, plus one for the combine.  The last square
+    and shift are :func:`_last_step`, which reads a single form past the
+    _READOUT_BITS crossover with three bignum squares instead of five; it
+    ticks the same.
     """
     _require_int(m, "the index m")
     w0, w1, w2 = seq.w0, seq.w1, seq.w2
     d = math.lcm(w0.denominator, w1.denominator, w2.denominator)
     u0, u1, u2 = (w.numerator * (d // w.denominator) for w in (w0, w1, w2))
     if m == 0:
-        return (u0, u1, u2), d
+        return tuple(rho0 * u0 + rho1 * u1 + rho2 * u2 for rho0, rho1, rho2 in forms), d
     r, s, t = seq.params.r, seq.params.s, seq.params.t
     rn, rd, sn, sd, tn, td = (r.numerator, r.denominator, s.numerator,
                               s.denominator, t.numerator, t.denominator)
@@ -322,35 +328,19 @@ def scaled_window(seq: SequenceDef, m: int, counter: Optional[MultiplicationCoun
         rn, rd, sn, sd, tn, td = -sn * td, sd * tn, -rn * td, rd * tn, td, tn
         u0, u2 = u2, u0
     q = math.lcm(rd // math.gcd(rn, rd), sd // math.gcd(sn, sd), td // math.gcd(tn, td))
-    coeffs = R, S, T = rn * q // rd, sn * q * q // sd, tn * q ** 3 // td
+    coeffs = rn * q // rd, sn * q * q // sd, tn * q ** 3 // td
     size = abs(m)
-    c = (0, 1, 0)
+    c = (0, 1, 0) if size > 1 else (1, 0, 0)  # y^(size >> 1) once the loop is done
     for bit in bin(size)[3:-1]:
         c = _sqr_mod(c, coeffs, counter)
         if bit == "1":
             c = _shift_mod(c, coeffs, counter)
+    if counter is not None:  # the last square, the shift if the last bit is set, the combine
+        counter.count += 2 + (size & 1) if size > 1 else 1
     # u_j = d*q^j*W_j are integers with u_j = R*u_{j-1} + S*u_{j-2} +
     # T*u_{j-3}, so a0*u_j + a1*u_{j+1} + a2*u_{j+2} is d*q^(k+j)*W_{k+j}.
-    u1, u2 = u1 * q, u2 * q * q
-    # The last step, y^|m| = (y^(|m| >> 1))^2 * y^(|m| & 1), or its readout.
-    if readout and c[2].bit_length() > _READOUT_BITS:
-        if counter is not None:  # the square, the shift if b, the combine
-            counter.count += 2 + (size & 1)
-        return (functools.partial(_read_window, c, size & 1, coeffs, (u0, u1, u2), q, m < 0),
-                d * q ** (size + 2))
-    if size > 1:
-        c = _sqr_mod(c, coeffs, counter)
-        if size & 1:
-            c = _shift_mod(c, coeffs, counter)
-    if counter is not None:
-        counter.tick()
-    u3 = R * u2 + S * u1 + T * u0
-    u4 = R * u3 + S * u2 + T * u1
-    a0, a1, a2 = c
-    nums = ((a0 * u0 + a1 * u1 + a2 * u2) * q * q,
-            (a0 * u1 + a1 * u2 + a2 * u3) * q,
-            a0 * u2 + a1 * u3 + a2 * u4)
-    return (nums if m > 0 else nums[::-1]), d * q ** (size + 2)
+    return (_last_step(c, size & 1, coeffs, (u0, u1 * q, u2 * q * q), q, m < 0, forms),
+            d * q ** (size + 2))
 
 
 def window(seq: SequenceDef, m: int, counter: Optional[MultiplicationCounter] = None
@@ -367,8 +357,8 @@ def term_matrix(seq: SequenceDef, n: int,
     Exactly equal to the literal walk ``oracle.oracle_term(seq, n)`` on
     every input, with at most 2*ceil(log2(|n| + 1)) + 2 counted squares,
     shifts and combine; negative n walks the reversed recurrence forward.
-    It reads W_n as the readout (1, 0, 0) of the window, so above the
+    It reads W_n as the one form (1, 0, 0) of the window, so above the
     _READOUT_BITS crossover the last square is three bignum squares.
     """
-    nums, den = scaled_window(seq, n, counter, True)  # readout=True
-    return Fraction(nums((1, 0, 0)) if callable(nums) else nums[0], den)
+    (num,), den = scaled_window(seq, n, counter, ((1, 0, 0),))
+    return Fraction(num, den)

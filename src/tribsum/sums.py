@@ -14,12 +14,13 @@ flagged as ``OracleFallback`` in the result.
 
 One table, :func:`_gate`, gives each condition's divisor where its clauses
 are proven and 0 everywhere else; dispatch and :func:`closed_form_value`
-read it once per sum.  Clauses return numerators homogeneous in (r, s, t,
-o).  There is one combine: a sum reads the ints L*(r, s, t, 1) and D*W of
-one window, from :func:`~tribsum.core.scaled_window` or from a caller's
-term function, and builds one Fraction.  Past the kernel's readout
-crossover it reads only rho . window from the kernel, with rho and the
-rest K taken from its clause on the zero and the unit windows.
+read it once per sum.  Each clause is a linear form: it returns integer
+coefficient triples (rho, kappa), polynomials in (r, s, t, o, n)
+homogeneous in (r, s, t, o), for the window W_m, W_m+1, W_m+2 its family
+reads and for W_0, W_1, W_2.  There is one combine: a sum calls its
+clause once on the ints L*(r, s, t, 1), takes rho . D*window from
+:func:`~tribsum.core.scaled_window` (or from a caller's term function),
+adds kappa . D*(W_0, W_1, W_2) and builds one Fraction.
 """
 
 from __future__ import annotations
@@ -137,95 +138,77 @@ def select_case(params: RecurrenceParams, query: SumQuery) -> FormulaCase:
 TermFn = Callable[[int], Fraction]
 
 
-def _fwd_all_generic(r, s, t, o, w0, w1, w2, n: int, term: TermFn):
-    return (o * term(n + 3) + (o - r) * term(n + 2) + (o - r - s) * term(n + 1)
-            - o * w2 + (r - o) * w1 + (r + s - o) * w0)
+def _fwd_all_generic(r, s, t, o, n: int):  # rho on W_{n+1}, W_{n+2}, W_{n+3}
+    return (o - r - s, o - r, o), (r + s - o, r - o, -o)
 
 
-def _fwd_even_generic(r, s, t, o, w0, w1, w2, n: int, term: TermFn):
-    return ((o - s) * o * term(2 * n + 2)
-            + (o * t + r * s) * term(2 * n + 1)
-            + (t * t + r * t) * term(2 * n)
-            + (s - o) * o * w2
-            + (-o * t - r * s) * w1
-            + (-o * o + r * r - s * s + r * t + 2 * s * o) * w0)
+def _fwd_even_generic(r, s, t, o, n: int):  # rho on W_{2n}, W_{2n+1}, W_{2n+2}
+    return ((t * t + r * t, o * t + r * s, (o - s) * o),
+            (-o * o + r * r - s * s + r * t + 2 * s * o, -o * t - r * s, (s - o) * o))
 
 
-def _fwd_odd_generic(r, s, t, o, w0, w1, w2, n: int, term: TermFn):
-    return ((r + t) * o * term(2 * n + 2)
-            + (s * o - s * s + t * t + r * t) * term(2 * n + 1)
-            + (t * o - s * t) * term(2 * n)
-            + (-r - t) * o * w2
-            + (-o * o + s * o + r * r + r * t) * w1
-            + (-t * o + s * t) * w0)
+def _fwd_odd_generic(r, s, t, o, n: int):  # rho on W_{2n}, W_{2n+1}, W_{2n+2}
+    return ((t * o - s * t, s * o - s * s + t * t + r * t, (r + t) * o),
+            (-t * o + s * t, -o * o + s * o + r * r + r * t, (-r - t) * o))
 
 
-def _fwd_even_s1(r, s, t, o, w0, w1, w2, n: int, term: TermFn):
-    return o * term(2 * n + 1) + t * term(2 * n) - o * w1 + r * w0
+def _fwd_even_s1(r, s, t, o, n: int):  # rho on W_{2n}, W_{2n+1}, W_{2n+2}
+    return (t, o, 0), (r, -o, 0)
 
 
-def _fwd_odd_s1(r, s, t, o, w0, w1, w2, n: int, term: TermFn):
-    return o * term(2 * n + 2) + t * term(2 * n + 1) - o * w2 + r * w1
+def _fwd_odd_s1(r, s, t, o, n: int):  # rho on W_{2n}, W_{2n+1}, W_{2n+2}
+    return (0, t, o), (0, r, -o)
 
 
-def _fwd_021_all(r, s, t, o, w0, w1, w2, n: int, term: TermFn):
-    return term(n + 3) + term(n + 2) - term(n + 1) - w2 - w1 + w0
+def _fwd_021_all(r, s, t, o, n: int):  # rho on W_{n+1}, W_{n+2}, W_{n+3}
+    return (-1, 1, 1), (1, -1, -1)
 
 
-def _fwd_021_even(r, s, t, o, w0, w1, w2, n: int, term: TermFn):
-    return term(2 * n + 1) + (w2 - w1 - w0) * n + w0 - w1
+def _fwd_021_even(r, s, t, o, n: int):  # rho on W_{2n}, W_{2n+1}, W_{2n+2}
+    return (0, 1, 0), (1 - n, -1 - n, n)
 
 
-def _fwd_021_odd(r, s, t, o, w0, w1, w2, n: int, term: TermFn):
-    # Reads 2n..2n+2 like the other even/odd clauses: here W_{2n+3} = 2*W_{2n+1} + W_{2n}.
-    return (term(2 * n + 2) + term(2 * n + 1) + term(2 * n)
-            + 2 * n * (-w2 + w1 + w0) - w2 + w1 - w0)
+def _fwd_021_odd(r, s, t, o, n: int):  # rho on W_{2n}, W_{2n+1}, W_{2n+2}
+    # The even/odd window: the paper's W_{2n+3} is 2*W_{2n+1} + W_{2n} here.
+    return (1, 1, 1), (2 * n - 1, 2 * n + 1, -2 * n - 1)
 
 
-def _bwd_all_generic(r, s, t, o, w0, w1, w2, n: int, term: TermFn):
-    return (-(r + s + t) * term(-n - 1) - (s + t) * term(-n - 2) - t * term(-n - 3)
-            + o * w2 + (o - r) * w1 + (o - r - s) * w0)
+def _bwd_all_generic(r, s, t, o, n: int):  # rho on W_{-n-3}, W_{-n-2}, W_{-n-1}
+    return (-t, -(s + t), -(r + s + t)), (o - r - s, o - r, o)
 
 
-def _bwd_even_generic(r, s, t, o, w0, w1, w2, n: int, term: TermFn):
-    return (-(r + t) * o * term(-2 * n + 1)
-            + (r * r + r * t + s * o - o * o) * term(-2 * n)
-            + (s * t - t * o) * term(-2 * n - 1)
-            + (o - s) * o * w2
-            + (t * o + r * s) * w1
-            + (o * o - r * t - 2 * s * o - r * r + s * s) * w0)
+def _bwd_even_generic(r, s, t, o, n: int):  # rho on W_{-2n-1}, W_{-2n}, W_{-2n+1}
+    return ((s * t - t * o, r * r + r * t + s * o - o * o, -(r + t) * o),
+            (o * o - r * t - 2 * s * o - r * r + s * s, t * o + r * s, (o - s) * o))
 
 
-def _bwd_odd_generic(r, s, t, o, w0, w1, w2, n: int, term: TermFn):
-    return ((s - o) * o * term(-2 * n + 1)
-            - (t * o + r * s) * term(-2 * n)
-            - (t * t + r * t) * term(-2 * n - 1)
-            + (r + t) * o * w2
-            + (o * o - r * r - r * t - s * o) * w1
-            + (t * o - s * t) * w0)
+def _bwd_odd_generic(r, s, t, o, n: int):  # rho on W_{-2n-1}, W_{-2n}, W_{-2n+1}
+    return ((-(t * t + r * t), -(t * o + r * s), (s - o) * o),
+            (t * o - s * t, o * o - r * r - r * t - s * o, (r + t) * o))
 
 
-def _bwd_even_r_plus_t_zero(r, s, t, o, w0, w1, w2, n: int, term: TermFn):
-    return -o * term(-2 * n) - t * term(-2 * n - 1) + o * w2 + t * w1 + (o - s) * w0
+def _bwd_even_r_plus_t_zero(r, s, t, o, n: int):  # rho on W_{-2n-1}, W_{-2n}, W_{-2n+1}
+    return (-t, -o, 0), (o - s, t, o)
 
 
-def _bwd_odd_r_plus_t_zero(r, s, t, o, w0, w1, w2, n: int, term: TermFn):
-    return -o * term(-2 * n + 1) - t * term(-2 * n) + o * w1 + t * w0
+def _bwd_odd_r_plus_t_zero(r, s, t, o, n: int):  # rho on W_{-2n-1}, W_{-2n}, W_{-2n+1}
+    return (0, -t, -o), (t, o, 0)
 
 
-def _bwd_021_all(r, s, t, o, w0, w1, w2, n: int, term: TermFn):
-    return -3 * term(-n - 1) - 3 * term(-n - 2) - term(-n - 3) + w2 + w1 - w0
+def _bwd_021_all(r, s, t, o, n: int):  # rho on W_{-n-3}, W_{-n-2}, W_{-n-1}
+    return (-1, -3, -3), (-1, 1, 1)
 
 
-def _bwd_021_even(r, s, t, o, w0, w1, w2, n: int, term: TermFn):
-    return -term(-2 * n + 1) + term(-2 * n) + (w1 - w0) + (w2 - w1 - w0) * n
+def _bwd_021_even(r, s, t, o, n: int):  # rho on W_{-2n-1}, W_{-2n}, W_{-2n+1}
+    return (0, 1, -1), (-1 - n, 1 - n, n)
 
 
-def _bwd_021_odd(r, s, t, o, w0, w1, w2, n: int, term: TermFn):
-    return (term(-2 * n + 1) - 3 * term(-2 * n) - term(-2 * n - 1)
-            + (w2 - w1 + w0) + 2 * (-w2 + w1 + w0) * n)
+def _bwd_021_odd(r, s, t, o, n: int):  # rho on W_{-2n-1}, W_{-2n}, W_{-2n+1}
+    return (-1, -3, 1), (1 + 2 * n, 2 * n - 1, 1 - 2 * n)
 
 
+# Each clause's (rho, kappa): its numerator is rho . D*(W_m, W_m+1, W_m+2)
+# + kappa . D*(W_0, W_1, W_2), D the window's common denominator.
 _CLOSED_FORMS: dict[FormulaCase, Callable] = {
     FormulaCase.FwdAll_Generic: _fwd_all_generic,
     FormulaCase.FwdEven_Generic: _fwd_even_generic,
@@ -256,8 +239,7 @@ def closed_form_value(case: FormulaCase, seq: SequenceDef, n: int,
     :func:`~tribsum.core.scaled_window` by default, else from *term*, called
     for exactly those three indices and returning ints or Fractions.  Either
     way it runs on ints, :func:`_integer_triple` and D*W with D the window's
-    common denominator, and the sum is one Fraction over gate*D; a read
-    outside the window raises KeyError."""
+    common denominator, and the sum is one Fraction over gate*D."""
     direction, parity, condition = case.value
     p = seq.params
     triple = _integer_triple(p)
@@ -272,9 +254,9 @@ def closed_form_value(case: FormulaCase, seq: SequenceDef, n: int,
 def _combine(case: FormulaCase, seq: SequenceDef, n: int, triple: tuple,
              gate: int, term: TermFn | None = None) -> Fraction:
     """:func:`closed_form_value` past its checks of *case* and n, on
-    *triple* = :func:`_integer_triple` and the case's nonzero *gate* there,
-    the window from *term* if given, or read out (:func:`_read_clause`)
-    when the kernel hands back a readout instead of the window."""
+    *triple* = :func:`_integer_triple` and the case's nonzero *gate* there:
+    the clause's rho . D*window, from the kernel or from *term*, plus its
+    kappa . D*(W_0, W_1, W_2)."""
     direction, parity, _ = case.value
     r, s, t, o = triple
     if direction is Direction.BACKWARD and t == 0:
@@ -283,30 +265,16 @@ def _combine(case: FormulaCase, seq: SequenceDef, n: int, triple: tuple,
         m = n + 1 if parity is Parity.ALL else 2 * n
     else:
         m = -n - 3 if parity is Parity.ALL else -2 * n - 1
+    rho, (k0, k1, k2) = _CLOSED_FORMS[case](r, s, t, o, n)
     if term is None:
-        nums, den = scaled_window(seq, m, None, True)  # readout=True
+        (value,), den = scaled_window(seq, m, None, (rho,))
     else:  # W_m..W_{m+2} over one denominator with W_0..W_2
         window = [as_rational(term(k)) for k in range(m, m + 3)]
         den = math.lcm(*(v.denominator for v in (*window, seq.w0, seq.w1, seq.w2)))
-        nums = [v.numerator * (den // v.denominator) for v in window]
+        n0, n1, n2 = (v.numerator * (den // v.denominator) for v in window)
+        value = rho[0] * n0 + rho[1] * n1 + rho[2] * n2
     w0, w1, w2 = (w.numerator * (den // w.denominator) for w in (seq.w0, seq.w1, seq.w2))
-    clause = _CLOSED_FORMS[case]
-    if callable(nums):
-        numerator = _read_clause(nums, clause, (r, s, t, o, w0, w1, w2, n), m)
-    else:
-        numerator = clause(r, s, t, o, w0, w1, w2, n, dict(zip(range(m, m + 3), nums)).__getitem__)
-    return Fraction(numerator, gate * den)
-
-
-def _read_clause(read: Callable, clause: Callable, args: tuple, m: int) -> int:
-    """*clause* on *args* and the window W_m..W_{m+2}, which it reads
-    affinely, as K + rho . window: K and K + rho from the clause on the zero
-    and the unit windows, rho . window from the kernel's readout *read*.
-    Its own function: the comprehension would make _combine's locals
-    cells, which costs every small sum."""
-    K, *at_units = (clause(*args, dict(zip(range(m, m + 3), unit)).__getitem__)
-                    for unit in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    return K + read([v - K for v in at_units])
+    return Fraction(value + k0 * w0 + k1 * w1 + k2 * w2, gate * den)
 
 
 def _brief(value: Fraction) -> str:

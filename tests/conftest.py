@@ -26,26 +26,29 @@ def catalog_defs():
 
 @pytest.fixture
 def readouts(monkeypatch):
-    """A list that gets one entry per window the kernel reads out
-    (core._read_window call) instead of forming its last square."""
+    """A list that gets one entry per form the kernel reads from its last
+    square's Hankel form (core._hankel_form call) instead of forming it."""
     calls = []
-    read_window = core._read_window
+    hankel_form = core._hankel_form
 
     def recording(*args):
         calls.append(args)
-        return read_window(*args)
+        return hankel_form(*args)
 
-    monkeypatch.setattr(core, "_read_window", recording)
+    monkeypatch.setattr(core, "_hankel_form", recording)
     return calls
 
 
 @pytest.fixture(scope="session")
 def last_square_bits():
     """bits(seq, m): the bits of a2 where the kernel's last step at m
-    starts, read off the readout it returns with the crossover at 0."""
+    starts, read off the Hankel form it meets with the crossover at 0 (and
+    then left to the square, so that no readout is recorded)."""
     def bits(seq, m):
+        seen = []
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(core, "_READOUT_BITS", 0)
-            form, _ = core.scaled_window(seq, m, None, True)
-        return form.args[0][2].bit_length()
+            patch.setattr(core, "_hankel_form", lambda a, g: seen.append(a))
+            core.scaled_window(seq, m, None, ((1, 0, 0),))
+        return seen[0][2].bit_length()
     return bits

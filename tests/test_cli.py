@@ -3,7 +3,6 @@ import os
 import re
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -30,10 +29,10 @@ def run(capsys, *argv):
 
 
 def _break_fwd_all(monkeypatch, value=999):
-    """Make the FwdAll_Generic clause return *value* for every query."""
+    """Make the FwdAll_Generic clause's numerator *value* * D*W_2 for every
+    query: Tribonacci's sums (W_2 = 1, gate 2) then read value/2."""
     broken = dict(sums._CLOSED_FORMS)
-    broken[sums.FormulaCase.FwdAll_Generic] = (
-        lambda r, s, t, o, w0, w1, w2, n, term: Fraction(value))
+    broken[sums.FormulaCase.FwdAll_Generic] = lambda r, s, t, o, n: ((0, 0, 0), (0, 0, value))
     monkeypatch.setattr(sums, "_CLOSED_FORMS", broken)
 
 
@@ -251,7 +250,8 @@ class TestVerify:
         suite = next(r for r in records if r["suite"] == "formula-vs-oracle")
         assert suite["status"] == "FAIL"
         assert len(suite["failures"]) == suite["failed"] == 4
-        assert all("FwdAll_Generic gave 999" in f for f in suite["failures"])
+        # Perrin's W_2 = 2 and gate 1: the broken sums read 2 * 999.
+        assert all("FwdAll_Generic gave 1998" in f for f in suite["failures"])
         assert records[-1]["status"] == "FAIL"
 
     def test_huge_failure_reported(self, capsys, monkeypatch):

@@ -115,6 +115,22 @@ class TestTermIterative:
     def test_perrin_backward(self, perrin):
         assert term_iterative(perrin, -5) == 4
 
+    @given(triple=st.one_of(st.just(Q252), st.tuples(rationals, rationals, rationals)),
+           w0=rationals, w1=rationals, w2=rationals,
+           m=st.one_of(st.integers(-2, 2), st.integers(-300, 300)),
+           forms=st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=1, max_size=3))
+    @settings(max_examples=80, deadline=None)
+    def test_forms_are_dot_products_of_the_window(self, triple, w0, w1, w2, m, forms):
+        """scaled_window(..., forms) is rho . window for each rho, over the
+        same D and with the same ticks."""
+        assume(m >= 0 or triple[2] != 0)
+        seq = seq_of(*triple, w0, w1, w2)
+        counted, plain = MultiplicationCounter(), MultiplicationCounter()
+        values, den = scaled_window(seq, m, counted, tuple(forms))
+        nums, window_den = scaled_window(seq, m, plain)
+        assert den == window_den and counted.count == plain.count
+        assert values == tuple(sum(c * v for c, v in zip(rho, nums)) for rho in forms)
+
     def test_zero_t_negative_index_raises(self):
         seq = seq_of(1, 1, 0, 0, 1, 1)
         with pytest.raises(NegativeIndexWithZeroT):
@@ -433,8 +449,8 @@ HANKEL_BRANCHES = {
 
 
 class TestReadout:
-    """scaled_window(readout=True) above core._READOUT_BITS: one number from
-    the last square's Hankel form, three bignum squares instead of five."""
+    """scaled_window on a single form above core._READOUT_BITS: one number
+    from the last square's Hankel form, three bignum squares instead of five."""
 
     @pytest.mark.parametrize("g", HANKEL_BRANCHES.values(), ids=HANKEL_BRANCHES.keys())
     @given(a=st.tuples(big_ints, big_ints, big_ints))
@@ -460,16 +476,23 @@ class TestReadout:
     @given(a=st.tuples(big_ints, big_ints, big_ints), b=st.integers(0, 1),
            coeffs=st.tuples(*[st.integers(-3, 3)] * 3),
            u=st.tuples(*[st.integers(-3, 3)] * 3), q=st.integers(1, 4),
-           backward=st.booleans(), rho=st.tuples(*[st.integers(-2, 2)] * 3))
+           backward=st.booleans(), rho=st.tuples(*[st.integers(-2, 2)] * 3),
+           more=st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=2, max_size=2))
     @settings(max_examples=200, deadline=None)
-    def test_read_window_matches_reference(self, a, b, coeffs, u, q, backward, rho):
-        assert core._read_window(a, b, coeffs, u, q, backward, rho) == readout_reference(
-            a, b, coeffs, u, q, backward, rho)
+    def test_read_window_matches_reference(self, a, b, coeffs, u, q, backward, rho, more):
+        """core._last_step on one form, read from the Hankel form with the
+        crossover at 0, and on three, read from the square."""
+        for forms in ((rho,), (rho, *more)):
+            with mock.patch.object(core, "_READOUT_BITS", 0):
+                got = core._last_step(a, b, coeffs, u, q, backward, forms)
+            assert got == tuple(readout_reference(a, b, coeffs, u, q, backward, form)
+                                for form in forms)
 
     @pytest.mark.parametrize("b", [0, 1])
     def test_zero_diagonal_takes_the_full_square(self, monkeypatch, b):
         """W = (0, 1, 0) under (0, 2, 0) has u_0 = u_2 = u_4 = 0, so reading
-        W_m at b = 0 meets an all-zero Hankel diagonal and squares instead."""
+        W_m at b = 0 meets an all-zero Hankel diagonal and squares instead;
+        three forms always take the square."""
         squares = []
         sqr_mod = core._sqr_mod
 
@@ -478,9 +501,13 @@ class TestReadout:
             return sqr_mod(*args)
 
         monkeypatch.setattr(core, "_sqr_mod", counting)
-        a, args = (3 << 4000, -(1 << 3999), 5), ((0, 2, 0), (0, 1, 0), 1, False, (1, 0, 0))
-        assert core._read_window(a, b, *args) == readout_reference(a, b, *args)
-        assert len(squares) == 1 - b
+        monkeypatch.setattr(core, "_READOUT_BITS", 0)
+        a, args = (3 << 4000, -(1 << 3999), 5), ((0, 2, 0), (0, 1, 0), 1, False)
+        for forms in (((1, 0, 0),), ((1, 0, 0), (0, 1, 0), (2, -1, 1))):
+            squares.clear()
+            assert core._last_step(a, b, *args, forms) == tuple(
+                readout_reference(a, b, *args, form) for form in forms)
+            assert len(squares) == (1 - b if len(forms) == 1 else 1)
 
     @pytest.mark.parametrize("side", ["above", "below"])
     @pytest.mark.parametrize("m", [300, 301, -300, -301, 2000, -2001])

@@ -249,8 +249,7 @@ class TestEvaluate:
     def test_check_detects_corruption(self, tribonacci, monkeypatch):
         import tribsum.sums as sums
         broken = dict(sums._CLOSED_FORMS)
-        broken[FormulaCase.FwdAll_Generic] = (
-            lambda r, s, t, o, w0, w1, w2, n, term: Fraction(999))
+        broken[FormulaCase.FwdAll_Generic] = lambda r, s, t, o, n: ((0, 0, 0), (0, 0, 999))
         monkeypatch.setattr(sums, "_CLOSED_FORMS", broken)
         with pytest.raises(SumMismatch):
             sums.evaluate(tribonacci,
@@ -409,14 +408,6 @@ class TestWindowDispatch:
             assert sorted(read) == [m, m + 1, m + 2]
             assert value == closed_form_value(case, seq, n)
 
-    def test_default_window_rejects_outside_index(self, tribonacci, monkeypatch):
-        broken = dict(sums._CLOSED_FORMS)
-        broken[FormulaCase.FwdAll_Generic] = (
-            lambda r, s, t, o, w0, w1, w2, n, term: term(n))
-        monkeypatch.setattr(sums, "_CLOSED_FORMS", broken)
-        with pytest.raises(KeyError):
-            closed_form_value(FormulaCase.FwdAll_Generic, tribonacci, 7)
-
     @pytest.mark.parametrize("condition", ["generic", "021"])
     @pytest.mark.parametrize("family", list(WINDOW_START),
                              ids=lambda f: f"{f[0].value}-{f[1].value}")
@@ -436,8 +427,8 @@ class TestWindowDispatch:
 
 class TestReadoutCrossover:
     """Above core._READOUT_BITS a sum reads one number from the kernel,
-    rho . window plus K, with rho and K from its clause on unit and zero
-    windows; just above and just below it, against the literal sum."""
+    its clause's rho . window; just above and just below the crossover,
+    against the literal sum."""
 
     @pytest.mark.parametrize("side", ["above", "below"])
     @pytest.mark.parametrize("n", [150, 151])
@@ -468,11 +459,44 @@ class TestReadoutCrossover:
     @pytest.mark.parametrize("family", list(WINDOW_START),
                              ids=lambda f: f"{f[0].value}-{f[1].value}")
     def test_021_far_past_crossover(self, readouts, family):
-        """(0, 2, 1), whose clauses add multiples of n to K, at n = 10^4."""
+        """(0, 2, 1), whose kappa grows with n, at n = 10^4."""
         seq, query = CONDITION_SEQ["021"], SumQuery(*family, 10_001)
         result = evaluate(seq, query)
         assert result.case_used.value[2] == "021" and len(readouts) == 1
         assert result.value == sum_oracle(seq, query)
+
+
+class TestOneClauseCall:
+    """A sum calls its clause once, whichever window source it reads and on
+    either side of the readout crossover."""
+
+    @pytest.mark.parametrize("side", ["above", "below"])
+    @pytest.mark.parametrize("case", CLOSED_CASES, ids=lambda c: c.name)
+    def test_clause_called_once(self, monkeypatch, readouts, last_square_bits, case, side):
+        direction, parity, condition = case.value
+        seq, n = CONDITION_SEQ[condition], 151
+        query = SumQuery(direction, parity, n)
+        bits = last_square_bits(seq, WINDOW_START[direction, parity](n))
+        monkeypatch.setattr(core, "_READOUT_BITS", bits - (side == "above"))
+        clause, calls = sums._CLOSED_FORMS[case], []
+
+        def counting(*args):
+            calls.append(args)
+            return clause(*args)
+
+        monkeypatch.setitem(sums._CLOSED_FORMS, case, counting)
+        expected = sum_oracle(seq, query)
+        for term in (None, table_term(seq, n)):
+            calls.clear()
+            assert closed_form_value(case, seq, n, term) == expected
+            assert len(calls) == 1
+        dispatched = select_case(seq.params, query) is case
+        if dispatched:
+            calls.clear()
+            assert evaluate(seq, query).value == expected
+            assert len(calls) == 1
+        assert dispatched == (condition in ("generic", "021"))
+        assert len(readouts) == (side == "above") * (1 + dispatched)
 
 
 # Triples just outside each condition (and plainly outside it); for
@@ -592,21 +616,18 @@ class TestIntegerCombine:
     @pytest.mark.parametrize("source", ["window", "term"])
     @pytest.mark.parametrize("case", CLOSED_CASES, ids=lambda c: c.name)
     def test_clause_sees_only_ints(self, monkeypatch, case, source):
-        """Every argument a clause receives, and every term it reads, is an int."""
+        """Every argument a clause receives, and every coefficient of the
+        rho and kappa it returns, is an int."""
         direction, parity, condition = case.value
         seq = SCALED_SEQ[condition]
         clause = sums._CLOSED_FORMS[case]
         seen = []
 
-        def checked(*args):  # (r, s, t, o, w0, w1, w2, n), then term
-            *values, term = args
-
-            def reading(k):
-                seen.append(term(k))
-                return seen[-1]
-
-            seen.extend(values)
-            return clause(*values, reading)
+        def checked(*args):  # (r, s, t, o, n) -> (rho, kappa)
+            rho, kappa = clause(*args)
+            seen.extend((*args, *rho, *kappa))
+            assert len(rho) == len(kappa) == 3
+            return rho, kappa
 
         monkeypatch.setitem(sums._CLOSED_FORMS, case, checked)
         for n in (1, 40):
@@ -646,16 +667,19 @@ class TestIntegerCombine:
            n=st.integers(min_value=0, max_value=30))
     @settings(max_examples=20, deadline=None)
     def test_clause_is_homogeneous(self, case, k, n):
-        """clause(k*r, k*s, k*t, k) over its gate there is the sum at o = 1."""
+        """rho . window + kappa . (W_0, W_1, W_2) from clause(k*r, k*s, k*t,
+        k) over its gate there is the sum at o = 1."""
         direction, parity, condition = case.value
         seq = SCALED_SEQ[condition]
         n += direction is Direction.BACKWARD
         term = table_term(seq, n)
+        m = WINDOW_START[direction, parity](n)
 
         def value(o):
             scaled = (o * seq.params.r, o * seq.params.s, o * seq.params.t, o)
-            numerator = sums._CLOSED_FORMS[case](*scaled, seq.w0, seq.w1, seq.w2,
-                                                 n, term)
+            rho, kappa = sums._CLOSED_FORMS[case](*scaled, n)
+            numerator = (sum(c * term(m + j) for j, c in enumerate(rho))
+                         + sum(c * w for c, w in zip(kappa, (seq.w0, seq.w1, seq.w2))))
             return numerator / sums._gate(condition, parity, *scaled)
 
         assert value(k) == value(1) == closed_form_value(case, seq, n, term=term)

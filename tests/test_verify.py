@@ -63,7 +63,12 @@ def test_specializations_report_a_wrong_clause(monkeypatch):
     with the oracle's value in the message."""
     broken = dict(sums._CLOSED_FORMS)
     right = broken[FormulaCase.FwdEven_S1]
-    broken[FormulaCase.FwdEven_S1] = lambda r, s, t, o, *rest: right(r, s, t, o, *rest) + o
+
+    def wrong(r, s, t, o, n):  # adds o*D*W_0 to the numerator
+        rho, (k0, k1, k2) = right(r, s, t, o, n)
+        return rho, (k0 + o, k1, k2)
+
+    broken[FormulaCase.FwdEven_S1] = wrong
     monkeypatch.setattr(sums, "_CLOSED_FORMS", broken)
     report = verify.sweep_specializations(random.Random(3), 6)
     assert report.failed == 6 * 11
