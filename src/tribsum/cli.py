@@ -18,12 +18,9 @@ import sys
 import time
 from typing import Optional
 
-from . import oracle
 from .catalog import CatalogEntry, UnknownSequence, list_all, lookup
-from .core import (_LITERAL, NegativeIndexWithZeroT, SequenceDef, format_rational,
-                   term_matrix)
-from .oeis import AlignmentStatus, FixtureMissing, MalformedBFile, align, fetch_bfile
-from .sums import Direction, Parity, SumMismatch, SumQuery, evaluate
+from .core import (_LITERAL, Direction, NegativeIndexWithZeroT, Parity, SequenceDef,
+                   SumMismatch, SumQuery, format_rational, term_matrix)
 
 EXIT_OK = 0
 EXIT_BROKEN_PIPE = 1
@@ -112,6 +109,18 @@ def _error(args: argparse.Namespace, code: int, exc: Exception,
     return code
 
 
+# term and catalog never load sums or oeis: these import theirs on first call,
+# and stay module attributes that the subcommands call through.
+def evaluate(seq: SequenceDef, query: SumQuery, check: bool = False):
+    from .sums import evaluate
+    return evaluate(seq, query, check)
+
+
+def align(seq: SequenceDef, bfile):
+    from .oeis import align
+    return align(seq, bfile)
+
+
 def _require_at_least(flag: str, value: int, low: int) -> None:
     if value < low:
         raise ValueError(f"{flag} must be at least {low}, not {value}")
@@ -170,6 +179,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _oeis_outcome(entry: CatalogEntry, fixture_dir: Optional[str],
                   count: int) -> tuple[dict, str]:
     """One entry's record fields after command and seq, and its text after the key."""
+    from .oeis import AlignmentStatus, FixtureMissing, MalformedBFile, fetch_bfile
     oeis_id = entry.primary_oeis_id
     if oeis_id is None:
         return {"status": "skipped", "reason": "no OEIS id"}, "skipped: no OEIS id"
@@ -201,6 +211,7 @@ def _cmd_oeis_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from . import oracle, sums  # sums loads here, not in the first timed evaluate
     seq = lookup(args.seq).definition
     for n in args.n:
         _require_at_least("--n", n, 0)

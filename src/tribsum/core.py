@@ -40,6 +40,10 @@ class NegativeIndexWithZeroT(ValueError):
     """A negative index was requested but t = 0, so no backward step exists."""
 
 
+class SumMismatch(ArithmeticError):
+    """A closed-form value disagreed with the literal sum."""
+
+
 # "p" or "p/q" (q > 0) in ASCII digits, signed, maybe padded.  Fraction's own
 # parser also takes decimals, "_" and non-ASCII digits, differently per Python.
 _LITERAL = re.compile(r"\s*[+-]?[0-9]+(?:/0*[1-9][0-9]*)?\s*")

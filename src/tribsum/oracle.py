@@ -112,12 +112,15 @@ def oracle_sum(seq: SequenceDef, query: SumQuery) -> Fraction:
     """The literal sum of the terms selected by *query*, added one by one.
 
     The terms are added as scaled ints (Horner in q^step, so all share the
-    last term's scale) and divided once at the end.
+    last term's scale; a plain sum where the scale never grows, as for
+    every integer triple going forward) and divided once at the end.
     """
     if query.direction is Direction.BACKWARD and seq.params.t == 0:
         raise NegativeIndexWithZeroT("backward sums need t != 0")
     first, q_step, den, added = _added(seq, query.direction, query.parity)
     count = query.n + 1 - first
+    if q_step == 1:
+        return Fraction(sum(islice(added, count)), den)
     total = 0
     for u in islice(added, count):
         total = total * q_step + u

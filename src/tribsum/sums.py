@@ -30,12 +30,13 @@ import math
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .core import (  # Direction, Parity, SumQuery, query_indices: re-exported
+from .core import (  # Direction, Parity, SumMismatch, SumQuery, query_indices: re-exported
     Direction,
     NegativeIndexWithZeroT,
     Parity,
     RecurrenceParams,
     SequenceDef,
+    SumMismatch,
     SumQuery,
     as_rational,
     query_indices,
@@ -79,10 +80,6 @@ class SumResult(NamedTuple):
     value: Fraction
     case_used: FormulaCase
     oracle_checked: bool = False
-
-
-class SumMismatch(ArithmeticError):
-    """A closed-form value disagreed with the literal sum."""
 
 
 def denominators(params: RecurrenceParams) -> Denominators:

@@ -1,6 +1,10 @@
 """Verification sweeps: closed forms against the literal sum (the s = 1
 and r + t = 0 clauses on triples pinned to their planes), parity
-partition, and the named-sequence identities.
+partition, and the named-sequence identities.  For each swept (triple,
+W) the formula-vs-oracle and identity sweeps are proofs, not samples: they
+run every n from the family's first bound, and a clause minus its gate
+times the sum obeys a monic recurrence of order at most 5, so any max_n of
+at least that first n + 4 is enough.
 
 The CLI ``verify`` subcommand drives these; the test suite reuses them so
 the command line and pytest exercise identical checks.

@@ -629,6 +629,40 @@ def test_cold_cli_loads_only_what_it_uses():
     assert {"tribsum.verify", "tribsum.identities"} <= set(seen["verify"])
 
 
+_CASE_SCRIPT = """
+import contextlib, io, json, sys
+import tribsum
+code = 0
+with contextlib.redirect_stdout(io.StringIO()):
+    {statement}
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "tribsum")]))
+"""
+
+_CLI = "from tribsum.cli import main; code = main({argv!r})"
+_SUM = ["sum", "--seq", "tribonacci", "--dir", "fwd", "--parity", "all", "--n", "13"]
+_LOOKED_UP = {"tribsum", "tribsum.catalog", "tribsum.core"}
+
+
+@pytest.mark.parametrize("statement, loaded", [
+    ("pass", {"tribsum"}),
+    ('tribsum.lookup("tribonacci")', _LOOKED_UP),
+    (_CLI.format(argv=["term", "--seq", "tribonacci", "--n", "13"]), _LOOKED_UP | {"tribsum.cli"}),
+    (_CLI.format(argv=["catalog"]), _LOOKED_UP | {"tribsum.cli"}),
+    (_CLI.format(argv=_SUM), _LOOKED_UP | {"tribsum.cli", "tribsum.sums", "tribsum.oracle"}),
+    (_CLI.format(argv=["oeis-check", "--seq", "tribonacci"]),
+     _LOOKED_UP | {"tribsum.cli", "tribsum.oeis", "tribsum.oracle"}),
+], ids=["import", "lookup", "term", "catalog", "sum", "oeis-check"])
+def test_fresh_interpreter_loads_exactly(statement, loaded):
+    """Each case in its own interpreter loads exactly these package modules:
+    the package itself loads no submodule, and a subcommand only its own."""
+    src = str(Path(tribsum.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _CASE_SCRIPT.format(statement=statement)],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    code, modules = json.loads(out)
+    assert (code, set(modules)) == (EXIT_OK, loaded)
+
+
 # Loaded with pathlib, which only fixture paths need.  (argparse's help
 # formatter loads fnmatch through shutil, so fnmatch is not among them.)
 _PATH_MODULES = {"pathlib", "urllib.parse", "ipaddress", "ntpath"}

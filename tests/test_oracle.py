@@ -99,6 +99,24 @@ class TestOracleSum:
                     assert oracle_sum(seq, q) == expected
 
 
+class TestOracleSumBranches:
+    """oracle_sum adds plainly where q^step is 1 (an integer triple with
+    t = 1, both ways) and by Horner in q^step where the scale grows."""
+
+    @pytest.mark.parametrize("params, plain", [
+        (("2", "-1", "1", "1/2", "0", "-3"), True),
+        (("3/7", "-5/4", "2/9", "1/2", "0", "-3"), False)], ids=["integer", "rational"])
+    def test_matches_added_terms(self, params, plain):
+        seq = SequenceDef.of(*params)
+        for direction in Direction:
+            for parity in Parity:
+                assert (oracle._added(seq, direction, parity)[1] == 1) is plain
+                for n in range(int(direction is Direction.BACKWARD), 41):
+                    q = SumQuery(direction, parity, n)
+                    assert oracle_sum(seq, q) == sum(oracle_term(seq, k)
+                                                     for k in query_indices(q))
+
+
 class TestTermTable:
     def test_span(self, tribonacci):
         table = term_table(tribonacci, -4, 7)
