@@ -98,6 +98,7 @@ class SequenceDef(_Sequence):
 
     def __new__(cls, params: RecurrenceParams, w0: RationalLike, w1: RationalLike,
                 w2: RationalLike, name: Optional[str] = None) -> "SequenceDef":
+        _require_type(params, RecurrenceParams, "params")
         return super().__new__(cls, params, *map(as_rational, (w0, w1, w2)), name)
 
     @classmethod
@@ -110,6 +111,12 @@ def _require_int(value: object, what: str) -> None:
     """Raise TypeError unless *value* is an int (bool is not accepted)."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{what} must be an int, not {value!r}")
+
+
+def _require_type(value: object, kind: type, what: str) -> None:
+    """Raise TypeError unless *value* is an instance of *kind*."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{what} must be a {kind.__name__}, not {value!r}")
 
 
 class Direction(enum.Enum):
@@ -132,6 +139,8 @@ class SumQuery(_Query):
     __slots__ = ()
 
     def __new__(cls, direction: Direction, parity: Parity, n: int) -> "SumQuery":
+        _require_type(direction, Direction, "the direction")
+        _require_type(parity, Parity, "the parity")
         _require_int(n, "the bound n")
         if direction is Direction.BACKWARD:
             if n < 1:

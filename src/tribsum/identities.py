@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .sums import Direction, Parity, TermFn
+from .core import Direction, Parity
 
+TermFn = Callable[[int], Fraction]
 Clause = Callable[[TermFn, int], Fraction]
 
 H = Fraction(1, 2)

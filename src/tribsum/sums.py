@@ -7,20 +7,20 @@ closed form valid when the denominator expressions
 
     d1 = r + s + t - 1        d2 = r - s + t + 1
 
-do not vanish, plus dedicated formulas for the degenerate triple
-(r, s, t) = (0, 2, 1) where d2 = 0 and the sums pick up a term linear in n.
+do not vanish, plus dedicated even/odd formulas for the degenerate triple
+(r, s, t) = (0, 2, 1), where d2 = 0 and the sums pick up a term linear in n.
 Parameter triples with no proven formula fall back to the literal sum,
 flagged as ``OracleFallback`` in the result.
 
 One table, :func:`_gate`, gives each condition's divisor where its clauses
-are proven and 0 everywhere else; dispatch and :func:`closed_form_value`
-read it once per sum.  Each clause is a linear form: it returns integer
-coefficient triples (rho, kappa), polynomials in (r, s, t, o, n)
-homogeneous in (r, s, t, o), for the window W_m, W_m+1, W_m+2 its family
-reads and for W_0, W_1, W_2.  There is one combine: a sum calls its
-clause once on the ints L*(r, s, t, 1), takes rho . D*window from
-:func:`~tribsum.core.scaled_window` (or from a caller's term function),
-adds kappa . D*(W_0, W_1, W_2) and builds one Fraction.
+are proven and 0 everywhere else, and at most one of its "generic" and "021"
+gates is nonzero; dispatch and :func:`closed_form_value` read it once per
+sum.  Each clause is a linear form: it returns integer coefficient triples
+(rho, kappa), polynomials in (r, s, t, o, n) homogeneous in (r, s, t, o), for
+the window W_m, W_m+1, W_m+2 its family reads and for W_0, W_1, W_2.  There
+is one combine: a sum calls its clause once on the ints L*(r, s, t, 1), takes
+rho . D*window from :func:`~tribsum.core.scaled_window` (or from a caller's
+term function), adds kappa . D*(W_0, W_1, W_2) and builds one Fraction.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ class FormulaCase(enum.Enum):
     FwdOdd_Generic = (Direction.FORWARD, Parity.ODD, "generic")
     FwdEven_S1 = (Direction.FORWARD, Parity.EVEN, "s=1")
     FwdOdd_S1 = (Direction.FORWARD, Parity.ODD, "s=1")
-    Fwd_021_All = (Direction.FORWARD, Parity.ALL, "021")
     Fwd_021_Even = (Direction.FORWARD, Parity.EVEN, "021")
     Fwd_021_Odd = (Direction.FORWARD, Parity.ODD, "021")
     BwdAll_Generic = (Direction.BACKWARD, Parity.ALL, "generic")
@@ -63,7 +62,6 @@ class FormulaCase(enum.Enum):
     BwdOdd_Generic = (Direction.BACKWARD, Parity.ODD, "generic")
     BwdEven_RplusT0 = (Direction.BACKWARD, Parity.EVEN, "r+t=0")
     BwdOdd_RplusT0 = (Direction.BACKWARD, Parity.ODD, "r+t=0")
-    Bwd_021_All = (Direction.BACKWARD, Parity.ALL, "021")
     Bwd_021_Even = (Direction.BACKWARD, Parity.EVEN, "021")
     Bwd_021_Odd = (Direction.BACKWARD, Parity.ODD, "021")
     OracleFallback = (None, None, "oracle")
@@ -93,9 +91,9 @@ def _gate(condition: str, parity: Parity, r, s, t, o=1):
     """The divisor of *condition*'s clauses at (r, s, t) over o where they
     are proven, else 0: d1 = r+s+t-o (parity ALL) or d1*d2, d2 = r-s+t+o,
     for "generic"; r + t on s = o for "s=1"; s - o on r + t = 0 for
-    "r+t=0"; 2 (1 for EVEN) at (0, 2o, o) for "021"; 0 for "oracle".  Each
-    clause's numerator is homogeneous in (r, s, t, o) of its gate's degree,
-    and at o = 1 it is the paper's formula, term for term."""
+    "r+t=0"; 1 (EVEN) or 2 (ODD) at (0, 2o, o) for "021"; 0 for "oracle".
+    Each clause's numerator is homogeneous in (r, s, t, o) of its gate's
+    degree, and at o = 1 it is the paper's formula, term for term."""
     if condition == "generic":
         d1 = r + s + t - o
         return d1 if parity is Parity.ALL else d1 * (r - s + t + o)
@@ -103,7 +101,7 @@ def _gate(condition: str, parity: Parity, r, s, t, o=1):
         return r + t if s == o else 0
     if condition == "r+t=0":
         return s - o if r + t == 0 else 0
-    if condition == "021" and (r, s, t) == (0, 2 * o, o):
+    if condition == "021" and parity is not Parity.ALL and (r, s, t) == (0, 2 * o, o):
         return 1 if parity is Parity.EVEN else 2
     return 0
 
@@ -117,8 +115,8 @@ def _integer_triple(params: RecurrenceParams) -> tuple[int, int, int, int]:
 
 
 def _dispatch(triple: tuple, query: SumQuery) -> tuple[FormulaCase, int]:
-    """(case, its gate) for :func:`select_case`, the gate 0 for the fallback."""
-    for condition in ("021", "generic"):
+    """(case, its gate) for :func:`select_case`, "generic" first; 0 for the fallback."""
+    for condition in ("generic", "021"):
         gate = _gate(condition, query.parity, *triple)
         if gate:
             return FormulaCase((query.direction, query.parity, condition)), gate
@@ -126,7 +124,7 @@ def _dispatch(triple: tuple, query: SumQuery) -> tuple[FormulaCase, int]:
 
 
 def select_case(params: RecurrenceParams, query: SumQuery) -> FormulaCase:
-    """The clause of the first of "021" (d2 = 0 there) and "generic" whose
+    """The clause of the one condition, "generic" or "021" (never both), whose
     :func:`_gate` is nonzero, else the oracle fallback.  The S1 and RplusT0
     clauses specialize the generic ones and are never dispatched to."""
     return _dispatch(_integer_triple(params), query)[0]
@@ -155,10 +153,6 @@ def _fwd_even_s1(r, s, t, o, n: int):  # rho on W_{2n}, W_{2n+1}, W_{2n+2}
 
 def _fwd_odd_s1(r, s, t, o, n: int):  # rho on W_{2n}, W_{2n+1}, W_{2n+2}
     return (0, t, o), (0, r, -o)
-
-
-def _fwd_021_all(r, s, t, o, n: int):  # rho on W_{n+1}, W_{n+2}, W_{n+3}
-    return (-1, 1, 1), (1, -1, -1)
 
 
 def _fwd_021_even(r, s, t, o, n: int):  # rho on W_{2n}, W_{2n+1}, W_{2n+2}
@@ -192,10 +186,6 @@ def _bwd_odd_r_plus_t_zero(r, s, t, o, n: int):  # rho on W_{-2n-1}, W_{-2n}, W_
     return (0, -t, -o), (t, o, 0)
 
 
-def _bwd_021_all(r, s, t, o, n: int):  # rho on W_{-n-3}, W_{-n-2}, W_{-n-1}
-    return (-1, -3, -3), (-1, 1, 1)
-
-
 def _bwd_021_even(r, s, t, o, n: int):  # rho on W_{-2n-1}, W_{-2n}, W_{-2n+1}
     return (0, 1, -1), (-1 - n, 1 - n, n)
 
@@ -212,7 +202,6 @@ _CLOSED_FORMS: dict[FormulaCase, Callable] = {
     FormulaCase.FwdOdd_Generic: _fwd_odd_generic,
     FormulaCase.FwdEven_S1: _fwd_even_s1,
     FormulaCase.FwdOdd_S1: _fwd_odd_s1,
-    FormulaCase.Fwd_021_All: _fwd_021_all,
     FormulaCase.Fwd_021_Even: _fwd_021_even,
     FormulaCase.Fwd_021_Odd: _fwd_021_odd,
     FormulaCase.BwdAll_Generic: _bwd_all_generic,
@@ -220,7 +209,6 @@ _CLOSED_FORMS: dict[FormulaCase, Callable] = {
     FormulaCase.BwdOdd_Generic: _bwd_odd_generic,
     FormulaCase.BwdEven_RplusT0: _bwd_even_r_plus_t_zero,
     FormulaCase.BwdOdd_RplusT0: _bwd_odd_r_plus_t_zero,
-    FormulaCase.Bwd_021_All: _bwd_021_all,
     FormulaCase.Bwd_021_Even: _bwd_021_even,
     FormulaCase.Bwd_021_Odd: _bwd_021_odd,
 }

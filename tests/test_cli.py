@@ -651,10 +651,13 @@ _LOOKED_UP = {"tribsum", "tribsum.catalog", "tribsum.core"}
     (_CLI.format(argv=_SUM), _LOOKED_UP | {"tribsum.cli", "tribsum.sums", "tribsum.oracle"}),
     (_CLI.format(argv=["oeis-check", "--seq", "tribonacci"]),
      _LOOKED_UP | {"tribsum.cli", "tribsum.oeis", "tribsum.oracle"}),
-], ids=["import", "lookup", "term", "catalog", "sum", "oeis-check"])
+    ("import tribsum.identities", {"tribsum", "tribsum.core", "tribsum.identities"}),
+], ids=["import", "lookup", "term", "catalog", "sum", "oeis-check", "identities"])
 def test_fresh_interpreter_loads_exactly(statement, loaded):
     """Each case in its own interpreter loads exactly these package modules:
-    the package itself loads no submodule, and a subcommand only its own."""
+    the package itself loads no submodule, a subcommand only its own, and
+    identities, the closed forms' regression reference, neither sums nor
+    the oracle."""
     src = str(Path(tribsum.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", _CASE_SCRIPT.format(statement=statement)],

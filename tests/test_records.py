@@ -68,6 +68,8 @@ def test_sequence_coerces_its_arguments():
         SequenceDef(PARAMS, "0.5", 0, 1)
     with pytest.raises(TypeError, match="cannot interpret"):
         RecurrenceParams(0.5, 1, 1)
+    with pytest.raises(TypeError, match=r"params must be a RecurrenceParams, not \(1, 1, 1\)"):
+        SequenceDef((1, 1, 1), 0, 1, 1)
 
 
 @pytest.mark.parametrize("args, error, message", [
@@ -76,6 +78,13 @@ def test_sequence_coerces_its_arguments():
     ((Direction.FORWARD, Parity.ALL, -1), ValueError, "forward sums need n >= 0"),
     ((Direction.FORWARD, Parity.ALL, 1.0), TypeError, "the bound n must be an int, not 1.0"),
     ((Direction.FORWARD, Parity.ALL, True), TypeError, "the bound n must be an int, not True"),
+    # Strings are not the enums: the literal sum would read "all" as the
+    # even sum and walk "bwd" forward.
+    ((Direction.FORWARD, "all", 3), TypeError, "the parity must be a Parity, not 'all'"),
+    (("bwd", Parity.ALL, 0), TypeError, "the direction must be a Direction, not 'bwd'"),
+    (("bwd", Parity.ALL, 2), TypeError, "the direction must be a Direction, not 'bwd'"),
+    ((Parity.ALL, Direction.FORWARD, 3), TypeError,
+     "the direction must be a Direction, not <Parity.ALL: 'all'>"),
 ])
 def test_sum_query_messages(args, error, message):
     with pytest.raises(error) as info:

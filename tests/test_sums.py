@@ -107,6 +107,37 @@ class TestSelectCase:
         assert case is FormulaCase.FwdEven_Generic
 
 
+# Random triples, and triples pinned to each plane where a gate vanishes or
+# a special clause holds; (0, 2, 1) lies on d2 = 0.
+PLANES = {
+    "free": lambda r, s, t: (r, s, t),
+    "d1=0": lambda r, s, t: (r, s, 1 - r - s),
+    "d2=0": lambda r, s, t: (r, s, s - r - 1),
+    "s=1": lambda r, s, t: (r, 1, t),
+    "r+t=0": lambda r, s, t: (-t, s, t),
+}
+
+
+class TestDispatchPartition:
+    @given(plane=st.sampled_from(list(PLANES)), r=rationals, s=rationals, t=rationals)
+    @settings(max_examples=200, deadline=None)
+    @example(plane="free", r=Fraction(0), s=Fraction(2), t=Fraction(1))
+    def test_at_most_one_gate_open(self, plane, r, s, t):
+        """For every parity at most one of the "generic" and "021" gates is
+        nonzero, at o = 1 and on the _integer_triple ints alike, and
+        select_case returns that condition's case, else the fallback."""
+        params = RecurrenceParams(*PLANES[plane](r, s, t))
+        ints = sums._integer_triple(params)
+        for parity in Parity:
+            opened = [[c for c in ("generic", "021") if sums._gate(c, parity, *triple)]
+                      for triple in (params, ints)]
+            assert opened[0] == opened[1] and len(opened[0]) <= 1
+            for direction in Direction:
+                case = select_case(params, SumQuery(direction, parity, 1))
+                assert case is (FormulaCase((direction, parity, *opened[0]))
+                                if opened[0] else FormulaCase.OracleFallback)
+
+
 class TestForwardSums:
     def test_all_tribonacci(self, tribonacci):
         res = sum_forward_all(tribonacci, 4)
@@ -421,7 +452,8 @@ class TestWindowDispatch:
 
         monkeypatch.setattr(sums, "scaled_window", counting_window)
         result = evaluate(CONDITION_SEQ[condition], SumQuery(*family, 1000))
-        assert result.case_used.value == (*family, condition)
+        expected = "generic" if family[1] is Parity.ALL else condition
+        assert result.case_used.value == (*family, expected)
         assert calls == [WINDOW_START[family](1000)]
 
 
@@ -459,10 +491,12 @@ class TestReadoutCrossover:
     @pytest.mark.parametrize("family", list(WINDOW_START),
                              ids=lambda f: f"{f[0].value}-{f[1].value}")
     def test_021_far_past_crossover(self, readouts, family):
-        """(0, 2, 1), whose kappa grows with n, at n = 10^4."""
+        """(0, 2, 1), whose even/odd kappa grows with n, at n = 10^4; its
+        all-index sums take the generic clause."""
         seq, query = CONDITION_SEQ["021"], SumQuery(*family, 10_001)
         result = evaluate(seq, query)
-        assert result.case_used.value[2] == "021" and len(readouts) == 1
+        expected = "generic" if family[1] is Parity.ALL else "021"
+        assert result.case_used.value[2] == expected and len(readouts) == 1
         assert result.value == sum_oracle(seq, query)
 
 
@@ -523,7 +557,7 @@ GATE_ROWS = [
     ("r+t=0", (-H, Fraction(3, 4), H), (-Fraction(1, 4),) * 3),
     ("r+t=0", (-H, 1, H), (0, 0, 0)),  # on r + t = 0 with s = 1
     ("r+t=0", (H, Fraction(3, 4), H), (0, 0, 0)),  # off r + t = 0
-    ("021", (0, 2, 1), (2, 1, 2)),
+    ("021", (0, 2, 1), (0, 1, 2)),  # ALL: the generic clause, d1 = 2
     ("021", (0, 2, 2), (0, 0, 0)),
     ("021", (0, 4, 2), (0, 0, 0)),  # (0, 2o, o) at o = 2, not at o = 1
     ("oracle", (H, 3, -2), (0, 0, 0)),
@@ -579,7 +613,7 @@ class TestSinglePredicate:
     @pytest.mark.parametrize("case", [FormulaCase.FwdAll_Generic,
                                       FormulaCase.Fwd_021_Even,
                                       FormulaCase.BwdOdd_Generic,
-                                      FormulaCase.Bwd_021_All],
+                                      FormulaCase.Bwd_021_Odd],
                              ids=lambda c: c.name)
     @pytest.mark.parametrize("bad", [True, 2.0, "3", Fraction(3)],
                              ids=repr)
