@@ -75,6 +75,8 @@ def format_rational(value: Fraction) -> str:
 
 # The records below are tuples.  NamedTuple forbids defining __new__ in its
 # class body, so each one that coerces or checks its fields subclasses one.
+# Each also sets _make, which _replace (and copy.replace) build through, to
+# call the class: the inherited one goes through tuple.__new__, past the checks.
 _Params = NamedTuple("_Params", [("r", Fraction), ("s", Fraction), ("t", Fraction)])
 
 
@@ -82,6 +84,7 @@ class RecurrenceParams(_Params):
     """The coefficient triple (r, s, t) of the recurrence."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, r: RationalLike, s: RationalLike, t: RationalLike) -> "RecurrenceParams":
         return super().__new__(cls, as_rational(r), as_rational(s), as_rational(t))
@@ -95,6 +98,7 @@ class SequenceDef(_Sequence):
     """A recurrence plus its three initial terms and optional metadata."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, params: RecurrenceParams, w0: RationalLike, w1: RationalLike,
                 w2: RationalLike, name: Optional[str] = None) -> "SequenceDef":
@@ -137,6 +141,7 @@ class SumQuery(_Query):
     """Which sum is requested: direction x parity x bound n."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, direction: Direction, parity: Parity, n: int) -> "SumQuery":
         _require_type(direction, Direction, "the direction")
@@ -165,8 +170,8 @@ IntRow = tuple[int, int, int]
 class MultiplicationCounter:
     """Counts the polynomial steps of :func:`scaled_window` (each square or
     shift by y is one tick) and its final combine, for cost assertions.
-    The last square and shift tick all the same where :func:`_last_step`
-    reads its form without forming them."""
+    The count depends on |m| alone, so :func:`scaled_window` adds it once
+    from |m|, also where :func:`_last_step` never forms the last square."""
 
     def __init__(self, count: int = 0) -> None:
         self.count = count
@@ -185,8 +190,7 @@ class MultiplicationCounter:
 _FIVE_SQUARE_BITS = 1024
 
 
-def _sqr_mod(a: IntRow, coeffs: IntRow,
-             counter: Optional[MultiplicationCounter]) -> IntRow:
+def _sqr_mod(a: IntRow, coeffs: IntRow) -> IntRow:
     """(a0 + a1*y + a2*y^2)^2 mod y^3 - R*y^2 - S*y - T on int
     coefficients, so no step pays a gcd (see :func:`scaled_window`).
 
@@ -195,8 +199,6 @@ def _sqr_mod(a: IntRow, coeffs: IntRow,
     its values at y = 0, 1, -1, 2 and infinity, interpolated exactly
     (Toom-3; Brent & Zimmermann, Modern Computer Arithmetic, 1.3.3).
     """
-    if counter is not None:
-        counter.tick()
     a0, a1, a2 = a
     R, S, T = coeffs
     p4 = a2 * a2
@@ -222,11 +224,8 @@ def _sqr_mod(a: IntRow, coeffs: IntRow,
     return p0 + T * p3, p1 + T * p4 + S * p3, p2 + S * p4 + R * p3
 
 
-def _shift_mod(a: IntRow, coeffs: IntRow,
-               counter: Optional[MultiplicationCounter]) -> IntRow:
+def _shift_mod(a: IntRow, coeffs: IntRow) -> IntRow:
     """(a0 + a1*y + a2*y^2) * y mod y^3 - R*y^2 - S*y - T, in linear time."""
-    if counter is not None:
-        counter.tick()
     a0, a1, a2 = a
     R, S, T = coeffs
     return T * a2, a0 + S * a2, a1 + R * a2
@@ -298,9 +297,9 @@ def _last_step(a: IntRow, b: int, coeffs: IntRow, u: IntRow, q: int, backward: b
         value = _hankel_form(a, g[b:b + 5])
         if value is not None:
             return (value,)
-    c0, c1, c2 = _sqr_mod(a, coeffs, None)
+    c0, c1, c2 = _sqr_mod(a, coeffs)
     if b:
-        c0, c1, c2 = _shift_mod((c0, c1, c2), coeffs, None)
+        c0, c1, c2 = _shift_mod((c0, c1, c2), coeffs)
     return tuple([c0 * g[0] + c1 * g[1] + c2 * g[2] for g in gs])
 
 
@@ -319,11 +318,11 @@ def scaled_window(seq: SequenceDef, m: int, counter: Optional[MultiplicationCoun
     comes back reversed.  D = d*q^(|m|+2), d the common denominator of the
     initial terms (D = d at m = 0).  Each bit of |m| after the leading one
     costs a square (six products, or five squares above the
-    _FIVE_SQUARE_BITS crossover), each set bit a shift by y: at most
-    2*(bits(|m|) - 1) ticks, plus one for the combine.  The last square
-    and shift are :func:`_last_step`, which reads a single form past the
-    _READOUT_BITS crossover with three bignum squares instead of five; it
-    ticks the same.
+    _FIVE_SQUARE_BITS crossover), each set bit after it a shift by y.
+    *counter* gains that count plus one for the combine, computed from |m|:
+    bits(|m|) + popcount(|m|) - 1 ticks, at most 2*bits(|m|) - 1.  The last
+    square and shift are :func:`_last_step`, which reads a single form past
+    the _READOUT_BITS crossover with three bignum squares instead of five.
     """
     _require_int(m, "the index m")
     w0, w1, w2 = seq.w0, seq.w1, seq.w2
@@ -345,11 +344,11 @@ def scaled_window(seq: SequenceDef, m: int, counter: Optional[MultiplicationCoun
     size = abs(m)
     c = (0, 1, 0) if size > 1 else (1, 0, 0)  # y^(size >> 1) once the loop is done
     for bit in bin(size)[3:-1]:
-        c = _sqr_mod(c, coeffs, counter)
+        c = _sqr_mod(c, coeffs)
         if bit == "1":
-            c = _shift_mod(c, coeffs, counter)
-    if counter is not None:  # the last square, the shift if the last bit is set, the combine
-        counter.count += 2 + (size & 1) if size > 1 else 1
+            c = _shift_mod(c, coeffs)
+    if counter is not None:  # bits - 1 squares, popcount - 1 shifts, one combine
+        counter.count += size.bit_length() + size.bit_count() - 1
     # u_j = d*q^j*W_j are integers with u_j = R*u_{j-1} + S*u_{j-2} +
     # T*u_{j-3}, so a0*u_j + a1*u_{j+1} + a2*u_{j+2} is d*q^(k+j)*W_{k+j}.
     return (_last_step(c, size & 1, coeffs, (u0, u1 * q, u2 * q * q), q, m < 0, forms),

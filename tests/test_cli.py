@@ -3,12 +3,14 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import tribsum
 import tribsum.sums as sums
+from tribsum import cli
 from tribsum.catalog import list_all, lookup
 from tribsum.core import SequenceDef, format_rational, term_matrix
 from tribsum.oeis import default_fixture_dir
@@ -121,6 +123,19 @@ class TestTerm:
         finally:
             sys.set_int_max_str_digits(limit)
         assert len(value) == 5293
+
+    def test_digit_limit_guard_before_the_limit_existed(self, monkeypatch):
+        """Before Python 3.10.7 there is no int -> str digit limit and no
+        setter: the guard yields once, sets nothing, and values render."""
+        limit = sys.get_int_max_str_digits()
+        monkeypatch.delattr(sys, "set_int_max_str_digits")
+        entered = 0
+        with cli._any_digit_count():
+            entered += 1
+            assert sys.get_int_max_str_digits() == limit
+            assert format_rational(Fraction(-927, 4)) == "-927/4"
+        assert entered == 1
+        assert sys.get_int_max_str_digits() == limit
 
 
 class TestSum:

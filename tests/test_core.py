@@ -244,9 +244,9 @@ class TestWindow:
         seen = []
 
         def checking(helper):
-            def checked(*args):  # operand rows and coeffs, then counter
+            def checked(*args):  # operand row and coeffs
                 product = helper(*args)
-                for row in (*args[:-1], product):
+                for row in (*args, product):
                     seen.extend(row)
                 return product
             return checked
@@ -275,6 +275,47 @@ class TestWindow:
         window(tribonacci, m, counter)
         assert counter.count == (abs(m).bit_length()
                                  + bin(abs(m)).count("1") - 1)
+
+    @pytest.mark.parametrize("readout_bits", [0, core._READOUT_BITS])
+    @pytest.mark.parametrize("kernel", [term_matrix, window])
+    @pytest.mark.parametrize("seq, m", [
+        *((seq_of(1, 1, 1, 0, 1, 1), sign * k)
+          for k in (1, 2, 3, 7, 1000, 4095, 4096, 4097, 10**5) for sign in (1, -1)),
+        # A zero Hankel diagonal at even m (see test_zero_diagonal_takes_the_full_square).
+        *((seq_of(0, 2, 0, 0, 1, 0), m) for m in (0, 2, 4, 1000, 4096, 10**5))])
+    def test_ticks_match_kernel_steps(self, monkeypatch, seq, m, kernel, readout_bits):
+        """The ticks, computed from |m|, equal the squares and shifts the
+        kernel runs plus the combine.  A Hankel read stands for the last
+        square and, at odd |m|, the last shift; |m| = 1 squares and shifts
+        only the unit row, so it ticks once, for the combine."""
+        steps = {"_sqr_mod": 0, "_shift_mod": 0, "read": 0, "unread": 0}
+
+        def spying(name, helper):
+            def spied(*args):
+                value = helper(*args)
+                if name != "_hankel_form":
+                    steps[name] += 1
+                else:
+                    steps["unread" if value is None else "read"] += 1
+                return value
+            return spied
+
+        for name in ("_sqr_mod", "_shift_mod", "_hankel_form"):
+            monkeypatch.setattr(core, name, spying(name, getattr(core, name)))
+        monkeypatch.setattr(core, "_READOUT_BITS", readout_bits)
+        counter = MultiplicationCounter()
+        kernel(seq, m, counter)
+        size = abs(m)
+        if size < 2:
+            assert counter.count == size
+        else:
+            assert counter.count == (steps["_sqr_mod"] + steps["_shift_mod"]
+                                     + steps["read"] * (1 + size % 2) + 1)
+        if readout_bits == 0:  # a single form meets the Hankel form once a2 != 0,
+            # that is from |m| = 4, and (0, 2, 0) leaves it to the square.
+            hankel = kernel is term_matrix and size >= 4
+            assert steps["read"] == (hankel and seq.params.s != 2)
+            assert steps["unread"] == (hankel and seq.params.s == 2)
 
 
 # Signed ints from 0 to about 10^4 bits, zero included.
@@ -329,11 +370,11 @@ class TestProductHelpers:
     def test_square_and_shift_match_mul_mod(self, a, coeffs):
         """The square in the form the gate picks, and in each form forced."""
         expected = mul_mod(a, a, coeffs)
-        assert core._sqr_mod(a, coeffs, None) == expected
+        assert core._sqr_mod(a, coeffs) == expected
         for bits in SQUARE_FORMS:
             with mock.patch.object(core, "_FIVE_SQUARE_BITS", bits):
-                assert core._sqr_mod(a, coeffs, None) == expected
-        assert core._shift_mod(a, coeffs, None) == mul_mod(a, (0, 1, 0), coeffs)
+                assert core._sqr_mod(a, coeffs) == expected
+        assert core._shift_mod(a, coeffs) == mul_mod(a, (0, 1, 0), coeffs)
 
 
 def raised_scale(seq, m):

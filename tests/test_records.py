@@ -8,6 +8,7 @@ compare equal to the plain tuple of their fields;
 
 import copy
 import pickle
+import sys
 from fractions import Fraction
 
 import pytest
@@ -45,6 +46,9 @@ RECORDS = {
     "BFile": lambda: BFile("A000001", ((0, 1), (1, 1))),
     "AlignmentReport": lambda: AlignmentReport("A000001", 1, 10, AlignmentStatus.ALIGNED),
 }
+
+# A different last field that the record's own checks accept (None elsewhere).
+CHANGED_LAST_FIELD = {RecurrenceParams: 2, SumQuery: 5}
 
 
 def test_pinned_reprs():
@@ -92,6 +96,44 @@ def test_sum_query_messages(args, error, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("build, error, message", [
+    pytest.param(lambda: QUERY._replace(parity="all"), TypeError,
+                 "the parity must be a Parity, not 'all'", id="replace-parity-str"),
+    pytest.param(lambda: QUERY._replace(n=-5), ValueError, "forward sums need n >= 0",
+                 id="replace-negative-n"),
+    pytest.param(lambda: SumQuery._make((Direction.BACKWARD, Parity.ALL, 0)), ValueError,
+                 "backward sums start at k = 1; need n >= 1", id="make-backward-n0"),
+    pytest.param(lambda: SEQ._replace(params=(1, 1, 1)), TypeError,
+                 "params must be a RecurrenceParams, not (1, 1, 1)", id="replace-params-tuple"),
+    pytest.param(lambda: SequenceDef._make((PARAMS, "0.5", 0, 1, None)), ValueError,
+                 "not an exact rational literal: '0.5'", id="make-decimal-literal"),
+    pytest.param(lambda: PARAMS._replace(t=0.5), TypeError,
+                 "cannot interpret 0.5 as an exact rational", id="replace-float"),
+    pytest.param(lambda: RecurrenceParams._make((1, 1)), TypeError,
+                 "RecurrenceParams.__new__() missing 1 required positional argument: 't'",
+                 id="make-too-short"),
+    *([pytest.param(lambda: copy.replace(QUERY, n=-1), ValueError,
+                    "forward sums need n >= 0", id="copy-replace")]
+      if sys.version_info >= (3, 13) else []),
+])
+def test_replace_and_make_check_their_arguments(build, error, message):
+    """_replace and _make build through the constructor, so its checks run."""
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_replace_and_make_coerce_their_arguments():
+    for record in (PARAMS._replace(t="2/3"), RecurrenceParams._make(["1/2", 1, "2/3"])):
+        assert record == (Fraction(1, 2), 1, Fraction(2, 3))
+        assert type(record) is RecurrenceParams
+        assert all(type(v) is Fraction for v in record)
+    w0 = SEQ._replace(w0="-1/4").w0
+    assert w0 == Fraction(-1, 4) and type(w0) is Fraction
+    assert SequenceDef._make((PARAMS, "3", 0, "1", None)) == SEQ
+    assert type(QUERY._replace(n=4)) is SumQuery
+
+
 @pytest.mark.parametrize("make", RECORDS.values(), ids=list(RECORDS))
 class TestRecord:
     def test_equality_and_hash(self, make):
@@ -99,7 +141,7 @@ class TestRecord:
         assert a is not b and a == b and not a != b
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
-        changed = a._replace(**{a._fields[-1]: None})
+        changed = a._replace(**{a._fields[-1]: CHANGED_LAST_FIELD.get(type(a))})
         assert changed != a
 
     def test_fields_are_read_only(self, make):
