@@ -267,18 +267,19 @@ def _hankel_form(a: IntRow, g: tuple) -> Optional[int]:
             + (m11 * m22 - m12 * m12) * x2 ** 2) // (m11 * N)
 
 
-def _last_step(a: IntRow, b: int, coeffs: IntRow, u: IntRow, q: int, backward: bool,
+def _last_step(a: Optional[IntRow], b: int, coeffs: IntRow, u: IntRow, q: int, backward: bool,
                forms: tuple) -> tuple[int, ...]:
     """(rho . (n0, n1, n2) for rho in *forms*) for :func:`scaled_window`'s
-    window whose power is y^|m| = (a0 + a1*y + a2*y^2)^2 * y^b, with
-    u = (u0, u1, u2) its scaled initial terms.
+    window whose power is y^|m| = (a0 + a1*y + a2*y^2)^2 * y^b, or y itself
+    when a is None (|m| = 1), with u = (u0, u1, u2) its scaled initial terms.
 
     c -> rho . nums(c) is linear, and on y^e it is the small int
     g_e = sum_j rho_j*q^(2-sigma(j))*u_{e+sigma(j)} (sigma reverses the
     window for m < 0), so each form is c0*g_0 + c1*g_1 + c2*g_2 on the
-    square c.  A single form whose a2 has more than _READOUT_BITS bits
-    skips that square: it is the Hankel form sum a_i*a_j*g_{i+j+b}
-    (:func:`_hankel_form`), unless that form's diagonal vanishes.
+    square c, and g_1 on y.  A single form whose a2 has more than
+    _READOUT_BITS bits skips that square: it is the Hankel form
+    sum a_i*a_j*g_{i+j+b} (:func:`_hankel_form`), unless that form's
+    diagonal vanishes.
     """
     R, S, T = coeffs
     u0, u1, u2 = u
@@ -290,6 +291,8 @@ def _last_step(a: IntRow, b: int, coeffs: IntRow, u: IntRow, q: int, backward: b
         rho0, rho1 = rho0 * q * q, rho1 * q
         gs.append([rho0 * u0 + rho1 * u1 + rho2 * u2, rho0 * u1 + rho1 * u2 + rho2 * u3,
                    rho0 * u2 + rho1 * u3 + rho2 * u4])
+    if a is None:
+        return tuple([g[1] for g in gs])
     if len(gs) == 1 and a[2].bit_length() > _READOUT_BITS:
         g = gs[0]
         for _ in range(3):  # g_e follows the recurrence, as u_e does
@@ -322,7 +325,8 @@ def scaled_window(seq: SequenceDef, m: int, counter: Optional[MultiplicationCoun
     *counter* gains that count plus one for the combine, computed from |m|:
     bits(|m|) + popcount(|m|) - 1 ticks, at most 2*bits(|m|) - 1.  The last
     square and shift are :func:`_last_step`, which reads a single form past
-    the _READOUT_BITS crossover with three bignum squares instead of five.
+    the _READOUT_BITS crossover with three bignum squares instead of five,
+    and reads |m| = 1 off y with neither.
     """
     _require_int(m, "the index m")
     w0, w1, w2 = seq.w0, seq.w1, seq.w2
@@ -342,7 +346,8 @@ def scaled_window(seq: SequenceDef, m: int, counter: Optional[MultiplicationCoun
     q = math.lcm(rd // math.gcd(rn, rd), sd // math.gcd(sn, sd), td // math.gcd(tn, td))
     coeffs = rn * q // rd, sn * q * q // sd, tn * q ** 3 // td
     size = abs(m)
-    c = (0, 1, 0) if size > 1 else (1, 0, 0)  # y^(size >> 1) once the loop is done
+    # y^(size >> 1) once the loop is done; None at size 1, where y^|m| is y.
+    c = (0, 1, 0) if size > 1 else None
     for bit in bin(size)[3:-1]:
         c = _sqr_mod(c, coeffs)
         if bit == "1":

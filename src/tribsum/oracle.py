@@ -5,6 +5,11 @@ W_0 or backward from W_{-1}, that holds three live terms.  The walk steps on
 ints: with q the common denominator of the coefficients and d that of the
 starting terms, u_k = d*q^k*W_k follows a recurrence with integer
 coefficients, and each result is one division of such an int at the end.
+A step drops each term whose coefficient is 0 and adds or subtracts each
+whose coefficient is +-1, so only other coefficients multiply: a Tribonacci
+step is two additions.  The walk is compiled once per pattern of the three
+coefficients, each 0, 1, -1 or other (at most 64 walks); its text depends
+on the pattern and on no value, and the coefficients are its arguments.
 It is the package's only O(|n|) recurrence walk: terms, term tables,
 literal sums and running prefix sums are all read off it, and
 ``tribsum.term_iterative`` is :func:`oracle_term`.  Nothing here shares
@@ -18,7 +23,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .core import (Direction, NegativeIndexWithZeroT, Parity, SequenceDef,
                    SumQuery, _require_int)
@@ -51,10 +56,38 @@ def _walk(seq: SequenceDef, direction: Direction) -> tuple[int, int, Iterator[in
     return q, d * q**3, islice(ints, 3, None)
 
 
+# A step's term for each class of coefficient: 0 drops it, +-1 adds or
+# subtracts it, and any other value (None) multiplies.
+_TERM = {0: "", 1: " + {v}", -1: " - {v}", None: " + {c} * {v}"}
+# One compiled walk per pattern of classes, so at most 4^3 = 64.
+_WALKS: dict = {}
+
+
+def _compile(pattern: tuple) -> Callable[..., Iterator[int]]:
+    """The walk for one pattern.  Its text is made from the fixed fragments
+    in _TERM and depends on no value: the coefficients are its arguments."""
+    terms = [_TERM[k].format(c=c, v=v)
+             for k, c, v in zip(pattern, "RST", ("high", "mid", "low"))]
+    # Added terms first: a step that starts with a subtraction would negate
+    # a bignum on its own.
+    terms.sort(key=lambda term: term.startswith(" -"))
+    step = "".join(terms).lstrip(" +") or "0"
+    namespace: dict = {"__builtins__": {}}
+    exec("def walk(R, S, T, low, mid, high):\n"
+         "    while True:\n"
+         "        yield low\n"
+         f"        low, mid, high = mid, high, {step}\n", namespace)
+    return namespace["walk"]
+
+
 def _steps(R: int, S: int, T: int, low: int, mid: int, high: int) -> Iterator[int]:
-    while True:
-        yield low
-        low, mid, high = mid, high, R * high + S * mid + T * low
+    """low, mid, high, then u_k = R*u_{k-1} + S*u_{k-2} + T*u_{k-3} without
+    end, by the walk compiled for the pattern of (R, S, T)."""
+    pattern = tuple(c if -1 <= c <= 1 else None for c in (R, S, T))
+    walk = _WALKS.get(pattern)
+    if walk is None:
+        walk = _WALKS[pattern] = _compile(pattern)
+    return walk(R, S, T, low, mid, high)
 
 
 def oracle_term(seq: SequenceDef, n: int) -> Fraction:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import islice, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -117,6 +118,40 @@ class TestOracleSumBranches:
                                                      for k in query_indices(q))
 
 
+class TestWalkPatterns:
+    """Each step drops a coefficient of 0, adds or subtracts one of +-1 and
+    multiplies by any other, in one walk compiled per pattern of (R, S, T)."""
+
+    COEFFS = (-3, -1, 0, 1, 2)  # every class, and "other" of each sign
+    INTEGER_TRIPLES = [(1, 3, 1), (0, 2, 1), (1, 1, -1), (1, 0, 0), (-1, 0, 1), (2, -1, 1)]
+
+    @pytest.mark.parametrize("R", COEFFS)
+    def test_steps_match_plain_recurrence(self, R):
+        for S, T in product(self.COEFFS, repeat=2):
+            expected = [5, -7, 3]
+            while len(expected) < 40:
+                expected.append(R * expected[-1] + S * expected[-2] + T * expected[-3])
+            assert list(islice(oracle._steps(R, S, T, 5, -7, 3), 40)) == expected
+        assert len(oracle._WALKS) <= 64
+
+    @pytest.mark.parametrize("triple", INTEGER_TRIPLES, ids=str)
+    def test_integer_triples_against_reference(self, triple):
+        seq = SequenceDef.of(*triple, "1/2", -2, 3)
+        lo = -81 if triple[2] else 0
+        terms = reference_terms(seq, lo, 81)
+        for n in range(lo // 2, 41):
+            assert oracle_term(seq, n) == terms[n]
+        for direction in Direction:
+            if direction is Direction.BACKWARD and not triple[2]:
+                continue
+            for parity in Parity:
+                for n in range(int(direction is Direction.BACKWARD), 41):
+                    q = SumQuery(direction, parity, n)
+                    assert oracle_sum(seq, q) == sum(
+                        (terms[k] for k in query_indices(q)), Fraction(0))
+        assert len(oracle._WALKS) <= 64
+
+
 class TestTermTable:
     def test_span(self, tribonacci):
         table = term_table(tribonacci, -4, 7)
@@ -186,3 +221,8 @@ class TestAgainstReference:
         kernel_objects = [getattr(core, name) for name in kernel]
         assert not any(value is obj for value in vars(oracle).values()
                        for obj in kernel_objects)
+        # A compiled walk names nothing but its own arguments.
+        for pattern in product((0, 1, -1, None), repeat=3):
+            assert oracle._compile(pattern).__code__.co_names == ()
+        oracle_term(SequenceDef.of(1, 3, 1, 2, -1, 3), -40)
+        assert all(walk.__code__.co_names == () for walk in oracle._WALKS.values())
