@@ -5,6 +5,9 @@ W_0 or backward from W_{-1}, that holds three live terms.  The walk steps on
 ints: with q the common denominator of the coefficients and d that of the
 starting terms, u_k = d*q^k*W_k follows a recurrence with integer
 coefficients, and each result is one division of such an int at the end.
+Setting up a walk reads each numerator and denominator once and does no
+Fraction arithmetic; going backward, the reversed triple is formed as
+fully reduced integer pairs.
 A step drops each term whose coefficient is 0 and adds or subtracts each
 whose coefficient is +-1, so only other coefficients multiply: a Tribonacci
 step is two additions.  The walk is compiled once per pattern of the three
@@ -39,18 +42,29 @@ def _walk(seq: SequenceDef, direction: Direction) -> tuple[int, int, Iterator[in
     S = s*q^2 and T = t*q^3.  Backward is the forward walk of the reversed
     recurrence (-s/t, -r/t, 1/t) from (W_2, W_1, W_0), with its own q, past
     its first three terms.
+
+    The setup reads each numerator and denominator once and does no
+    Fraction arithmetic.  The reversed triple is formed as fully reduced
+    integer pairs: -s/t is -sn*td / (sd*tn) divided by
+    gcd(sn, tn)*gcd(sd, td), and -r/t likewise, so q is the lcm of the true
+    denominators.  A denominator may carry t's sign: lcm ignores it, and
+    each denominator divides q exactly.
     """
-    r, s, t = seq.params.r, seq.params.s, seq.params.t
+    (rn, rd), (sn, sd), (tn, td) = (c.as_integer_ratio() for c in seq.params)
     starts = (seq.w0, seq.w1, seq.w2)
     if direction is Direction.BACKWARD:
-        if t == 0:
+        if not tn:
             raise NegativeIndexWithZeroT("stepping backward requires t != 0")
-        r, s, t = -s / t, -r / t, 1 / t
+        gs = math.gcd(sn, tn) * math.gcd(sd, td)
+        gr = math.gcd(rn, tn) * math.gcd(rd, td)
+        rn, rd, sn, sd, tn, td = (-sn * td // gs, sd * tn // gs,
+                                  -rn * td // gr, rd * tn // gr, td, tn)
         starts = starts[::-1]
-    q = math.lcm(r.denominator, s.denominator, t.denominator)
-    d = math.lcm(*(w.denominator for w in starts))
-    ints = _steps(*(int(c * q**k) for k, c in enumerate((r, s, t), 1)),
-                  *(int(w * d * q**k) for k, w in enumerate(starts)))
+    q = math.lcm(rd, sd, td)
+    (an, ad), (bn, bd), (cn, cd) = (w.as_integer_ratio() for w in starts)
+    d = math.lcm(ad, bd, cd)
+    ints = _steps(rn * (q // rd), sn * (q * q // sd), tn * (q**3 // td),
+                  an * (d // ad), bn * (d // bd) * q, cn * (d // cd) * q * q)
     if direction is Direction.FORWARD:
         return q, d, ints
     return q, d * q**3, islice(ints, 3, None)

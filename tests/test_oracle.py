@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import islice, product
 
@@ -208,12 +209,14 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("triple", TRIPLES)
     def test_backward_scale_differs(self, triple):
-        """Each listed triple has a t numerator other than +-1, so the
-        backward walk's q differs from the forward one's."""
+        """q is the least common denominator of (r, s, t) forward and of
+        (-s/t, -r/t, 1/t) backward.  Each listed triple has a t numerator
+        other than +-1, so the two differ."""
+        forward_q, backward_q = {self.TRIPLES[0]: (252, 56), self.TRIPLES[1]: (30, 42),
+                                 self.TRIPLES[2]: (6, 8)}[triple]
         seq = SequenceDef.of(*triple, 1, 1, 1)
-        forward_q = oracle._walk(seq, Direction.FORWARD)[0]
-        backward_q = oracle._walk(seq, Direction.BACKWARD)[0]
-        assert forward_q > 1 and backward_q > 1 and forward_q != backward_q
+        assert oracle._walk(seq, Direction.FORWARD)[0] == forward_q
+        assert oracle._walk(seq, Direction.BACKWARD)[0] == backward_q
 
     def test_binds_no_kernel_code(self):
         kernel = ("window", "scaled_window", "_sqr_mod", "_shift_mod")
@@ -226,3 +229,65 @@ class TestAgainstReference:
             assert oracle._compile(pattern).__code__.co_names == ()
         oracle_term(SequenceDef.of(1, 3, 1, 2, -1, 3), -40)
         assert all(walk.__code__.co_names == () for walk in oracle._WALKS.values())
+
+
+class TestWalkScale:
+    """_walk's q and d are the least common denominators of the triple it
+    walks and of the starting terms, and its ints are d*q^j times the terms.
+    Going backward that needs the reversed triple fully reduced."""
+
+    @given(r=fractional | rationals, s=fractional | rationals,
+           t=nonzero_fractional | rationals.filter(bool),
+           w0=fractional, w1=fractional | rationals, w2=fractional)
+    # -s/t = -12/30 = -2/5 and -r/t = 12/10 = 6/5 reduce only through
+    # gcd(sd, td) and gcd(rd, td); gcd(sn, tn) alone leaves q = 30, not 5.
+    @example("1/2", "-1/6", "-5/12", 1, -2, 3)
+    @example("3/4", "5/6", "-9/10", "1/2", "-1/3", "1/5")  # negative t numerator
+    @example(0, "5/6", "4/9", "-7/2", 0, "1/3")  # r = 0
+    @example("5/6", 0, "-4/9", "1/3", "-7/2", 1)  # s = 0
+    @example("2/3", "-5/4", "1/6", "1/2", 1, "-3/4")  # t = 1/k
+    @example("2/3", "-5/4", "-1/6", "1/2", 1, "-3/4")  # t = -1/k
+    @settings(max_examples=100, deadline=None)
+    def test_least_scale(self, r, s, t, w0, w1, w2):
+        seq = SequenceDef.of(r, s, t, w0, w1, w2)
+        r, s, t = seq.params
+        d = math.lcm(*(w.denominator for w in (seq.w0, seq.w1, seq.w2)))
+        terms = reference_terms(seq, -6, 5)
+        for direction, triple, indices in (
+                (Direction.FORWARD, (r, s, t), range(6)),
+                (Direction.BACKWARD, (-s / t, -r / t, 1 / t), range(-1, -7, -1))):
+            q = math.lcm(*(c.denominator for c in triple))
+            # Backward, the ints start past the reversed walk's first three.
+            scale = d if direction is Direction.FORWARD else d * q**3
+            walk_q, walk_d, ints = oracle._walk(seq, direction)
+            assert (walk_q, walk_d) == (q, scale)
+            assert list(islice(ints, 6)) == [scale * q**j * terms[k]
+                                             for j, k in enumerate(indices)]
+
+
+# Every arithmetic operator of Fraction; int() is __int__ from 3.11.
+FRACTION_ARITHMETIC = ("__add__ __radd__ __sub__ __rsub__ __mul__ __rmul__ __truediv__ "
+                       "__rtruediv__ __floordiv__ __rfloordiv__ __mod__ __rmod__ __pow__ "
+                       "__rpow__ __neg__ __pos__ __abs__ __trunc__ __int__").split()
+
+
+def test_no_fraction_arithmetic(monkeypatch):
+    """The oracle reads numerators and denominators, walks on ints and
+    builds each result from two ints: no Fraction operator runs."""
+    seq = SequenceDef.of("1/2", "-1/6", "-5/12", "2/3", -2, "5/4")
+    families = [(direction, parity) for direction in Direction for parity in Parity]
+
+    def run():
+        return ([oracle_sum(seq, SumQuery(*family, n)) for family in families for n in (1, 2, 20)],
+                [oracle_term(seq, n) for n in range(-41, 42)],
+                term_table(seq, -41, 41),
+                [list(prefix_sums(seq, *family, 20)) for family in families])
+
+    expected = run()
+
+    def forbidden(*args):
+        raise AssertionError("Fraction arithmetic in the oracle")
+
+    for name in FRACTION_ARITHMETIC:
+        monkeypatch.setattr(Fraction, name, forbidden, raising=False)
+    assert run() == expected
