@@ -192,9 +192,14 @@ def _oeis_outcome(entry: CatalogEntry, fixture_dir: Optional[str],
     if report.status is AlignmentStatus.NO_ALIGNMENT:
         return {"oeis_id": oeis_id, "status": "no-alignment"}, f"{oeis_id} no alignment found"
     matched = min(report.matched_terms, count)
-    return ({"oeis_id": oeis_id, "status": "aligned", "shift": report.shift,
-             "matched": matched, "requested": count, "ok": matched >= count},
-            f"{oeis_id} aligned (shift {report.shift}), {matched}/{count} match")
+    fields = {"oeis_id": oeis_id, "status": "aligned", "shift": report.shift,
+              "matched": matched, "requested": count, "ok": matched >= count}
+    text = f"{oeis_id} aligned (shift {report.shift}), {matched}/{count} match"
+    expected = entry.oeis_offset_shift
+    if expected is not None and report.shift != expected:  # an index-offset regression
+        fields.update(ok=False, catalog_shift=expected)
+        text += f", catalog shift {expected}"
+    return fields, text
 
 
 def _cmd_oeis_check(args: argparse.Namespace) -> int:

@@ -224,7 +224,11 @@ def closed_form_value(case: FormulaCase, seq: SequenceDef, n: int,
     :func:`~tribsum.core.scaled_window` by default, else from *term*, called
     for exactly those three indices and returning ints or Fractions.  Either
     way it runs on ints, :func:`_integer_triple` and D*W with D the window's
-    common denominator, and the sum is one Fraction over gate*D."""
+    common denominator, and the sum is one Fraction over gate*D.
+
+    No code in this package passes *term*.  It stays only for the
+    benchmark's traced runs (``tribbench/worker.py``), which time the
+    window as three term calls, and goes when they stop doing so."""
     direction, parity, condition = case.value
     p = seq.params
     triple = _integer_triple(p)

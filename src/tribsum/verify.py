@@ -1,10 +1,8 @@
 """Verification sweeps: closed forms against the literal sum (the s = 1
 and r + t = 0 clauses on triples pinned to their planes), parity
-partition, and the named-sequence identities.  For each swept (triple,
-W) the formula-vs-oracle and identity sweeps are proofs, not samples: they
-run every n from the family's first bound, and a clause minus its gate
-times the sum obeys a monic recurrence of order at most 5, so any max_n of
-at least that first n + 4 is enough.
+partition, and the named-sequence identities.  Each clause runs through
+the kernel and combine :func:`~tribsum.sums.evaluate` runs, at every n up
+to max_n; ``tests/test_clause_identities.py`` proves it for all n and W.
 
 The CLI ``verify`` subcommand drives these; the test suite reuses them so
 the command line and pytest exercise identical checks.
@@ -64,20 +62,9 @@ def random_rational(rng: random.Random) -> Fraction:
     return Fraction(num, den)
 
 
-def random_sequence(rng: random.Random, nonzero_d: bool = False) -> SequenceDef:
-    """A random sequence with numerators and denominators in [-9, 9]; with
-    *nonzero_d*, on a triple where the generic even/odd clauses hold."""
-    while True:
-        r, s, t = (random_rational(rng) for _ in range(3))
-        if not nonzero_d or _gate("generic", Parity.EVEN, r, s, t):
-            return SequenceDef.of(r, s, t, *(random_rational(rng) for _ in range(3)))
-
-
-def _oracle_terms(seq: SequenceDef, max_n: int) -> Callable[[int], Fraction]:
-    """W_k for |k| <= 2*max_n + 3 (k >= 0 when t = 0): every index a clause
-    bounded by max_n reads, from one oracle walk each way."""
-    span = 2 * max_n + 3
-    return oracle.term_table(seq, -span if seq.params.t != 0 else 0, span).__getitem__
+def random_sequence(rng: random.Random) -> SequenceDef:
+    """A random sequence with numerators and denominators in [-9, 9]."""
+    return SequenceDef.of(*(random_rational(rng) for _ in range(6)))
 
 
 def _against_oracle(report: SuiteReport, seq: SequenceDef, direction: Direction,
@@ -94,25 +81,24 @@ def _against_oracle(report: SuiteReport, seq: SequenceDef, direction: Direction,
                         f"{source} gave {_brief(got)}, oracle {_brief(expected)}")
 
 
-def sweep_formula_vs_oracle(seqs: Iterable[SequenceDef], max_n: int) -> SuiteReport:
-    """Every dispatched closed form must equal the literal sum exactly.
+def _clauses_against_oracle(report: SuiteReport, seq: SequenceDef, max_n: int, label: str,
+                            cases: Iterable[FormulaCase]) -> None:
+    """Each clause, through :func:`closed_form_value`, against the literal sum."""
+    for case in cases:
+        direction, parity, _ = case.value
+        _against_oracle(report, seq, direction, parity, max_n,
+                        partial(closed_form_value, case, seq), label, case.name)
 
-    Each clause reads its window from the oracle's term table and runs
-    through the same integer combine as :func:`evaluate`; only the kernel
-    is left out.  The expected values are the oracle's running prefix
-    sums, so the sweep is linear in max_n per family.
-    """
+
+def sweep_formula_vs_oracle(seqs: Iterable[SequenceDef], max_n: int) -> SuiteReport:
+    """Every dispatched closed form, through the kernel and combine, must
+    equal the oracle's running prefix sums exactly."""
     report = SuiteReport("formula-vs-oracle")
     for seq in seqs:
-        term = _oracle_terms(seq, max_n)
-        for direction, parity in ALL_QUERY_FAMILIES:
-            if direction is Direction.BACKWARD and seq.params.t == 0:
-                continue
-            case = select_case(seq.params, SumQuery(direction, parity, 1))
-            if case is not FormulaCase.OracleFallback:
-                _against_oracle(report, seq, direction, parity, max_n,
-                                partial(closed_form_value, case, seq, term=term),
-                                str(seq.name or seq.params), case.name)
+        cases = (select_case(seq.params, SumQuery(d, p, 1)) for d, p in ALL_QUERY_FAMILIES
+                 if d is Direction.FORWARD or seq.params.t != 0)
+        _clauses_against_oracle(report, seq, max_n, str(seq.name or seq.params),
+                                [c for c in cases if c is not FormulaCase.OracleFallback])
     return report
 
 
@@ -158,11 +144,8 @@ def sweep_specializations(rng: random.Random, count: int) -> SuiteReport:
         for condition in ("s=1", "r+t=0"):
             seq = SequenceDef.of(*_pinned(rng, condition),
                                  *(random_rational(rng) for _ in range(3)))
-            for case in FormulaCase:
-                if case.value[2] == condition:
-                    _against_oracle(report, seq, *case.value[:2], _SPECIALIZATION_MAX_N,
-                                    partial(closed_form_value, case, seq),
-                                    str(seq.params), case.name)
+            _clauses_against_oracle(report, seq, _SPECIALIZATION_MAX_N, str(seq.params),
+                                    [case for case in FormulaCase if case.value[2] == condition])
     return report
 
 
@@ -171,8 +154,9 @@ def sweep_identities(max_n: int,
     """The named-sequence closed forms must equal the literal sums."""
     report = SuiteReport("named-sequence-identities")
     defs = {entry.key: entry.definition for entry in list_all()}
-    terms = {key: _oracle_terms(seq, max_n) for key, seq in defs.items()
-             if keys is None or key in keys}
+    span = 2 * max_n + 3  # every index a clause bounded by max_n reads
+    terms = {key: oracle.term_table(seq, -span if seq.params.t != 0 else 0, span).__getitem__
+             for key, seq in defs.items() if keys is None or key in keys}
     for ident in identities.SUM_IDENTITIES:
         key = ident.sequence_key
         if key in terms:

@@ -353,6 +353,23 @@ class TestOeisCheck:
             else:
                 assert out == text + "\n"
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_shift_other_than_the_catalog_fails(self, capsys, monkeypatch, fmt):
+        """All terms matching at a shift the catalog does not record is an
+        index-offset regression: exit 4, with the recorded shift shown."""
+        entry = lookup("tribonacci")._replace(oeis_offset_shift=2)
+        monkeypatch.setattr(cli, "lookup", lambda key: entry)
+        code, out, err = run(capsys, "--format", fmt, "oeis-check", "--seq", "tribonacci")
+        assert (code, err) == (EXIT_OEIS, "")
+        if fmt == "json":
+            assert json.loads(out) == {
+                "command": "oeis-check", "seq": "tribonacci", "oeis_id": "A000073",
+                "status": "aligned", "shift": 1, "matched": 50, "requested": 50,
+                "ok": False, "catalog_shift": 2}
+        else:
+            assert out == ("tribonacci: A000073 aligned (shift 1), 50/50 match, "
+                           "catalog shift 2\n")
+
     def test_oversized_value_is_an_entry_error(self, capsys, tmp_path):
         """A b-file value past the int conversion limit fails its own entry,
         not the run; the limit itself is left as it was."""

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import tribsum.core as core
+import tribsum.oracle as oracle
 import tribsum.sums as sums
 from tribsum import verify
 from tribsum.catalog import lookup
@@ -96,4 +98,24 @@ def test_formula_sweep_checks_the_combine(monkeypatch):
     fails it."""
     monkeypatch.setattr(sums, "Fraction", lambda num, den: Fraction(2 * num, den))
     report = verify.sweep_formula_vs_oracle([lookup("perrin").definition], 5)
+    assert report.failed > 0
+
+
+def test_formula_sweep_runs_the_kernel(monkeypatch):
+    """The sweep takes each window from the kernel users run, not from the
+    oracle's terms: a Hankel readout that is off by one fails it."""
+    hankel_form = core._hankel_form
+
+    def off_by_one(a, g):
+        value = hankel_form(a, g)
+        return None if value is None else value + 1
+
+    def no_table(*args):
+        raise AssertionError("the formula sweep read the oracle's term table")
+
+    monkeypatch.setattr(core, "_READOUT_BITS", 0)
+    monkeypatch.setattr(core, "_hankel_form", off_by_one)
+    monkeypatch.setattr(oracle, "term_table", no_table)
+    report = verify.sweep_formula_vs_oracle([lookup("perrin").definition], 5)
+    assert report.passed + report.failed == 33
     assert report.failed > 0
