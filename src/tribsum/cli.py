@@ -11,7 +11,6 @@ error, 3 verification mismatch, 4 OEIS check failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
@@ -73,17 +72,15 @@ def _sequence_from_args(args: argparse.Namespace) -> SequenceDef:
     return SequenceDef.of(*(getattr(args, flag) for flag in _PARAM_FLAGS))
 
 
-@contextlib.contextmanager
-def _any_digit_count():
-    """Lift the int -> str digit limit (4300 by default) while a result is
-    rendered, then restore it, so input parsing and in-process callers keep it."""
+def _render(value) -> str:
+    """format_rational(value) with the int -> str digit limit (4300 by default)
+    lifted, then restored, so input parsing and in-process callers keep it."""
     if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7: no limit
-        yield
-        return
+        return format_rational(value)
     previous = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        yield
+        return format_rational(value)
     finally:
         sys.set_int_max_str_digits(previous)
 
@@ -128,9 +125,7 @@ def _require_at_least(flag: str, value: int, low: int) -> None:
 
 def _cmd_term(args: argparse.Namespace) -> int:
     seq = _sequence_from_args(args)
-    value = term_matrix(seq, args.n)
-    with _any_digit_count():
-        rendered = format_rational(value)
+    rendered = _render(term_matrix(seq, args.n))
     _emit(args, {"command": "term", "seq": args.seq, "n": args.n,
                  "value": rendered}, rendered)
     return EXIT_OK
@@ -140,8 +135,7 @@ def _cmd_sum(args: argparse.Namespace) -> int:
     seq = _sequence_from_args(args)
     query = SumQuery(Direction(args.dir), Parity(args.parity), args.n)
     result = evaluate(seq, query, check=args.check)
-    with _any_digit_count():
-        rendered = format_rational(result.value)
+    rendered = _render(result.value)
     _emit(args, {"command": "sum", "seq": args.seq, "dir": args.dir,
                  "parity": args.parity, "n": args.n, "value": rendered,
                  "case_used": result.case_used.name,
@@ -215,22 +209,32 @@ def _cmd_oeis_check(args: argparse.Namespace) -> int:
     return EXIT_OEIS if any_failed else EXIT_OK
 
 
+def _best_of_three(fn, *args) -> tuple:
+    """(fn(*args), the least ns of three timed calls)."""
+    times = []
+    for _ in range(3):
+        start = time.perf_counter_ns()
+        value = fn(*args)
+        times.append(time.perf_counter_ns() - start)
+    return value, min(times)
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from . import oracle, sums  # sums loads here, not in the first timed evaluate
+    from . import oracle
     seq = lookup(args.seq).definition
     for n in args.n:
         _require_at_least("--n", n, 0)
+    # Each path once, untimed: sums loads and the oracle compiles its walk here.
+    warm = SumQuery(Direction.FORWARD, Parity.ALL, args.n[0])
+    evaluate(seq, warm)
+    oracle.oracle_sum(seq, warm)
     header = f"{'n':>10} {'closed_ns':>14} {'oracle_ns':>14} {'speedup':>9}"
     if args.format == "text":
         print(header)
     for n in args.n:
         query = SumQuery(Direction.FORWARD, Parity.ALL, n)
-        start = time.perf_counter_ns()
-        closed = evaluate(seq, query)
-        closed_ns = time.perf_counter_ns() - start
-        start = time.perf_counter_ns()
-        naive = oracle.oracle_sum(seq, query)
-        oracle_ns = time.perf_counter_ns() - start
+        closed, closed_ns = _best_of_three(evaluate, seq, query)
+        naive, oracle_ns = _best_of_three(oracle.oracle_sum, seq, query)
         if closed.value != naive:
             return _error(args, EXIT_MISMATCH, SumMismatch(f"mismatch at n={n}"))
         ratio = oracle_ns / closed_ns if closed_ns else float("inf")

@@ -37,7 +37,11 @@ RationalLike = Union[Fraction, int, str]
 
 
 class NegativeIndexWithZeroT(ValueError):
-    """A negative index was requested but t = 0, so no backward step exists."""
+    """A backward term or sum with t = 0, where no step back exists.  Only
+    :func:`scaled_window` (m < 0) and the oracle's backward walk raise it."""
+
+    def __init__(self, message: str = "stepping back needs t != 0") -> None:
+        super().__init__(message)
 
 
 class SumMismatch(ArithmeticError):
@@ -179,9 +183,6 @@ class MultiplicationCounter:
     def __repr__(self) -> str:
         return f"MultiplicationCounter(count={self.count!r})"
 
-    def tick(self) -> None:
-        self.count += 1
-
 
 # Bits of a2 above which _sqr_mod squares by five bignum squares instead
 # of six products: CPython squares a large int in about half the time of a
@@ -316,12 +317,12 @@ def scaled_window(seq: SequenceDef, m: int, counter: Optional[MultiplicationCoun
     W_{k+j} = c0*W_j + c1*W_{j+1} + c2*W_{j+2} (Cayley-Hamilton; Fiduccia
     1985).  With q the least common denominator of r, s and t, y = q*x
     satisfies y^3 - R*y^2 - S*y - T with ints R = r*q, S = s*q^2, T = t*q^3.
-    For m < 0 (t != 0) the same power runs on V_j = W_{2-j}, which follows
-    (-s/t, -r/t, 1/t) from (W_2, W_1, W_0) with its own q, and the window
-    comes back reversed.  D = d*q^(|m|+2), d the common denominator of the
-    initial terms (D = d at m = 0).  Each bit of |m| after the leading one
-    costs a square (six products, or five squares above the
-    _FIVE_SQUARE_BITS crossover), each set bit after it a shift by y.
+    For m < 0 (t = 0 raises NegativeIndexWithZeroT) the same power runs on
+    V_j = W_{2-j}, which follows (-s/t, -r/t, 1/t) from (W_2, W_1, W_0) with
+    its own q, and the window comes back reversed.  D = d*q^(|m|+2), d the
+    common denominator of the initial terms (D = d at m = 0).  Each bit of
+    |m| after the leading one costs a square (six products, or five squares
+    above the _FIVE_SQUARE_BITS crossover), each set bit after it a shift by y.
     *counter* gains that count plus one for the combine, computed from |m|:
     bits(|m|) + popcount(|m|) - 1 ticks, at most 2*bits(|m|) - 1.  The last
     square and shift are :func:`_last_step`, which reads a single form past
@@ -339,7 +340,7 @@ def scaled_window(seq: SequenceDef, m: int, counter: Optional[MultiplicationCoun
                               s.denominator, t.numerator, t.denominator)
     if m < 0:
         if tn == 0:
-            raise NegativeIndexWithZeroT(f"W_{m} undefined: stepping back needs t != 0")
+            raise NegativeIndexWithZeroT
         # (-s/t, -r/t, 1/t) as integer pairs, not in lowest terms.
         rn, rd, sn, sd, tn, td = -sn * td, sd * tn, -rn * td, rd * tn, td, tn
         u0, u2 = u2, u0

@@ -30,7 +30,6 @@ class SumIdentity:
     sequence_key: str
     direction: Direction
     parity: Parity
-    min_n: int
     clause: Clause
 
 
@@ -38,9 +37,9 @@ def _register(key: str,
               fwd: tuple[Clause, Clause, Clause],
               bwd: tuple[Clause, Clause, Clause]) -> list[SumIdentity]:
     parities = (Parity.ALL, Parity.EVEN, Parity.ODD)
-    out = [SumIdentity(key, Direction.FORWARD, p, 0, c)
+    out = [SumIdentity(key, Direction.FORWARD, p, c)
            for p, c in zip(parities, fwd)]
-    out += [SumIdentity(key, Direction.BACKWARD, p, 1, c)
+    out += [SumIdentity(key, Direction.BACKWARD, p, c)
             for p, c in zip(parities, bwd)]
     return out
 

@@ -41,7 +41,7 @@ def _walk(seq: SequenceDef, direction: Direction) -> tuple[int, int, Iterator[in
     u_k = R*u_{k-1} + S*u_{k-2} + T*u_{k-3} with the integers R = r*q,
     S = s*q^2 and T = t*q^3.  Backward is the forward walk of the reversed
     recurrence (-s/t, -r/t, 1/t) from (W_2, W_1, W_0), with its own q, past
-    its first three terms.
+    its first three terms; at t = 0 it raises NegativeIndexWithZeroT.
 
     The setup reads each numerator and denominator once and does no
     Fraction arithmetic.  The reversed triple is formed as fully reduced
@@ -54,7 +54,7 @@ def _walk(seq: SequenceDef, direction: Direction) -> tuple[int, int, Iterator[in
     starts = (seq.w0, seq.w1, seq.w2)
     if direction is Direction.BACKWARD:
         if not tn:
-            raise NegativeIndexWithZeroT("stepping backward requires t != 0")
+            raise NegativeIndexWithZeroT
         gs = math.gcd(sn, tn) * math.gcd(sd, td)
         gr = math.gcd(rn, tn) * math.gcd(rd, td)
         rn, rd, sn, sd, tn, td = (-sn * td // gs, sd * tn // gs,
@@ -162,8 +162,6 @@ def oracle_sum(seq: SequenceDef, query: SumQuery) -> Fraction:
     last term's scale; a plain sum where the scale never grows, as for
     every integer triple going forward) and divided once at the end.
     """
-    if query.direction is Direction.BACKWARD and seq.params.t == 0:
-        raise NegativeIndexWithZeroT("backward sums need t != 0")
     first, q_step, den, added = _added(seq, query.direction, query.parity)
     count = query.n + 1 - first
     if q_step == 1:

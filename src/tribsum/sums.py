@@ -32,7 +32,6 @@ from typing import Callable, NamedTuple
 
 from .core import (  # Direction, Parity, SumMismatch, SumQuery, query_indices: re-exported
     Direction,
-    NegativeIndexWithZeroT,
     Parity,
     RecurrenceParams,
     SequenceDef,
@@ -219,12 +218,12 @@ def closed_form_value(case: FormulaCase, seq: SequenceDef, n: int,
     """Evaluate a specific closed-form clause directly (no dispatch).
 
     ValueError where the case's :func:`_gate` is 0, as it always is for
-    OracleFallback.  n follows :class:`SumQuery`'s rules; a backward clause
-    needs t != 0.  The clause reads one window W_m..W_{m+2}: from
-    :func:`~tribsum.core.scaled_window` by default, else from *term*, called
-    for exactly those three indices and returning ints or Fractions.  Either
-    way it runs on ints, :func:`_integer_triple` and D*W with D the window's
-    common denominator, and the sum is one Fraction over gate*D.
+    OracleFallback.  n follows :class:`SumQuery`'s rules.  The clause reads
+    one window W_m..W_{m+2}: from :func:`~tribsum.core.scaled_window` by
+    default, else from *term*, called for exactly those three indices and
+    returning ints or Fractions.  Either way it runs on ints,
+    :func:`_integer_triple` and D*W with D the window's common denominator,
+    and the sum is one Fraction over gate*D.
 
     No code in this package passes *term*.  It stays only for the
     benchmark's traced runs (``tribbench/worker.py``), which time the
@@ -245,16 +244,14 @@ def _combine(case: FormulaCase, seq: SequenceDef, n: int, triple: tuple,
     """:func:`closed_form_value` past its checks of *case* and n, on
     *triple* = :func:`_integer_triple` and the case's nonzero *gate* there:
     the clause's rho . D*window, from the kernel or from *term*, plus its
-    kappa . D*(W_0, W_1, W_2)."""
+    kappa . D*(W_0, W_1, W_2).  A backward window has m < 0, so at t = 0 the
+    kernel, or *term*, raises NegativeIndexWithZeroT."""
     direction, parity, _ = case.value
-    r, s, t, o = triple
-    if direction is Direction.BACKWARD and t == 0:
-        raise NegativeIndexWithZeroT("backward sums need t != 0")
     if direction is Direction.FORWARD:  # m: the window's first index
         m = n + 1 if parity is Parity.ALL else 2 * n
     else:
         m = -n - 3 if parity is Parity.ALL else -2 * n - 1
-    rho, (k0, k1, k2) = _CLOSED_FORMS[case](r, s, t, o, n)
+    rho, (k0, k1, k2) = _CLOSED_FORMS[case](*triple, n)
     if term is None:
         (value,), den = scaled_window(seq, m, None, (rho,))
     else:  # W_m..W_{m+2} over one denominator with W_0..W_2

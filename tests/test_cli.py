@@ -5,12 +5,13 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import tribsum
 import tribsum.sums as sums
-from tribsum import cli
+from tribsum import cli, oracle
 from tribsum.catalog import list_all, lookup
 from tribsum.core import SequenceDef, format_rational, term_matrix
 from tribsum.oeis import default_fixture_dir
@@ -126,15 +127,15 @@ class TestTerm:
 
     def test_digit_limit_guard_before_the_limit_existed(self, monkeypatch):
         """Before Python 3.10.7 there is no int -> str digit limit and no
-        setter: the guard yields once, sets nothing, and values render."""
+        setter: _render sets nothing, formats once, and values render."""
         limit = sys.get_int_max_str_digits()
         monkeypatch.delattr(sys, "set_int_max_str_digits")
-        entered = 0
-        with cli._any_digit_count():
-            entered += 1
-            assert sys.get_int_max_str_digits() == limit
-            assert format_rational(Fraction(-927, 4)) == "-927/4"
-        assert entered == 1
+        seen = []
+        monkeypatch.setattr(cli, "format_rational",
+                            lambda value: seen.append(sys.get_int_max_str_digits())
+                            or format_rational(value))
+        assert cli._render(Fraction(-927, 4)) == "-927/4"
+        assert seen == [limit]
         assert sys.get_int_max_str_digits() == limit
 
 
@@ -414,6 +415,31 @@ class TestBench:
         assert record["case_used"] == "FwdAll_Generic"
         assert record["closed_ns"] > 0 and record["oracle_ns"] > 0
 
+    def test_rows_are_warm_best_of_three(self, capsys, monkeypatch):
+        """Before the first clock read, each path has run once: evaluate, and
+        the oracle with its walk compiled.  Each row then times three calls
+        of each path and reports the least."""
+        calls = []
+        monkeypatch.setattr(oracle, "_WALKS", {})
+        for module, name in ((cli, "evaluate"), (oracle, "oracle_sum")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, real=real, name=name:
+                                calls.append(name) or real(*a))
+        reads = []  # (walks compiled, calls made) at each clock read
+
+        def perf_counter_ns():
+            reads.append((len(oracle._WALKS), len(calls)))
+            return len(reads) ** 2  # each later interval is longer
+        monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter_ns=perf_counter_ns))
+        code, out, _ = run(capsys, "--format", "json", "bench", "--n", "10", "1000")
+        assert code == EXIT_OK
+        assert reads[0] == (1, 2) and calls[:2] == ["evaluate", "oracle_sum"]
+        assert len(reads) == 2 * 2 * 3 * 2 and len(calls) == 2 + 2 * 2 * 3
+        first, second = map(json.loads, out.splitlines())
+        # The k-th read is k^2, so the first of each three intervals is the least.
+        assert (first["closed_ns"], first["oracle_ns"]) == (3, 15)
+        assert (second["closed_ns"], second["oracle_ns"]) == (27, 39)
+
 
 class TestCatalog:
     def test_lists_all_keys(self, capsys):
@@ -512,7 +538,7 @@ class TestJsonErrors:
         the triple would dispatch to."""
         argv = ("sum", "--r", r, "--s", s, "--t", "0", "--w0", "0", "--w1", "1",
                 "--w2", "1", "--dir", "bwd", "--parity", "all", "--n", "3")
-        message = "backward sums need t != 0"
+        message = "stepping back needs t != 0"
         code, record = self.json_error(capsys, *argv)
         assert code == EXIT_USAGE
         assert record == {"command": "sum", "status": "error",

@@ -32,7 +32,10 @@ def test_coverage_is_complete():
 def test_identity_matches_oracle(ident):
     seq = _DEFS[ident.sequence_key]
     term = lambda k: term_iterative(seq, k)
-    for n in range(ident.min_n, 51):
+    first = int(ident.direction is Direction.BACKWARD)  # SumQuery's least n
+    with pytest.raises(ValueError):
+        SumQuery(ident.direction, ident.parity, first - 1)
+    for n in range(first, 51):
         expected = oracle_sum(seq, SumQuery(ident.direction, ident.parity, n))
         assert ident.clause(term, n) == expected, \
             f"{ident.sequence_key} n={n}"

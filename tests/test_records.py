@@ -180,6 +180,5 @@ def test_tuple_equality_is_by_value_only():
 def test_counter_is_not_a_tuple():
     """Its count field would shadow tuple.count, so it stays a plain class."""
     counter = MultiplicationCounter()
-    counter.tick()
-    counter.tick()
+    counter.count += 2
     assert counter.count == 2 and not isinstance(counter, tuple)

@@ -217,15 +217,16 @@ class TestBackwardSums:
 
     @pytest.mark.parametrize("parity", list(Parity), ids=lambda p: p.value)
     def test_zero_t_one_message(self, parity):
-        """Every backward path names the sum, not an index it would walk to."""
+        """Every backward path gives NegativeIndexWithZeroT's one message."""
         seq = seq_of(1, 1, 0, 0, 1, 1)  # d1 = d2 = 1: the generic clauses hold
         query = SumQuery(Direction.BACKWARD, parity, 3)
         case = FormulaCase((Direction.BACKWARD, parity, "generic"))
+        term = lambda k: term_iterative(seq, k)
         for call in (lambda: closed_form_value(case, seq, 3),
-                     lambda: closed_form_value(case, seq, 3, term=term_iterative),
+                     lambda: closed_form_value(case, seq, 3, term=term),
                      lambda: sum_oracle(seq, query), lambda: evaluate(seq, query)):
             with pytest.raises(NegativeIndexWithZeroT,
-                               match=r"^backward sums need t != 0$"):
+                               match=r"^stepping back needs t != 0$"):
                 call()
 
 
