@@ -12,15 +12,13 @@ _SOURCE = {name: module for module, names in (
     ("core", "core Direction MultiplicationCounter NegativeIndexWithZeroT Parity "
              "RecurrenceParams SequenceDef SumMismatch SumQuery as_rational "
              "format_rational term_matrix window"),
-    ("oeis", "oeis AlignmentReport AlignmentStatus BFile FixtureMissing "
-             "MalformedBFile align fetch_bfile parse_bfile"),
+    ("oeis", "oeis AlignmentReport BFile FixtureMissing MalformedBFile align "
+             "fetch_bfile parse_bfile"),
     ("oracle", "oracle oracle_sum oracle_term term_iterative"),
-    ("sums", "sums Denominators FormulaCase SumResult closed_form_value denominators "
-             "evaluate select_case sum_backward_all sum_backward_even sum_backward_odd "
-             "sum_forward_all sum_forward_even sum_forward_odd sum_oracle"),
+    ("sums", "sums FormulaCase SumResult closed_form_value evaluate select_case "
+             "sum_backward_all sum_backward_even sum_backward_odd sum_forward_all "
+             "sum_forward_even sum_forward_odd sum_oracle"),
 ) for name in names.split()}
-
-_ALIASES = {"term_iterative": "oracle_term"}
 
 __all__ = sorted(_SOURCE)
 __version__ = "0.1.0"
@@ -31,7 +29,7 @@ def __getattr__(name):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = _import(f"{__name__}.{_SOURCE[name]}")
     if name != _SOURCE[name]:
-        value = getattr(value, _ALIASES.get(name, name))
+        value = getattr(value, name)
     globals()[name] = value  # later reads skip this function
     return value
 

@@ -1,10 +1,11 @@
 """Registry of the fifteen named third-order recurrence sequences.
 
-Each entry records the coefficient triple, the initial terms, and the OEIS
-identifiers associated with the sequence.  ``oeis_offset_shift`` maps this
-package's index n to the b-file index (b-file index = n + shift); it is
-stored only for entries whose primary OEIS ID has a bundled fixture and was
-confirmed by the alignment search in :mod:`tribsum.oeis`.
+Each entry records the coefficient triple, the initial terms and the display
+name (all three in its ``definition``), and the OEIS identifiers associated
+with the sequence.  ``oeis_offset_shift`` maps this package's index n to the
+b-file index (b-file index = n + shift); it is stored only for entries whose
+primary OEIS ID has a bundled fixture and was confirmed by the alignment
+search in :mod:`tribsum.oeis`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ class UnknownSequence(KeyError):
 
 class CatalogEntry(NamedTuple):
     key: str
-    display_name: str
     definition: SequenceDef
     oeis_ids: tuple[str, ...]
     oeis_offset_shift: Optional[int] = None
@@ -36,7 +36,7 @@ class CatalogEntry(NamedTuple):
 
 def _entry(key, display, w0, w1, w2, r, s, t, oeis_ids, shift=None):
     seq = SequenceDef.of(r, s, t, w0, w1, w2, name=display)
-    return CatalogEntry(key, display, seq, tuple(oeis_ids), shift)
+    return CatalogEntry(key, seq, tuple(oeis_ids), shift)
 
 
 _ENTRIES: tuple[CatalogEntry, ...] = (

@@ -139,7 +139,7 @@ def _cmd_sum(args: argparse.Namespace) -> int:
     _emit(args, {"command": "sum", "seq": args.seq, "dir": args.dir,
                  "parity": args.parity, "n": args.n, "value": rendered,
                  "case_used": result.case_used.name,
-                 "oracle_checked": result.oracle_checked},
+                 "oracle_checked": args.check},
           f"{rendered} ({result.case_used.name})")
     return EXIT_OK
 
@@ -173,7 +173,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _oeis_outcome(entry: CatalogEntry, fixture_dir: Optional[str],
                   count: int) -> tuple[dict, str]:
     """One entry's record fields after command and seq, and its text after the key."""
-    from .oeis import AlignmentStatus, FixtureMissing, MalformedBFile, fetch_bfile
+    from .oeis import FixtureMissing, MalformedBFile, fetch_bfile
     oeis_id = entry.primary_oeis_id
     if oeis_id is None:
         return {"status": "skipped", "reason": "no OEIS id"}, "skipped: no OEIS id"
@@ -183,7 +183,7 @@ def _oeis_outcome(entry: CatalogEntry, fixture_dir: Optional[str],
         return ({"oeis_id": oeis_id, "status": "error", "reason": str(exc)},
                 f"{oeis_id} error: {exc}")
     report = align(entry.definition, bfile)
-    if report.status is AlignmentStatus.NO_ALIGNMENT:
+    if report.shift is None:
         return {"oeis_id": oeis_id, "status": "no-alignment"}, f"{oeis_id} no alignment found"
     matched = min(report.matched_terms, count)
     fields = {"oeis_id": oeis_id, "status": "aligned", "shift": report.shift,
@@ -254,7 +254,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
                         for j, w in enumerate((seq.w0, seq.w1, seq.w2)))
         ids = ", ".join(entry.oeis_ids) if entry.oeis_ids else "-"
         _emit(args, {"command": "catalog", "key": entry.key,
-                     "display_name": entry.display_name,
+                     "display_name": seq.name,
                      "params": params, "initial": init,
                      "oeis_ids": list(entry.oeis_ids)},
               f"{entry.key:30} {params:18} {init:18} {ids}")

@@ -159,15 +159,6 @@ class SumQuery(_Query):
         return super().__new__(cls, direction, parity, n)
 
 
-def query_indices(query: SumQuery) -> list[int]:
-    """The term indices the query sums over, in summation order."""
-    step = 1 if query.parity is Parity.ALL else 2
-    odd = int(query.parity is Parity.ODD)
-    if query.direction is Direction.FORWARD:
-        return [step * k + odd for k in range(query.n + 1)]
-    return [odd - step * k for k in range(1, query.n + 1)]
-
-
 IntRow = tuple[int, int, int]
 
 
@@ -361,10 +352,9 @@ def scaled_window(seq: SequenceDef, m: int, counter: Optional[MultiplicationCoun
             d * q ** (size + 2))
 
 
-def window(seq: SequenceDef, m: int, counter: Optional[MultiplicationCounter] = None
-           ) -> tuple[Fraction, Fraction, Fraction]:
+def window(seq: SequenceDef, m: int) -> tuple[Fraction, Fraction, Fraction]:
     """(W_m, W_{m+1}, W_{m+2}): :func:`scaled_window` over its denominator."""
-    nums, den = scaled_window(seq, m, counter)
+    nums, den = scaled_window(seq, m)
     return tuple(Fraction(n, den) for n in nums)
 
 

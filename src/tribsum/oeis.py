@@ -1,9 +1,11 @@
 """OEIS b-file parsing, offset alignment, and fixture-backed retrieval.
 
 A b-file is the plain-text OEIS term listing: one "<index> <value>" pair
-per line, '#'-prefixed lines ignored, indices contiguous.  Alignment finds
-the shift between this package's W_0-based indexing and the b-file's own
-offset by searching a small window of candidate shifts.
+per line, '#'-prefixed lines ignored, indices contiguous, so a parsed
+:class:`BFile` keeps only its first index (the offset) and the values in
+file order.  Alignment finds the shift between this package's W_0-based
+indexing and the b-file's own offset by searching a small window of
+candidate shifts; a report with no shift is one that found none.
 
 B-files are read only from a fixture directory: the bundled package data,
 or a directory the caller names.  Nothing here touches the network.
@@ -11,7 +13,6 @@ or a directory the caller names.  Nothing here touches the network.
 
 from __future__ import annotations
 
-import enum
 import re
 from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
@@ -40,36 +41,31 @@ class FixtureMissing(FileNotFoundError):
     """No fixture file exists for the requested OEIS ID."""
 
 
-class AlignmentStatus(enum.Enum):
-    ALIGNED = "aligned"
-    NO_ALIGNMENT = "no-alignment"
-
-
 class BFile(NamedTuple):
-    oeis_id: str
-    entries: tuple[tuple[int, int], ...]
+    """The terms of one b-file: values[j] is the term at index offset + j."""
 
-    @property
-    def offset(self) -> int:
-        return self.entries[0][0]
+    oeis_id: str
+    offset: int
+    values: tuple[int, ...]
 
     def value_at(self, index: int) -> int:
-        first = self.offset
-        if not first <= index <= self.entries[-1][0]:
+        if not 0 <= index - self.offset < len(self.values):
             raise IndexError(f"index {index} outside b-file range")
-        return self.entries[index - first][1]
+        return self.values[index - self.offset]
 
 
 class AlignmentReport(NamedTuple):
+    """The smallest aligning shift with its count of matched terms, or
+    (None, 0) where no shift in SHIFT_WINDOW aligns."""
+
     oeis_id: str
     shift: Optional[int]
     matched_terms: int
-    status: AlignmentStatus
 
 
 def parse_bfile(content: str, oeis_id: str = "") -> BFile:
     """Parse b-file text; raises :class:`MalformedBFile` on any defect."""
-    entries: list[tuple[int, int]] = []
+    offset, values = None, []
     for lineno, line in enumerate(content.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -81,14 +77,16 @@ def parse_bfile(content: str, oeis_id: str = "") -> BFile:
             index, value = int(m.group(1)), int(m.group(2))
         except ValueError as exc:  # past the interpreter's int conversion limit
             raise MalformedBFile(f"line {lineno}: {exc}") from None
-        if entries and index != entries[-1][0] + 1:
+        if offset is None:
+            offset = index
+        elif index != offset + len(values):
             raise MalformedBFile(
                 f"line {lineno}: index {index} breaks contiguity "
-                f"(previous {entries[-1][0]})")
-        entries.append((index, value))
-    if not entries:
+                f"(previous {offset + len(values) - 1})")
+        values.append(value)
+    if offset is None:
         raise MalformedBFile("no data lines")
-    return BFile(oeis_id, tuple(entries))
+    return BFile(oeis_id, offset, tuple(values))
 
 
 def align(seq: SequenceDef, bfile: BFile) -> AlignmentReport:
@@ -99,7 +97,7 @@ def align(seq: SequenceDef, bfile: BFile) -> AlignmentReport:
     overlapping index.  The terms for every candidate shift come from one
     term table.
     """
-    lo, hi = bfile.offset, bfile.entries[-1][0]
+    lo, hi = bfile.offset, bfile.offset + len(bfile.values) - 1
 
     def first(sigma: int) -> int:
         # Without a backward step (t = 0) the overlap starts at W_0 at the earliest.
@@ -113,9 +111,8 @@ def align(seq: SequenceDef, bfile: BFile) -> AlignmentReport:
                 break
             matched += 1
         if matched >= MIN_MATCHED_TERMS:
-            return AlignmentReport(bfile.oeis_id, sigma, matched,
-                                   AlignmentStatus.ALIGNED)
-    return AlignmentReport(bfile.oeis_id, None, 0, AlignmentStatus.NO_ALIGNMENT)
+            return AlignmentReport(bfile.oeis_id, sigma, matched)
+    return AlignmentReport(bfile.oeis_id, None, 0)
 
 
 def _fixture_filename(oeis_id: str) -> str:

@@ -112,6 +112,9 @@ def oracle_term(seq: SequenceDef, n: int) -> Fraction:
     return Fraction(next(islice(ints, j, None)), d * q**j)
 
 
+term_iterative = oracle_term
+
+
 def _terms(seq: SequenceDef, direction: Direction, count: int) -> Iterator[Fraction]:
     q, den, ints = _walk(seq, direction)
     for u in islice(ints, count):

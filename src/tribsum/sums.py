@@ -30,7 +30,7 @@ import math
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .core import (  # Direction, Parity, SumMismatch, SumQuery, query_indices: re-exported
+from .core import (  # Direction, Parity, SumMismatch, SumQuery: re-exported
     Direction,
     Parity,
     RecurrenceParams,
@@ -38,7 +38,6 @@ from .core import (  # Direction, Parity, SumMismatch, SumQuery, query_indices: 
     SumMismatch,
     SumQuery,
     as_rational,
-    query_indices,
     scaled_window,
 )
 # The literal sum: the fallback path, and the reference for check=True.
@@ -66,24 +65,9 @@ class FormulaCase(enum.Enum):
     OracleFallback = (None, None, "oracle")
 
 
-class Denominators(NamedTuple):
-    """The two gate expressions whose vanishing disables the closed forms."""
-
-    d1: Fraction
-    d2: Fraction
-
-
 class SumResult(NamedTuple):
     value: Fraction
     case_used: FormulaCase
-    oracle_checked: bool = False
-
-
-def denominators(params: RecurrenceParams) -> Denominators:
-    """d1 = r+s+t-1 and d2 = r-s+t+1; their product equals
-    2s + 2rt + r^2 - s^2 + t^2 - 1."""
-    r, s, t = params.r, params.s, params.t
-    return Denominators(r + s + t - 1, r - s + t + 1)
 
 
 def _gate(condition: str, parity: Parity, r, s, t, o=1):
@@ -279,7 +263,7 @@ def evaluate(seq: SequenceDef, query: SumQuery, check: bool = False) -> SumResul
     triple = _integer_triple(seq.params)
     case, gate = _dispatch(triple, query)
     if not gate:
-        return SumResult(sum_oracle(seq, query), case, oracle_checked=check)
+        return SumResult(sum_oracle(seq, query), case)
     value = _combine(case, seq, query.n, triple, gate)
     if check:
         expected = sum_oracle(seq, query)
@@ -287,7 +271,7 @@ def evaluate(seq: SequenceDef, query: SumQuery, check: bool = False) -> SumResul
             raise SumMismatch(
                 f"{case.name} gave {_brief(value)}, literal sum is "
                 f"{_brief(expected)} for {seq.name or seq.params} {query}")
-    return SumResult(value, case, oracle_checked=check)
+    return SumResult(value, case)
 
 
 def sum_forward_all(seq: SequenceDef, n: int, check: bool = False) -> SumResult:

@@ -2,6 +2,7 @@ import pytest
 
 from tribsum import core
 from tribsum.catalog import list_all, lookup
+from tribsum.core import Direction, Parity
 
 
 @pytest.fixture(scope="session")
@@ -22,6 +23,20 @@ def pell_padovan():
 @pytest.fixture(scope="session")
 def catalog_defs():
     return [entry.definition for entry in list_all()]
+
+
+@pytest.fixture(scope="session")
+def query_indices():
+    """indices(query): the term indices a sum query adds, in summation
+    order.  It is the index reference the oracle's walks are compared with,
+    so it lives here rather than in the package."""
+    def indices(query):
+        step = 1 if query.parity is Parity.ALL else 2
+        odd = int(query.parity is Parity.ODD)
+        if query.direction is Direction.FORWARD:
+            return [step * k + odd for k in range(query.n + 1)]
+        return [odd - step * k for k in range(1, query.n + 1)]
+    return indices
 
 
 @pytest.fixture

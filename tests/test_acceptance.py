@@ -19,7 +19,7 @@ from tribsum.core import (
     SequenceDef,
     term_matrix,
 )
-from tribsum.oeis import AlignmentStatus, align, fetch_bfile
+from tribsum.oeis import align, fetch_bfile
 from tribsum.oracle import oracle_sum, oracle_term, prefix_sums
 from tribsum.oracle import term_table as build_term_table
 from tribsum.sums import (
@@ -202,7 +202,7 @@ def test_criterion_7_oeis_fixture_alignment(report):
     for key, oeis_id in required:
         entry = lookup(key)
         alignment = align(entry.definition, fetch_bfile(oeis_id))
-        good = (alignment.status is AlignmentStatus.ALIGNED
+        good = (alignment.shift is not None
                 and alignment.matched_terms >= 50
                 and alignment.shift == entry.oeis_offset_shift)
         ok = ok and good

@@ -175,6 +175,11 @@ class TestSum:
         record = json.loads(out)
         assert record["value"] == "1"
         assert record["oracle_checked"] is True
+        code, out, _ = run(capsys, "--format", "json",
+                           "sum", "--seq", "perrin",
+                           "--dir", "bwd", "--parity", "odd", "--n", "2")
+        assert code == EXIT_OK
+        assert json.loads(out) == {**record, "oracle_checked": False}
 
     def test_mismatch_above_digit_limit(self, capsys, monkeypatch):
         # The literal sum at n = 17000 has about 4500 digits; reporting the
@@ -462,6 +467,9 @@ class TestCatalog:
             "pell-perrin", "jacobsthal-padovan", "jacobsthal-perrin",
             "narayana", "third-order-jacobsthal",
             "third-order-jacobsthal-lucas"]
+        assert records[0]["display_name"] == "Tribonacci"
+        for record in records:
+            assert record["display_name"] == lookup(record["key"]).definition.name
 
 
 class TestJsonErrors:

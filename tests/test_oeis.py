@@ -8,7 +8,6 @@ import pytest
 import tribsum
 from tribsum.catalog import lookup
 from tribsum.oeis import (
-    AlignmentStatus,
     BFile,
     FixtureMissing,
     MalformedBFile,
@@ -22,17 +21,17 @@ from tribsum.oeis import (
 class TestParse:
     def test_basic(self):
         bfile = parse_bfile("0 3\n1 0\n2 2\n", "A001608")
-        assert bfile.offset == 0
-        assert bfile.entries == ((0, 3), (1, 0), (2, 2))
+        assert bfile == ("A001608", 0, (3, 0, 2))
         assert bfile.value_at(2) == 2
 
     def test_comments_and_blanks_skipped(self):
         bfile = parse_bfile("# header comment\n\n1 5\n2 6\n")
-        assert bfile.entries == ((1, 5), (2, 6))
+        assert (bfile.offset, bfile.values) == (1, (5, 6))
 
     def test_negative_values(self):
         bfile = parse_bfile("-2 -7\n-1 0\n0 1\n")
         assert bfile.offset == -2
+        assert bfile.values == (-7, 0, 1)
         assert bfile.value_at(-2) == -7
 
     def test_garbage_line_rejected(self):
@@ -46,6 +45,9 @@ class TestParse:
     def test_index_gap_rejected(self):
         with pytest.raises(MalformedBFile):
             parse_bfile("0 1\n2 3\n")
+        with pytest.raises(MalformedBFile, match=r"^line 4: index 6 breaks contiguity "
+                                                 r"\(previous 4\)$"):
+            parse_bfile("3 1\n4 2\n\n6 3\n")
 
     def test_value_past_digit_limit_rejected(self):
         limit = sys.get_int_max_str_digits()
@@ -62,12 +64,21 @@ class TestParse:
         with pytest.raises(IndexError):
             bfile.value_at(5)
 
+    @pytest.mark.parametrize("offset", [-2, 0, 3])
+    def test_value_at_reads_values_from_offset(self, offset):
+        bfile = BFile("A000001", offset, (5, 7, 9))
+        assert bfile.value_at(offset) == 5
+        assert bfile.value_at(offset + 1) == 7
+        assert bfile.value_at(offset + 2) == 9
+        for index in (offset - 1, offset + 3):
+            with pytest.raises(IndexError, match=rf"^index {index} outside b-file range$"):
+                bfile.value_at(index)
+
 
 class TestAlign:
     def test_identity_shift(self, perrin):
         bfile = fetch_bfile("A001608")
         report = align(perrin, bfile)
-        assert report.status is AlignmentStatus.ALIGNED
         assert report.shift == 0
         assert report.matched_terms >= 50
 
@@ -90,10 +101,9 @@ class TestAlign:
         assert report.matched_terms >= 50
 
     def test_no_alignment(self, tribonacci):
-        zeros = BFile("A000000", tuple((n, 0) for n in range(40)))
+        zeros = BFile("A000000", 0, (0,) * 40)
         report = align(tribonacci, zeros)
-        assert report.status is AlignmentStatus.NO_ALIGNMENT
-        assert report.shift is None
+        assert report == ("A000000", None, 0)
 
     def test_catalog_shifts_confirmed(self):
         for key in ("tribonacci", "tribonacci-lucas", "third-order-pell",

@@ -10,7 +10,7 @@ import tribsum.core as core
 import tribsum.oracle as oracle
 from tribsum.core import NegativeIndexWithZeroT, SequenceDef, window
 from tribsum.oracle import oracle_sum, oracle_term, prefix_sums, term_table
-from tribsum.sums import Direction, Parity, SumQuery, query_indices
+from tribsum.sums import Direction, Parity, SumQuery
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 # Denominators 2..9, and numerators up to 9 in size, so the forward q, the
@@ -83,7 +83,7 @@ class TestOracleSum:
            w0=rationals, w1=rationals, w2=rationals,
            n=st.integers(min_value=1, max_value=20))
     @settings(max_examples=50, deadline=None)
-    def test_matches_independent_terms(self, r, s, t, w0, w1, w2, n):
+    def test_matches_independent_terms(self, query_indices, r, s, t, w0, w1, w2, n):
         # Sums and every prefix sum against terms from core.window, which
         # shares no code with the oracle's walk; backward families need t != 0.
         seq = SequenceDef.of(r, s, t, w0, w1, w2)
@@ -108,7 +108,7 @@ class TestOracleSumBranches:
     @pytest.mark.parametrize("params, plain", [
         (("2", "-1", "1", "1/2", "0", "-3"), True),
         (("3/7", "-5/4", "2/9", "1/2", "0", "-3"), False)], ids=["integer", "rational"])
-    def test_matches_added_terms(self, params, plain):
+    def test_matches_added_terms(self, query_indices, params, plain):
         seq = SequenceDef.of(*params)
         for direction in Direction:
             for parity in Parity:
@@ -136,7 +136,7 @@ class TestWalkPatterns:
         assert len(oracle._WALKS) <= 64
 
     @pytest.mark.parametrize("triple", INTEGER_TRIPLES, ids=str)
-    def test_integer_triples_against_reference(self, triple):
+    def test_integer_triples_against_reference(self, query_indices, triple):
         seq = SequenceDef.of(*triple, "1/2", -2, 3)
         lo = -81 if triple[2] else 0
         terms = reference_terms(seq, lo, 81)
@@ -190,7 +190,7 @@ class TestAgainstReference:
     @example(*TRIPLES[0], 1, "-2/3", "5/2")
     @example("1/2", "-3/4", 0, "1/5", "2/3", 1)
     @settings(max_examples=60, deadline=None)
-    def test_sums(self, r, s, t, w0, w1, w2):
+    def test_sums(self, query_indices, r, s, t, w0, w1, w2):
         seq = SequenceDef.of(r, s, t, w0, w1, w2)
         max_n = 25
         terms = reference_terms(seq, -2 * max_n if t != 0 else 0, 2 * max_n + 1)

@@ -15,10 +15,8 @@ import pytest
 
 from tribsum import (
     AlignmentReport,
-    AlignmentStatus,
     BFile,
     CatalogEntry,
-    Denominators,
     Direction,
     FormulaCase,
     MultiplicationCounter,
@@ -40,15 +38,22 @@ RECORDS = {
     "RecurrenceParams": lambda: RecurrenceParams("1/2", 1, -1),
     "SequenceDef": lambda: SequenceDef(RecurrenceParams("1/2", 1, -1), "3", 0, 1, "x"),
     "SumQuery": lambda: SumQuery(Direction.BACKWARD, Parity.ODD, 4),
-    "SumResult": lambda: SumResult(Fraction(67, 16), FormulaCase.FwdEven_Generic, True),
-    "Denominators": lambda: Denominators(Fraction(-1, 2), Fraction(3)),
-    "CatalogEntry": lambda: CatalogEntry("k", "K", SEQ, ("A000001",), 2),
-    "BFile": lambda: BFile("A000001", ((0, 1), (1, 1))),
-    "AlignmentReport": lambda: AlignmentReport("A000001", 1, 10, AlignmentStatus.ALIGNED),
+    "SumResult": lambda: SumResult(Fraction(67, 16), FormulaCase.FwdEven_Generic),
+    "CatalogEntry": lambda: CatalogEntry("k", SEQ, ("A000001",), 2),
+    "BFile": lambda: BFile("A000001", 0, (1, 1)),
+    "AlignmentReport": lambda: AlignmentReport("A000001", 1, 10),
 }
 
 # A different last field that the record's own checks accept (None elsewhere).
 CHANGED_LAST_FIELD = {RecurrenceParams: 2, SumQuery: 5}
+
+# Each record's fields, one per fact: none can be derived from the others.
+FIELDS = {
+    SumResult: ("value", "case_used"),
+    AlignmentReport: ("oeis_id", "shift", "matched_terms"),
+    CatalogEntry: ("key", "definition", "oeis_ids", "oeis_offset_shift"),
+    BFile: ("oeis_id", "offset", "values"),
+}
 
 
 def test_pinned_reprs():
@@ -58,8 +63,7 @@ def test_pinned_reprs():
         "w2=Fraction(1, 1), name=None)")
     assert repr(RESULT) == (
         "SumResult(value=Fraction(67, 16), case_used=<FormulaCase.FwdEven_Generic: "
-        "(<Direction.FORWARD: 'fwd'>, <Parity.EVEN: 'even'>, 'generic')>, "
-        "oracle_checked=False)")
+        "(<Direction.FORWARD: 'fwd'>, <Parity.EVEN: 'even'>, 'generic')>)")
     assert repr(MultiplicationCounter()) == "MultiplicationCounter(count=0)"
 
 
@@ -171,10 +175,15 @@ def test_tuple_equality_is_by_value_only():
     fields, and records of different types with equal fields are equal."""
     assert QUERY == (Direction.FORWARD, Parity.EVEN, 3)
     assert PARAMS == (Fraction(1, 2), 1, -1)
-    assert Denominators(1, 2) == (1, 2) == BFile(1, 2)
+    assert AlignmentReport("A1", None, 0) == ("A1", None, 0) == BFile("A1", None, 0)
     assert lookup("tribonacci").definition.params == (1, 1, 1)
     r, s, t = PARAMS
     assert (r, s, t) == (Fraction(1, 2), 1, -1)
+
+
+@pytest.mark.parametrize("record", FIELDS, ids=lambda record: record.__name__)
+def test_fields(record):
+    assert record._fields == FIELDS[record]
 
 
 def test_counter_is_not_a_tuple():

@@ -20,10 +20,9 @@ from tribsum.sums import (
     Parity,
     SumMismatch,
     SumQuery,
+    _gate,
     closed_form_value,
-    denominators,
     evaluate,
-    query_indices,
     select_case,
     sum_backward_all,
     sum_backward_even,
@@ -54,28 +53,28 @@ class TestQueryValidation:
         with pytest.raises(TypeError):
             SumQuery(Direction.FORWARD, Parity.ALL, bad)
 
-    def test_indices(self):
+    def test_indices(self, query_indices):
         assert query_indices(SumQuery(Direction.FORWARD, Parity.EVEN, 2)) == [0, 2, 4]
         assert query_indices(SumQuery(Direction.BACKWARD, Parity.ODD, 3)) == [-1, -3, -5]
         assert query_indices(SumQuery(Direction.BACKWARD, Parity.EVEN, 2)) == [-2, -4]
 
 
 class TestDenominators:
+    """The generic rows of _gate: d1 = r+s+t-1 for all-index sums and
+    d1*d2, d2 = r-s+t+1, for even and odd ones, in either direction."""
+
     def test_examples(self):
-        assert denominators(RecurrenceParams(1, 1, 1)) == denominators(
-            RecurrenceParams(1, 1, 1))
-        d = denominators(RecurrenceParams(1, 1, 1))
-        assert (d.d1, d.d2) == (2, 2)
-        d = denominators(RecurrenceParams(0, 2, 1))
-        assert (d.d1, d.d2) == (2, 0)
-        d = denominators(RecurrenceParams(0, 1, 1))
-        assert (d.d1, d.d2) == (1, 1)
+        for triple, d1, d1d2 in [((1, 1, 1), 2, 4), ((0, 2, 1), 2, 0), ((0, 1, 1), 1, 1)]:
+            assert _gate("generic", Parity.ALL, *triple) == d1
+            assert _gate("generic", Parity.EVEN, *triple) == d1d2
+            assert _gate("generic", Parity.ODD, *triple) == d1d2
 
     @given(r=rationals, s=rationals, t=rationals)
     @settings(max_examples=100, deadline=None)
     def test_product_factorization(self, r, s, t):
-        d = denominators(RecurrenceParams(r, s, t))
-        assert d.d1 * d.d2 == 2 * s + 2 * r * t + r * r - s * s + t * t - 1
+        assert _gate("generic", Parity.ALL, r, s, t) == r + s + t - 1
+        assert (_gate("generic", Parity.EVEN, r, s, t)
+                == 2 * s + 2 * r * t + r * r - s * s + t * t - 1)
 
 
 class TestSelectCase:
@@ -252,10 +251,10 @@ class TestEvaluate:
         assert res.value == sum_oracle(
             seq, SumQuery(Direction.FORWARD, Parity.ALL, 5))
 
-    def test_check_sets_flag(self, tribonacci):
-        res = evaluate(tribonacci, SumQuery(Direction.FORWARD, Parity.ALL, 9),
-                       check=True)
-        assert res.oracle_checked
+    def test_check_returns_the_same_record(self, tribonacci):
+        # Whether a sum was checked is the caller's own argument, not a field.
+        query = SumQuery(Direction.FORWARD, Parity.ALL, 9)
+        assert evaluate(tribonacci, query, check=True) == evaluate(tribonacci, query)
 
     @pytest.mark.parametrize("coefficients, case", [
         ((1, 1, -1), FormulaCase.OracleFallback),
@@ -274,7 +273,6 @@ class TestEvaluate:
         query = SumQuery(Direction.FORWARD, Parity.ALL, 50)
         res = evaluate(seq, query, check=True)
         assert res.case_used is case
-        assert res.oracle_checked
         assert res.value == real_sum_oracle(seq, query)
         assert calls == [query]
 
@@ -332,8 +330,8 @@ class TestParityPartition:
         # d2 = 0 family contains (0, 2, 1).
         r = s - t - 1 if zero_d2 else 1 - s - t
         seq = seq_of(r, s, t, w0, w1, w2)
-        d = denominators(seq.params)
-        assert (d.d2 if zero_d2 else d.d1) == 0
+        # d2 = 0 zeroes the even/odd gate d1*d2; d1 = 0 zeroes all three.
+        assert _gate("generic", Parity.EVEN if zero_d2 else Parity.ALL, r, s, t) == 0
         left = sum_forward_even(seq, n).value + sum_forward_odd(seq, n).value
         assert left == sum_forward_all(seq, 2 * n + 1).value
         if t != 0 and n >= 1:
@@ -800,10 +798,9 @@ class TestTelescoping:
            w0=rationals, w1=rationals, w2=rationals,
            n=st.integers(min_value=2, max_value=400))
     @settings(max_examples=25, deadline=None)
-    def test_difference_is_added_term(self, r, s, t, w0, w1, w2, n):
+    def test_difference_is_added_term(self, query_indices, r, s, t, w0, w1, w2, n):
         seq = seq_of(r, s, t, w0, w1, w2)
-        d = denominators(seq.params)
-        assume(d.d1 * d.d2 != 0)
+        assume(_gate("generic", Parity.EVEN, r, s, t) != 0)  # d1*d2
         for direction, parity in WINDOW_START:
             if direction is Direction.BACKWARD and t == 0:
                 continue
