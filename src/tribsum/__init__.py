@@ -11,7 +11,7 @@ _SOURCE = {name: module for module, names in (
     ("catalog", "catalog CatalogEntry UnknownSequence list_all lookup"),
     ("core", "core Direction MultiplicationCounter NegativeIndexWithZeroT Parity "
              "RecurrenceParams SequenceDef SumMismatch SumQuery as_rational "
-             "format_rational term_matrix window"),
+             "format_rational term_matrix"),
     ("oeis", "oeis AlignmentReport BFile FixtureMissing MalformedBFile align "
              "fetch_bfile parse_bfile"),
     ("oracle", "oracle oracle_sum oracle_term term_iterative"),

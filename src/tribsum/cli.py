@@ -18,8 +18,8 @@ import time
 from typing import Optional
 
 from .catalog import CatalogEntry, UnknownSequence, list_all, lookup
-from .core import (_LITERAL, Direction, NegativeIndexWithZeroT, Parity, SequenceDef,
-                   SumMismatch, SumQuery, format_rational, term_matrix)
+from .core import (_LITERAL, Direction, Parity, SequenceDef, SumMismatch, SumQuery,
+                   format_rational, term_matrix)
 
 EXIT_OK = 0
 EXIT_BROKEN_PIPE = 1
@@ -338,7 +338,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _error(args, EXIT_USAGE, exc)
     except SumMismatch as exc:
         return _error(args, EXIT_MISMATCH, exc, "mismatch: ")
-    except (UnknownSequence, NegativeIndexWithZeroT, ValueError) as exc:
+    except (UnknownSequence, ValueError) as exc:  # NegativeIndexWithZeroT is a ValueError
         return _error(args, EXIT_USAGE, exc, "error: ")
 
 

@@ -6,23 +6,22 @@ well: W_{-m} = -(s/t)*W_{-(m-1)} - (r/t)*W_{-(m-2)} + (1/t)*W_{-(m-3)}.
 
 All arithmetic is exact over the rationals (``fractions.Fraction``); there
 are no floating-point code paths.  The kernel, :func:`scaled_window`,
-finds (W_m, W_{m+1}, W_{m+2}) from x^|m| modulo the characteristic
-polynomial x^3 - r*x^2 - s*x - t, or for m < 0 modulo that of the reversed
-recurrence (-s/t, -r/t, 1/t).  It scales y = q*x, with q the common
-denominator of that triple, so its O(log |m|) polynomial steps (squares
-and shifts by y) run on three int coefficients; a square forms six
-products of them up to _FIVE_SQUARE_BITS bits and five bignum squares
-above that crossover (see :func:`_sqr_mod`).  It returns int linear forms
-rho . (n0, n1, n2) of the window's numerators over one common denominator,
-by default the three numerators themselves: one division per query, made
-by :func:`window`, :func:`term_matrix` or the closed-form sum that reads
-them.  Each form is a dot product of the power with small ints; once the
-last square's operands pass _READOUT_BITS, a single form comes from a 3x3
-Hankel quadratic form in x^(|m|>>1), three bignum squares instead of the
-square's five (see :func:`_last_step`).  The O(|n|) literal walk it is
-checked against lives in :mod:`tribsum.oracle`.  The sum-query types
-live here too, so that both the closed forms and the literal oracle can
-depend on them without depending on each other.
+finds one linear form rho . (W_m, W_{m+1}, W_{m+2}) from x^|m| modulo the
+characteristic polynomial x^3 - r*x^2 - s*x - t, or for m < 0 modulo that
+of the reversed recurrence (-s/t, -r/t, 1/t).  It scales y = q*x, with q
+the common denominator of that triple, so its O(log |m|) polynomial steps
+(squares and shifts by y) run on three int coefficients; a square forms
+six products of them up to _FIVE_SQUARE_BITS bits and five bignum squares
+above that crossover (see :func:`_sqr_mod`).  It returns the form as an
+int over the window's common denominator: one division per query, made by
+:func:`term_matrix` (the form (1, 0, 0)) or by the closed-form sum that
+reads it.  The form is a dot product of the power with small ints; once
+the last square's operands pass _READOUT_BITS, it comes from a 3x3 Hankel
+quadratic form in x^(|m|>>1), three bignum squares instead of the square's
+five (see :func:`_last_step`).  The O(|n|) literal walk it is checked
+against lives in :mod:`tribsum.oracle`.  The sum-query types live here
+too, so that both the closed forms and the literal oracle can depend on
+them without depending on each other.
 """
 
 from __future__ import annotations
@@ -72,9 +71,7 @@ def as_rational(value: RationalLike) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Render a Fraction as "p" when the denominator is 1, else "p/q"."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(value)
 
 
 # The records below are tuples.  NamedTuple forbids defining __new__ in its
@@ -163,13 +160,14 @@ IntRow = tuple[int, int, int]
 
 
 class MultiplicationCounter:
-    """Counts the polynomial steps of :func:`scaled_window` (each square or
-    shift by y is one tick) and its final combine, for cost assertions.
-    The count depends on |m| alone, so :func:`scaled_window` adds it once
-    from |m|, also where :func:`_last_step` never forms the last square."""
+    """Counts the polynomial steps of the kernel under :func:`term_matrix`
+    (each square or shift by y is one tick) and its final combine, for cost
+    assertions.  The count depends on |n| alone, so :func:`term_matrix` adds
+    it from |n| once the kernel returns, also where :func:`_last_step` never
+    forms the last square."""
 
-    def __init__(self, count: int = 0) -> None:
-        self.count = count
+    def __init__(self) -> None:
+        self.count = 0
 
     def __repr__(self) -> str:
         return f"MultiplicationCounter(count={self.count!r})"
@@ -223,9 +221,9 @@ def _shift_mod(a: IntRow, coeffs: IntRow) -> IntRow:
     return T * a2, a0 + S * a2, a1 + R * a2
 
 
-# Bits of a2 above which scaled_window reads a single form from the last
-# square's Hankel form (three bignum squares) instead of forming that square
-# (five): below it, the pivots cost more than two squares save.  Measured
+# Bits of a2 above which scaled_window reads its form from the last square's
+# Hankel form (three bignum squares) instead of forming that square (five):
+# below it, the pivots cost more than two squares save.  Measured
 # break-even: about 1000 bits for terms, 1500-1800 for integer sums and
 # 3000 for rational sums, whose final gcd dominates; 3072 keeps them all.
 _READOUT_BITS = 3072
@@ -260,49 +258,43 @@ def _hankel_form(a: IntRow, g: tuple) -> Optional[int]:
 
 
 def _last_step(a: Optional[IntRow], b: int, coeffs: IntRow, u: IntRow, q: int, backward: bool,
-               forms: tuple) -> tuple[int, ...]:
-    """(rho . (n0, n1, n2) for rho in *forms*) for :func:`scaled_window`'s
-    window whose power is y^|m| = (a0 + a1*y + a2*y^2)^2 * y^b, or y itself
-    when a is None (|m| = 1), with u = (u0, u1, u2) its scaled initial terms.
+               rho: IntRow) -> int:
+    """rho . (n0, n1, n2) for :func:`scaled_window`'s window whose power is
+    y^|m| = (a0 + a1*y + a2*y^2)^2 * y^b, or y itself when a is None
+    (|m| = 1), with u = (u0, u1, u2) its scaled initial terms.
 
     c -> rho . nums(c) is linear, and on y^e it is the small int
     g_e = sum_j rho_j*q^(2-sigma(j))*u_{e+sigma(j)} (sigma reverses the
-    window for m < 0), so each form is c0*g_0 + c1*g_1 + c2*g_2 on the
-    square c, and g_1 on y.  A single form whose a2 has more than
-    _READOUT_BITS bits skips that square: it is the Hankel form
-    sum a_i*a_j*g_{i+j+b} (:func:`_hankel_form`), unless that form's
-    diagonal vanishes.
+    window for m < 0), so the form is c0*g_0 + c1*g_1 + c2*g_2 on the
+    square c, and g_1 on y.  Where a2 has more than _READOUT_BITS bits it
+    skips that square: it is the Hankel form sum a_i*a_j*g_{i+j+b}
+    (:func:`_hankel_form`), unless that form's diagonal vanishes.
     """
     R, S, T = coeffs
     u0, u1, u2 = u
     u3 = R * u2 + S * u1 + T * u0
     u4 = R * u3 + S * u2 + T * u1
-    gs = []
-    for rho in forms:
-        rho0, rho1, rho2 = rho[::-1] if backward else rho
-        rho0, rho1 = rho0 * q * q, rho1 * q
-        gs.append([rho0 * u0 + rho1 * u1 + rho2 * u2, rho0 * u1 + rho1 * u2 + rho2 * u3,
-                   rho0 * u2 + rho1 * u3 + rho2 * u4])
+    rho0, rho1, rho2 = rho[::-1] if backward else rho
+    rho0, rho1 = rho0 * q * q, rho1 * q
+    g = [rho0 * u0 + rho1 * u1 + rho2 * u2, rho0 * u1 + rho1 * u2 + rho2 * u3,
+         rho0 * u2 + rho1 * u3 + rho2 * u4]
     if a is None:
-        return tuple([g[1] for g in gs])
-    if len(gs) == 1 and a[2].bit_length() > _READOUT_BITS:
-        g = gs[0]
+        return g[1]
+    if a[2].bit_length() > _READOUT_BITS:
         for _ in range(3):  # g_e follows the recurrence, as u_e does
             g.append(R * g[-1] + S * g[-2] + T * g[-3])
         value = _hankel_form(a, g[b:b + 5])
         if value is not None:
-            return (value,)
+            return value
     c0, c1, c2 = _sqr_mod(a, coeffs)
     if b:
         c0, c1, c2 = _shift_mod((c0, c1, c2), coeffs)
-    return tuple([c0 * g[0] + c1 * g[1] + c2 * g[2] for g in gs])
+    return c0 * g[0] + c1 * g[1] + c2 * g[2]
 
 
-def scaled_window(seq: SequenceDef, m: int, counter: Optional[MultiplicationCounter] = None,
-                  forms: tuple = ((1, 0, 0), (0, 1, 0), (0, 0, 1))) -> tuple[tuple[int, ...], int]:
-    """((rho . (n0, n1, n2) for rho in *forms*), D) with W_{m+j} = n_j / D,
-    from one polynomial power on ints; nothing is divided.  By default the
-    forms are the unit rows, so the first item is the window (n0, n1, n2).
+def scaled_window(seq: SequenceDef, m: int, rho: IntRow) -> tuple[int, int]:
+    """(rho . (n0, n1, n2), D) with W_{m+j} = n_j / D, from one polynomial
+    power on ints; nothing is divided.
 
     With x^k = c0 + c1*x + c2*x^2 modulo x^3 - r*x^2 - s*x - t,
     W_{k+j} = c0*W_j + c1*W_{j+1} + c2*W_{j+2} (Cayley-Hamilton; Fiduccia
@@ -313,19 +305,17 @@ def scaled_window(seq: SequenceDef, m: int, counter: Optional[MultiplicationCoun
     its own q, and the window comes back reversed.  D = d*q^(|m|+2), d the
     common denominator of the initial terms (D = d at m = 0).  Each bit of
     |m| after the leading one costs a square (six products, or five squares
-    above the _FIVE_SQUARE_BITS crossover), each set bit after it a shift by y.
-    *counter* gains that count plus one for the combine, computed from |m|:
-    bits(|m|) + popcount(|m|) - 1 ticks, at most 2*bits(|m|) - 1.  The last
-    square and shift are :func:`_last_step`, which reads a single form past
-    the _READOUT_BITS crossover with three bignum squares instead of five,
-    and reads |m| = 1 off y with neither.
+    above the _FIVE_SQUARE_BITS crossover), each set bit after it a shift by
+    y.  The last square and shift are :func:`_last_step`, which past the
+    _READOUT_BITS crossover reads the form with three bignum squares instead
+    of five, and reads |m| = 1 off y with neither.
     """
     _require_int(m, "the index m")
     w0, w1, w2 = seq.w0, seq.w1, seq.w2
     d = math.lcm(w0.denominator, w1.denominator, w2.denominator)
     u0, u1, u2 = (w.numerator * (d // w.denominator) for w in (w0, w1, w2))
     if m == 0:
-        return tuple(rho0 * u0 + rho1 * u1 + rho2 * u2 for rho0, rho1, rho2 in forms), d
+        return rho[0] * u0 + rho[1] * u1 + rho[2] * u2, d
     r, s, t = seq.params.r, seq.params.s, seq.params.t
     rn, rd, sn, sd, tn, td = (r.numerator, r.denominator, s.numerator,
                               s.denominator, t.numerator, t.denominator)
@@ -344,29 +334,24 @@ def scaled_window(seq: SequenceDef, m: int, counter: Optional[MultiplicationCoun
         c = _sqr_mod(c, coeffs)
         if bit == "1":
             c = _shift_mod(c, coeffs)
-    if counter is not None:  # bits - 1 squares, popcount - 1 shifts, one combine
-        counter.count += size.bit_length() + size.bit_count() - 1
     # u_j = d*q^j*W_j are integers with u_j = R*u_{j-1} + S*u_{j-2} +
     # T*u_{j-3}, so a0*u_j + a1*u_{j+1} + a2*u_{j+2} is d*q^(k+j)*W_{k+j}.
-    return (_last_step(c, size & 1, coeffs, (u0, u1 * q, u2 * q * q), q, m < 0, forms),
+    return (_last_step(c, size & 1, coeffs, (u0, u1 * q, u2 * q * q), q, m < 0, rho),
             d * q ** (size + 2))
-
-
-def window(seq: SequenceDef, m: int) -> tuple[Fraction, Fraction, Fraction]:
-    """(W_m, W_{m+1}, W_{m+2}): :func:`scaled_window` over its denominator."""
-    nums, den = scaled_window(seq, m)
-    return tuple(Fraction(n, den) for n in nums)
 
 
 def term_matrix(seq: SequenceDef, n: int,
                 counter: Optional[MultiplicationCounter] = None) -> Fraction:
-    """Return W_n, the first term of ``window(seq, n)``, as one Fraction.
+    """Return W_n, the form (1, 0, 0) of :func:`scaled_window`, as one Fraction.
 
     Exactly equal to the literal walk ``oracle.oracle_term(seq, n)`` on
-    every input, with at most 2*ceil(log2(|n| + 1)) + 2 counted squares,
-    shifts and combine; negative n walks the reversed recurrence forward.
-    It reads W_n as the one form (1, 0, 0) of the window, so above the
-    _READOUT_BITS crossover the last square is three bignum squares.
+    every input; negative n walks the reversed recurrence forward.  Above
+    the _READOUT_BITS crossover the last square is three bignum squares.
+    *counter* gains the kernel's squares and shifts plus one for the
+    combine, computed from |n| after the kernel returns: bits(|n|) +
+    popcount(|n|) - 1 ticks, at most 2*bits(|n|) - 1, and 0 at n = 0.
     """
-    (num,), den = scaled_window(seq, n, counter, ((1, 0, 0),))
+    num, den = scaled_window(seq, n, (1, 0, 0))
+    if counter is not None and n:  # bits - 1 squares, popcount - 1 shifts, one combine
+        counter.count += abs(n).bit_length() + abs(n).bit_count() - 1
     return Fraction(num, den)

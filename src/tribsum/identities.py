@@ -3,8 +3,9 @@
 Each named sequence admits compact closed forms for its six sum families,
 obtained by substituting its coefficients and initial terms into the
 general formulas and simplifying.  The registry below keeps them in their
-fully simplified per-sequence shape so the generic engine can be regressed
-against something it does not share code with.
+fully simplified per-sequence shape, a second transcription of the paper
+that ``verify.sweep_identities`` and the tests check against the literal
+sum; nothing compares it with the generic engine.
 
 A clause is a function of (term, n) where ``term(k)`` returns W_k; it
 evaluates the closed form for the sum bounded by n.

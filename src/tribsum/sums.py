@@ -237,7 +237,7 @@ def _combine(case: FormulaCase, seq: SequenceDef, n: int, triple: tuple,
         m = -n - 3 if parity is Parity.ALL else -2 * n - 1
     rho, (k0, k1, k2) = _CLOSED_FORMS[case](*triple, n)
     if term is None:
-        (value,), den = scaled_window(seq, m, None, (rho,))
+        value, den = scaled_window(seq, m, rho)
     else:  # W_m..W_{m+2} over one denominator with W_0..W_2
         window = [as_rational(term(k)) for k in range(m, m + 3)]
         den = math.lcm(*(v.denominator for v in (*window, seq.w0, seq.w1, seq.w2)))

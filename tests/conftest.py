@@ -64,6 +64,6 @@ def last_square_bits():
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(core, "_READOUT_BITS", 0)
             patch.setattr(core, "_hankel_form", lambda a, g: seen.append(a))
-            core.scaled_window(seq, m, None, ((1, 0, 0),))
+            core.scaled_window(seq, m, (1, 0, 0))
         return seen[0][2].bit_length()
     return bits

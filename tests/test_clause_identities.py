@@ -147,7 +147,7 @@ def test_binds_no_kernel_code():
         codes += [const for const in code.co_consts if isinstance(const, CodeType)]
     assert {"_gate", "_CLOSED_FORMS"} <= names
     kernel = {"tribsum.sums": ("closed_form_value", "evaluate", "_combine", "sum_oracle"),
-              "tribsum.core": ("scaled_window", "window", "term_matrix"),
+              "tribsum.core": ("scaled_window", "term_matrix"),
               "tribsum.oracle": ("oracle_sum", "oracle_term", "prefix_sums", "term_table")}
     assert names.isdisjoint({"core", "oracle", *(n for ns in kernel.values() for n in ns)})
     shared = [sys.modules["tribsum.core"], sys.modules["tribsum.oracle"],

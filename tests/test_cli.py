@@ -722,8 +722,8 @@ _LOOKED_UP = {"tribsum", "tribsum.catalog", "tribsum.core"}
 def test_fresh_interpreter_loads_exactly(statement, loaded):
     """Each case in its own interpreter loads exactly these package modules:
     the package itself loads no submodule, a subcommand only its own, and
-    identities, the closed forms' regression reference, neither sums nor
-    the oracle."""
+    identities, the per-sequence transcriptions checked against the literal
+    sum, neither sums nor the oracle."""
     src = str(Path(tribsum.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", _CASE_SCRIPT.format(statement=statement)],

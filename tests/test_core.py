@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import types
@@ -20,7 +21,6 @@ from tribsum.core import (
     format_rational,
     scaled_window,
     term_matrix,
-    window,
 )
 from tribsum.catalog import list_all
 from tribsum.oracle import oracle_sum, term_table
@@ -55,6 +55,23 @@ def coprime_triples(draw):
 
 def seq_of(r, s, t, w0, w1, w2):
     return SequenceDef.of(r, s, t, w0, w1, w2)
+
+
+UNIT_FORMS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def window_numerators(seq, m):
+    """((n0, n1, n2), D) with W_{m+j} = n_j / D: the kernel's three unit
+    forms, which must share one D."""
+    reads = [scaled_window(seq, m, rho) for rho in UNIT_FORMS]
+    assert len({den for _, den in reads}) == 1
+    return tuple(value for value, _ in reads), reads[0][1]
+
+
+def window(seq, m):
+    """(W_m, W_{m+1}, W_{m+2}) from the kernel's three unit forms."""
+    nums, den = window_numerators(seq, m)
+    return tuple(Fraction(v, den) for v in nums)
 
 
 class TestRationalHelpers:
@@ -121,15 +138,15 @@ class TestTermIterative:
            forms=st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=1, max_size=3))
     @settings(max_examples=80, deadline=None)
     def test_forms_are_dot_products_of_the_window(self, triple, w0, w1, w2, m, forms):
-        """scaled_window(..., forms) is rho . window for each rho, over the
-        same D and with the same ticks."""
+        """scaled_window(seq, m, rho) is rho . window for each rho, over the
+        window's D."""
         assume(m >= 0 or triple[2] != 0)
         seq = seq_of(*triple, w0, w1, w2)
-        counted, plain = MultiplicationCounter(), MultiplicationCounter()
-        values, den = scaled_window(seq, m, counted, tuple(forms))
-        nums, window_den = scaled_window(seq, m, plain)
-        assert den == window_den and counted.count == plain.count
-        assert values == tuple(sum(c * v for c, v in zip(rho, nums)) for rho in forms)
+        nums, window_den = window_numerators(seq, m)
+        for rho in forms:
+            value, den = scaled_window(seq, m, rho)
+            assert den == window_den
+            assert value == sum(c * v for c, v in zip(rho, nums))
 
     def test_zero_t_negative_index_raises(self):
         seq = seq_of(1, 1, 0, 0, 1, 1)
@@ -261,8 +278,8 @@ class TestWindow:
     @pytest.mark.parametrize("m", [1, 2, 17, 1000, 4095, 4097, 2**12,
                                    -1, -2, -999, -4095, -4097, -2**12])
     def test_one_power(self, tribonacci, m):
-        counter = MultiplicationCounter()  # window's one power is scaled_window's
-        scaled_window(tribonacci, m, counter)
+        counter = MultiplicationCounter()  # each window term is one power
+        term_matrix(tribonacci, m, counter)
         assert counter.count <= 2 * (abs(m).bit_length() - 1) + 1
 
     @pytest.mark.parametrize("m", [sign * k for k in (1, 2, 3, 7, 1000, 4095,
@@ -272,24 +289,26 @@ class TestWindow:
         """One tick per square and per set bit after the leading one, plus
         the combine."""
         counter = MultiplicationCounter()
-        scaled_window(tribonacci, m, counter)
+        term_matrix(tribonacci, m, counter)
         assert counter.count == (abs(m).bit_length()
                                  + bin(abs(m)).count("1") - 1)
 
     @pytest.mark.parametrize("readout_bits", [0, core._READOUT_BITS])
-    # window counts through scaled_window, whose three unit forms it divides.
-    @pytest.mark.parametrize("kernel", [term_matrix, pytest.param(scaled_window, id="window")])
+    # The offsets from m of the terms each kernel reads: the window is
+    # term_matrix at m, m + 1 and m + 2, each counted on its own.
+    @pytest.mark.parametrize("offsets", [pytest.param((0,), id="term_matrix"),
+                                         pytest.param((0, 1, 2), id="window")])
     @pytest.mark.parametrize("seq, m", [
         *((seq_of(1, 1, 1, 0, 1, 1), sign * k)
           for k in (1, 2, 3, 7, 1000, 4095, 4096, 4097, 10**5) for sign in (1, -1)),
         # A zero Hankel diagonal at even m (see test_zero_diagonal_takes_the_full_square).
         *((seq_of(0, 2, 0, 0, 1, 0), m) for m in (0, 2, 4, 1000, 4096, 10**5))])
-    def test_ticks_match_kernel_steps(self, monkeypatch, seq, m, kernel, readout_bits):
-        """The ticks, computed from |m|, equal the squares and shifts the
+    def test_ticks_match_kernel_steps(self, monkeypatch, seq, m, offsets, readout_bits):
+        """The ticks, computed from |k|, equal the squares and shifts the
         kernel runs plus the combine.  A Hankel read stands for the last
-        square and, at odd |m|, the last shift; |m| = 1 runs neither, so it
+        square and, at odd |k|, the last shift; |k| = 1 runs neither, so it
         ticks once, for the combine."""
-        steps = {"_sqr_mod": 0, "_shift_mod": 0, "read": 0, "unread": 0}
+        steps = {}
 
         def spying(name, helper):
             def spied(*args):
@@ -304,19 +323,23 @@ class TestWindow:
         for name in ("_sqr_mod", "_shift_mod", "_hankel_form"):
             monkeypatch.setattr(core, name, spying(name, getattr(core, name)))
         monkeypatch.setattr(core, "_READOUT_BITS", readout_bits)
-        counter = MultiplicationCounter()
-        kernel(seq, m, counter)
-        size = abs(m)
-        if m == 0:
-            assert counter.count == 0
-        else:
-            assert counter.count == (steps["_sqr_mod"] + steps["_shift_mod"]
-                                     + steps["read"] * (1 + size % 2) + 1)
-        if readout_bits == 0:  # a single form meets the Hankel form once a2 != 0,
-            # that is from |m| = 4, and (0, 2, 0) leaves it to the square.
-            hankel = kernel is term_matrix and size >= 4
-            assert steps["read"] == (hankel and seq.params.s != 2)
-            assert steps["unread"] == (hankel and seq.params.s == 2)
+        for k in (m + offset for offset in offsets):
+            steps.update(_sqr_mod=0, _shift_mod=0, read=0, unread=0)
+            counter = MultiplicationCounter()
+            term_matrix(seq, k, counter)
+            size = abs(k)
+            if k == 0:
+                assert counter.count == 0
+            else:
+                assert counter.count == (steps["_sqr_mod"] + steps["_shift_mod"]
+                                         + steps["read"] * (1 + size % 2) + 1)
+            if readout_bits == 0:  # every form meets the Hankel form once a2 != 0,
+                # that is from |k| = 4; under (0, 2, 0), where y^3 = 2*y, a2 = 0 also
+                # where |k| >> 1 is odd, and the even-k forms are left to the square.
+                hankel = size >= 4 and (seq.params.s != 2 or (size >> 1) % 2 == 0)
+                zero_diagonal = seq.params.s == 2 and k % 2 == 0
+                assert steps["read"] == (hankel and not zero_diagonal)
+                assert steps["unread"] == (hankel and zero_diagonal)
 
 
 # Signed ints from 0 to about 10^4 bits, zero included.
@@ -407,7 +430,7 @@ class TestScaledWindow:
         r, s, t = triple
         assume(m >= 0 or t != 0)
         seq = seq_of(r, s, t, w0, w1, w2)
-        nums, den = scaled_window(seq, m)
+        nums, den = window_numerators(seq, m)
         assert all(type(v) is int for v in (*nums, den))
         table = term_table(seq, m, m + 2)
         assert tuple(Fraction(v, den) for v in nums) == (
@@ -427,14 +450,41 @@ class TestScaledWindow:
         assume(m >= 0 or t != 0)
         seq = seq_of(r, s, t, w0, w1, w2)
         with mock.patch.object(core, "_FIVE_SQUARE_BITS", bits):
-            nums, den = scaled_window(seq, m)
+            nums, den = window_numerators(seq, m)
         table = term_table(seq, m, m + 2)
         assert tuple(Fraction(v, den) for v in nums) == (
             table[m], table[m + 1], table[m + 2])
 
     def test_zero_t_negative_index_raises(self):
         with pytest.raises(NegativeIndexWithZeroT):
-            scaled_window(seq_of(1, 1, 0, 0, 1, 1), -1)
+            scaled_window(seq_of(1, 1, 0, 0, 1, 1), -1, (1, 0, 0))
+
+    @given(triple=st.one_of(st.just(Q252), st.tuples(rationals, rationals, rationals)),
+           w0=rationals, w1=rationals, w2=rationals,
+           m=st.integers(-5000, 5000),
+           rho=st.tuples(*[st.integers(-2**70, 2**70)] * 3))
+    @settings(max_examples=60, deadline=None)
+    # a2 ends at 2196 and 2458 bits (below _READOUT_BITS), then at about
+    # 4040 and 4107 bits, and at 3229 bits on an all-zero Hankel diagonal.
+    @example(triple=(1, 1, 1), w0=0, w1=0, w2=1, m=5000, rho=(3, -1, 2))
+    @example(triple=Q252, **Q252_INITIAL, m=-600, rho=(0, 5, -7))
+    @example(triple=Q252, **Q252_INITIAL, m=1001, rho=(2**70, -1, 3))
+    @example(triple=Q252, **Q252_INITIAL, m=-1000, rho=(-4, 0, 9))
+    @example(triple=(0, Fraction(2, 3), 0), w0=0, w1=1, w2=0, m=5000, rho=(1, 0, 0))
+    def test_linear_in_rho(self, triple, w0, w1, w2, m, rho):
+        """One D per window, and value(rho) = sum_j rho_j*value(e_j), on
+        both sides of the readout crossover."""
+        assume(m >= 0 or triple[2] != 0)
+        seq = seq_of(*triple, w0, w1, w2)
+        nums, den = window_numerators(seq, m)
+        assert scaled_window(seq, m, rho) == (sum(c * v for c, v in zip(rho, nums)), den)
+
+    def test_one_form_no_options(self):
+        params = inspect.signature(scaled_window).parameters
+        assert list(params) == ["seq", "m", "rho"]
+        assert all(p.default is p.empty for p in params.values())
+        assert list(inspect.signature(core._last_step).parameters)[-1] == "rho"
+        assert not hasattr(core, "window")
 
     @pytest.mark.parametrize("m", [0, 1, 2, 5, 300, 4097, -1, -2, -5, -300, -4097])
     def test_term_matrix_builds_one_fraction(self, monkeypatch, m):
@@ -522,19 +572,18 @@ class TestReadout:
            more=st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=2, max_size=2))
     @settings(max_examples=200, deadline=None)
     def test_read_window_matches_reference(self, a, b, coeffs, u, q, backward, rho, more):
-        """core._last_step on one form, read from the Hankel form with the
-        crossover at 0, and on three, read from the square."""
-        for forms in ((rho,), (rho, *more)):
-            with mock.patch.object(core, "_READOUT_BITS", 0):
-                got = core._last_step(a, b, coeffs, u, q, backward, forms)
-            assert got == tuple(readout_reference(a, b, coeffs, u, q, backward, form)
-                                for form in forms)
+        """core._last_step on each form, read from the Hankel form with the
+        crossover at 0 and from the square with the crossover out of reach."""
+        for form in (rho, *more):
+            expected = readout_reference(a, b, coeffs, u, q, backward, form)
+            for readout_bits in (0, 10**9):
+                with mock.patch.object(core, "_READOUT_BITS", readout_bits):
+                    assert core._last_step(a, b, coeffs, u, q, backward, form) == expected
 
     @pytest.mark.parametrize("b", [0, 1])
     def test_zero_diagonal_takes_the_full_square(self, monkeypatch, b):
         """W = (0, 1, 0) under (0, 2, 0) has u_0 = u_2 = u_4 = 0, so reading
-        W_m at b = 0 meets an all-zero Hankel diagonal and squares instead;
-        three forms always take the square."""
+        W_m at b = 0 meets an all-zero Hankel diagonal and squares instead."""
         squares = []
         sqr_mod = core._sqr_mod
 
@@ -545,11 +594,9 @@ class TestReadout:
         monkeypatch.setattr(core, "_sqr_mod", counting)
         monkeypatch.setattr(core, "_READOUT_BITS", 0)
         a, args = (3 << 4000, -(1 << 3999), 5), ((0, 2, 0), (0, 1, 0), 1, False)
-        for forms in (((1, 0, 0),), ((1, 0, 0), (0, 1, 0), (2, -1, 1))):
-            squares.clear()
-            assert core._last_step(a, b, *args, forms) == tuple(
-                readout_reference(a, b, *args, form) for form in forms)
-            assert len(squares) == (1 - b if len(forms) == 1 else 1)
+        rho = (1, 0, 0)
+        assert core._last_step(a, b, *args, rho) == readout_reference(a, b, *args, rho)
+        assert len(squares) == 1 - b
 
     @pytest.mark.parametrize("side", ["above", "below"])
     @pytest.mark.parametrize("m", [300, 301, -300, -301, 2000, -2001])
@@ -575,8 +622,9 @@ class TestReadout:
         assert counter.count == abs(m).bit_length() + bin(abs(m)).count("1") - 1
 
     def test_window_reads_all_three(self, tribonacci, readouts):
-        nums, den = scaled_window(tribonacci, 10**5)
-        assert isinstance(nums, tuple) and len(nums) == 3 and not readouts
+        """Each of the window's three unit forms is read from the Hankel form."""
+        nums, den = window_numerators(tribonacci, 10**5)
+        assert len(nums) == 3 and len(readouts) == 3
         assert Fraction(nums[0], den) == term_matrix(tribonacci, 10**5)
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import tribsum.core as core
 import tribsum.oracle as oracle
-from tribsum.core import NegativeIndexWithZeroT, SequenceDef, window
+from tribsum.core import NegativeIndexWithZeroT, SequenceDef, term_matrix
 from tribsum.oracle import oracle_sum, oracle_term, prefix_sums, term_table
 from tribsum.sums import Direction, Parity, SumQuery
 
@@ -56,7 +56,7 @@ class TestOracleTerm:
     @settings(max_examples=50, deadline=None)
     def test_matches_iterative(self, r, s, t, w0, w1, w2, n):
         seq = SequenceDef.of(r, s, t, w0, w1, w2)
-        assert oracle_term(seq, n) == window(seq, n)[0]
+        assert oracle_term(seq, n) == term_matrix(seq, n)
 
 
 class TestOracleSum:
@@ -84,7 +84,7 @@ class TestOracleSum:
            n=st.integers(min_value=1, max_value=20))
     @settings(max_examples=50, deadline=None)
     def test_matches_independent_terms(self, query_indices, r, s, t, w0, w1, w2, n):
-        # Sums and every prefix sum against terms from core.window, which
+        # Sums and every prefix sum against terms from core.term_matrix, which
         # shares no code with the oracle's walk; backward families need t != 0.
         seq = SequenceDef.of(r, s, t, w0, w1, w2)
         directions = [Direction.FORWARD] + ([Direction.BACKWARD] if t != 0 else [])
@@ -95,7 +95,7 @@ class TestOracleSum:
                 assert [m for m, _ in prefixes] == list(range(first, n + 1))
                 for m, running in prefixes:
                     q = SumQuery(direction, parity, m)
-                    expected = sum((window(seq, k)[0] for k in query_indices(q)),
+                    expected = sum((term_matrix(seq, k) for k in query_indices(q)),
                                    Fraction(0))
                     assert running == expected
                     assert oracle_sum(seq, q) == expected
@@ -157,7 +157,7 @@ class TestTermTable:
     def test_span(self, tribonacci):
         table = term_table(tribonacci, -4, 7)
         assert sorted(table) == list(range(-4, 8))
-        assert all(table[k] == window(tribonacci, k)[0] for k in table)
+        assert all(table[k] == term_matrix(tribonacci, k) for k in table)
 
     def test_forward_only(self):
         seq = SequenceDef.of(1, 1, 0, 0, 1, 1)
@@ -219,7 +219,7 @@ class TestAgainstReference:
         assert oracle._walk(seq, Direction.BACKWARD)[0] == backward_q
 
     def test_binds_no_kernel_code(self):
-        kernel = ("window", "scaled_window", "_sqr_mod", "_shift_mod")
+        kernel = ("term_matrix", "scaled_window", "_sqr_mod", "_shift_mod")
         assert not set(kernel) & set(vars(oracle))
         kernel_objects = [getattr(core, name) for name in kernel]
         assert not any(value is obj for value in vars(oracle).values()

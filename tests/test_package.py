@@ -10,7 +10,7 @@ import pytest
 
 import tribsum
 
-# The 43 public names, the five submodules among them.
+# The 42 public names, the five submodules among them.
 PUBLIC = [
     "AlignmentReport", "BFile", "CatalogEntry", "Direction", "FixtureMissing",
     "FormulaCase", "MalformedBFile", "MultiplicationCounter", "NegativeIndexWithZeroT",
@@ -20,7 +20,7 @@ PUBLIC = [
     "list_all", "lookup", "oeis", "oracle", "oracle_sum", "oracle_term", "parse_bfile",
     "select_case", "sum_backward_all", "sum_backward_even", "sum_backward_odd",
     "sum_forward_all", "sum_forward_even", "sum_forward_odd", "sum_oracle", "sums",
-    "term_iterative", "term_matrix", "window",
+    "term_iterative", "term_matrix",
 ]
 
 _STAR_SCRIPT = """

@@ -191,3 +191,10 @@ def test_counter_is_not_a_tuple():
     counter = MultiplicationCounter()
     counter.count += 2
     assert counter.count == 2 and not isinstance(counter, tuple)
+
+
+def test_counter_starts_at_zero():
+    """No caller starts a count elsewhere, so the counter takes no argument."""
+    assert MultiplicationCounter().count == 0
+    with pytest.raises(TypeError):
+        MultiplicationCounter(0)

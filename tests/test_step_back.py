@@ -8,7 +8,7 @@ import pytest
 
 from tribsum import cli, oracle, term_iterative
 from tribsum.core import (Direction, NegativeIndexWithZeroT, Parity, SequenceDef, SumQuery,
-                          scaled_window, term_matrix, window)
+                          scaled_window, term_matrix)
 from tribsum.sums import (_CLOSED_FORMS, FormulaCase, _gate, _integer_triple, closed_form_value,
                           evaluate, select_case, sum_oracle)
 
@@ -29,8 +29,8 @@ def _backward_cases(seq):
 
 def _calls(seq):
     """One zero-argument call per way to step back from seq."""
-    calls = [lambda: term_matrix(seq, -3), lambda: window(seq, -3),
-             lambda: scaled_window(seq, -3), lambda: term_iterative(seq, -3),
+    calls = [lambda: term_matrix(seq, -3), lambda: [term_matrix(seq, k) for k in (-3, -2, -1)],
+             lambda: scaled_window(seq, -3, (1, 0, 0)), lambda: term_iterative(seq, -3),
              lambda: oracle.term_table(seq, -3, 0)]
     term = lambda k: term_iterative(seq, k)
     for parity in Parity:  # defaults bind each loop's values
