@@ -35,7 +35,27 @@ class UsageError(Exception):
     """A command line argparse rejected; ``parser`` is the parser that did."""
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's formatter, reading the terminal width only to format help
+    or usage: argparse also builds one per add_argument, to check metavars,
+    and the width's shutil import costs a cold call 3-4 ms."""
+
+    def __init__(self, prog: str) -> None:
+        super().__init__(prog, width=80)
+        del self._width, self._max_help_position  # __getattr__ sets both on first read
+
+    def __getattr__(self, name: str):
+        if name not in ("_width", "_max_help_position"):
+            raise AttributeError(name)
+        full = argparse.HelpFormatter(self._prog)
+        self._width, self._max_help_position = full._width, full._max_help_position
+        return getattr(self, name)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs) -> None:
+        super().__init__(formatter_class=_HelpFormatter, **kwargs)
+
     def error(self, message: str):
         exc = UsageError(message)
         exc.parser = self
@@ -267,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact terms and closed-form partial sums of "
                     "generalized Tribonacci sequences.")
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    # Given its prog, argparse formats no usage line to find it.
+    sub = parser.add_subparsers(dest="subcommand", required=True, prog=parser.prog)
 
     p_term = sub.add_parser("term", help="evaluate W_n at a signed index")
     _add_sequence_args(p_term)

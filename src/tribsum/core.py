@@ -303,7 +303,10 @@ def scaled_window(seq: SequenceDef, m: int, rho: IntRow) -> tuple[int, int]:
     For m < 0 (t = 0 raises NegativeIndexWithZeroT) the same power runs on
     V_j = W_{2-j}, which follows (-s/t, -r/t, 1/t) from (W_2, W_1, W_0) with
     its own q, and the window comes back reversed.  D = d*q^(|m|+2), d the
-    common denominator of the initial terms (D = d at m = 0).  Each bit of
+    common denominator of the initial terms (D = d at m = 0).  Each of the
+    six rationals is read once, as (numerator, denominator); those of r, s
+    and t are in lowest terms, so only the reversed triple's pairs, formed
+    unreduced from them, pay a gcd to find its q.  Each bit of
     |m| after the leading one costs a square (six products, or five squares
     above the _FIVE_SQUARE_BITS crossover), each set bit after it a shift by
     y.  The last square and shift are :func:`_last_step`, which past the
@@ -311,21 +314,26 @@ def scaled_window(seq: SequenceDef, m: int, rho: IntRow) -> tuple[int, int]:
     of five, and reads |m| = 1 off y with neither.
     """
     _require_int(m, "the index m")
-    w0, w1, w2 = seq.w0, seq.w1, seq.w2
-    d = math.lcm(w0.denominator, w1.denominator, w2.denominator)
-    u0, u1, u2 = (w.numerator * (d // w.denominator) for w in (w0, w1, w2))
+    u0, d0 = seq.w0.as_integer_ratio()
+    u1, d1 = seq.w1.as_integer_ratio()
+    u2, d2 = seq.w2.as_integer_ratio()
+    d = math.lcm(d0, d1, d2)
+    u0, u1, u2 = u0 * (d // d0), u1 * (d // d1), u2 * (d // d2)
     if m == 0:
         return rho[0] * u0 + rho[1] * u1 + rho[2] * u2, d
-    r, s, t = seq.params.r, seq.params.s, seq.params.t
-    rn, rd, sn, sd, tn, td = (r.numerator, r.denominator, s.numerator,
-                              s.denominator, t.numerator, t.denominator)
-    if m < 0:
+    params = seq.params
+    rn, rd = params.r.as_integer_ratio()
+    sn, sd = params.s.as_integer_ratio()
+    tn, td = params.t.as_integer_ratio()
+    if m > 0:  # each pair in lowest terms
+        q = math.lcm(rd, sd, td)
+    else:
         if tn == 0:
             raise NegativeIndexWithZeroT
         # (-s/t, -r/t, 1/t) as integer pairs, not in lowest terms.
         rn, rd, sn, sd, tn, td = -sn * td, sd * tn, -rn * td, rd * tn, td, tn
         u0, u2 = u2, u0
-    q = math.lcm(rd // math.gcd(rn, rd), sd // math.gcd(sn, sd), td // math.gcd(tn, td))
+        q = math.lcm(rd // math.gcd(rn, rd), sd // math.gcd(sn, sd), td // math.gcd(tn, td))
     coeffs = rn * q // rd, sn * q * q // sd, tn * q ** 3 // td
     size = abs(m)
     # y^(size >> 1) once the loop is done; None at size 1, where y^|m| is y.

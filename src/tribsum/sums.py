@@ -40,8 +40,14 @@ from .core import (  # Direction, Parity, SumMismatch, SumQuery: re-exported
     as_rational,
     scaled_window,
 )
-# The literal sum: the fallback path, and the reference for check=True.
-from .oracle import oracle_sum as sum_oracle
+
+
+def sum_oracle(seq: SequenceDef, query: SumQuery) -> Fraction:
+    """The literal sum, :func:`tribsum.oracle.oracle_sum`: the fallback path,
+    and the reference for check=True.  The oracle loads on the first call,
+    so a closed-form sum never loads it."""
+    from .oracle import oracle_sum
+    return oracle_sum(seq, query)
 
 
 class FormulaCase(enum.Enum):
@@ -63,6 +69,10 @@ class FormulaCase(enum.Enum):
     Bwd_021_Even = (Direction.BACKWARD, Parity.EVEN, "021")
     Bwd_021_Odd = (Direction.BACKWARD, Parity.ODD, "021")
     OracleFallback = (None, None, "oracle")
+
+
+# FormulaCase by its value, without the Enum's by-value call.
+_CASES = {case.value: case for case in FormulaCase}
 
 
 class SumResult(NamedTuple):
@@ -91,10 +101,11 @@ def _gate(condition: str, parity: Parity, r, s, t, o=1):
 
 def _integer_triple(params: RecurrenceParams) -> tuple[int, int, int, int]:
     """(R, S, T, L) = L*(r, s, t, 1), L the least common denominator of r, s, t."""
-    r, s, t = params.r, params.s, params.t
-    L = math.lcm(r.denominator, s.denominator, t.denominator)
-    return (r.numerator * (L // r.denominator), s.numerator * (L // s.denominator),
-            t.numerator * (L // t.denominator), L)
+    rn, rd = params.r.as_integer_ratio()
+    sn, sd = params.s.as_integer_ratio()
+    tn, td = params.t.as_integer_ratio()
+    L = math.lcm(rd, sd, td)
+    return rn * (L // rd), sn * (L // sd), tn * (L // td), L
 
 
 def _dispatch(triple: tuple, query: SumQuery) -> tuple[FormulaCase, int]:
@@ -102,7 +113,7 @@ def _dispatch(triple: tuple, query: SumQuery) -> tuple[FormulaCase, int]:
     for condition in ("generic", "021"):
         gate = _gate(condition, query.parity, *triple)
         if gate:
-            return FormulaCase((query.direction, query.parity, condition)), gate
+            return _CASES[query.direction, query.parity, condition], gate
     return FormulaCase.OracleFallback, 0
 
 
@@ -228,7 +239,10 @@ def _combine(case: FormulaCase, seq: SequenceDef, n: int, triple: tuple,
     """:func:`closed_form_value` past its checks of *case* and n, on
     *triple* = :func:`_integer_triple` and the case's nonzero *gate* there:
     the clause's rho . D*window, from the kernel or from *term*, plus its
-    kappa . D*(W_0, W_1, W_2).  A backward window has m < 0, so at t = 0 the
+    kappa . D*(W_0, W_1, W_2), added as (kappa . u)*(D // d), one bignum
+    product, with u = d*(W_0, W_1, W_2) over their common denominator d.
+    d divides D: the kernel's D is d*q^(|m|+2), and *term*'s window is put
+    over a multiple of d.  A backward window has m < 0, so at t = 0 the
     kernel, or *term*, raises NegativeIndexWithZeroT."""
     direction, parity, _ = case.value
     if direction is Direction.FORWARD:  # m: the window's first index
@@ -236,15 +250,19 @@ def _combine(case: FormulaCase, seq: SequenceDef, n: int, triple: tuple,
     else:
         m = -n - 3 if parity is Parity.ALL else -2 * n - 1
     rho, (k0, k1, k2) = _CLOSED_FORMS[case](*triple, n)
+    u0, d0 = seq.w0.as_integer_ratio()
+    u1, d1 = seq.w1.as_integer_ratio()
+    u2, d2 = seq.w2.as_integer_ratio()
+    d = math.lcm(d0, d1, d2)
     if term is None:
         value, den = scaled_window(seq, m, rho)
     else:  # W_m..W_{m+2} over one denominator with W_0..W_2
         window = [as_rational(term(k)) for k in range(m, m + 3)]
-        den = math.lcm(*(v.denominator for v in (*window, seq.w0, seq.w1, seq.w2)))
+        den = math.lcm(d, *(v.denominator for v in window))
         n0, n1, n2 = (v.numerator * (den // v.denominator) for v in window)
         value = rho[0] * n0 + rho[1] * n1 + rho[2] * n2
-    w0, w1, w2 = (w.numerator * (den // w.denominator) for w in (seq.w0, seq.w1, seq.w2))
-    return Fraction(value + k0 * w0 + k1 * w1 + k2 * w2, gate * den)
+    kappa = k0 * u0 * (d // d0) + k1 * u1 * (d // d1) + k2 * u2 * (d // d2)
+    return Fraction(value + kappa * (den // d), gate * den)
 
 
 def _brief(value: Fraction) -> str:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from tribsum import core
@@ -67,3 +69,23 @@ def last_square_bits():
             core.scaled_window(seq, m, (1, 0, 0))
         return seen[0][2].bit_length()
     return bits
+
+
+# Every arithmetic operator of Fraction; int() is __int__ from 3.11.
+FRACTION_ARITHMETIC = ("__add__ __radd__ __sub__ __rsub__ __mul__ __rmul__ __truediv__ "
+                       "__rtruediv__ __floordiv__ __rfloordiv__ __mod__ __rmod__ __pow__ "
+                       "__rpow__ __neg__ __pos__ __abs__ __trunc__ __int__").split()
+
+
+@pytest.fixture
+def forbid_fraction_arithmetic(monkeypatch):
+    """Call it to make every Fraction arithmetic operator raise for the rest
+    of the test: code that reads numerators and denominators and runs on
+    ints then gives the values it gave before the call."""
+    def forbidden(*args):
+        raise AssertionError("Fraction arithmetic")
+
+    def forbid():
+        for name in FRACTION_ARITHMETIC:
+            monkeypatch.setattr(Fraction, name, forbidden, raising=False)
+    return forbid

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -647,6 +648,28 @@ class TestJsonErrors:
         assert captured.err.endswith(
             "tribsum term: error: argument --n: invalid int value: 'abc'\n")
 
+    @pytest.mark.parametrize("columns", ["40", "80", "200"])
+    def test_help_and_usage_as_argparse_lays_them_out(self, capsys, monkeypatch, columns):
+        """The parser's formatter, which reads the terminal width late, lays
+        out every help and usage text as argparse's own formatter does."""
+        monkeypatch.setenv("COLUMNS", columns)
+        argvs = [["--help"], *([name, "--help"] for name in
+                               ("term", "sum", "verify", "oeis-check", "bench", "catalog")),
+                 [], ["term", "--seq", "tribonacci", "--n", "abc"], ["bogus"]]
+
+        def texts():
+            out = []
+            for argv in argvs:
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                out.append((exc.value.code, *capsys.readouterr()))
+            return out
+
+        ours = texts()
+        monkeypatch.setattr(cli, "_HelpFormatter", argparse.HelpFormatter)
+        assert ours == texts()
+        assert all((out or err).startswith("usage: tribsum") for _, out, err in ours)
+
     def test_text_mode_unchanged(self, capsys, monkeypatch):
         _break_fwd_all(monkeypatch)
         code, out, err = run(capsys, "bench", "--n", "10")
@@ -714,16 +737,19 @@ _LOOKED_UP = {"tribsum", "tribsum.catalog", "tribsum.core"}
     ('tribsum.lookup("tribonacci")', _LOOKED_UP),
     (_CLI.format(argv=["term", "--seq", "tribonacci", "--n", "13"]), _LOOKED_UP | {"tribsum.cli"}),
     (_CLI.format(argv=["catalog"]), _LOOKED_UP | {"tribsum.cli"}),
-    (_CLI.format(argv=_SUM), _LOOKED_UP | {"tribsum.cli", "tribsum.sums", "tribsum.oracle"}),
+    (_CLI.format(argv=_SUM), _LOOKED_UP | {"tribsum.cli", "tribsum.sums"}),
+    (_CLI.format(argv=[*_SUM, "--check"]),
+     _LOOKED_UP | {"tribsum.cli", "tribsum.sums", "tribsum.oracle"}),
     (_CLI.format(argv=["oeis-check", "--seq", "tribonacci"]),
      _LOOKED_UP | {"tribsum.cli", "tribsum.oeis", "tribsum.oracle"}),
     ("import tribsum.identities", {"tribsum", "tribsum.core", "tribsum.identities"}),
-], ids=["import", "lookup", "term", "catalog", "sum", "oeis-check", "identities"])
+], ids=["import", "lookup", "term", "catalog", "sum", "sum-check", "oeis-check", "identities"])
 def test_fresh_interpreter_loads_exactly(statement, loaded):
     """Each case in its own interpreter loads exactly these package modules:
-    the package itself loads no submodule, a subcommand only its own, and
-    identities, the per-sequence transcriptions checked against the literal
-    sum, neither sums nor the oracle."""
+    the package itself loads no submodule, a subcommand only its own, a sum
+    the oracle only to check its closed form, and identities, the
+    per-sequence transcriptions checked against the literal sum, neither
+    sums nor the oracle."""
     src = str(Path(tribsum.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", _CASE_SCRIPT.format(statement=statement)],
@@ -732,9 +758,10 @@ def test_fresh_interpreter_loads_exactly(statement, loaded):
     assert (code, set(modules)) == (EXIT_OK, loaded)
 
 
-# Loaded with pathlib, which only fixture paths need.  (argparse's help
-# formatter loads fnmatch through shutil, so fnmatch is not among them.)
-_PATH_MODULES = {"pathlib", "urllib.parse", "ipaddress", "ntpath"}
+# Loaded with pathlib, which only fixture paths need, and with shutil, which
+# only argparse's terminal width for help and usage text needs.
+_PATH_MODULES = {"pathlib", "urllib.parse", "ipaddress", "ntpath", "fnmatch"}
+_WIDTH_MODULES = {"shutil", "bz2", "lzma"}
 
 _NO_PATH_SCRIPT = """
 import contextlib, io, json, sys
@@ -751,7 +778,8 @@ print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
 
 def test_cold_cli_term_sum_catalog_skip_pathlib():
     """Without site (-S), so no .pth file preloads them, a fresh term, sum
-    and catalog run loads none of _PATH_MODULES."""
+    and catalog run in text mode loads none of _PATH_MODULES and
+    _WIDTH_MODULES: it formats no help, so it reads no terminal width."""
     src = str(Path(tribsum.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-S", "-c", _NO_PATH_SCRIPT], env=env,
@@ -759,7 +787,7 @@ def test_cold_cli_term_sum_catalog_skip_pathlib():
     seen = json.loads(out)
     assert seen["codes"] == [EXIT_OK] * 3
     assert "tribsum.cli" in seen["modules"]
-    assert set(seen["modules"]) & _PATH_MODULES == set()
+    assert set(seen["modules"]) & (_PATH_MODULES | _WIDTH_MODULES) == set()
 
 
 def test_reader_closing_pipe_early_exits_quietly():

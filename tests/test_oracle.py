@@ -265,13 +265,7 @@ class TestWalkScale:
                                              for j, k in enumerate(indices)]
 
 
-# Every arithmetic operator of Fraction; int() is __int__ from 3.11.
-FRACTION_ARITHMETIC = ("__add__ __radd__ __sub__ __rsub__ __mul__ __rmul__ __truediv__ "
-                       "__rtruediv__ __floordiv__ __rfloordiv__ __mod__ __rmod__ __pow__ "
-                       "__rpow__ __neg__ __pos__ __abs__ __trunc__ __int__").split()
-
-
-def test_no_fraction_arithmetic(monkeypatch):
+def test_no_fraction_arithmetic(forbid_fraction_arithmetic):
     """The oracle reads numerators and denominators, walks on ints and
     builds each result from two ints: no Fraction operator runs."""
     seq = SequenceDef.of("1/2", "-1/6", "-5/12", "2/3", -2, "5/4")
@@ -284,10 +278,5 @@ def test_no_fraction_arithmetic(monkeypatch):
                 [list(prefix_sums(seq, *family, 20)) for family in families])
 
     expected = run()
-
-    def forbidden(*args):
-        raise AssertionError("Fraction arithmetic in the oracle")
-
-    for name in FRACTION_ARITHMETIC:
-        monkeypatch.setattr(Fraction, name, forbidden, raising=False)
+    forbid_fraction_arithmetic()
     assert run() == expected

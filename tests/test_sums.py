@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -809,3 +810,80 @@ class TestTelescoping:
             step = (evaluate(seq, query).value
                     - evaluate(seq, SumQuery(direction, parity, n - 1)).value)
             assert step == term_iterative(seq, added)
+
+
+# The term indices of TestIntsOnly: each pair straddles the readout crossover.
+READOUT_SIDES = ((300, 2000), (-300, -2000))
+
+
+class TestIntsOnly:
+    def test_dispatch_kernel_and_combine_run_on_ints(self, forbid_fraction_arithmetic,
+                                                     last_square_bits):
+        """Dispatch, kernel and combine read numerators and denominators and
+        run on ints: with every Fraction operator made to raise, evaluate
+        (all six families on a generic rational triple, (0, 2, 1) and a
+        d1 = 0 fallback), closed_form_value and term_matrix at +-n on both
+        sides of the readout crossover give the values they gave before."""
+        fallback = seq_of(1, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), -1, Fraction(5, 4))
+        seqs = (Q252_SEQ, CONDITION_SEQ["021"], fallback)
+        queries = [SumQuery(d, p, n) for d in Direction for p in Parity for n in (1, 2, 41)]
+        clauses = [(case, seq) for case in CLOSED_CASES for seq in SCALED_SEQ.values()
+                   if _gate(case.value[2], case.value[1], *sums._integer_triple(seq.params))]
+        for below, above in READOUT_SIDES:
+            assert (last_square_bits(Q252_SEQ, below) <= core._READOUT_BITS
+                    < last_square_bits(Q252_SEQ, above))
+
+        def run():
+            return ([evaluate(seq, query) for seq in seqs for query in queries],
+                    [closed_form_value(case, seq, n) for case, seq in clauses for n in (1, 41)],
+                    [core.term_matrix(Q252_SEQ, n) for pair in READOUT_SIDES for n in pair])
+
+        expected = run()
+        assert {result.case_used for result in expected[0][-len(queries):]} == {
+            FormulaCase.OracleFallback}
+        forbid_fraction_arithmetic()
+        assert run() == expected
+
+
+# Denominators up to 60 with a common factor g, numerators often 0.
+@st.composite
+def shared_denominators(draw, count):
+    g = draw(st.integers(1, 12))
+    return tuple(Fraction(draw(st.just(0) | st.integers(-60, 60)), g * draw(st.integers(1, 60 // g)))
+                 for _ in range(count))
+
+
+class TestSetUp:
+    """The set-up of dispatch and kernel, against Fraction arithmetic."""
+
+    @given(triple=shared_denominators(3))
+    @settings(max_examples=200, deadline=None)
+    @example(triple=(Fraction(1, 2), Fraction(-1, 6), Fraction(-5, 12)))
+    def test_integer_triple(self, triple):
+        """(R, S, T, L) = L*(r, s, t, 1), L the least common denominator."""
+        L = math.lcm(*(c.denominator for c in triple))
+        ints = sums._integer_triple(RecurrenceParams(*triple))
+        assert all(type(v) is int for v in ints)
+        assert ints == tuple(L * c for c in (*triple, 1))
+
+    @given(triple=shared_denominators(3), initial=shared_denominators(3),
+           m=st.integers(-40, 40), rho=st.tuples(*[st.integers(-9, 9)] * 3))
+    @settings(max_examples=200, deadline=None)
+    @example(triple=(Fraction(1, 2), Fraction(-1, 6), Fraction(-5, 12)),
+             initial=(Fraction(1), Fraction(-2), Fraction(3)), m=-7, rho=(1, 0, 0))
+    @example(triple=(Fraction(0), Fraction(3, 4), Fraction(-9, 10)),
+             initial=(Fraction(1, 6), Fraction(0), Fraction(-5, 4)), m=5, rho=(0, 2, -1))
+    def test_window_denominator(self, triple, initial, m, rho):
+        """D = d*q^(|m|+2) (d at m = 0), q the least common denominator of
+        (r, s, t), or for m < 0 of the reduced (-s/t, -r/t, 1/t)."""
+        r, s, t = triple
+        assume(m >= 0 or t != 0)
+        seq = seq_of(*triple, *initial)
+        d = math.lcm(*(w.denominator for w in initial))
+        raised = triple if m >= 0 else (-s / t, -r / t, 1 / t)
+        q = math.lcm(*(c.denominator for c in raised))
+        assert core.scaled_window(seq, m, rho)[1] == (d * q ** (abs(m) + 2) if m else d)
+
+    def test_case_table(self):
+        assert len(sums._CASES) == len(FormulaCase)
+        assert all(sums._CASES[case.value] is case for case in FormulaCase)
