@@ -11,7 +11,6 @@ error, 3 verification mismatch, 4 OEIS check failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -105,8 +104,10 @@ def _render(value) -> str:
         sys.set_int_max_str_digits(previous)
 
 
+# json loads only where a --format json record is written, never in text mode.
 def _emit(args: argparse.Namespace, record: dict, text: str) -> None:
     if args.format == "json":
+        import json
         print(json.dumps(record, sort_keys=True))
     else:
         print(text)
@@ -117,6 +118,7 @@ def _error(args: argparse.Namespace, code: int, exc: Exception,
     """Write *exc* to stderr, as *prefix* and its message or as a JSON
     record, and return the exit *code*."""
     if args.format == "json":
+        import json
         text = json.dumps({"command": args.subcommand, "status": "error",
                            "error": type(exc).__name__, "message": str(exc),
                            "exit": code}, sort_keys=True)

@@ -5,15 +5,19 @@ initial terms W_0, W_1, W_2.  When t != 0 the recurrence runs backward as
 well: W_{-m} = -(s/t)*W_{-(m-1)} - (r/t)*W_{-(m-2)} + (1/t)*W_{-(m-3)}.
 
 All arithmetic is exact over the rationals (``fractions.Fraction``); there
-are no floating-point code paths.  The kernel, :func:`scaled_window`,
+are no floating-point code paths.  A query reads each of its six
+rationals once, in :func:`integer_triple`: (R, S, T, L) = L*(r, s, t, 1)
+and (u0, u1, u2, d) = d*(W_0, W_1, W_2, 1), L and d least common
+denominators.  The kernel, :func:`scaled_window`, takes those ints and
 finds one linear form rho . (W_m, W_{m+1}, W_{m+2}) from x^|m| modulo the
 characteristic polynomial x^3 - r*x^2 - s*x - t, or for m < 0 modulo that
-of the reversed recurrence (-s/t, -r/t, 1/t).  It scales y = q*x, with q
-the common denominator of that triple, so its O(log |m|) polynomial steps
+of the reversed recurrence, whose triple (-S/T, -R/T, L/T) it derives
+from the integer one.  It scales y = q*x, q the common denominator of
+that triple (L, or |T| for m < 0), so its O(log |m|) polynomial steps
 (squares and shifts by y) run on three int coefficients; a square forms
 six products of them up to _FIVE_SQUARE_BITS bits and five bignum squares
 above that crossover (see :func:`_sqr_mod`).  It returns the form as an
-int over the window's common denominator: one division per query, made by
+int over d*q^(|m|+2): one division per query, made by
 :func:`term_matrix` (the form (1, 0, 0)) or by the closed-form sum that
 reads it.  The form is a dot product of the power with small ints; once
 the last square's operands pass _READOUT_BITS, it comes from a 3x3 Hankel
@@ -292,49 +296,48 @@ def _last_step(a: Optional[IntRow], b: int, coeffs: IntRow, u: IntRow, q: int, b
     return c0 * g[0] + c1 * g[1] + c2 * g[2]
 
 
-def scaled_window(seq: SequenceDef, m: int, rho: IntRow) -> tuple[int, int]:
-    """(rho . (n0, n1, n2), D) with W_{m+j} = n_j / D, from one polynomial
-    power on ints; nothing is divided.
+def integer_triple(a: Fraction, b: Fraction, c: Fraction) -> tuple[int, int, int, int]:
+    """L*(a, b, c, 1), L the least common denominator of a, b and c, each
+    read once: (R, S, T, L) for (r, s, t) and (u0, u1, u2, d) for W_0..W_2."""
+    an, ad = a.as_integer_ratio()
+    bn, bd = b.as_integer_ratio()
+    cn, cd = c.as_integer_ratio()
+    L = math.lcm(ad, bd, cd)
+    return an * (L // ad), bn * (L // bd), cn * (L // cd), L
+
+
+def scaled_window(triple: tuple, starts: tuple, m: int, rho: IntRow) -> tuple[int, int]:
+    """(rho . (n0, n1, n2), e) with W_{m+j} = n_j / (d*e), from one
+    polynomial power on ints; nothing is divided.  *triple* is (R, S, T, L)
+    and *starts* (u0, u1, u2, d), both from :func:`integer_triple`, so the
+    kernel reads no rational.
 
     With x^k = c0 + c1*x + c2*x^2 modulo x^3 - r*x^2 - s*x - t,
     W_{k+j} = c0*W_j + c1*W_{j+1} + c2*W_{j+2} (Cayley-Hamilton; Fiduccia
-    1985).  With q the least common denominator of r, s and t, y = q*x
-    satisfies y^3 - R*y^2 - S*y - T with ints R = r*q, S = s*q^2, T = t*q^3.
-    For m < 0 (t = 0 raises NegativeIndexWithZeroT) the same power runs on
-    V_j = W_{2-j}, which follows (-s/t, -r/t, 1/t) from (W_2, W_1, W_0) with
-    its own q, and the window comes back reversed.  D = d*q^(|m|+2), d the
-    common denominator of the initial terms (D = d at m = 0).  Each of the
-    six rationals is read once, as (numerator, denominator); those of r, s
-    and t are in lowest terms, so only the reversed triple's pairs, formed
-    unreduced from them, pay a gcd to find its q.  Each bit of
-    |m| after the leading one costs a square (six products, or five squares
-    above the _FIVE_SQUARE_BITS crossover), each set bit after it a shift by
-    y.  The last square and shift are :func:`_last_step`, which past the
-    _READOUT_BITS crossover reads the form with three bignum squares instead
-    of five, and reads |m| = 1 off y with neither.
+    1985).  With q = L, y = q*x satisfies y^3 - R*y^2 - S*L*y - T*L^2.
+    For m < 0 (T = 0 raises NegativeIndexWithZeroT) the same power runs on
+    V_j = W_{2-j}, which follows the reversed triple (-S/T, -R/T, L/T) from
+    (W_2, W_1, W_0), and the window comes back reversed.  L is least, so
+    gcd(R, S, T, L) = 1 and that triple's least common denominator, its q,
+    is |T|.  e = q^(|m|+2) (1 at m = 0).  Each bit of |m| after the leading
+    one costs a square (six products, or five squares above the
+    _FIVE_SQUARE_BITS crossover), each set bit after it a shift by y.  The
+    last square and shift are :func:`_last_step`, which past the
+    _READOUT_BITS crossover reads the form with three bignum squares
+    instead of five, and reads |m| = 1 off y with neither.
     """
     _require_int(m, "the index m")
-    u0, d0 = seq.w0.as_integer_ratio()
-    u1, d1 = seq.w1.as_integer_ratio()
-    u2, d2 = seq.w2.as_integer_ratio()
-    d = math.lcm(d0, d1, d2)
-    u0, u1, u2 = u0 * (d // d0), u1 * (d // d1), u2 * (d // d2)
+    u0, u1, u2, _ = starts
     if m == 0:
-        return rho[0] * u0 + rho[1] * u1 + rho[2] * u2, d
-    params = seq.params
-    rn, rd = params.r.as_integer_ratio()
-    sn, sd = params.s.as_integer_ratio()
-    tn, td = params.t.as_integer_ratio()
-    if m > 0:  # each pair in lowest terms
-        q = math.lcm(rd, sd, td)
+        return rho[0] * u0 + rho[1] * u1 + rho[2] * u2, 1
+    R, S, T, L = triple
+    if m > 0:
+        q, coeffs = L, (R, S * L, T * L * L)
     else:
-        if tn == 0:
+        if T == 0:
             raise NegativeIndexWithZeroT
-        # (-s/t, -r/t, 1/t) as integer pairs, not in lowest terms.
-        rn, rd, sn, sd, tn, td = -sn * td, sd * tn, -rn * td, rd * tn, td, tn
-        u0, u2 = u2, u0
-        q = math.lcm(rd // math.gcd(rn, rd), sd // math.gcd(sn, sd), td // math.gcd(tn, td))
-    coeffs = rn * q // rd, sn * q * q // sd, tn * q ** 3 // td
+        q, u0, u2 = abs(T), u2, u0
+        coeffs = -S * q // T, -R * T, L * T * q
     size = abs(m)
     # y^(size >> 1) once the loop is done; None at size 1, where y^|m| is y.
     c = (0, 1, 0) if size > 1 else None
@@ -342,10 +345,10 @@ def scaled_window(seq: SequenceDef, m: int, rho: IntRow) -> tuple[int, int]:
         c = _sqr_mod(c, coeffs)
         if bit == "1":
             c = _shift_mod(c, coeffs)
-    # u_j = d*q^j*W_j are integers with u_j = R*u_{j-1} + S*u_{j-2} +
-    # T*u_{j-3}, so a0*u_j + a1*u_{j+1} + a2*u_{j+2} is d*q^(k+j)*W_{k+j}.
+    # u_j = d*q^j*W_j are integers that follow y's recurrence (coeffs), so
+    # a0*u_j + a1*u_{j+1} + a2*u_{j+2} is d*q^(k+j)*W_{k+j}.
     return (_last_step(c, size & 1, coeffs, (u0, u1 * q, u2 * q * q), q, m < 0, rho),
-            d * q ** (size + 2))
+            q ** (size + 2))
 
 
 def term_matrix(seq: SequenceDef, n: int,
@@ -359,7 +362,8 @@ def term_matrix(seq: SequenceDef, n: int,
     combine, computed from |n| after the kernel returns: bits(|n|) +
     popcount(|n|) - 1 ticks, at most 2*bits(|n|) - 1, and 0 at n = 0.
     """
-    num, den = scaled_window(seq, n, (1, 0, 0))
+    starts = integer_triple(seq.w0, seq.w1, seq.w2)
+    num, e = scaled_window(integer_triple(*seq.params), starts, n, (1, 0, 0))
     if counter is not None and n:  # bits - 1 squares, popcount - 1 shifts, one combine
         counter.count += abs(n).bit_length() + abs(n).bit_count() - 1
-    return Fraction(num, den)
+    return Fraction(num, starts[3] * e)

@@ -18,9 +18,12 @@ gates is nonzero; dispatch and :func:`closed_form_value` read it once per
 sum.  Each clause is a linear form: it returns integer coefficient triples
 (rho, kappa), polynomials in (r, s, t, o, n) homogeneous in (r, s, t, o), for
 the window W_m, W_m+1, W_m+2 its family reads and for W_0, W_1, W_2.  There
-is one combine: a sum calls its clause once on the ints L*(r, s, t, 1), takes
-rho . D*window from :func:`~tribsum.core.scaled_window` (or from a caller's
-term function), adds kappa . D*(W_0, W_1, W_2) and builds one Fraction.
+is one combine.  A sum reads its six rationals once, in the integer set-up of
+:mod:`tribsum.core`: (R, S, T, L) = L*(r, s, t, 1) and u = d*(W_0, W_1, W_2).
+It calls its clause once on (R, S, T, L), takes rho . D*window from
+:func:`~tribsum.core.scaled_window` (or from a caller's term function), with
+D = d*q^(|m|+2), adds kappa . D*(W_0, W_1, W_2) as (kappa . u)*q^(|m|+2) and
+builds one Fraction.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .core import (  # Direction, Parity, SumMismatch, SumQuery: re-exported
     SumMismatch,
     SumQuery,
     as_rational,
+    integer_triple,
     scaled_window,
 )
 
@@ -99,15 +103,6 @@ def _gate(condition: str, parity: Parity, r, s, t, o=1):
     return 0
 
 
-def _integer_triple(params: RecurrenceParams) -> tuple[int, int, int, int]:
-    """(R, S, T, L) = L*(r, s, t, 1), L the least common denominator of r, s, t."""
-    rn, rd = params.r.as_integer_ratio()
-    sn, sd = params.s.as_integer_ratio()
-    tn, td = params.t.as_integer_ratio()
-    L = math.lcm(rd, sd, td)
-    return rn * (L // rd), sn * (L // sd), tn * (L // td), L
-
-
 def _dispatch(triple: tuple, query: SumQuery) -> tuple[FormulaCase, int]:
     """(case, its gate) for :func:`select_case`, "generic" first; 0 for the fallback."""
     for condition in ("generic", "021"):
@@ -121,7 +116,7 @@ def select_case(params: RecurrenceParams, query: SumQuery) -> FormulaCase:
     """The clause of the one condition, "generic" or "021" (never both), whose
     :func:`_gate` is nonzero, else the oracle fallback.  The S1 and RplusT0
     clauses specialize the generic ones and are never dispatched to."""
-    return _dispatch(_integer_triple(params), query)[0]
+    return _dispatch(integer_triple(*params), query)[0]
 
 
 TermFn = Callable[[int], Fraction]
@@ -216,53 +211,50 @@ def closed_form_value(case: FormulaCase, seq: SequenceDef, n: int,
     OracleFallback.  n follows :class:`SumQuery`'s rules.  The clause reads
     one window W_m..W_{m+2}: from :func:`~tribsum.core.scaled_window` by
     default, else from *term*, called for exactly those three indices and
-    returning ints or Fractions.  Either way it runs on ints,
-    :func:`_integer_triple` and D*W with D the window's common denominator,
-    and the sum is one Fraction over gate*D.
+    returning ints or Fractions.  Either way it runs on the ints of one
+    integer set-up, (R, S, T, L) and d*(W_0, W_1, W_2), and on D*W with D
+    the window's common denominator: one Fraction over gate*D.
 
     No code in this package passes *term*.  It stays only for the
     benchmark's traced runs (``tribbench/worker.py``), which time the
     window as three term calls, and goes when they stop doing so."""
     direction, parity, condition = case.value
     p = seq.params
-    triple = _integer_triple(p)
+    triple = integer_triple(*p)
     gate = _gate(condition, parity, *triple)
     if not gate:
         raise ValueError(f"{case.name} is not a proven closed form at "
                          f"(r, s, t) = ({p.r}, {p.s}, {p.t})")
     SumQuery(direction, parity, n)  # checks n by the query's rules
-    return _combine(case, seq, n, triple, gate, term)
+    return _combine(case, n, triple, gate, integer_triple(seq.w0, seq.w1, seq.w2), term)
 
 
-def _combine(case: FormulaCase, seq: SequenceDef, n: int, triple: tuple,
-             gate: int, term: TermFn | None = None) -> Fraction:
-    """:func:`closed_form_value` past its checks of *case* and n, on
-    *triple* = :func:`_integer_triple` and the case's nonzero *gate* there:
-    the clause's rho . D*window, from the kernel or from *term*, plus its
-    kappa . D*(W_0, W_1, W_2), added as (kappa . u)*(D // d), one bignum
-    product, with u = d*(W_0, W_1, W_2) over their common denominator d.
-    d divides D: the kernel's D is d*q^(|m|+2), and *term*'s window is put
-    over a multiple of d.  A backward window has m < 0, so at t = 0 the
-    kernel, or *term*, raises NegativeIndexWithZeroT."""
+def _combine(case: FormulaCase, n: int, triple: tuple, gate: int, starts: tuple,
+             term: TermFn | None = None) -> Fraction:
+    """:func:`closed_form_value` past its checks of *case* and n, on the
+    ints of :func:`~tribsum.core.integer_triple`: *triple* = (R, S, T, L),
+    the case's nonzero *gate* there, and *starts* = (u0, u1, u2, d) with
+    u = d*(W_0, W_1, W_2).  The window is W_{m+j} = n_j / (d*e): the
+    kernel's, e = q^(|m|+2), or *term*'s, e the lcm of its denominators.
+    The numerator is the clause's rho . (n0, n1, n2) plus its
+    kappa . D*(W_0, W_1, W_2) = (kappa . u)*e, one bignum product, over
+    gate*d*e.  A backward window has m < 0, so at t = 0 the kernel, or
+    *term*, raises NegativeIndexWithZeroT."""
     direction, parity, _ = case.value
     if direction is Direction.FORWARD:  # m: the window's first index
         m = n + 1 if parity is Parity.ALL else 2 * n
     else:
         m = -n - 3 if parity is Parity.ALL else -2 * n - 1
     rho, (k0, k1, k2) = _CLOSED_FORMS[case](*triple, n)
-    u0, d0 = seq.w0.as_integer_ratio()
-    u1, d1 = seq.w1.as_integer_ratio()
-    u2, d2 = seq.w2.as_integer_ratio()
-    d = math.lcm(d0, d1, d2)
+    u0, u1, u2, d = starts
     if term is None:
-        value, den = scaled_window(seq, m, rho)
-    else:  # W_m..W_{m+2} over one denominator with W_0..W_2
+        value, e = scaled_window(triple, starts, m, rho)
+    else:
         window = [as_rational(term(k)) for k in range(m, m + 3)]
-        den = math.lcm(d, *(v.denominator for v in window))
-        n0, n1, n2 = (v.numerator * (den // v.denominator) for v in window)
+        e = math.lcm(*(v.denominator for v in window))
+        n0, n1, n2 = (d * v.numerator * (e // v.denominator) for v in window)
         value = rho[0] * n0 + rho[1] * n1 + rho[2] * n2
-    kappa = k0 * u0 * (d // d0) + k1 * u1 * (d // d1) + k2 * u2 * (d // d2)
-    return Fraction(value + kappa * (den // d), gate * den)
+    return Fraction(value + (k0 * u0 + k1 * u1 + k2 * u2) * e, gate * d * e)
 
 
 def _brief(value: Fraction) -> str:
@@ -278,11 +270,11 @@ def evaluate(seq: SequenceDef, query: SumQuery, check: bool = False) -> SumResul
     sum and a :class:`SumMismatch` is raised on disagreement.  The fallback
     value is the literal sum itself, so it is computed only once.
     """
-    triple = _integer_triple(seq.params)
+    triple = integer_triple(*seq.params)
     case, gate = _dispatch(triple, query)
     if not gate:
         return SumResult(sum_oracle(seq, query), case)
-    value = _combine(case, seq, query.n, triple, gate)
+    value = _combine(case, query.n, triple, gate, integer_triple(seq.w0, seq.w1, seq.w2))
     if check:
         expected = sum_oracle(seq, query)
         if value != expected:

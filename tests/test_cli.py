@@ -763,8 +763,9 @@ def test_fresh_interpreter_loads_exactly(statement, loaded):
 _PATH_MODULES = {"pathlib", "urllib.parse", "ipaddress", "ntpath", "fnmatch"}
 _WIDTH_MODULES = {"shutil", "bz2", "lzma"}
 
+# It lists the modules before it loads json to print them.
 _NO_PATH_SCRIPT = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 from tribsum import cli
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in (
@@ -772,14 +773,17 @@ with contextlib.redirect_stdout(io.StringIO()):
         ["sum", "--r", "3/7", "--s", "-5/4", "--t", "2/9", "--w0", "1/2", "--w1", "0",
          "--w2", "-3", "--dir", "bwd", "--parity", "odd", "--n", "40", "--check"],
         ["catalog"])]
-print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
+modules = sorted(sys.modules)
+import json
+print(json.dumps({"codes": codes, "modules": modules}))
 """
 
 
 def test_cold_cli_term_sum_catalog_skip_pathlib():
     """Without site (-S), so no .pth file preloads them, a fresh term, sum
     and catalog run in text mode loads none of _PATH_MODULES and
-    _WIDTH_MODULES: it formats no help, so it reads no terminal width."""
+    _WIDTH_MODULES: it formats no help, so it reads no terminal width.  It
+    writes no JSON record, so it loads no json either."""
     src = str(Path(tribsum.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-S", "-c", _NO_PATH_SCRIPT], env=env,
@@ -787,7 +791,7 @@ def test_cold_cli_term_sum_catalog_skip_pathlib():
     seen = json.loads(out)
     assert seen["codes"] == [EXIT_OK] * 3
     assert "tribsum.cli" in seen["modules"]
-    assert set(seen["modules"]) & (_PATH_MODULES | _WIDTH_MODULES) == set()
+    assert set(seen["modules"]) & (_PATH_MODULES | _WIDTH_MODULES | {"json"}) == set()
 
 
 def test_reader_closing_pipe_early_exits_quietly():

@@ -60,10 +60,18 @@ def seq_of(r, s, t, w0, w1, w2):
 UNIT_FORMS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
+def read(seq, m, rho):
+    """(rho . (n0, n1, n2), D) with W_{m+j} = n_j / D: the kernel on seq's
+    integer set-up, D = d*e."""
+    starts = core.integer_triple(seq.w0, seq.w1, seq.w2)
+    value, e = scaled_window(core.integer_triple(*seq.params), starts, m, rho)
+    return value, starts[3] * e
+
+
 def window_numerators(seq, m):
     """((n0, n1, n2), D) with W_{m+j} = n_j / D: the kernel's three unit
     forms, which must share one D."""
-    reads = [scaled_window(seq, m, rho) for rho in UNIT_FORMS]
+    reads = [read(seq, m, rho) for rho in UNIT_FORMS]
     assert len({den for _, den in reads}) == 1
     return tuple(value for value, _ in reads), reads[0][1]
 
@@ -138,13 +146,13 @@ class TestTermIterative:
            forms=st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=1, max_size=3))
     @settings(max_examples=80, deadline=None)
     def test_forms_are_dot_products_of_the_window(self, triple, w0, w1, w2, m, forms):
-        """scaled_window(seq, m, rho) is rho . window for each rho, over the
-        window's D."""
+        """scaled_window(triple, starts, m, rho) is rho . window for each
+        rho, over the window's D."""
         assume(m >= 0 or triple[2] != 0)
         seq = seq_of(*triple, w0, w1, w2)
         nums, window_den = window_numerators(seq, m)
         for rho in forms:
-            value, den = scaled_window(seq, m, rho)
+            value, den = read(seq, m, rho)
             assert den == window_den
             assert value == sum(c * v for c, v in zip(rho, nums))
 
@@ -457,7 +465,7 @@ class TestScaledWindow:
 
     def test_zero_t_negative_index_raises(self):
         with pytest.raises(NegativeIndexWithZeroT):
-            scaled_window(seq_of(1, 1, 0, 0, 1, 1), -1, (1, 0, 0))
+            read(seq_of(1, 1, 0, 0, 1, 1), -1, (1, 0, 0))
 
     @given(triple=st.one_of(st.just(Q252), st.tuples(rationals, rationals, rationals)),
            w0=rationals, w1=rationals, w2=rationals,
@@ -477,11 +485,11 @@ class TestScaledWindow:
         assume(m >= 0 or triple[2] != 0)
         seq = seq_of(*triple, w0, w1, w2)
         nums, den = window_numerators(seq, m)
-        assert scaled_window(seq, m, rho) == (sum(c * v for c, v in zip(rho, nums)), den)
+        assert read(seq, m, rho) == (sum(c * v for c, v in zip(rho, nums)), den)
 
     def test_one_form_no_options(self):
         params = inspect.signature(scaled_window).parameters
-        assert list(params) == ["seq", "m", "rho"]
+        assert list(params) == ["triple", "starts", "m", "rho"]
         assert all(p.default is p.empty for p in params.values())
         assert list(inspect.signature(core._last_step).parameters)[-1] == "rho"
         assert not hasattr(core, "window")

@@ -219,7 +219,7 @@ class TestAgainstReference:
         assert oracle._walk(seq, Direction.BACKWARD)[0] == backward_q
 
     def test_binds_no_kernel_code(self):
-        kernel = ("term_matrix", "scaled_window", "_sqr_mod", "_shift_mod")
+        kernel = ("term_matrix", "scaled_window", "integer_triple", "_sqr_mod", "_shift_mod")
         assert not set(kernel) & set(vars(oracle))
         kernel_objects = [getattr(core, name) for name in kernel]
         assert not any(value is obj for value in vars(oracle).values()

@@ -8,9 +8,9 @@ import pytest
 
 from tribsum import cli, oracle, term_iterative
 from tribsum.core import (Direction, NegativeIndexWithZeroT, Parity, SequenceDef, SumQuery,
-                          scaled_window, term_matrix)
-from tribsum.sums import (_CLOSED_FORMS, FormulaCase, _gate, _integer_triple, closed_form_value,
-                          evaluate, select_case, sum_oracle)
+                          integer_triple, scaled_window, term_matrix)
+from tribsum.sums import (_CLOSED_FORMS, FormulaCase, _gate, closed_form_value, evaluate,
+                          select_case, sum_oracle)
 
 MESSAGE = "stepping back needs t != 0"
 
@@ -21,7 +21,7 @@ FALLBACK = SequenceDef.of("1/2", "1/2", 0, 0, 1, 1)
 
 def _backward_cases(seq):
     """The backward clauses whose gate is nonzero at seq's triple."""
-    triple = _integer_triple(seq.params)
+    triple = integer_triple(*seq.params)
     return [case for case in _CLOSED_FORMS
             if case.value[0] is Direction.BACKWARD
             and _gate(case.value[2], case.value[1], *triple)]
@@ -30,8 +30,9 @@ def _backward_cases(seq):
 def _calls(seq):
     """One zero-argument call per way to step back from seq."""
     calls = [lambda: term_matrix(seq, -3), lambda: [term_matrix(seq, k) for k in (-3, -2, -1)],
-             lambda: scaled_window(seq, -3, (1, 0, 0)), lambda: term_iterative(seq, -3),
-             lambda: oracle.term_table(seq, -3, 0)]
+             lambda: scaled_window(integer_triple(*seq.params),
+                                   integer_triple(seq.w0, seq.w1, seq.w2), -3, (1, 0, 0)),
+             lambda: term_iterative(seq, -3), lambda: oracle.term_table(seq, -3, 0)]
     term = lambda k: term_iterative(seq, k)
     for parity in Parity:  # defaults bind each loop's values
         query = SumQuery(Direction.BACKWARD, parity, 3)

@@ -124,10 +124,10 @@ class TestDispatchPartition:
     @example(plane="free", r=Fraction(0), s=Fraction(2), t=Fraction(1))
     def test_at_most_one_gate_open(self, plane, r, s, t):
         """For every parity at most one of the "generic" and "021" gates is
-        nonzero, at o = 1 and on the _integer_triple ints alike, and
+        nonzero, at o = 1 and on the integer_triple ints alike, and
         select_case returns that condition's case, else the fallback."""
         params = RecurrenceParams(*PLANES[plane](r, s, t))
-        ints = sums._integer_triple(params)
+        ints = core.integer_triple(*params)
         for parity in Parity:
             opened = [[c for c in ("generic", "021") if sums._gate(c, parity, *triple)]
                       for triple in (params, ints)]
@@ -443,17 +443,14 @@ class TestWindowDispatch:
     @pytest.mark.parametrize("family", list(WINDOW_START),
                              ids=lambda f: f"{f[0].value}-{f[1].value}")
     def test_evaluate_computes_one_window(self, monkeypatch, family, condition):
-        real_window = sums.scaled_window
-        calls = []
-
-        def counting_window(seq, m, *args):
-            calls.append(m)
-            return real_window(seq, m, *args)
-
-        monkeypatch.setattr(sums, "scaled_window", counting_window)
-        result = evaluate(CONDITION_SEQ[condition], SumQuery(*family, 1000))
+        """One integer set-up, a read of (r, s, t) and one of W_0..W_2, and
+        one kernel call on its ints."""
+        seq = CONDITION_SEQ[condition]
+        reads, calls = count_set_up(monkeypatch)
+        result = evaluate(seq, SumQuery(*family, 1000))
         expected = "generic" if family[1] is Parity.ALL else condition
         assert result.case_used.value == (*family, expected)
+        assert reads == set_up_reads(seq)
         assert calls == [WINDOW_START[family](1000)]
 
 
@@ -591,9 +588,9 @@ class TestSinglePredicate:
     @pytest.mark.parametrize("condition, triple, divisors", GATE_ROWS,
                              ids=[f"{c}-{','.join(map(str, t))}" for c, t, _ in GATE_ROWS])
     def test_gate_table(self, condition, triple, divisors):
-        """_gate at o = 1, and at L*(r, s, t, 1) from _integer_triple, where
+        """_gate at o = 1, and at L*(r, s, t, 1) from integer_triple, where
         a divisor of degree k scales by L**k and a 0 stays 0."""
-        ints = sums._integer_triple(RecurrenceParams(*triple))
+        ints = core.integer_triple(*RecurrenceParams(*triple))
         for parity, divisor in zip(Parity, divisors):
             assert sums._gate(condition, parity, *map(Fraction, triple)) == divisor
             scaled = sums._gate(condition, parity, *ints)
@@ -635,6 +632,30 @@ class TestSinglePredicate:
             closed_form_value(case, seq, n)
         with pytest.raises(ValueError, match="n >= "):
             closed_form_value(case, seq, n, term=table_term(seq, 3))
+
+
+def count_set_up(monkeypatch):
+    """(reads, calls): lists that get the rationals of each integer_triple
+    call and the m of each scaled_window call that sums makes."""
+    reads, calls = [], []
+    integer_triple, scaled_window = sums.integer_triple, sums.scaled_window
+
+    def reading(*values):
+        reads.append(values)
+        return integer_triple(*values)
+
+    def calling(triple, starts, m, rho):
+        calls.append(m)
+        return scaled_window(triple, starts, m, rho)
+
+    monkeypatch.setattr(sums, "integer_triple", reading)
+    monkeypatch.setattr(sums, "scaled_window", calling)
+    return reads, calls
+
+
+def set_up_reads(seq):
+    """One integer set-up: (r, s, t), then W_0..W_2."""
+    return [tuple(seq.params), (seq.w0, seq.w1, seq.w2)]
 
 
 def table_term(seq, n):
@@ -769,29 +790,59 @@ class TestIntegerCombine:
 
     @pytest.mark.parametrize("case", CLOSED_CASES, ids=lambda c: c.name)
     def test_integer_triple_once_per_sum(self, monkeypatch, case):
-        """evaluate scales (r, s, t) once, for dispatch and combine together;
-        closed_form_value, called directly, scales it itself."""
+        """evaluate sets up (r, s, t) and W_0..W_2 once, for dispatch, kernel
+        and combine together, and calls the kernel once; closed_form_value,
+        called directly, does the same itself."""
         direction, parity, condition = case.value
         seq = SCALED_SEQ[condition]
-        calls = []
-        original = sums._integer_triple
-
-        def counting(params):
-            calls.append(params)
-            return original(params)
-
-        monkeypatch.setattr(sums, "_integer_triple", counting)
+        expected = sum_oracle(seq, SumQuery(direction, parity, 1))
+        reads, calls = count_set_up(monkeypatch)
         for n in (1, 40):
             query = SumQuery(direction, parity, n)
             if select_case(seq.params, query) is not case:
                 continue  # S1 and RplusT0 clauses are never dispatched to
+            reads.clear()
             calls.clear()
             result = evaluate(seq, query)
             assert result.case_used is case
-            assert calls == [seq.params]
+            assert reads == set_up_reads(seq)
+            assert calls == [WINDOW_START[direction, parity](n)]
+        reads.clear()
         calls.clear()
-        assert closed_form_value(case, seq, 1) == sum_oracle(seq, SumQuery(direction, parity, 1))
-        assert calls == [seq.params]
+        assert closed_form_value(case, seq, 1) == expected
+        assert reads == set_up_reads(seq)
+        assert calls == [WINDOW_START[direction, parity](1)]
+
+    @pytest.mark.parametrize("case", CLOSED_CASES, ids=lambda c: c.name)
+    def test_six_reads_per_query(self, monkeypatch, case):
+        """Each closed-form evaluate, closed_form_value (with and without
+        *term*) and term_matrix reads its six rationals once: six
+        Fraction.as_integer_ratio calls."""
+        direction, parity, condition = case.value
+        seq = SCALED_SEQ[condition]
+        term = table_term(seq, 41)
+        calls = []
+        ratio = Fraction.as_integer_ratio
+
+        def counting(value):
+            calls.append(value)
+            return ratio(value)
+
+        def reads(run):
+            calls.clear()
+            monkeypatch.setattr(Fraction, "as_integer_ratio", counting)
+            run()
+            monkeypatch.undo()
+            return len(calls)
+
+        for n in (1, 41):
+            query = SumQuery(direction, parity, n)
+            if select_case(seq.params, query) is case:
+                assert reads(lambda: evaluate(seq, query)) == 6
+            assert reads(lambda: closed_form_value(case, seq, n)) == 6
+            assert reads(lambda: closed_form_value(case, seq, n, term)) == 6
+        for n in (0, 1, -1, 300, -2000):
+            assert reads(lambda: core.term_matrix(seq, n)) == 6
 
 
 class TestTelescoping:
@@ -828,7 +879,7 @@ class TestIntsOnly:
         seqs = (Q252_SEQ, CONDITION_SEQ["021"], fallback)
         queries = [SumQuery(d, p, n) for d in Direction for p in Parity for n in (1, 2, 41)]
         clauses = [(case, seq) for case in CLOSED_CASES for seq in SCALED_SEQ.values()
-                   if _gate(case.value[2], case.value[1], *sums._integer_triple(seq.params))]
+                   if _gate(case.value[2], case.value[1], *core.integer_triple(*seq.params))]
         for below, above in READOUT_SIDES:
             assert (last_square_bits(Q252_SEQ, below) <= core._READOUT_BITS
                     < last_square_bits(Q252_SEQ, above))
@@ -859,10 +910,11 @@ class TestSetUp:
     @given(triple=shared_denominators(3))
     @settings(max_examples=200, deadline=None)
     @example(triple=(Fraction(1, 2), Fraction(-1, 6), Fraction(-5, 12)))
+    @example(triple=(Fraction(2, 3), Fraction(4, 9), Fraction(-8, 27)))
     def test_integer_triple(self, triple):
         """(R, S, T, L) = L*(r, s, t, 1), L the least common denominator."""
         L = math.lcm(*(c.denominator for c in triple))
-        ints = sums._integer_triple(RecurrenceParams(*triple))
+        ints = core.integer_triple(*triple)
         assert all(type(v) is int for v in ints)
         assert ints == tuple(L * c for c in (*triple, 1))
 
@@ -873,16 +925,26 @@ class TestSetUp:
              initial=(Fraction(1), Fraction(-2), Fraction(3)), m=-7, rho=(1, 0, 0))
     @example(triple=(Fraction(0), Fraction(3, 4), Fraction(-9, 10)),
              initial=(Fraction(1, 6), Fraction(0), Fraction(-5, 4)), m=5, rho=(0, 2, -1))
+    # T < 0 sharing factors with S and R: (R, S, T, L) = (18, 12, -8, 27),
+    # reversed (3/2, 9/4, -27/8), q = 8.
+    @example(triple=(Fraction(2, 3), Fraction(4, 9), Fraction(-8, 27)),
+             initial=(Fraction(1), Fraction(-1, 2), Fraction(3)), m=-7, rho=(1, 0, 0))
+    # T = -30 shares a factor with each of R = 2, S = 3 and L = 5; reversed
+    # (1/10, 1/15, -1/6), q = 30.
+    @example(triple=(Fraction(2, 5), Fraction(3, 5), Fraction(-6)),
+             initial=(Fraction(1, 6), Fraction(0), Fraction(-5, 4)), m=-4, rho=(0, 1, 0))
     def test_window_denominator(self, triple, initial, m, rho):
-        """D = d*q^(|m|+2) (d at m = 0), q the least common denominator of
-        (r, s, t), or for m < 0 of the reduced (-s/t, -r/t, 1/t)."""
+        """D = d*e with e = q^(|m|+2) (1 at m = 0), q the least common
+        denominator of (r, s, t), or for m < 0 of the reduced
+        (-s/t, -r/t, 1/t); d that of W_0..W_2."""
         r, s, t = triple
         assume(m >= 0 or t != 0)
-        seq = seq_of(*triple, *initial)
-        d = math.lcm(*(w.denominator for w in initial))
+        starts = core.integer_triple(*initial)
+        assert starts[3] == math.lcm(*(w.denominator for w in initial))
         raised = triple if m >= 0 else (-s / t, -r / t, 1 / t)
         q = math.lcm(*(c.denominator for c in raised))
-        assert core.scaled_window(seq, m, rho)[1] == (d * q ** (abs(m) + 2) if m else d)
+        e = core.scaled_window(core.integer_triple(*triple), starts, m, rho)[1]
+        assert e == (q ** (abs(m) + 2) if m else 1)
 
     def test_case_table(self):
         assert len(sums._CASES) == len(FormulaCase)
