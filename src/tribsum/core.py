@@ -1,31 +1,30 @@
 """Exact evaluation of third-order linear recurrences at any signed index.
 
 A sequence is defined by W_n = r*W_{n-1} + s*W_{n-2} + t*W_{n-3} with
-initial terms W_0, W_1, W_2.  When t != 0 the recurrence runs backward as
-well: W_{-m} = -(s/t)*W_{-(m-1)} - (r/t)*W_{-(m-2)} + (1/t)*W_{-(m-3)}.
+initial terms W_0, W_1, W_2.  When t != 0, V_j = W_{2-j} follows the
+reversed recurrence (-s/t, -r/t, 1/t) from (W_2, W_1, W_0), so each
+backward term or sum is a forward one of V: the kernel and the closed
+forms step back only in :func:`reversed_set_up`, the oracle on its own.
 
 All arithmetic is exact over the rationals (``fractions.Fraction``); there
 are no floating-point code paths.  A query reads each of its six
 rationals once, in :func:`integer_triple`: (R, S, T, L) = L*(r, s, t, 1)
 and (u0, u1, u2, d) = d*(W_0, W_1, W_2, 1), L and d least common
 denominators.  The kernel, :func:`scaled_window`, takes those ints and
-finds one linear form rho . (W_m, W_{m+1}, W_{m+2}) from x^|m| modulo the
-characteristic polynomial x^3 - r*x^2 - s*x - t, or for m < 0 modulo that
-of the reversed recurrence, whose triple (-S/T, -R/T, L/T) it derives
-from the integer one.  It scales y = q*x, q the common denominator of
-that triple (L, or |T| for m < 0), so its O(log |m|) polynomial steps
-(squares and shifts by y) run on three int coefficients; a square forms
-six products of them up to _FIVE_SQUARE_BITS bits and five bignum squares
-above that crossover (see :func:`_sqr_mod`).  It returns the form as an
-int over d*q^(|m|+2): one division per query, made by
-:func:`term_matrix` (the form (1, 0, 0)) or by the closed-form sum that
-reads it.  The form is a dot product of the power with small ints; once
-the last square's operands pass _READOUT_BITS, it comes from a 3x3 Hankel
-quadratic form in x^(|m|>>1), three bignum squares instead of the square's
-five (see :func:`_last_step`).  The O(|n|) literal walk it is checked
-against lives in :mod:`tribsum.oracle`.  The sum-query types live here
-too, so that both the closed forms and the literal oracle can depend on
-them without depending on each other.
+finds one linear form rho . (W_m, W_{m+1}, W_{m+2}) from x^m modulo the
+characteristic polynomial x^3 - r*x^2 - s*x - t (for m < 0, of V).  It
+scales y = L*x, so its O(log |m|) polynomial steps (squares and shifts by
+y) run on three int coefficients; a square forms six products of them up
+to _FIVE_SQUARE_BITS bits and five bignum squares above that crossover
+(see :func:`_sqr_mod`).  It returns the form as an int over d*L^(|m|+2):
+one division per query, made by :func:`term_matrix` (the form (1, 0, 0))
+or by the closed-form sum that reads it.  The form is a dot product of the
+power with small ints; once the last square's operands pass _READOUT_BITS,
+it comes from a 3x3 Hankel quadratic form in x^(|m|>>1), three bignum
+squares instead of the square's five (see :func:`_last_step`).  The
+O(|n|) literal walk it is checked against lives in :mod:`tribsum.oracle`.
+The sum-query types live here too, so that both the closed forms and the
+literal oracle can depend on them without depending on each other.
 """
 
 from __future__ import annotations
@@ -41,7 +40,8 @@ RationalLike = Union[Fraction, int, str]
 
 class NegativeIndexWithZeroT(ValueError):
     """A backward term or sum with t = 0, where no step back exists.  Only
-    :func:`scaled_window` (m < 0) and the oracle's backward walk raise it."""
+    :func:`reversed_set_up`, which every step back of the kernel and the
+    closed forms goes through, and the oracle's own backward walk raise it."""
 
     def __init__(self, message: str = "stepping back needs t != 0") -> None:
         super().__init__(message)
@@ -261,25 +261,23 @@ def _hankel_form(a: IntRow, g: tuple) -> Optional[int]:
             + (m11 * m22 - m12 * m12) * x2 ** 2) // (m11 * N)
 
 
-def _last_step(a: Optional[IntRow], b: int, coeffs: IntRow, u: IntRow, q: int, backward: bool,
+def _last_step(a: Optional[IntRow], b: int, coeffs: IntRow, u: IntRow, q: int,
                rho: IntRow) -> int:
     """rho . (n0, n1, n2) for :func:`scaled_window`'s window whose power is
-    y^|m| = (a0 + a1*y + a2*y^2)^2 * y^b, or y itself when a is None
-    (|m| = 1), with u = (u0, u1, u2) its scaled initial terms.
+    y^m = (a0 + a1*y + a2*y^2)^2 * y^b, m > 0, or y itself when a is None
+    (m = 1), with u = (u0, u1, u2) its scaled initial terms.
 
     c -> rho . nums(c) is linear, and on y^e it is the small int
-    g_e = sum_j rho_j*q^(2-sigma(j))*u_{e+sigma(j)} (sigma reverses the
-    window for m < 0), so the form is c0*g_0 + c1*g_1 + c2*g_2 on the
-    square c, and g_1 on y.  Where a2 has more than _READOUT_BITS bits it
-    skips that square: it is the Hankel form sum a_i*a_j*g_{i+j+b}
-    (:func:`_hankel_form`), unless that form's diagonal vanishes.
+    g_e = sum_j rho_j*q^(2-j)*u_{e+j}, so the form is c0*g_0 + c1*g_1 +
+    c2*g_2 on the square c, and g_1 on y.  Where a2 has more than
+    _READOUT_BITS bits it skips that square: it is the Hankel form
+    sum a_i*a_j*g_{i+j+b} (:func:`_hankel_form`), unless its diagonal vanishes.
     """
     R, S, T = coeffs
     u0, u1, u2 = u
     u3 = R * u2 + S * u1 + T * u0
     u4 = R * u3 + S * u2 + T * u1
-    rho0, rho1, rho2 = rho[::-1] if backward else rho
-    rho0, rho1 = rho0 * q * q, rho1 * q
+    rho0, rho1, rho2 = rho[0] * q * q, rho[1] * q, rho[2]
     g = [rho0 * u0 + rho1 * u1 + rho2 * u2, rho0 * u1 + rho1 * u2 + rho2 * u3,
          rho0 * u2 + rho1 * u3 + rho2 * u4]
     if a is None:
@@ -306,6 +304,16 @@ def integer_triple(a: Fraction, b: Fraction, c: Fraction) -> tuple[int, int, int
     return an * (L // ad), bn * (L // bd), cn * (L // cd), L
 
 
+def reversed_set_up(triple: tuple, starts: tuple) -> tuple[tuple, tuple]:
+    """The set-up of V_j = W_{2-j} from W's: sign(T)*(-S, -R, L, T), least
+    as gcd(R, S, T, L) = 1, and (u2, u1, u0, d); at T = 0 there is none."""
+    R, S, T, L = triple
+    if not T:
+        raise NegativeIndexWithZeroT
+    u0, u1, u2, d = starts
+    return ((-S, -R, L, T) if T > 0 else (S, R, -L, -T)), (u2, u1, u0, d)
+
+
 def scaled_window(triple: tuple, starts: tuple, m: int, rho: IntRow) -> tuple[int, int]:
     """(rho . (n0, n1, n2), e) with W_{m+j} = n_j / (d*e), from one
     polynomial power on ints; nothing is divided.  *triple* is (R, S, T, L)
@@ -315,11 +323,9 @@ def scaled_window(triple: tuple, starts: tuple, m: int, rho: IntRow) -> tuple[in
     With x^k = c0 + c1*x + c2*x^2 modulo x^3 - r*x^2 - s*x - t,
     W_{k+j} = c0*W_j + c1*W_{j+1} + c2*W_{j+2} (Cayley-Hamilton; Fiduccia
     1985).  With q = L, y = q*x satisfies y^3 - R*y^2 - S*L*y - T*L^2.
-    For m < 0 (T = 0 raises NegativeIndexWithZeroT) the same power runs on
-    V_j = W_{2-j}, which follows the reversed triple (-S/T, -R/T, L/T) from
-    (W_2, W_1, W_0), and the window comes back reversed.  L is least, so
-    gcd(R, S, T, L) = 1 and that triple's least common denominator, its q,
-    is |T|.  e = q^(|m|+2) (1 at m = 0).  Each bit of |m| after the leading
+    For m < 0 the window is V's at -m reversed, so the same power runs on
+    :func:`reversed_set_up` with rho reversed: q = |T|.
+    e = q^(|m|+2) (1 at m = 0).  Each bit of |m| after the leading
     one costs a square (six products, or five squares above the
     _FIVE_SQUARE_BITS crossover), each set bit after it a shift by y.  The
     last square and shift are :func:`_last_step`, which past the
@@ -327,28 +333,22 @@ def scaled_window(triple: tuple, starts: tuple, m: int, rho: IntRow) -> tuple[in
     instead of five, and reads |m| = 1 off y with neither.
     """
     _require_int(m, "the index m")
+    if m < 0:  # (W_m, W_m+1, W_m+2) = (V_{-m+2}, V_{-m+1}, V_{-m})
+        (triple, starts), m, rho = reversed_set_up(triple, starts), -m, rho[::-1]
     u0, u1, u2, _ = starts
     if m == 0:
         return rho[0] * u0 + rho[1] * u1 + rho[2] * u2, 1
-    R, S, T, L = triple
-    if m > 0:
-        q, coeffs = L, (R, S * L, T * L * L)
-    else:
-        if T == 0:
-            raise NegativeIndexWithZeroT
-        q, u0, u2 = abs(T), u2, u0
-        coeffs = -S * q // T, -R * T, L * T * q
-    size = abs(m)
-    # y^(size >> 1) once the loop is done; None at size 1, where y^|m| is y.
-    c = (0, 1, 0) if size > 1 else None
-    for bit in bin(size)[3:-1]:
+    R, S, T, q = triple
+    coeffs = R, S * q, T * q * q
+    # y^(m >> 1) once the loop is done; None at m = 1, where y^m is y.
+    c = (0, 1, 0) if m > 1 else None
+    for bit in bin(m)[3:-1]:
         c = _sqr_mod(c, coeffs)
         if bit == "1":
             c = _shift_mod(c, coeffs)
     # u_j = d*q^j*W_j are integers that follow y's recurrence (coeffs), so
     # a0*u_j + a1*u_{j+1} + a2*u_{j+2} is d*q^(k+j)*W_{k+j}.
-    return (_last_step(c, size & 1, coeffs, (u0, u1 * q, u2 * q * q), q, m < 0, rho),
-            q ** (size + 2))
+    return _last_step(c, m & 1, coeffs, (u0, u1 * q, u2 * q * q), q, rho), q ** (m + 2)
 
 
 def term_matrix(seq: SequenceDef, n: int,

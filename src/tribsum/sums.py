@@ -3,27 +3,26 @@
 Six sum families are supported: forward/backward crossed with all/even/odd
 indices.  Forward sums run over k = 0..n (so n >= 0); backward sums run
 over k = 1..n with negated indices (so n >= 1).  Each family has a generic
-closed form valid when the denominator expressions
-
-    d1 = r + s + t - 1        d2 = r - s + t + 1
-
-do not vanish, plus dedicated even/odd formulas for the degenerate triple
+closed form valid where d1 = r + s + t - 1 and d2 = r - s + t + 1 do not
+vanish, plus dedicated even/odd formulas for the degenerate triple
 (r, s, t) = (0, 2, 1), where d2 = 0 and the sums pick up a term linear in n.
 Parameter triples with no proven formula fall back to the literal sum,
-flagged as ``OracleFallback`` in the result.
+flagged as ``OracleFallback`` in the result.  The paper's formulas are the
+seven forward clauses and the two backward (0, 2, 1) ones; every other
+backward sum steps back to a forward one of V_j = W_{2-j} (_STEP_BACK).
 
 One table, :func:`_gate`, gives each condition's divisor where its clauses
 are proven and 0 everywhere else, and at most one of its "generic" and "021"
 gates is nonzero; dispatch and :func:`closed_form_value` read it once per
 sum.  Each clause is a linear form: it returns integer coefficient triples
 (rho, kappa), polynomials in (r, s, t, o, n) homogeneous in (r, s, t, o), for
-the window W_m, W_m+1, W_m+2 its family reads and for W_0, W_1, W_2.  There
-is one combine.  A sum reads its six rationals once, in the integer set-up of
-:mod:`tribsum.core`: (R, S, T, L) = L*(r, s, t, 1) and u = d*(W_0, W_1, W_2).
-It calls its clause once on (R, S, T, L), takes rho . D*window from
-:func:`~tribsum.core.scaled_window` (or from a caller's term function), with
-D = d*q^(|m|+2), adds kappa . D*(W_0, W_1, W_2) as (kappa . u)*q^(|m|+2) and
-builds one Fraction.
+the window X_m, X_m+1, X_m+2 its family reads and for X_0, X_1, X_2, X = W
+or V.  There is one combine.  A sum reads its six rationals once, in the
+integer set-up of :mod:`tribsum.core`: (R, S, T, L) = L*(r, s, t, 1) and
+u = d*(W_0, W_1, W_2), reversed for V.  It calls its clause once on
+(R, S, T, L), takes rho . D*window from :func:`~tribsum.core.scaled_window`
+(or from a caller's term function), with D = d*q^(|m|+2), adds
+kappa . D*(X_0, X_1, X_2) as (kappa . u)*q^(|m|+2) and builds one Fraction.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ from .core import (  # Direction, Parity, SumMismatch, SumQuery: re-exported
     SumQuery,
     as_rational,
     integer_triple,
+    reversed_set_up,
     scaled_window,
 )
 
@@ -90,7 +90,7 @@ def _gate(condition: str, parity: Parity, r, s, t, o=1):
     for "generic"; r + t on s = o for "s=1"; s - o on r + t = 0 for
     "r+t=0"; 1 (EVEN) or 2 (ODD) at (0, 2o, o) for "021"; 0 for "oracle".
     Each clause's numerator is homogeneous in (r, s, t, o) of its gate's
-    degree, and at o = 1 it is the paper's formula, term for term."""
+    degree; at o = 1 each _CLOSED_FORMS one is the paper's, term for term."""
     if condition == "generic":
         d1 = r + s + t - o
         return d1 if parity is Parity.ALL else d1 * (r - s + t + o)
@@ -153,28 +153,6 @@ def _fwd_021_odd(r, s, t, o, n: int):  # rho on W_{2n}, W_{2n+1}, W_{2n+2}
     return (1, 1, 1), (2 * n - 1, 2 * n + 1, -2 * n - 1)
 
 
-def _bwd_all_generic(r, s, t, o, n: int):  # rho on W_{-n-3}, W_{-n-2}, W_{-n-1}
-    return (-t, -(s + t), -(r + s + t)), (o - r - s, o - r, o)
-
-
-def _bwd_even_generic(r, s, t, o, n: int):  # rho on W_{-2n-1}, W_{-2n}, W_{-2n+1}
-    return ((s * t - t * o, r * r + r * t + s * o - o * o, -(r + t) * o),
-            (o * o - r * t - 2 * s * o - r * r + s * s, t * o + r * s, (o - s) * o))
-
-
-def _bwd_odd_generic(r, s, t, o, n: int):  # rho on W_{-2n-1}, W_{-2n}, W_{-2n+1}
-    return ((-(t * t + r * t), -(t * o + r * s), (s - o) * o),
-            (t * o - s * t, o * o - r * r - r * t - s * o, (r + t) * o))
-
-
-def _bwd_even_r_plus_t_zero(r, s, t, o, n: int):  # rho on W_{-2n-1}, W_{-2n}, W_{-2n+1}
-    return (-t, -o, 0), (o - s, t, o)
-
-
-def _bwd_odd_r_plus_t_zero(r, s, t, o, n: int):  # rho on W_{-2n-1}, W_{-2n}, W_{-2n+1}
-    return (0, -t, -o), (t, o, 0)
-
-
 def _bwd_021_even(r, s, t, o, n: int):  # rho on W_{-2n-1}, W_{-2n}, W_{-2n+1}
     return (0, 1, -1), (-1 - n, 1 - n, n)
 
@@ -193,13 +171,21 @@ _CLOSED_FORMS: dict[FormulaCase, Callable] = {
     FormulaCase.FwdOdd_S1: _fwd_odd_s1,
     FormulaCase.Fwd_021_Even: _fwd_021_even,
     FormulaCase.Fwd_021_Odd: _fwd_021_odd,
-    FormulaCase.BwdAll_Generic: _bwd_all_generic,
-    FormulaCase.BwdEven_Generic: _bwd_even_generic,
-    FormulaCase.BwdOdd_Generic: _bwd_odd_generic,
-    FormulaCase.BwdEven_RplusT0: _bwd_even_r_plus_t_zero,
-    FormulaCase.BwdOdd_RplusT0: _bwd_odd_r_plus_t_zero,
     FormulaCase.Bwd_021_Even: _bwd_021_even,
     FormulaCase.Bwd_021_Odd: _bwd_021_odd,
+}
+
+# Backward case -> (V's forward case, its n less the backward n, the V_0,
+# V_1, V_2 it drops): W_{-k} = V_{k+2}, so sum_{k=1..n} W_{-k} is
+# FwdAll_V(n+2) - V_0 - V_1 - V_2, the even sum FwdEven_V(n+1) - V_0 - V_2
+# and the odd one FwdOdd_V(n) - V_1; r + t = 0 is s = 1 on V, and each gate
+# on V vanishes with the backward one.  (0, 2, 1) reverses to (-2, 0, 1).
+_STEP_BACK = {
+    FormulaCase.BwdAll_Generic: (FormulaCase.FwdAll_Generic, 2, (1, 1, 1)),
+    FormulaCase.BwdEven_Generic: (FormulaCase.FwdEven_Generic, 1, (1, 0, 1)),
+    FormulaCase.BwdOdd_Generic: (FormulaCase.FwdOdd_Generic, 0, (0, 1, 0)),
+    FormulaCase.BwdEven_RplusT0: (FormulaCase.FwdEven_S1, 1, (1, 0, 1)),
+    FormulaCase.BwdOdd_RplusT0: (FormulaCase.FwdOdd_S1, 0, (0, 1, 0)),
 }
 
 
@@ -209,11 +195,10 @@ def closed_form_value(case: FormulaCase, seq: SequenceDef, n: int,
 
     ValueError where the case's :func:`_gate` is 0, as it always is for
     OracleFallback.  n follows :class:`SumQuery`'s rules.  The clause reads
-    one window W_m..W_{m+2}: from :func:`~tribsum.core.scaled_window` by
-    default, else from *term*, called for exactly those three indices and
-    returning ints or Fractions.  Either way it runs on the ints of one
-    integer set-up, (R, S, T, L) and d*(W_0, W_1, W_2), and on D*W with D
-    the window's common denominator: one Fraction over gate*D.
+    one window of three terms, W's or mirrored V's (:func:`_clause`), from
+    :func:`~tribsum.core.scaled_window` by default, else from *term*,
+    called for exactly those three W indices and returning ints or
+    Fractions; :func:`_combine` makes one Fraction of it.
 
     No code in this package passes *term*.  It stays only for the
     benchmark's traced runs (``tribbench/worker.py``), which time the
@@ -229,28 +214,42 @@ def closed_form_value(case: FormulaCase, seq: SequenceDef, n: int,
     return _combine(case, n, triple, gate, integer_triple(seq.w0, seq.w1, seq.w2), term)
 
 
+def _clause(case: FormulaCase, n: int, triple: tuple, gate: int, starts: tuple) -> tuple:
+    """(rho, kappa, gate, m, triple, starts) for *case* at n and *gate* on W's
+    set-up: gate*S(n) = rho . X(m) + kappa . X(0), X(k) = (X_k, X_k+1, X_k+2),
+    X the sequence of the set-up returned, W's or for a _STEP_BACK case V's."""
+    direction, parity, _ = case.value
+    back = None
+    if direction is Direction.BACKWARD:
+        back = _STEP_BACK.get(case)
+        if back is None:  # the (0, 2, 1) clauses, whose window starts at m = -2n - 1
+            return (*_CLOSED_FORMS[case](*triple, n), gate, -2 * n - 1, triple, starts)
+        case, shift, (x0, x1, x2) = back  # V's forward clause, less the V_0, V_1, V_2 it drops
+        triple, starts = reversed_set_up(triple, starts)  # at t = 0, NegativeIndexWithZeroT
+        gate = _gate(case.value[2], parity, *triple)
+        n += shift
+    rho, kappa = _CLOSED_FORMS[case](*triple, n)
+    if back is not None:
+        kappa = kappa[0] - gate * x0, kappa[1] - gate * x1, kappa[2] - gate * x2
+    m = n + 1 if parity is Parity.ALL else 2 * n  # a forward window, on W or on V
+    return rho, kappa, gate, m, triple, starts
+
+
 def _combine(case: FormulaCase, n: int, triple: tuple, gate: int, starts: tuple,
              term: TermFn | None = None) -> Fraction:
     """:func:`closed_form_value` past its checks of *case* and n, on the
-    ints of :func:`~tribsum.core.integer_triple`: *triple* = (R, S, T, L),
-    the case's nonzero *gate* there, and *starts* = (u0, u1, u2, d) with
-    u = d*(W_0, W_1, W_2).  The window is W_{m+j} = n_j / (d*e): the
-    kernel's, e = q^(|m|+2), or *term*'s, e the lcm of its denominators.
-    The numerator is the clause's rho . (n0, n1, n2) plus its
-    kappa . D*(W_0, W_1, W_2) = (kappa . u)*e, one bignum product, over
-    gate*d*e.  A backward window has m < 0, so at t = 0 the kernel, or
-    *term*, raises NegativeIndexWithZeroT."""
-    direction, parity, _ = case.value
-    if direction is Direction.FORWARD:  # m: the window's first index
-        m = n + 1 if parity is Parity.ALL else 2 * n
-    else:
-        m = -n - 3 if parity is Parity.ALL else -2 * n - 1
-    rho, (k0, k1, k2) = _CLOSED_FORMS[case](*triple, n)
+    ints of :func:`~tribsum.core.integer_triple`, (R, S, T, L) and
+    (u0, u1, u2, d), where *gate* is nonzero.  On :func:`_clause`'s
+    set-up the window is X_{m+j} = n_j / (d*e): the kernel's,
+    e = q^(|m|+2), or *term*'s, e the lcm of its denominators.  The sum is
+    rho . (n0, n1, n2) + (kappa . u)*e, one bignum product, over gate*d*e."""
+    rho, (k0, k1, k2), gate, m, triple, starts = _clause(case, n, triple, gate, starts)
     u0, u1, u2, d = starts
     if term is None:
         value, e = scaled_window(triple, starts, m, rho)
-    else:
-        window = [as_rational(term(k)) for k in range(m, m + 3)]
+    else:  # V_m, V_m+1, V_m+2 are W_{2-m}, W_{1-m}, W_{-m}
+        indices = range(2 - m, -1 - m, -1) if case in _STEP_BACK else range(m, m + 3)
+        window = [as_rational(term(k)) for k in indices]
         e = math.lcm(*(v.denominator for v in window))
         n0, n1, n2 = (d * v.numerator * (e // v.denominator) for v in window)
         value = rho[0] * n0 + rho[1] * n1 + rho[2] * n2

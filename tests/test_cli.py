@@ -34,7 +34,8 @@ def run(capsys, *argv):
 
 def _break_fwd_all(monkeypatch, value=999):
     """Make the FwdAll_Generic clause's numerator *value* * D*W_2 for every
-    query: Tribonacci's sums (W_2 = 1, gate 2) then read value/2."""
+    query: Tribonacci's sums (W_2 = 1, gate 2) then read value/2.  The
+    BwdAll_Generic sums, forward ones of V_j = W_{2-j}, break with it."""
     broken = dict(sums._CLOSED_FORMS)
     broken[sums.FormulaCase.FwdAll_Generic] = lambda r, s, t, o, n: ((0, 0, 0), (0, 0, value))
     monkeypatch.setattr(sums, "_CLOSED_FORMS", broken)
@@ -271,9 +272,11 @@ class TestVerify:
         records = [json.loads(line) for line in out.splitlines()]
         suite = next(r for r in records if r["suite"] == "formula-vs-oracle")
         assert suite["status"] == "FAIL"
-        assert len(suite["failures"]) == suite["failed"] == 4
-        # Perrin's W_2 = 2 and gate 1: the broken sums read 2 * 999.
-        assert all("FwdAll_Generic gave 1998" in f for f in suite["failures"])
+        assert len(suite["failures"]) == suite["failed"] == 7
+        # Perrin's W_2 = 2 and gate 1: the broken sums read 2 * 999.  Its V
+        # is (-1, 0, 1) from (2, 0, 3), gate -1: (999*3 + 5) / -1.
+        assert [f.split(": ")[1].split(",")[0] for f in suite["failures"]] == (
+            ["FwdAll_Generic gave 1998"] * 4 + ["BwdAll_Generic gave -3002"] * 3)
         assert records[-1]["status"] == "FAIL"
 
     def test_huge_failure_reported(self, capsys, monkeypatch):
@@ -285,9 +288,10 @@ class TestVerify:
         assert (code, err) == (EXIT_MISMATCH, "")
         records = [json.loads(line) for line in out.splitlines()]
         suite = next(r for r in records if r["suite"] == "formula-vs-oracle")
-        assert suite["failed"] == 3
-        assert all("FwdAll_Generic gave <16609-bit rational>" in f
-                   for f in suite["failures"])
+        assert suite["failed"] == 5
+        # Tribonacci's V_2 = W_0 = 0, so the backward sums stay small.
+        assert [f.split(": ")[1].split(",")[0] for f in suite["failures"]] == (
+            ["FwdAll_Generic gave <16609-bit rational>"] * 3 + ["BwdAll_Generic gave -2"] * 2)
 
 
 class TestOeisCheck:
@@ -669,6 +673,15 @@ class TestJsonErrors:
         monkeypatch.setattr(cli, "_HelpFormatter", argparse.HelpFormatter)
         assert ours == texts()
         assert all((out or err).startswith("usage: tribsum") for _, out, err in ours)
+
+    def test_formatter_has_only_the_late_width(self):
+        """The formatter's lazy attributes are the width and help position
+        alone; any other missing name is an AttributeError, so hasattr is
+        False and reading it sets no width."""
+        formatter = cli._HelpFormatter("tribsum")
+        assert not hasattr(formatter, "no_such_name")
+        assert "_width" not in vars(formatter)
+        assert formatter._width == argparse.HelpFormatter("tribsum")._width
 
     def test_text_mode_unchanged(self, capsys, monkeypatch):
         _break_fwd_all(monkeypatch)

@@ -491,7 +491,10 @@ class TestScaledWindow:
         params = inspect.signature(scaled_window).parameters
         assert list(params) == ["triple", "starts", "m", "rho"]
         assert all(p.default is p.empty for p in params.values())
-        assert list(inspect.signature(core._last_step).parameters)[-1] == "rho"
+        # A backward window is the reversed form on V_j = W_{2-j}: the last
+        # step only ever reads a forward one.
+        assert list(inspect.signature(core._last_step).parameters) == [
+            "a", "b", "coeffs", "u", "q", "rho"]
         assert not hasattr(core, "window")
 
     @pytest.mark.parametrize("m", [0, 1, 2, 5, 300, 4097, -1, -2, -5, -300, -4097])
@@ -520,9 +523,9 @@ def hankel_reference(a, g):
     return sum(a[i] * a[j] * g[i + j] for i in range(3) for j in range(3))
 
 
-def readout_reference(a, b, coeffs, u, q, backward, rho):
+def readout_reference(a, b, coeffs, u, q, rho):
     """rho . window for the power (a0 + a1*y + a2*y^2)^2 * y^b: the square
-    by mul_mod, then n_j = q^(2-j) * sum_e c_e*u_{e+j}, reversed for m < 0."""
+    by mul_mod, then n_j = q^(2-j) * sum_e c_e*u_{e+j}."""
     R, S, T = coeffs
     c = mul_mod(a, a, coeffs)
     if b:
@@ -531,8 +534,6 @@ def readout_reference(a, b, coeffs, u, q, backward, rho):
     while len(u) < 5:
         u.append(R * u[-1] + S * u[-2] + T * u[-3])
     nums = [q ** (2 - j) * sum(c[e] * u[e + j] for e in range(3)) for j in range(3)]
-    if backward:
-        nums.reverse()
     return sum(w * v for w, v in zip(rho, nums))
 
 
@@ -576,17 +577,17 @@ class TestReadout:
     @given(a=st.tuples(big_ints, big_ints, big_ints), b=st.integers(0, 1),
            coeffs=st.tuples(*[st.integers(-3, 3)] * 3),
            u=st.tuples(*[st.integers(-3, 3)] * 3), q=st.integers(1, 4),
-           backward=st.booleans(), rho=st.tuples(*[st.integers(-2, 2)] * 3),
+           rho=st.tuples(*[st.integers(-2, 2)] * 3),
            more=st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=2, max_size=2))
     @settings(max_examples=200, deadline=None)
-    def test_read_window_matches_reference(self, a, b, coeffs, u, q, backward, rho, more):
+    def test_read_window_matches_reference(self, a, b, coeffs, u, q, rho, more):
         """core._last_step on each form, read from the Hankel form with the
         crossover at 0 and from the square with the crossover out of reach."""
         for form in (rho, *more):
-            expected = readout_reference(a, b, coeffs, u, q, backward, form)
+            expected = readout_reference(a, b, coeffs, u, q, form)
             for readout_bits in (0, 10**9):
                 with mock.patch.object(core, "_READOUT_BITS", readout_bits):
-                    assert core._last_step(a, b, coeffs, u, q, backward, form) == expected
+                    assert core._last_step(a, b, coeffs, u, q, form) == expected
 
     @pytest.mark.parametrize("b", [0, 1])
     def test_zero_diagonal_takes_the_full_square(self, monkeypatch, b):
@@ -601,7 +602,7 @@ class TestReadout:
 
         monkeypatch.setattr(core, "_sqr_mod", counting)
         monkeypatch.setattr(core, "_READOUT_BITS", 0)
-        a, args = (3 << 4000, -(1 << 3999), 5), ((0, 2, 0), (0, 1, 0), 1, False)
+        a, args = (3 << 4000, -(1 << 3999), 5), ((0, 2, 0), (0, 1, 0), 1)
         rho = (1, 0, 0)
         assert core._last_step(a, b, *args, rho) == readout_reference(a, b, *args, rho)
         assert len(squares) == 1 - b

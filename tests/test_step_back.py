@@ -9,8 +9,8 @@ import pytest
 from tribsum import cli, oracle, term_iterative
 from tribsum.core import (Direction, NegativeIndexWithZeroT, Parity, SequenceDef, SumQuery,
                           integer_triple, scaled_window, term_matrix)
-from tribsum.sums import (_CLOSED_FORMS, FormulaCase, _gate, closed_form_value, evaluate,
-                          select_case, sum_oracle)
+from tribsum.sums import (FormulaCase, _gate, closed_form_value, evaluate, select_case,
+                          sum_oracle)
 
 MESSAGE = "stepping back needs t != 0"
 
@@ -22,7 +22,7 @@ FALLBACK = SequenceDef.of("1/2", "1/2", 0, 0, 1, 1)
 def _backward_cases(seq):
     """The backward clauses whose gate is nonzero at seq's triple."""
     triple = integer_triple(*seq.params)
-    return [case for case in _CLOSED_FORMS
+    return [case for case in FormulaCase
             if case.value[0] is Direction.BACKWARD
             and _gate(case.value[2], case.value[1], *triple)]
 

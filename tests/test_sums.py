@@ -13,7 +13,7 @@ from tribsum.core import (
     RecurrenceParams,
     SequenceDef,
 )
-from tribsum import term_iterative
+from tribsum import oracle_sum, term_iterative
 from tribsum.oracle import term_table
 from tribsum.sums import (
     Direction,
@@ -307,6 +307,34 @@ class TestEvaluate:
             q = SumQuery(Direction.BACKWARD, parity, n)
             assert evaluate(seq, q).value == sum_oracle(seq, q)
 
+    @given(r=rationals, s=rationals, t=rationals.filter(lambda q: q != 0),
+           w0=rationals, w1=rationals, w2=rationals,
+           n=st.integers(min_value=1, max_value=40), on_r_plus_t=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    @example(r=Fraction(0), s=Fraction(2), t=Fraction(1), w0=Fraction(3), w1=Fraction(-2),
+             w2=Fraction(5, 3), n=7, on_r_plus_t=False)
+    @example(r=Fraction(2, 3), s=Fraction(4, 9), t=Fraction(-8, 27), w0=Fraction(1),
+             w1=Fraction(-1, 2), w2=Fraction(3), n=40, on_r_plus_t=False)
+    @example(r=Fraction(1), s=Fraction(3, 2), t=Fraction(-2, 3), w0=Fraction(1),
+             w1=Fraction(1, 2), w2=Fraction(-1), n=9, on_r_plus_t=True)
+    def test_backward_is_forward_of_reversed(self, r, s, t, w0, w1, w2, n, on_r_plus_t):
+        """On the public API alone: V_j = W_{2-j} is the sequence
+        (-s/t, -r/t, 1/t) from (W_2, W_1, W_0) and W_{-k} = V_{k+2}, so each
+        backward sum is a forward sum of V at n+2, n+1 or n, less
+        V_0+V_1+V_2, V_0+V_2 or V_1; on r + t = 0 the RplusT0 clauses too."""
+        if on_r_plus_t:
+            r = -t
+        seq = seq_of(r, s, t, w0, w1, w2)
+        v = seq_of(-s / t, -r / t, 1 / t, w2, w1, w0)
+        for parity, shift, dropped in ((Parity.ALL, 2, w2 + w1 + w0), (Parity.EVEN, 1, w2 + w0),
+                                       (Parity.ODD, 0, w1)):
+            query = SumQuery(Direction.BACKWARD, parity, n)
+            forward = evaluate(v, SumQuery(Direction.FORWARD, parity, n + shift)).value
+            assert evaluate(seq, query).value == forward - dropped == oracle_sum(seq, query)
+            if on_r_plus_t and s != 1 and parity is not Parity.ALL:
+                case = FormulaCase((Direction.BACKWARD, parity, "r+t=0"))
+                assert closed_form_value(case, seq, n) == forward - dropped
+
 
 class TestParityPartition:
     def test_catalog(self, catalog_defs):
@@ -381,15 +409,58 @@ class TestDegenerateLinearTerm:
         assert all(ddf == 0 for ddf in second)
 
 
-# The first index of the three-term window each family's clauses read.
-WINDOW_START = {
-    (Direction.FORWARD, Parity.ALL): lambda n: n + 1,
-    (Direction.FORWARD, Parity.EVEN): lambda n: 2 * n,
-    (Direction.FORWARD, Parity.ODD): lambda n: 2 * n,
-    (Direction.BACKWARD, Parity.ALL): lambda n: -n - 3,
-    (Direction.BACKWARD, Parity.EVEN): lambda n: -2 * n - 1,
-    (Direction.BACKWARD, Parity.ODD): lambda n: -2 * n - 1,
-}
+FAMILIES = [(direction, parity) for direction in Direction for parity in Parity]
+
+
+def steps_back(case):
+    """Every backward case but the (0, 2, 1) ones is a forward sum of
+    V_j = W_{2-j}, which follows (-s/t, -r/t, 1/t) from (W_2, W_1, W_0)."""
+    direction, _, condition = case.value
+    return direction is Direction.BACKWARD and condition != "021"
+
+
+def clause_case(case):
+    """The case whose clause a sum of *case* calls: its own, or for one that
+    steps back V's forward case, where r + t = 0 is s = 1."""
+    if not steps_back(case):
+        return case
+    _, parity, condition = case.value
+    return FormulaCase((Direction.FORWARD, parity, "s=1" if condition == "r+t=0" else condition))
+
+
+def kernel_start(case, n):
+    """The first index m of the window a sum of *case* at bound n reads from
+    its one kernel call: W_m forward and for (0, 2, 1), else V_m.  With
+    W_{-k} = V_{k+2} the backward sums are FwdAll_V(n+2) - V_0 - V_1 - V_2,
+    FwdEven_V(n+1) - V_0 - V_2 and FwdOdd_V(n) - V_1."""
+    direction, parity, condition = case.value
+    if direction is Direction.FORWARD:
+        return n + 1 if parity is Parity.ALL else 2 * n
+    if condition == "021":
+        return -2 * n - 1
+    return {Parity.ALL: n + 3, Parity.EVEN: 2 * n + 2, Parity.ODD: 2 * n}[parity]
+
+
+def window_indices(case, n):
+    """The W indices of that window in its order: V_m, V_m+1, V_m+2 are
+    W_{2-m}, W_{1-m}, W_{-m}."""
+    m = kernel_start(case, n)
+    return [2 - m, 1 - m, -m] if steps_back(case) else [m, m + 1, m + 2]
+
+
+def window_start(case, n):
+    """The least W index of the window, where core.scaled_window on W's
+    set-up makes the same kernel run as the sum."""
+    return min(window_indices(case, n))
+
+
+def kernel_call(case, seq, n):
+    """(triple, m) of the kernel call a sum of *case* at bound n makes: on
+    L*(r, s, t, 1), or for a case that steps back on V's triple."""
+    r, s, t = seq.params
+    triple = (-s / t, -r / t, 1 / t) if steps_back(case) else (r, s, t)
+    return core.integer_triple(*triple), kernel_start(case, n)
+
 
 # A sequence meeting each condition's guard, with d1 * d2 != 0 outside "021".
 CONDITION_SEQ = {
@@ -421,7 +492,7 @@ class TestWindowDispatch:
     def test_clause_reads_only_its_window(self, case):
         """*term* is called for the clause's window, each index once, and
         the sum on those terms equals the one on the kernel's window."""
-        direction, parity, condition = case.value
+        direction, _, condition = case.value
         # n = 0 puts the forward even/odd window at m = 0, where D = d.
         first = 0 if direction is Direction.FORWARD else 1
         seqs = [CONDITION_SEQ[condition]]
@@ -435,23 +506,21 @@ class TestWindowDispatch:
                 return term_iterative(seq, k)
 
             value = closed_form_value(case, seq, n, term)
-            m = WINDOW_START[direction, parity](n)
-            assert sorted(read) == [m, m + 1, m + 2]
+            assert read == window_indices(case, n)
             assert value == closed_form_value(case, seq, n)
 
     @pytest.mark.parametrize("condition", ["generic", "021"])
-    @pytest.mark.parametrize("family", list(WINDOW_START),
-                             ids=lambda f: f"{f[0].value}-{f[1].value}")
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f"{f[0].value}-{f[1].value}")
     def test_evaluate_computes_one_window(self, monkeypatch, family, condition):
         """One integer set-up, a read of (r, s, t) and one of W_0..W_2, and
-        one kernel call on its ints."""
+        one kernel call on its ints, or on V's for a case that steps back."""
         seq = CONDITION_SEQ[condition]
         reads, calls = count_set_up(monkeypatch)
         result = evaluate(seq, SumQuery(*family, 1000))
         expected = "generic" if family[1] is Parity.ALL else condition
         assert result.case_used.value == (*family, expected)
         assert reads == set_up_reads(seq)
-        assert calls == [WINDOW_START[family](1000)]
+        assert calls == [kernel_call(result.case_used, seq, 1000)]
 
 
 class TestReadoutCrossover:
@@ -464,13 +533,12 @@ class TestReadoutCrossover:
     @pytest.mark.parametrize("seq", [CONDITION_SEQ["generic"], Q252_SEQ, CONDITION_SEQ["021"],
                                      seq_of(1, 1, 1, 0, 0, 1)],
                              ids=["generic", "q252", "021", "tribonacci"])
-    @pytest.mark.parametrize("family", list(WINDOW_START),
-                             ids=lambda f: f"{f[0].value}-{f[1].value}")
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f"{f[0].value}-{f[1].value}")
     def test_family_at_crossover(self, monkeypatch, readouts, last_square_bits, family, seq,
                                  n, side):
-        bits = last_square_bits(seq, WINDOW_START[family](n))
-        monkeypatch.setattr(core, "_READOUT_BITS", bits - (side == "above"))
         query = SumQuery(*family, n)
+        bits = last_square_bits(seq, window_start(select_case(seq.params, query), n))
+        monkeypatch.setattr(core, "_READOUT_BITS", bits - (side == "above"))
         assert evaluate(seq, query).value == sum_oracle(seq, query)
         assert len(readouts) == (side == "above")
 
@@ -485,8 +553,7 @@ class TestReadoutCrossover:
                 assert value == sum_oracle(seq, SumQuery(direction, parity, n))
         assert len(readouts) == 4
 
-    @pytest.mark.parametrize("family", list(WINDOW_START),
-                             ids=lambda f: f"{f[0].value}-{f[1].value}")
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f"{f[0].value}-{f[1].value}")
     def test_021_far_past_crossover(self, readouts, family):
         """(0, 2, 1), whose even/odd kappa grows with n, at n = 10^4; its
         all-index sums take the generic clause."""
@@ -507,25 +574,26 @@ class TestOneClauseCall:
         direction, parity, condition = case.value
         seq, n = CONDITION_SEQ[condition], 151
         query = SumQuery(direction, parity, n)
-        bits = last_square_bits(seq, WINDOW_START[direction, parity](n))
+        bits = last_square_bits(seq, window_start(case, n))
         monkeypatch.setattr(core, "_READOUT_BITS", bits - (side == "above"))
-        clause, calls = sums._CLOSED_FORMS[case], []
+        clause, calls = sums._CLOSED_FORMS[clause_case(case)], []
+        triple = kernel_call(case, seq, n)[0]  # the clause runs on the kernel's triple
 
         def counting(*args):
             calls.append(args)
             return clause(*args)
 
-        monkeypatch.setitem(sums._CLOSED_FORMS, case, counting)
+        monkeypatch.setitem(sums._CLOSED_FORMS, clause_case(case), counting)
         expected = sum_oracle(seq, query)
         for term in (None, table_term(seq, n)):
             calls.clear()
             assert closed_form_value(case, seq, n, term) == expected
-            assert len(calls) == 1
+            assert len(calls) == 1 and calls[0][:4] == triple
         dispatched = select_case(seq.params, query) is case
         if dispatched:
             calls.clear()
             assert evaluate(seq, query).value == expected
-            assert len(calls) == 1
+            assert len(calls) == 1 and calls[0][:4] == triple
         assert dispatched == (condition in ("generic", "021"))
         assert len(readouts) == (side == "above") * (1 + dispatched)
 
@@ -636,7 +704,7 @@ class TestSinglePredicate:
 
 def count_set_up(monkeypatch):
     """(reads, calls): lists that get the rationals of each integer_triple
-    call and the m of each scaled_window call that sums makes."""
+    call and the (triple, m) of each scaled_window call that sums makes."""
     reads, calls = [], []
     integer_triple, scaled_window = sums.integer_triple, sums.scaled_window
 
@@ -645,7 +713,7 @@ def count_set_up(monkeypatch):
         return integer_triple(*values)
 
     def calling(triple, starts, m, rho):
-        calls.append(m)
+        calls.append((triple, m))
         return scaled_window(triple, starts, m, rho)
 
     monkeypatch.setattr(sums, "integer_triple", reading)
@@ -672,10 +740,10 @@ class TestIntegerCombine:
     @pytest.mark.parametrize("case", CLOSED_CASES, ids=lambda c: c.name)
     def test_clause_sees_only_ints(self, monkeypatch, case, source):
         """Every argument a clause receives, and every coefficient of the
-        rho and kappa it returns, is an int."""
+        rho and kappa it returns, is an int, also where it runs on V."""
         direction, parity, condition = case.value
         seq = SCALED_SEQ[condition]
-        clause = sums._CLOSED_FORMS[case]
+        clause = sums._CLOSED_FORMS[clause_case(case)]
         seen = []
 
         def checked(*args):  # (r, s, t, o, n) -> (rho, kappa)
@@ -684,7 +752,7 @@ class TestIntegerCombine:
             assert len(rho) == len(kappa) == 3
             return rho, kappa
 
-        monkeypatch.setitem(sums._CLOSED_FORMS, case, checked)
+        monkeypatch.setitem(sums._CLOSED_FORMS, clause_case(case), checked)
         for n in (1, 40):
             term = table_term(seq, n) if source == "term" else None
             value = closed_form_value(case, seq, n, term)
@@ -722,20 +790,24 @@ class TestIntegerCombine:
            n=st.integers(min_value=0, max_value=30))
     @settings(max_examples=20, deadline=None)
     def test_clause_is_homogeneous(self, case, k, n):
-        """rho . window + kappa . (W_0, W_1, W_2) from clause(k*r, k*s, k*t,
-        k) over its gate there is the sum at o = 1."""
+        """rho . X(m) + kappa . X(0) from the rows sums._clause builds at
+        (k*r, k*s, k*t, k) over its gate there is the sum at o = 1; X is W,
+        or V_j = W_{2-j} for a case that steps back."""
         direction, parity, condition = case.value
         seq = SCALED_SEQ[condition]
         n += direction is Direction.BACKWARD
         term = table_term(seq, n)
-        m = WINDOW_START[direction, parity](n)
+        x = (lambda k: term(2 - k)) if steps_back(case) else term
 
         def value(o):
             scaled = (o * seq.params.r, o * seq.params.s, o * seq.params.t, o)
-            rho, kappa = sums._CLOSED_FORMS[case](*scaled, n)
-            numerator = (sum(c * term(m + j) for j, c in enumerate(rho))
-                         + sum(c * w for c, w in zip(kappa, (seq.w0, seq.w1, seq.w2))))
-            return numerator / sums._gate(condition, parity, *scaled)
+            rho, kappa, gate, m, _, (u0, u1, u2, _) = sums._clause(
+                case, n, scaled, sums._gate(condition, parity, *scaled),
+                (seq.w0, seq.w1, seq.w2, 1))
+            assert m == kernel_start(case, n)
+            numerator = (sum(c * x(m + j) for j, c in enumerate(rho))
+                         + sum(c * u for c, u in zip(kappa, (u0, u1, u2))))
+            return numerator / gate
 
         assert value(k) == value(1) == closed_form_value(case, seq, n, term=term)
 
@@ -768,8 +840,7 @@ class TestIntegerCombine:
             monkeypatch.undo()
             assert built == []
 
-    @pytest.mark.parametrize("family", list(WINDOW_START),
-                             ids=lambda f: f"{f[0].value}-{f[1].value}")
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f"{f[0].value}-{f[1].value}")
     def test_one_kernel_sized_normalisation(self, monkeypatch, family):
         """Of all Fractions a sum builds, one has both a numerator and a
         denominator the kernel's size: the division by D."""
@@ -806,12 +877,12 @@ class TestIntegerCombine:
             result = evaluate(seq, query)
             assert result.case_used is case
             assert reads == set_up_reads(seq)
-            assert calls == [WINDOW_START[direction, parity](n)]
+            assert calls == [kernel_call(case, seq, n)]
         reads.clear()
         calls.clear()
         assert closed_form_value(case, seq, 1) == expected
         assert reads == set_up_reads(seq)
-        assert calls == [WINDOW_START[direction, parity](1)]
+        assert calls == [kernel_call(case, seq, 1)]
 
     @pytest.mark.parametrize("case", CLOSED_CASES, ids=lambda c: c.name)
     def test_six_reads_per_query(self, monkeypatch, case):
@@ -853,7 +924,7 @@ class TestTelescoping:
     def test_difference_is_added_term(self, query_indices, r, s, t, w0, w1, w2, n):
         seq = seq_of(r, s, t, w0, w1, w2)
         assume(_gate("generic", Parity.EVEN, r, s, t) != 0)  # d1*d2
-        for direction, parity in WINDOW_START:
+        for direction, parity in FAMILIES:
             if direction is Direction.BACKWARD and t == 0:
                 continue
             query = SumQuery(direction, parity, n)
@@ -945,6 +1016,26 @@ class TestSetUp:
         q = math.lcm(*(c.denominator for c in raised))
         e = core.scaled_window(core.integer_triple(*triple), starts, m, rho)[1]
         assert e == (q ** (abs(m) + 2) if m else 1)
+
+    @given(triple=shared_denominators(3), initial=shared_denominators(3))
+    @settings(max_examples=200, deadline=None)
+    @example(triple=(Fraction(2, 3), Fraction(4, 9), Fraction(-8, 27)),
+             initial=(Fraction(1), Fraction(-1, 2), Fraction(3)))
+    @example(triple=(Fraction(2, 5), Fraction(3, 5), Fraction(-6)),
+             initial=(Fraction(1, 6), Fraction(0), Fraction(-5, 4)))
+    def test_reversed_set_up(self, triple, initial):
+        """V_j = W_{2-j}: its set-up is the one of the reversed triple
+        (-s/t, -r/t, 1/t), least and with a positive denominator, and
+        (u2, u1, u0, d); at t = 0 there is none."""
+        r, s, t = triple
+        starts = core.integer_triple(*initial)
+        if t == 0:
+            with pytest.raises(NegativeIndexWithZeroT):
+                core.reversed_set_up(core.integer_triple(*triple), starts)
+            return
+        ints, reversed_starts = core.reversed_set_up(core.integer_triple(*triple), starts)
+        assert ints == core.integer_triple(-s / t, -r / t, 1 / t)
+        assert reversed_starts == (starts[2], starts[1], starts[0], starts[3])
 
     def test_case_table(self):
         assert len(sums._CASES) == len(FormulaCase)

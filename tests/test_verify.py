@@ -62,7 +62,8 @@ def test_specializations_cover_every_special_clause(monkeypatch):
 
 def test_specializations_report_a_wrong_clause(monkeypatch):
     """A special clause that disagrees with the literal sum fails the sweep,
-    with the oracle's value in the message."""
+    with the oracle's value in the message: FwdEven_S1 itself, and
+    BwdEven_RplusT0, which is FwdEven_S1 on the reversed sequence."""
     broken = dict(sums._CLOSED_FORMS)
     right = broken[FormulaCase.FwdEven_S1]
 
@@ -73,9 +74,12 @@ def test_specializations_report_a_wrong_clause(monkeypatch):
     broken[FormulaCase.FwdEven_S1] = wrong
     monkeypatch.setattr(sums, "_CLOSED_FORMS", broken)
     report = verify.sweep_specializations(random.Random(3), 6)
-    assert report.failed == 6 * 11
-    assert all(" fwd/even n=" in f and "FwdEven_S1 gave " in f and ", oracle " in f
-               for f in report.failures)
+    assert report.failed == 6 * 11 + 6 * 10
+    forward = [f for f in report.failures if " fwd/even n=" in f and "FwdEven_S1 gave " in f]
+    backward = [f for f in report.failures
+                if " bwd/even n=" in f and "BwdEven_RplusT0 gave " in f]
+    assert forward and backward and len(forward) + len(backward) == len(report.failures)
+    assert all(", oracle " in f for f in report.failures)
 
 
 def test_parity_partition_skips_backward_when_t_is_zero():
