@@ -8,9 +8,7 @@ primary OEIS ID has a bundled fixture and was confirmed by the alignment
 search in :mod:`tribsum.oeis`.
 """
 
-from __future__ import annotations
-
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 from .core import SequenceDef
 
@@ -23,14 +21,17 @@ class UnknownSequence(KeyError):
         return Exception.__str__(self)
 
 
-class CatalogEntry(NamedTuple):
-    key: str
-    definition: SequenceDef
-    oeis_ids: tuple[str, ...]
-    oeis_offset_shift: Optional[int] = None
+class CatalogEntry(namedtuple("CatalogEntry", "key definition oeis_ids oeis_offset_shift",
+                              defaults=(None,))):
+    """One named sequence: key, its catalog key; definition, its SequenceDef,
+    whose name is the display name; oeis_ids, a tuple of OEIS ids, the
+    primary one first; oeis_offset_shift, the b-file index minus n, or None
+    where no alignment was confirmed."""
+
+    __slots__ = ()
 
     @property
-    def primary_oeis_id(self) -> Optional[str]:
+    def primary_oeis_id(self) -> str | None:
         return self.oeis_ids[0] if self.oeis_ids else None
 
 

@@ -8,13 +8,10 @@ suite's record, and each error as one JSON record on stderr.  Exit codes:
 error, 3 verification mismatch, 4 OEIS check failure.
 """
 
-from __future__ import annotations
-
 import argparse
 import os
 import sys
 import time
-from typing import Optional
 
 from .catalog import CatalogEntry, UnknownSequence, list_all, lookup
 from .core import (_LITERAL, Direction, Parity, SequenceDef, SumMismatch, SumQuery,
@@ -192,7 +189,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all_ok else EXIT_MISMATCH
 
 
-def _oeis_outcome(entry: CatalogEntry, fixture_dir: Optional[str],
+def _oeis_outcome(entry: CatalogEntry, fixture_dir: str | None,
                   count: int) -> tuple[dict, str]:
     """One entry's record fields after command and seq, and its text after the key."""
     from .oeis import FixtureMissing, MalformedBFile, fetch_bfile
@@ -334,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     # Filled as parsing goes: --format is set before any later argument fails.
     args = argparse.Namespace()

@@ -27,15 +27,13 @@ The sum-query types live here too, so that both the closed forms and the
 literal oracle can depend on them without depending on each other.
 """
 
-from __future__ import annotations
-
 import enum
 import math
 import re
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
 
-RationalLike = Union[Fraction, int, str]
+RationalLike = Fraction | int | str
 
 
 class NegativeIndexWithZeroT(ValueError):
@@ -78,15 +76,14 @@ def format_rational(value: Fraction) -> str:
     return str(value)
 
 
-# The records below are tuples.  NamedTuple forbids defining __new__ in its
-# class body, so each one that coerces or checks its fields subclasses one.
-# Each also sets _make, which _replace (and copy.replace) build through, to
-# call the class: the inherited one goes through tuple.__new__, past the checks.
-_Params = NamedTuple("_Params", [("r", Fraction), ("s", Fraction), ("t", Fraction)])
-
-
-class RecurrenceParams(_Params):
-    """The coefficient triple (r, s, t) of the recurrence."""
+# The package's records are tuples: each subclasses a collections.namedtuple
+# of the same name, and its docstring gives its fields.  Those below coerce or
+# check their fields in __new__ and set _make, which _replace (and
+# copy.replace) build through, to call the class: the inherited one goes
+# through tuple.__new__, past the checks.
+class RecurrenceParams(namedtuple("RecurrenceParams", "r s t")):
+    """The coefficients of W_n = r*W_{n-1} + s*W_{n-2} + t*W_{n-3}: r, s
+    and t, each coerced to a Fraction."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))
@@ -95,24 +92,22 @@ class RecurrenceParams(_Params):
         return super().__new__(cls, as_rational(r), as_rational(s), as_rational(t))
 
 
-_Sequence = NamedTuple("_Sequence", [("params", RecurrenceParams), ("w0", Fraction),
-                                     ("w1", Fraction), ("w2", Fraction), ("name", Optional[str])])
-
-
-class SequenceDef(_Sequence):
-    """A recurrence plus its three initial terms and optional metadata."""
+class SequenceDef(namedtuple("SequenceDef", "params w0 w1 w2 name")):
+    """A recurrence plus its three initial terms and optional metadata:
+    params, its RecurrenceParams; w0, w1 and w2, the Fractions W_0, W_1 and
+    W_2; name, a display name or None."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, params: RecurrenceParams, w0: RationalLike, w1: RationalLike,
-                w2: RationalLike, name: Optional[str] = None) -> "SequenceDef":
+                w2: RationalLike, name: str | None = None) -> "SequenceDef":
         _require_type(params, RecurrenceParams, "params")
         return super().__new__(cls, params, *map(as_rational, (w0, w1, w2)), name)
 
     @classmethod
     def of(cls, r: RationalLike, s: RationalLike, t: RationalLike, w0: RationalLike,
-           w1: RationalLike, w2: RationalLike, name: Optional[str] = None) -> "SequenceDef":
+           w1: RationalLike, w2: RationalLike, name: str | None = None) -> "SequenceDef":
         return cls(RecurrenceParams(r, s, t), w0, w1, w2, name)
 
 
@@ -139,11 +134,9 @@ class Parity(enum.Enum):
     ODD = "odd"
 
 
-_Query = NamedTuple("_Query", [("direction", Direction), ("parity", Parity), ("n", int)])
-
-
-class SumQuery(_Query):
-    """Which sum is requested: direction x parity x bound n."""
+class SumQuery(namedtuple("SumQuery", "direction parity n")):
+    """Which sum is requested: direction, a Direction; parity, a Parity;
+    and the bound n, an int (n >= 0 forward, n >= 1 backward)."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))
@@ -233,7 +226,7 @@ def _shift_mod(a: IntRow, coeffs: IntRow) -> IntRow:
 _READOUT_BITS = 3072
 
 
-def _hankel_form(a: IntRow, g: tuple) -> Optional[int]:
+def _hankel_form(a: IntRow, g: tuple) -> int | None:
     """sum_ij a_i*a_j*g_{i+j} over i, j in 0..2 by three bignum squares, or
     None where the diagonal g0, g2, g4 of that Hankel form is all zero.
 
@@ -261,7 +254,7 @@ def _hankel_form(a: IntRow, g: tuple) -> Optional[int]:
             + (m11 * m22 - m12 * m12) * x2 ** 2) // (m11 * N)
 
 
-def _last_step(a: Optional[IntRow], b: int, coeffs: IntRow, u: IntRow, q: int,
+def _last_step(a: IntRow | None, b: int, coeffs: IntRow, u: IntRow, q: int,
                rho: IntRow) -> int:
     """rho . (n0, n1, n2) for :func:`scaled_window`'s window whose power is
     y^m = (a0 + a1*y + a2*y^2)^2 * y^b, m > 0, or y itself when a is None
@@ -352,7 +345,7 @@ def scaled_window(triple: tuple, starts: tuple, m: int, rho: IntRow) -> tuple[in
 
 
 def term_matrix(seq: SequenceDef, n: int,
-                counter: Optional[MultiplicationCounter] = None) -> Fraction:
+                counter: MultiplicationCounter | None = None) -> Fraction:
     """Return W_n, the form (1, 0, 0) of :func:`scaled_window`, as one Fraction.
 
     Exactly equal to the literal walk ``oracle.oracle_term(seq, n)`` on

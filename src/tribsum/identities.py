@@ -11,11 +11,9 @@ A clause is a function of (term, n) where ``term(k)`` returns W_k; it
 evaluates the closed form for the sum bounded by n.
 """
 
-from __future__ import annotations
-
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .core import Direction, Parity
 

@@ -11,16 +11,11 @@ B-files are read only from a fixture directory: the bundled package data,
 or a directory the caller names.  Nothing here touches the network.
 """
 
-from __future__ import annotations
-
 import re
-from typing import TYPE_CHECKING, NamedTuple, Optional, Union
+from collections import namedtuple
 
 from .core import SequenceDef
 from .oracle import term_table
-
-if TYPE_CHECKING:  # imported where a path is built, off the term and sum path
-    from pathlib import Path
 
 # Candidate index shifts, smallest first.  The window reaches to +6 because
 # the Padovan entry sits five positions deep in its b-file.
@@ -41,12 +36,12 @@ class FixtureMissing(FileNotFoundError):
     """No fixture file exists for the requested OEIS ID."""
 
 
-class BFile(NamedTuple):
-    """The terms of one b-file: values[j] is the term at index offset + j."""
+class BFile(namedtuple("BFile", "oeis_id offset values")):
+    """The terms of one b-file: oeis_id, its OEIS id ("" if unnamed);
+    offset, the index of its first term; values, a tuple of ints, values[j]
+    the term at index offset + j."""
 
-    oeis_id: str
-    offset: int
-    values: tuple[int, ...]
+    __slots__ = ()
 
     def value_at(self, index: int) -> int:
         if not 0 <= index - self.offset < len(self.values):
@@ -54,13 +49,12 @@ class BFile(NamedTuple):
         return self.values[index - self.offset]
 
 
-class AlignmentReport(NamedTuple):
-    """The smallest aligning shift with its count of matched terms, or
-    (None, 0) where no shift in SHIFT_WINDOW aligns."""
+class AlignmentReport(namedtuple("AlignmentReport", "oeis_id shift matched_terms")):
+    """The b-file's oeis_id, the smallest aligning shift (b-file index minus
+    n) and its count of matched_terms, or shift None and 0 where no shift in
+    SHIFT_WINDOW aligns."""
 
-    oeis_id: str
-    shift: Optional[int]
-    matched_terms: int
+    __slots__ = ()
 
 
 def parse_bfile(content: str, oeis_id: str = "") -> BFile:
@@ -122,14 +116,16 @@ def _fixture_filename(oeis_id: str) -> str:
     return f"b{m.group(1)}.txt"
 
 
-def default_fixture_dir() -> Path:
+# pathlib loads where a path is built, off the term and sum path, so the
+# annotations that name Path are strings.
+def default_fixture_dir() -> "Path":
     """The bundled fixture directory, next to this module (what
     ``importlib.resources.files`` gives for an installed or source tree)."""
     from pathlib import Path
     return Path(__file__).parent / "fixtures"
 
 
-def fetch_bfile(oeis_id: str, fixture_dir: Optional[Union[str, Path]] = None) -> BFile:
+def fetch_bfile(oeis_id: str, fixture_dir: "str | Path | None" = None) -> BFile:
     """Load a b-file from *fixture_dir*, else from :func:`default_fixture_dir`."""
     from pathlib import Path
     directory = Path(fixture_dir) if fixture_dir is not None else default_fixture_dir()

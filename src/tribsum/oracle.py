@@ -21,12 +21,10 @@ polynomial-power kernel in :mod:`tribsum.core`, so an agreement between
 them is meaningful.
 """
 
-from __future__ import annotations
-
 import math
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Iterator
 
 from .core import (Direction, NegativeIndexWithZeroT, Parity, SequenceDef,
                    SumQuery, _require_int)

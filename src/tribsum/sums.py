@@ -25,12 +25,11 @@ u = d*(W_0, W_1, W_2), reversed for V.  It calls its clause once on
 kappa . D*(X_0, X_1, X_2) as (kappa . u)*q^(|m|+2) and builds one Fraction.
 """
 
-from __future__ import annotations
-
 import enum
 import math
+from collections import namedtuple
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable, NamedTuple
 
 from .core import (  # Direction, Parity, SumMismatch, SumQuery: re-exported
     Direction,
@@ -79,9 +78,11 @@ class FormulaCase(enum.Enum):
 _CASES = {case.value: case for case in FormulaCase}
 
 
-class SumResult(NamedTuple):
-    value: Fraction
-    case_used: FormulaCase
+class SumResult(namedtuple("SumResult", "value case_used")):
+    """A sum's exact value, a Fraction, and the FormulaCase it was
+    computed by (case_used), OracleFallback where the literal sum gave it."""
+
+    __slots__ = ()
 
 
 def _gate(condition: str, parity: Parity, r, s, t, o=1):

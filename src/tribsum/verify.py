@@ -8,13 +8,11 @@ The CLI ``verify`` subcommand drives these; the test suite reuses them so
 the command line and pytest exercise identical checks.
 """
 
-from __future__ import annotations
-
 import random
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterable, Optional
 
 from . import identities, oracle
 from .catalog import list_all, lookup
@@ -150,7 +148,7 @@ def sweep_specializations(rng: random.Random, count: int) -> SuiteReport:
 
 
 def sweep_identities(max_n: int,
-                     keys: Optional[set[str]] = None) -> SuiteReport:
+                     keys: set[str] | None = None) -> SuiteReport:
     """The named-sequence closed forms must equal the literal sums."""
     report = SuiteReport("named-sequence-identities")
     defs = {entry.key: entry.definition for entry in list_all()}
@@ -166,7 +164,7 @@ def sweep_identities(max_n: int,
 
 
 def run_all(max_n: int = 100,
-            seq_filter: Optional[str] = None,
+            seq_filter: str | None = None,
             random_count: int = 0,
             seed: int = 0) -> list[SuiteReport]:
     """The full verification battery, as driven by the CLI."""

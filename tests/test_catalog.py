@@ -1,6 +1,6 @@
 import pytest
 
-from tribsum.catalog import UnknownSequence, list_all, lookup
+from tribsum.catalog import CatalogEntry, UnknownSequence, list_all, lookup
 from tribsum import term_iterative
 from tribsum.oeis import fetch_bfile
 
@@ -35,6 +35,11 @@ class TestRegistry:
     def test_primary_oeis_id(self):
         assert lookup("tribonacci").primary_oeis_id == "A000073"
         assert lookup("pell-perrin").primary_oeis_id is None
+
+    def test_offset_shift_defaults_to_none(self):
+        entry = CatalogEntry("k", lookup("perrin").definition, ())
+        assert entry.oeis_offset_shift is None and entry.primary_oeis_id is None
+        assert entry == ("k", lookup("perrin").definition, (), None)
 
     def test_integer_valued(self):
         for entry in list_all():

@@ -776,7 +776,11 @@ def test_fresh_interpreter_loads_exactly(statement, loaded):
 _PATH_MODULES = {"pathlib", "urllib.parse", "ipaddress", "ntpath", "fnmatch"}
 _WIDTH_MODULES = {"shutil", "bz2", "lzma"}
 
-# It lists the modules before it loads json to print them.
+# Annotations are builtin syntax, so no call loads these.
+_ANNOTATION_MODULES = {"typing", "__future__"}
+
+# It lists the modules before it loads json to print them, and again after
+# oeis-check and verify, which write JSON records.
 _NO_PATH_SCRIPT = """
 import contextlib, io, sys
 from tribsum import cli
@@ -786,9 +790,11 @@ with contextlib.redirect_stdout(io.StringIO()):
         ["sum", "--r", "3/7", "--s", "-5/4", "--t", "2/9", "--w0", "1/2", "--w1", "0",
          "--w2", "-3", "--dir", "bwd", "--parity", "odd", "--n", "40", "--check"],
         ["catalog"])]
-modules = sorted(sys.modules)
+    modules = sorted(sys.modules)
+    codes += [cli.main(["--format", "json", *argv]) for argv in (
+        ["oeis-check", "--seq", "tribonacci"], ["verify", "--seq", "perrin", "--max-n", "3"])]
 import json
-print(json.dumps({"codes": codes, "modules": modules}))
+print(json.dumps({"codes": codes, "modules": modules, "all": sorted(sys.modules)}))
 """
 
 
@@ -796,15 +802,18 @@ def test_cold_cli_term_sum_catalog_skip_pathlib():
     """Without site (-S), so no .pth file preloads them, a fresh term, sum
     and catalog run in text mode loads none of _PATH_MODULES and
     _WIDTH_MODULES: it formats no help, so it reads no terminal width.  It
-    writes no JSON record, so it loads no json either."""
+    writes no JSON record, so it loads no json either.  Neither they nor
+    oeis-check and verify in JSON load _ANNOTATION_MODULES."""
     src = str(Path(tribsum.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-S", "-c", _NO_PATH_SCRIPT], env=env,
                          check=True, capture_output=True, text=True).stdout
     seen = json.loads(out)
-    assert seen["codes"] == [EXIT_OK] * 3
+    assert seen["codes"] == [EXIT_OK] * 5
     assert "tribsum.cli" in seen["modules"]
     assert set(seen["modules"]) & (_PATH_MODULES | _WIDTH_MODULES | {"json"}) == set()
+    assert {"tribsum.oeis", "tribsum.verify", "json"} <= set(seen["all"])
+    assert set(seen["all"]) & _ANNOTATION_MODULES == set()
 
 
 def test_reader_closing_pipe_early_exits_quietly():
