@@ -243,7 +243,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     seq = lookup(args.seq).definition
     for n in args.n:
         _require_at_least("--n", n, 0)
-    # Each path once, untimed: sums loads and the oracle compiles its walk here.
+    # Each path once, untimed: sums loads and the oracle compiles its sum loop here.
     warm = SumQuery(Direction.FORWARD, Parity.ALL, args.n[0])
     evaluate(seq, warm)
     oracle.oracle_sum(seq, warm)

@@ -1,7 +1,7 @@
 """The literal reference implementation used as ground truth by every test.
 
-Everything here rests on one streaming walk of the recurrence, forward from
-W_0 or backward from W_{-1}, that holds three live terms.  The walk steps on
+Everything here rests on one walk of the recurrence, forward from W_0 or
+backward from W_{-1}, that holds three live terms.  The walk steps on
 ints: with q the common denominator of the coefficients and d that of the
 starting terms, u_k = d*q^k*W_k follows a recurrence with integer
 coefficients, and each result is one division of such an int at the end.
@@ -10,15 +10,17 @@ Fraction arithmetic; going backward, the reversed triple is formed as
 fully reduced integer pairs.
 A step drops each term whose coefficient is 0 and adds or subtracts each
 whose coefficient is +-1, so only other coefficients multiply: a Tribonacci
-step is two additions.  The walk is compiled once per pattern of the three
-coefficients, each 0, 1, -1 or other (at most 64 walks); its text depends
-on the pattern and on no value, and the coefficients are its arguments.
-It is the package's only O(|n|) recurrence walk: terms, term tables,
-literal sums and running prefix sums are all read off it, and
-``tribsum.term_iterative`` is :func:`oracle_term`.  Nothing here shares
-code with the closed forms in :mod:`tribsum.sums` or with the
-polynomial-power kernel in :mod:`tribsum.core`, so an agreement between
-them is meaningful.
+step is two additions.  The walk is compiled from one step text per pattern
+of the three coefficients, each 0, 1, -1 or other; the text depends on the
+pattern and on no value, and the coefficients are its arguments.  It is
+compiled in two forms.  A generator (at most 64) yields every term; terms,
+term tables and running prefix sums are read off it, and
+``tribsum.term_iterative`` is :func:`oracle_term`.  A sum loop (at most
+256, one per pattern, stride and scale) adds the terms of one literal sum
+as it walks them.  This is the package's only O(|n|) recurrence walk.
+Nothing here shares code with the closed forms in :mod:`tribsum.sums` or
+with the polynomial-power kernel in :mod:`tribsum.core`, so an agreement
+between them is meaningful.
 """
 
 import math
@@ -30,16 +32,16 @@ from .core import (Direction, NegativeIndexWithZeroT, Parity, SequenceDef,
                    SumQuery, _require_int)
 
 
-def _walk(seq: SequenceDef, direction: Direction) -> tuple[int, int, Iterator[int]]:
-    """(q, d, ints) where the j-th int is d*q^j times the j-th term walked:
-    W_j forward, W_{-j-1} backward, without end.
+def _start(seq: SequenceDef, direction: Direction) -> tuple[int, int, tuple[int, ...]]:
+    """(q, d, (R, S, T, low, mid, high)): the integers a walk steps by and
+    its first three scaled terms, W_0, W_1, W_2 forward and W_2, W_1, W_0
+    backward.
 
-    The ints come from one generator holding three live terms, and a reader
-    divides once per result it returns.  Each step is
-    u_k = R*u_{k-1} + S*u_{k-2} + T*u_{k-3} with the integers R = r*q,
-    S = s*q^2 and T = t*q^3.  Backward is the forward walk of the reversed
-    recurrence (-s/t, -r/t, 1/t) from (W_2, W_1, W_0), with its own q, past
-    its first three terms; at t = 0 it raises NegativeIndexWithZeroT.
+    The j-th term walked is d*q^j times its W, and each step is
+    u_k = R*u_{k-1} + S*u_{k-2} + T*u_{k-3} with R = r*q, S = s*q^2 and
+    T = t*q^3.  Backward is the forward walk of the reversed recurrence
+    (-s/t, -r/t, 1/t), with its own q; at t = 0 it raises
+    NegativeIndexWithZeroT.
 
     The setup reads each numerator and denominator once and does no
     Fraction arithmetic.  The reversed triple is formed as fully reduced
@@ -61,8 +63,20 @@ def _walk(seq: SequenceDef, direction: Direction) -> tuple[int, int, Iterator[in
     q = math.lcm(rd, sd, td)
     (an, ad), (bn, bd), (cn, cd) = (w.as_integer_ratio() for w in starts)
     d = math.lcm(ad, bd, cd)
-    ints = _steps(rn * (q // rd), sn * (q * q // sd), tn * (q**3 // td),
+    return q, d, (rn * (q // rd), sn * (q * q // sd), tn * (q**3 // td),
                   an * (d // ad), bn * (d // bd) * q, cn * (d // cd) * q * q)
+
+
+def _walk(seq: SequenceDef, direction: Direction) -> tuple[int, int, Iterator[int]]:
+    """(q, d, ints) where the j-th int is d*q^j times the j-th term walked:
+    W_j forward, W_{-j-1} backward, without end.
+
+    The ints come from one generator holding three live terms, and a reader
+    divides once per result it returns.  Backward, they are the walk from
+    (W_2, W_1, W_0) past its first three terms.
+    """
+    q, d, start = _start(seq, direction)
+    ints = _steps(*start)
     if direction is Direction.FORWARD:
         return q, d, ints
     return q, d * q**3, islice(ints, 3, None)
@@ -71,35 +85,90 @@ def _walk(seq: SequenceDef, direction: Direction) -> tuple[int, int, Iterator[in
 # A step's term for each class of coefficient: 0 drops it, +-1 adds or
 # subtracts it, and any other value (None) multiplies.
 _TERM = {0: "", 1: " + {v}", -1: " - {v}", None: " + {c} * {v}"}
-# One compiled walk per pattern of classes, so at most 4^3 = 64.
+# One compiled walk per pattern of classes, so at most 4^3 = 64, and one
+# sum loop per pattern, stride (1 or 2) and scale, so at most 256.
 _WALKS: dict = {}
+_SUMS: dict = {}
 
 
-def _compile(pattern: tuple) -> Callable[..., Iterator[int]]:
-    """The walk for one pattern.  Its text is made from the fixed fragments
-    in _TERM and depends on no value: the coefficients are its arguments."""
+def _pattern(R: int, S: int, T: int) -> tuple:
+    """Each coefficient's class: 0, 1, -1, or None for any other value."""
+    return (R if -1 <= R <= 1 else None, S if -1 <= S <= 1 else None,
+            T if -1 <= T <= 1 else None)
+
+
+def _step(pattern: tuple, high: str, mid: str, low: str) -> str:
+    """The text of one step's new term from the live terms named *high*,
+    *mid* and *low* (newest first).  It is made from the fixed fragments in
+    _TERM and depends on no value: the coefficients are named R, S, T."""
     terms = [_TERM[k].format(c=c, v=v)
-             for k, c, v in zip(pattern, "RST", ("high", "mid", "low"))]
+             for k, c, v in zip(pattern, "RST", (high, mid, low))]
     # Added terms first: a step that starts with a subtraction would negate
     # a bignum on its own.
     terms.sort(key=lambda term: term.startswith(" -"))
-    step = "".join(terms).lstrip(" +") or "0"
+    return "".join(terms).lstrip(" +") or "0"
+
+
+def _define(text: str) -> Callable:
+    """The one function *text* defines, with no builtins in reach."""
     namespace: dict = {"__builtins__": {}}
-    exec("def walk(R, S, T, low, mid, high):\n"
-         "    while True:\n"
-         "        yield low\n"
-         f"        low, mid, high = mid, high, {step}\n", namespace)
-    return namespace["walk"]
+    exec(text, namespace)
+    return namespace.popitem()[1]
+
+
+def _compile(pattern: tuple) -> Callable[..., Iterator[int]]:
+    """The walk for one pattern, as a generator."""
+    return _define("def walk(R, S, T, low, mid, high):\n"
+                   "    while True:\n"
+                   "        yield low\n"
+                   f"        low, mid, high = mid, high, {_step(pattern, 'high', 'mid', 'low')}\n")
 
 
 def _steps(R: int, S: int, T: int, low: int, mid: int, high: int) -> Iterator[int]:
     """low, mid, high, then u_k = R*u_{k-1} + S*u_{k-2} + T*u_{k-3} without
     end, by the walk compiled for the pattern of (R, S, T)."""
-    pattern = tuple(c if -1 <= c <= 1 else None for c in (R, S, T))
+    pattern = _pattern(R, S, T)
     walk = _WALKS.get(pattern)
     if walk is None:
         walk = _WALKS[pattern] = _compile(pattern)
     return walk(R, S, T, low, mid, high)
+
+
+def _compile_sum(pattern: tuple, stride: int, horner: bool) -> Callable[..., int]:
+    """The sum loop for one pattern, stride and scale.
+
+    loop(R, S, T, low, mid, high, skip, count, Q) walks *skip* steps, then
+    adds the live oldest term and every stride-th term after it, *count*
+    terms in all: in place (total += u), or by Horner in Q (total =
+    total*Q + u) where the scale grows.  Each step writes its new term over
+    the oldest of three names, so the names take their roles back every
+    three steps, and a turn of six steps adds 6 // stride terms with no
+    tuple and no generator.  The loop runs whole turns while more than a
+    turn's terms are left, then one turn that returns after the last term.
+    It counts with its arguments, so it names nothing else.
+    """
+    add = "total = total * Q + {}" if horner else "total += {}"
+    per_turn = 6 // stride
+    turn, tail = [], []
+    for k in range(6):
+        low, mid, high = "abcab"[k % 3:k % 3 + 3]
+        if k % stride == 0:
+            turn.append(add.format(low))
+            tail += [turn[-1], f"if count == {k // stride + 1}: return total"]
+        turn.append(f"{low} = {_step(pattern, high, mid, low)}")
+        tail.append(turn[-1])
+    # The last turn has at most per_turn terms left, so it ends at the last.
+    tail[tail.index(f"if count == {per_turn}: return total"):] = ["return total"]
+    return _define(
+        "def loop(R, S, T, a, b, c, skip, count, Q):\n"
+        "    while skip:\n"
+        f"        a, b, c = b, c, {_step(pattern, 'c', 'b', 'a')}\n"
+        "        skip -= 1\n"
+        "    total = 0\n"
+        f"    while count > {per_turn}:\n"
+        + "".join(f"        {line}\n" for line in turn)
+        + f"        count -= {per_turn}\n"
+        + "".join(f"    {line}\n" for line in tail))
 
 
 def oracle_term(seq: SequenceDef, n: int) -> Fraction:
@@ -128,16 +197,13 @@ def term_table(seq: SequenceDef, lo: int, hi: int) -> dict[int, Fraction]:
     return table
 
 
-def _added(seq: SequenceDef, direction: Direction,
-           parity: Parity) -> tuple[int, int, int, Iterator[int]]:
-    """(first bound n, q^step, d*q^start, the scaled ints of the terms one
-    sum family adds, in the order the sums grow)."""
+def _family(direction: Direction, parity: Parity) -> tuple[int, int, int]:
+    """(first bound n, walk position of the first term added, stride) of one
+    sum family.  W_k sits at walk position k going forward and at -k - 1
+    going back."""
     forward = direction is Direction.FORWARD
-    # Walk positions: W_k sits at k going forward and at -k - 1 going back.
-    start = int(parity is (Parity.ODD if forward else Parity.EVEN))
-    step = 1 if parity is Parity.ALL else 2
-    q, d, ints = _walk(seq, direction)
-    return 0 if forward else 1, q**step, d * q**start, islice(ints, start, None, step)
+    return (0 if forward else 1, int(parity is (Parity.ODD if forward else Parity.EVEN)),
+            1 if parity is Parity.ALL else 2)
 
 
 def prefix_sums(seq: SequenceDef, direction: Direction, parity: Parity,
@@ -148,9 +214,11 @@ def prefix_sums(seq: SequenceDef, direction: Direction, parity: Parity,
     the sums grow, and added one at a time as scaled ints; each yielded
     sum is one division.
     """
-    first, q_step, den, added = _added(seq, direction, parity)
+    first, start, stride = _family(direction, parity)
+    q, den, ints = _walk(seq, direction)
+    q_step, den = q**stride, den * q**start
     total = 0
-    for n, u in zip(range(first, max_n + 1), added):
+    for n, u in zip(range(first, max_n + 1), islice(ints, start, None, stride)):
         total = total * q_step + u
         yield n, Fraction(total, den)
         den *= q_step
@@ -159,15 +227,22 @@ def prefix_sums(seq: SequenceDef, direction: Direction, parity: Parity,
 def oracle_sum(seq: SequenceDef, query: SumQuery) -> Fraction:
     """The literal sum of the terms selected by *query*, added one by one.
 
-    The terms are added as scaled ints (Horner in q^step, so all share the
-    last term's scale; a plain sum where the scale never grows, as for
-    every integer triple going forward) and divided once at the end.
+    One sum loop, compiled for the pattern of the walk's coefficients, the
+    family's stride and the scale, walks the terms and adds each one it
+    selects as a scaled int: in place where q is 1 and the scale never
+    grows (every integer triple going forward), and by Horner in q^stride
+    otherwise, so all share the last term's scale.  The total is divided
+    once at the end.
     """
-    first, q_step, den, added = _added(seq, query.direction, query.parity)
-    count = query.n + 1 - first
-    if q_step == 1:
-        return Fraction(sum(islice(added, count)), den)
-    total = 0
-    for u in islice(added, count):
-        total = total * q_step + u
-    return Fraction(total, den * q_step**(count - 1))
+    direction, parity, n = query
+    first, start, stride = _family(direction, parity)
+    q, d, walk = _start(seq, direction)
+    if direction is Direction.BACKWARD:
+        start += 3  # past W_2, W_1, W_0 to W_{-1}
+    count = n + 1 - first
+    key = (_pattern(*walk[:3]), stride, q != 1)
+    loop = _SUMS.get(key)
+    if loop is None:
+        loop = _SUMS[key] = _compile_sum(*key)
+    Q = q**stride
+    return Fraction(loop(*walk, start, count, Q), d * q**start * Q**(count - 1))

@@ -45,12 +45,18 @@ from .core import (  # Direction, Parity, SumMismatch, SumQuery: re-exported
 )
 
 
+_oracle = None  # tribsum.oracle, once the first literal sum has loaded it
+
+
 def sum_oracle(seq: SequenceDef, query: SumQuery) -> Fraction:
     """The literal sum, :func:`tribsum.oracle.oracle_sum`: the fallback path,
     and the reference for check=True.  The oracle loads on the first call,
-    so a closed-form sum never loads it."""
-    from .oracle import oracle_sum
-    return oracle_sum(seq, query)
+    so a closed-form sum never loads it; oracle_sum is read off the module
+    at each call, so a patch of it applies."""
+    global _oracle
+    if _oracle is None:
+        from . import oracle as _oracle
+    return _oracle.oracle_sum(seq, query)
 
 
 class FormulaCase(enum.Enum):

@@ -427,18 +427,18 @@ class TestBench:
 
     def test_rows_are_warm_best_of_three(self, capsys, monkeypatch):
         """Before the first clock read, each path has run once: evaluate, and
-        the oracle with its walk compiled.  Each row then times three calls
-        of each path and reports the least."""
+        the oracle with its sum loop compiled.  Each row then times three
+        calls of each path and reports the least."""
         calls = []
-        monkeypatch.setattr(oracle, "_WALKS", {})
+        monkeypatch.setattr(oracle, "_SUMS", {})
         for module, name in ((cli, "evaluate"), (oracle, "oracle_sum")):
             real = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *a, real=real, name=name:
                                 calls.append(name) or real(*a))
-        reads = []  # (walks compiled, calls made) at each clock read
+        reads = []  # (sum loops compiled, calls made) at each clock read
 
         def perf_counter_ns():
-            reads.append((len(oracle._WALKS), len(calls)))
+            reads.append((len(oracle._SUMS), len(calls)))
             return len(reads) ** 2  # each later interval is longer
         monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter_ns=perf_counter_ns))
         code, out, _ = run(capsys, "--format", "json", "bench", "--n", "10", "1000")

@@ -102,21 +102,24 @@ class TestOracleSum:
 
 
 class TestOracleSumBranches:
-    """oracle_sum adds plainly where q^step is 1 (an integer triple with
-    t = 1, both ways) and by Horner in q^step where the scale grows."""
+    """oracle_sum adds in place where q^stride is 1 (an integer triple with
+    t = 1, both ways) and by Horner in q^stride where the scale grows: each
+    family compiles one sum loop, keyed by its pattern, stride and scale."""
 
     @pytest.mark.parametrize("params, plain", [
         (("2", "-1", "1", "1/2", "0", "-3"), True),
         (("3/7", "-5/4", "2/9", "1/2", "0", "-3"), False)], ids=["integer", "rational"])
-    def test_matches_added_terms(self, query_indices, params, plain):
+    def test_matches_added_terms(self, query_indices, monkeypatch, params, plain):
         seq = SequenceDef.of(*params)
         for direction in Direction:
             for parity in Parity:
-                assert (oracle._added(seq, direction, parity)[1] == 1) is plain
+                monkeypatch.setattr(oracle, "_SUMS", {})
                 for n in range(int(direction is Direction.BACKWARD), 41):
                     q = SumQuery(direction, parity, n)
                     assert oracle_sum(seq, q) == sum(oracle_term(seq, k)
                                                      for k in query_indices(q))
+                stride = 1 if parity is Parity.ALL else 2
+                assert [key[1:] for key in oracle._SUMS] == [(stride, not plain)]
 
 
 class TestWalkPatterns:
@@ -134,6 +137,48 @@ class TestWalkPatterns:
                 expected.append(R * expected[-1] + S * expected[-2] + T * expected[-3])
             assert list(islice(oracle._steps(R, S, T, 5, -7, 3), 40)) == expected
         assert len(oracle._WALKS) <= 64
+
+    @pytest.mark.parametrize("stride", (1, 2))
+    @pytest.mark.parametrize("horner", (False, True), ids=["plain", "horner"])
+    def test_sum_loops_match_plain_recurrence(self, stride, horner):
+        """Every compiled sum loop, after each skip a family makes and at
+        every count up to three turns of six steps, so that it ends at each
+        remainder, against a Horner sum of the plain recurrence."""
+        Q = 7 if horner else 1
+        for R, S, T in product(self.COEFFS, repeat=3):
+            ints = [5, -7, 3]
+            while len(ints) < 40:
+                ints.append(R * ints[-1] + S * ints[-2] + T * ints[-3])
+            loop = oracle._compile_sum(oracle._pattern(R, S, T), stride, horner)
+            for skip in (0, 1, 3, 4):
+                total = 0
+                for count in range(1, 19):
+                    total = total * Q + ints[skip + (count - 1) * stride]
+                    assert loop(R, S, T, 5, -7, 3, skip, count, Q) == total
+
+    @pytest.mark.parametrize("scale", (1, 2), ids=["integer", "halved"])
+    def test_sums_at_every_remainder(self, query_indices, monkeypatch, scale):
+        """oracle_sum against reference_terms for every class pattern of
+        (r, s, t), and the same triples over 2, both ways, in every family
+        and at every count from 1 to 18 terms: three turns of the sum loop
+        at stride 1, six at stride 2."""
+        monkeypatch.setattr(oracle, "_SUMS", {})
+        for r, s, t in product(self.COEFFS, repeat=3):
+            seq = SequenceDef.of(Fraction(r, scale), Fraction(s, scale),
+                                 Fraction(t, scale), "1/2", -2, 3)
+            terms = reference_terms(seq, -37 if t else 0, 37)
+            for direction in Direction:
+                if direction is Direction.BACKWARD and not t:
+                    continue
+                first = int(direction is Direction.BACKWARD)
+                for parity in Parity:
+                    for n in range(first, first + 18):
+                        q = SumQuery(direction, parity, n)
+                        assert oracle_sum(seq, q) == sum(
+                            (terms[k] for k in query_indices(q)), Fraction(0))
+        # Each stride ran on both scales, and the loops stay bounded.
+        assert {key[1:] for key in oracle._SUMS} == set(product((1, 2), (False, True)))
+        assert len(oracle._SUMS) <= 256
 
     @pytest.mark.parametrize("triple", INTEGER_TRIPLES, ids=str)
     def test_integer_triples_against_reference(self, query_indices, triple):
@@ -229,6 +274,13 @@ class TestAgainstReference:
             assert oracle._compile(pattern).__code__.co_names == ()
         oracle_term(SequenceDef.of(1, 3, 1, 2, -1, 3), -40)
         assert all(walk.__code__.co_names == () for walk in oracle._WALKS.values())
+        # Nor does a sum loop: it counts with its arguments, not with range.
+        for pattern, stride, horner in product(product((0, 1, -1, None), repeat=3),
+                                               (1, 2), (False, True)):
+            assert oracle._compile_sum(pattern, stride, horner).__code__.co_names == ()
+        oracle_sum(SequenceDef.of(1, 3, 1, 2, -1, 3), SumQuery(Direction.BACKWARD, Parity.ODD, 40))
+        assert all(loop.__code__.co_names == () for loop in oracle._SUMS.values())
+        assert len(oracle._SUMS) <= 256
 
 
 class TestWalkScale:

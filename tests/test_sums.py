@@ -277,6 +277,17 @@ class TestEvaluate:
         assert res.value == real_sum_oracle(seq, query)
         assert calls == [query]
 
+    def test_literal_sum_reads_a_patched_oracle(self, tribonacci, monkeypatch):
+        # sum_oracle keeps the oracle module after its first load and reads
+        # oracle_sum off it at each call, so a patch of the module applies.
+        import tribsum.oracle as oracle
+        query = SumQuery(Direction.FORWARD, Parity.ALL, 9)
+        assert sum_oracle(tribonacci, query) == 177
+        monkeypatch.setattr(oracle, "oracle_sum", lambda seq, query: Fraction(-1))
+        assert sum_oracle(tribonacci, query) == -1
+        with pytest.raises(SumMismatch):
+            evaluate(tribonacci, query, check=True)
+
     def test_check_detects_corruption(self, tribonacci, monkeypatch):
         import tribsum.sums as sums
         broken = dict(sums._CLOSED_FORMS)
