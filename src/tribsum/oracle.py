@@ -18,6 +18,9 @@ term tables and running prefix sums are read off it, and
 ``tribsum.term_iterative`` is :func:`oracle_term`.  A sum loop (at most
 256, one per pattern, stride and scale) adds the terms of one literal sum
 as it walks them.  This is the package's only O(|n|) recurrence walk.
+A literal sum finds its family's first bound, first walk position and
+stride in the oracle's own table, by the query's direction and parity
+values, and sets its walk up in straight-line code: it runs no enum code.
 Nothing here shares code with the closed forms in :mod:`tribsum.sums` or
 with the polynomial-power kernel in :mod:`tribsum.core`, so an agreement
 between them is meaningful.
@@ -32,7 +35,7 @@ from .core import (Direction, NegativeIndexWithZeroT, Parity, SequenceDef,
                    SumQuery, _require_int)
 
 
-def _start(seq: SequenceDef, direction: Direction) -> tuple[int, int, tuple[int, ...]]:
+def _start(seq: SequenceDef, backward: bool) -> tuple[int, int, tuple[int, ...]]:
     """(q, d, (R, S, T, low, mid, high)): the integers a walk steps by and
     its first three scaled terms, W_0, W_1, W_2 forward and W_2, W_1, W_0
     backward.
@@ -43,25 +46,29 @@ def _start(seq: SequenceDef, direction: Direction) -> tuple[int, int, tuple[int,
     (-s/t, -r/t, 1/t), with its own q; at t = 0 it raises
     NegativeIndexWithZeroT.
 
-    The setup reads each numerator and denominator once and does no
-    Fraction arithmetic.  The reversed triple is formed as fully reduced
-    integer pairs: -s/t is -sn*td / (sd*tn) divided by
+    The setup reads each numerator and denominator once, in straight-line
+    code, and does no Fraction arithmetic.  The reversed triple is formed as
+    fully reduced integer pairs: -s/t is -sn*td / (sd*tn) divided by
     gcd(sn, tn)*gcd(sd, td), and -r/t likewise, so q is the lcm of the true
     denominators.  A denominator may carry t's sign: lcm ignores it, and
     each denominator divides q exactly.
     """
-    (rn, rd), (sn, sd), (tn, td) = (c.as_integer_ratio() for c in seq.params)
-    starts = (seq.w0, seq.w1, seq.w2)
-    if direction is Direction.BACKWARD:
+    r, s, t = seq.params
+    rn, rd = r.as_integer_ratio()
+    sn, sd = s.as_integer_ratio()
+    tn, td = t.as_integer_ratio()
+    an, ad = seq.w0.as_integer_ratio()
+    bn, bd = seq.w1.as_integer_ratio()
+    cn, cd = seq.w2.as_integer_ratio()
+    if backward:
         if not tn:
             raise NegativeIndexWithZeroT
         gs = math.gcd(sn, tn) * math.gcd(sd, td)
         gr = math.gcd(rn, tn) * math.gcd(rd, td)
         rn, rd, sn, sd, tn, td = (-sn * td // gs, sd * tn // gs,
                                   -rn * td // gr, rd * tn // gr, td, tn)
-        starts = starts[::-1]
+        an, ad, cn, cd = cn, cd, an, ad
     q = math.lcm(rd, sd, td)
-    (an, ad), (bn, bd), (cn, cd) = (w.as_integer_ratio() for w in starts)
     d = math.lcm(ad, bd, cd)
     return q, d, (rn * (q // rd), sn * (q * q // sd), tn * (q**3 // td),
                   an * (d // ad), bn * (d // bd) * q, cn * (d // cd) * q * q)
@@ -75,7 +82,7 @@ def _walk(seq: SequenceDef, direction: Direction) -> tuple[int, int, Iterator[in
     divides once per result it returns.  Backward, they are the walk from
     (W_2, W_1, W_0) past its first three terms.
     """
-    q, d, start = _start(seq, direction)
+    q, d, start = _start(seq, direction is Direction.BACKWARD)
     ints = _steps(*start)
     if direction is Direction.FORWARD:
         return q, d, ints
@@ -197,13 +204,12 @@ def term_table(seq: SequenceDef, lo: int, hi: int) -> dict[int, Fraction]:
     return table
 
 
-def _family(direction: Direction, parity: Parity) -> tuple[int, int, int]:
-    """(first bound n, walk position of the first term added, stride) of one
-    sum family.  W_k sits at walk position k going forward and at -k - 1
-    going back."""
-    forward = direction is Direction.FORWARD
-    return (0 if forward else 1, int(parity is (Parity.ODD if forward else Parity.EVEN)),
-            1 if parity is Parity.ALL else 2)
+# Each sum family's (first bound n, walk position of the first term added,
+# stride), by its direction's and parity's values: only backward sums start
+# at n = 1.  W_k sits at walk position k going forward and at -k - 1 going
+# back.  This is the oracle's own copy; tribsum.sums keeps its rows apart.
+_FAMILIES = {("fwd", "all"): (0, 0, 1), ("fwd", "even"): (0, 0, 2), ("fwd", "odd"): (0, 1, 2),
+             ("bwd", "all"): (1, 0, 1), ("bwd", "even"): (1, 1, 2), ("bwd", "odd"): (1, 0, 2)}
 
 
 def prefix_sums(seq: SequenceDef, direction: Direction, parity: Parity,
@@ -214,7 +220,7 @@ def prefix_sums(seq: SequenceDef, direction: Direction, parity: Parity,
     the sums grow, and added one at a time as scaled ints; each yielded
     sum is one division.
     """
-    first, start, stride = _family(direction, parity)
+    first, start, stride = _FAMILIES[direction._value_, parity._value_]
     q, den, ints = _walk(seq, direction)
     q_step, den = q**stride, den * q**start
     total = 0
@@ -235,9 +241,9 @@ def oracle_sum(seq: SequenceDef, query: SumQuery) -> Fraction:
     once at the end.
     """
     direction, parity, n = query
-    first, start, stride = _family(direction, parity)
-    q, d, walk = _start(seq, direction)
-    if direction is Direction.BACKWARD:
+    first, start, stride = _FAMILIES[direction._value_, parity._value_]
+    q, d, walk = _start(seq, first)  # first is 1 exactly going back
+    if first:
         start += 3  # past W_2, W_1, W_0 to W_{-1}
     count = n + 1 - first
     key = (_pattern(*walk[:3]), stride, q != 1)

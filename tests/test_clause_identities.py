@@ -7,17 +7,20 @@ A clause is a pair (rho, kappa) of coefficient rows with, at o = 1,
 
     gate * S(n) = rho . (W_m, W_m+1, W_m+2) + kappa . (W_0, W_1, W_2).
 
-The rows, gate and m proved are the ones ``sums._clause`` builds, which
-``_combine`` reads.  For a backward case other than (0, 2, 1) they are a
-forward clause on V_j = W_{2-j}, the sequence of (-s/t, -r/t, 1/t) from
-(W_2, W_1, W_0), so rho . V(m) + kappa . V(0) is rho reversed . W(-m) plus
-kappa reversed . W(0), with X(k) = (X_k, X_k+1, X_k+2).
+The rows, gate and m proved are the ones ``sums._clause`` builds from each
+case's row in ``sums._CLAUSES``, which ``_combine`` reads.  For a backward
+case other than (0, 2, 1) they are a forward clause on V_j = W_{2-j}, the
+sequence of (-s/t, -r/t, 1/t) from (W_2, W_1, W_0), so rho . V(m) +
+kappa . V(0) is rho reversed . W(-m) plus kappa reversed . W(0), with
+X(k) = (X_k, X_k+1, X_k+2).
 
 With M = [[0, 1, 0], [0, 0, 1], [t, s, r]], W(k) = M^k W(0) and
 W_k = e0 M^k W(0), e0 = (1, 0, 0).  A family has a stride
-a and a term offset b: it sums W_(a j + b) over j = 0..n forward and
-W_(b - a j) over j = 1..n backward.  A clause's window starts at
-m = a n + c forward and m = c - a n backward, c its window offset.  W(0) is
+a and a term offset b, read off its row in ``sums._FAMILIES``: it sums
+W_(a j + b) over j = 0..n forward and W_(b - a j) over j = 1..n backward.
+A clause's window starts at m = a n + c forward and m = c - a n backward,
+c its window offset, which its row gives (for a case that steps back, V's
+forward row and the shift of n).  W(0) is
 arbitrary, so the clause holds for all W exactly when the rows agree:
 gate * sum_j e0 M^(a j + b) = rho M^m + kappa.  By induction on n that
 follows from a step and a base identity.  Forward, from n = 0:
@@ -71,17 +74,8 @@ from types import CodeType, FunctionType
 import pytest
 
 from tribsum import sums
-from tribsum.sums import Direction, Parity
+from tribsum.sums import Direction
 
-# (a, b) per family: the stride and the term offset.
-FAMILIES = {
-    (Direction.FORWARD, Parity.ALL): (1, 0),
-    (Direction.FORWARD, Parity.EVEN): (2, 0),
-    (Direction.FORWARD, Parity.ODD): (2, 1),
-    (Direction.BACKWARD, Parity.ALL): (1, 0),
-    (Direction.BACKWARD, Parity.EVEN): (2, 0),
-    (Direction.BACKWARD, Parity.ODD): (2, 1),
-}
 E0 = (1, 0, 0)
 ZERO = (0, 0, 0)
 AXIS = [Fraction(x) for x in range(-3, 4)]
@@ -115,7 +109,8 @@ def w_rows(case: sums.FormulaCase, n: int, r, s, t) -> tuple:
     V's, whose window V(m) is W(-m) reversed."""
     _, parity, condition = case.value
     rho, kappa, gate, m, (R, S, T, L), starts = sums._clause(
-        case, n, (r, s, t, 1), sums._gate(condition, parity, r, s, t), W_STARTS)
+        sums._CLAUSES[case.name], n, (r, s, t, 1), sums._gate(condition, parity, r, s, t),
+        W_STARTS)
     if ((R, S, T, L), starts) == ((r, s, t, 1), W_STARTS):
         return rho, kappa, gate, m
     # V follows (-s/t, -r/t, 1/t), scaled by L, from (W_2, W_1, W_0).
@@ -148,14 +143,21 @@ def identities(case: sums.FormulaCase, r, s, t) -> list[tuple[tuple, tuple]]:
     """The (left, right) row pairs whose equality at (r, s, t) proves *case*
     there: k1 (M^a - I) = 0, the step at the first n, the base case."""
     direction, parity, _ = case.value
-    a, b = FAMILIES[direction, parity]
+    family = sums._FAMILIES[direction.value, parity.value]
+    a, b, first = family.stride, family.term_offset, family.first
     M = ((0, 1, 0), (0, 0, 1), (t, s, r))
     forward = direction is Direction.FORWARD
-    first = 0 if forward else 1
+    assert first == (0 if forward else 1)
     rho, kappa, gate, m = w_rows(case, first, r, s, t)
     rho_next, kappa_next, gate_next, m_next = w_rows(case, first + 1, r, s, t)
     assert (rho_next, gate_next, m_next - m) == (rho, gate, a if forward else -a)
     c = m - a * first if forward else m + a * first
+    row = sums._CLAUSES[case.name]
+    if row.back is None:
+        assert (row.stride, row.offset) == (a if forward else -a, c)
+    else:  # V's forward window at n + shift: V(m) is W(-m) reversed
+        name, shift, _ = row.back
+        assert (sums._CLAUSES[name].stride, -sums._CLAUSES[name].offset - a * shift) == (a, c)
     k1 = minus(kappa_next, kappa)
     moved = minus(times(rho, M, a), rho)  # rho (M^a - I)
     if forward:
@@ -191,8 +193,8 @@ def test_gate_vanishes_with_the_condition(case):
 
 def test_binds_no_kernel_code():
     """The proof names no kernel, oracle, combine or set-up, so it shares no
-    code with what it proves beyond the gate and the rows sums._clause
-    builds, whose set-up it checks itself."""
+    code with what it proves beyond the gate, the row tables and the rows
+    sums._clause builds, whose set-up it checks itself."""
     module = sys.modules[__name__]
     names, codes = set(), [value.__code__ for value in vars(module).values()
                            if isinstance(value, FunctionType)]
@@ -200,7 +202,7 @@ def test_binds_no_kernel_code():
         code = codes.pop()
         names |= set(code.co_names)
         codes += [const for const in code.co_consts if isinstance(const, CodeType)]
-    assert {"_gate", "_clause"} <= names
+    assert {"_gate", "_clause", "_CLAUSES", "_FAMILIES"} <= names
     kernel = {"tribsum.sums": ("closed_form_value", "evaluate", "_combine", "sum_oracle"),
               "tribsum.core": ("scaled_window", "integer_triple", "reversed_set_up",
                                "term_matrix"),

@@ -36,9 +36,9 @@ def _break_fwd_all(monkeypatch, value=999):
     """Make the FwdAll_Generic clause's numerator *value* * D*W_2 for every
     query: Tribonacci's sums (W_2 = 1, gate 2) then read value/2.  The
     BwdAll_Generic sums, forward ones of V_j = W_{2-j}, break with it."""
-    broken = dict(sums._CLOSED_FORMS)
-    broken[sums.FormulaCase.FwdAll_Generic] = lambda r, s, t, o, n: ((0, 0, 0), (0, 0, value))
-    monkeypatch.setattr(sums, "_CLOSED_FORMS", broken)
+    row = sums._CLAUSES["FwdAll_Generic"]
+    monkeypatch.setitem(sums._CLAUSES, "FwdAll_Generic", row._replace(
+        form=lambda r, s, t, o, n: ((0, 0, 0), (0, 0, value))))
 
 
 class TestTerm:

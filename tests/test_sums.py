@@ -290,9 +290,9 @@ class TestEvaluate:
 
     def test_check_detects_corruption(self, tribonacci, monkeypatch):
         import tribsum.sums as sums
-        broken = dict(sums._CLOSED_FORMS)
-        broken[FormulaCase.FwdAll_Generic] = lambda r, s, t, o, n: ((0, 0, 0), (0, 0, 999))
-        monkeypatch.setattr(sums, "_CLOSED_FORMS", broken)
+        row = sums._CLAUSES["FwdAll_Generic"]
+        monkeypatch.setitem(sums._CLAUSES, "FwdAll_Generic", row._replace(
+            form=lambda r, s, t, o, n: ((0, 0, 0), (0, 0, 999))))
         with pytest.raises(SumMismatch):
             sums.evaluate(tribonacci,
                           SumQuery(Direction.FORWARD, Parity.ALL, 5),
@@ -587,14 +587,15 @@ class TestOneClauseCall:
         query = SumQuery(direction, parity, n)
         bits = last_square_bits(seq, window_start(case, n))
         monkeypatch.setattr(core, "_READOUT_BITS", bits - (side == "above"))
-        clause, calls = sums._CLOSED_FORMS[clause_case(case)], []
+        row, calls = sums._CLAUSES[clause_case(case).name], []
+        clause = row.form
         triple = kernel_call(case, seq, n)[0]  # the clause runs on the kernel's triple
 
         def counting(*args):
             calls.append(args)
             return clause(*args)
 
-        monkeypatch.setitem(sums._CLOSED_FORMS, clause_case(case), counting)
+        monkeypatch.setitem(sums._CLAUSES, row.case.name, row._replace(form=counting))
         expected = sum_oracle(seq, query)
         for term in (None, table_term(seq, n)):
             calls.clear()
@@ -754,8 +755,8 @@ class TestIntegerCombine:
         rho and kappa it returns, is an int, also where it runs on V."""
         direction, parity, condition = case.value
         seq = SCALED_SEQ[condition]
-        clause = sums._CLOSED_FORMS[clause_case(case)]
-        seen = []
+        row = sums._CLAUSES[clause_case(case).name]
+        clause, seen = row.form, []
 
         def checked(*args):  # (r, s, t, o, n) -> (rho, kappa)
             rho, kappa = clause(*args)
@@ -763,7 +764,7 @@ class TestIntegerCombine:
             assert len(rho) == len(kappa) == 3
             return rho, kappa
 
-        monkeypatch.setitem(sums._CLOSED_FORMS, clause_case(case), checked)
+        monkeypatch.setitem(sums._CLAUSES, row.case.name, row._replace(form=checked))
         for n in (1, 40):
             term = table_term(seq, n) if source == "term" else None
             value = closed_form_value(case, seq, n, term)
@@ -813,7 +814,7 @@ class TestIntegerCombine:
         def value(o):
             scaled = (o * seq.params.r, o * seq.params.s, o * seq.params.t, o)
             rho, kappa, gate, m, _, (u0, u1, u2, _) = sums._clause(
-                case, n, scaled, sums._gate(condition, parity, *scaled),
+                sums._CLAUSES[case.name], n, scaled, sums._gate(condition, parity, *scaled),
                 (seq.w0, seq.w1, seq.w2, 1))
             assert m == kernel_start(case, n)
             numerator = (sum(c * x(m + j) for j, c in enumerate(rho))
@@ -1049,5 +1050,19 @@ class TestSetUp:
         assert reversed_starts == (starts[2], starts[1], starts[0], starts[3])
 
     def test_case_table(self):
-        assert len(sums._CASES) == len(FormulaCase)
-        assert all(sums._CASES[case.value] is case for case in FormulaCase)
+        """One clause row per FormulaCase, under its name, with the case's
+        parity and condition; a backward row that steps back names a
+        forward row of its parity.  Each family's row, under its direction's
+        and parity's values, names its "generic" and "021" clauses in that
+        order, so dispatch finds every case its gates open."""
+        assert len(sums._CLAUSES) == len(FormulaCase)
+        for case in FormulaCase:
+            row = sums._CLAUSES[case.name]
+            assert row.case is case and (row.parity, row.condition) == case.value[1:]
+            if row.back is not None:
+                assert steps_back(case) and sums._CLAUSES[row.back[0]].case is clause_case(case)
+        assert set(sums._FAMILIES) == {(d.value, p.value) for d, p in FAMILIES}
+        for direction, parity in FAMILIES:
+            assert list(sums._FAMILIES[direction.value, parity.value].clauses) == [
+                case.name for condition in ("generic", "021") for case in FormulaCase
+                if case.value == (direction, parity, condition)]

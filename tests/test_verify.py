@@ -64,15 +64,14 @@ def test_specializations_report_a_wrong_clause(monkeypatch):
     """A special clause that disagrees with the literal sum fails the sweep,
     with the oracle's value in the message: FwdEven_S1 itself, and
     BwdEven_RplusT0, which is FwdEven_S1 on the reversed sequence."""
-    broken = dict(sums._CLOSED_FORMS)
-    right = broken[FormulaCase.FwdEven_S1]
+    row = sums._CLAUSES["FwdEven_S1"]
+    right = row.form
 
     def wrong(r, s, t, o, n):  # adds o*D*W_0 to the numerator
         rho, (k0, k1, k2) = right(r, s, t, o, n)
         return rho, (k0 + o, k1, k2)
 
-    broken[FormulaCase.FwdEven_S1] = wrong
-    monkeypatch.setattr(sums, "_CLOSED_FORMS", broken)
+    monkeypatch.setitem(sums._CLAUSES, "FwdEven_S1", row._replace(form=wrong))
     report = verify.sweep_specializations(random.Random(3), 6)
     assert report.failed == 6 * 11 + 6 * 10
     forward = [f for f in report.failures if " fwd/even n=" in f and "FwdEven_S1 gave " in f]
