@@ -6,12 +6,20 @@ record per result (newline-delimited), verify's failures inside their
 suite's record, and each error as one JSON record on stderr.  Exit codes:
 0 success, 1 output pipe closed by its reader, 2 usage or precondition
 error, 3 verification mismatch, 4 OEIS check failure.
+
+Each subcommand's help, handler and options are declared once, in
+``_COMMANDS``.  ``main`` reads a command line of the canonical shape
+``[--format F] SUBCOMMAND (--option VALUE | --flag)*`` from that table
+itself; any other (help, abbreviations, ``--opt=value``, repeats, values
+that start with "-" or that an option's type rejects) goes to the argparse
+parser that ``_parser`` builds from the same table.  So argparse, gettext
+and locale load only for help, usage and errors.
 """
 
-import argparse
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 from .catalog import CatalogEntry, UnknownSequence, list_all, lookup
 from .core import (_LITERAL, Direction, Parity, SequenceDef, SumMismatch, SumQuery,
@@ -27,55 +35,18 @@ _PARAM_FLAGS = ("r", "s", "t", "w0", "w1", "w2")
 _PARAM_OPTIONS = {f"--{flag}" for flag in _PARAM_FLAGS}
 
 
-class UsageError(Exception):
-    """A command line argparse rejected; ``parser`` is the parser that did."""
-
-
-class _HelpFormatter(argparse.HelpFormatter):
-    """argparse's formatter, reading the terminal width only to format help
-    or usage: argparse also builds one per add_argument, to check metavars,
-    and the width's shutil import costs a cold call 3-4 ms."""
-
-    def __init__(self, prog: str) -> None:
-        super().__init__(prog, width=80)
-        del self._width, self._max_help_position  # __getattr__ sets both on first read
-
-    def __getattr__(self, name: str):
-        if name not in ("_width", "_max_help_position"):
-            raise AttributeError(name)
-        full = argparse.HelpFormatter(self._prog)
-        self._width, self._max_help_position = full._width, full._max_help_position
-        return getattr(self, name)
-
-
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, **kwargs) -> None:
-        super().__init__(formatter_class=_HelpFormatter, **kwargs)
-
-    def error(self, message: str):
-        exc = UsageError(message)
-        exc.parser = self
-        raise exc
-
-
-def _add_sequence_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seq", help="catalog key (see the catalog subcommand)")
-    for flag in _PARAM_FLAGS:
-        parser.add_argument(f"--{flag}", help="rational literal, 'p' or 'p/q'")
-
-
 def _integer(text: str) -> int:
     """An integer option: the rational literal grammar without "/".  A bad
-    value gets the message argparse gives for ``type=int``."""
+    value's ValueError carries the message argparse gives for ``type=int``."""
     try:
         if "/" not in text and _LITERAL.fullmatch(text):
             return int(text)
     except ValueError:  # past the interpreter's int conversion limit
         pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    raise ValueError(f"invalid int value: {text!r}")
 
 
-def _sequence_from_args(args: argparse.Namespace) -> SequenceDef:
+def _sequence_from_args(args: SimpleNamespace) -> SequenceDef:
     explicit = [flag for flag in _PARAM_FLAGS if getattr(args, flag) is not None]
     if args.seq is not None:
         if explicit:
@@ -102,7 +73,7 @@ def _render(value) -> str:
 
 
 # json loads only where a --format json record is written, never in text mode.
-def _emit(args: argparse.Namespace, record: dict, text: str) -> None:
+def _emit(args: SimpleNamespace, record: dict, text: str) -> None:
     if args.format == "json":
         import json
         print(json.dumps(record, sort_keys=True))
@@ -110,7 +81,7 @@ def _emit(args: argparse.Namespace, record: dict, text: str) -> None:
         print(text)
 
 
-def _error(args: argparse.Namespace, code: int, exc: Exception,
+def _error(args: SimpleNamespace, code: int, exc: Exception,
            prefix: str = "") -> int:
     """Write *exc* to stderr, as *prefix* and its message or as a JSON
     record, and return the exit *code*."""
@@ -142,7 +113,7 @@ def _require_at_least(flag: str, value: int, low: int) -> None:
         raise ValueError(f"{flag} must be at least {low}, not {value}")
 
 
-def _cmd_term(args: argparse.Namespace) -> int:
+def _cmd_term(args: SimpleNamespace) -> int:
     seq = _sequence_from_args(args)
     rendered = _render(term_matrix(seq, args.n))
     _emit(args, {"command": "term", "seq": args.seq, "n": args.n,
@@ -150,7 +121,7 @@ def _cmd_term(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_sum(args: argparse.Namespace) -> int:
+def _cmd_sum(args: SimpleNamespace) -> int:
     seq = _sequence_from_args(args)
     query = SumQuery(Direction(args.dir), Parity(args.parity), args.n)
     result = evaluate(seq, query, check=args.check)
@@ -163,7 +134,7 @@ def _cmd_sum(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     from . import verify  # only this subcommand needs verify and identities
     _require_at_least("--max-n", args.max_n, 0)
     _require_at_least("--random", args.random, 0)
@@ -215,7 +186,7 @@ def _oeis_outcome(entry: CatalogEntry, fixture_dir: str | None,
     return fields, text
 
 
-def _cmd_oeis_check(args: argparse.Namespace) -> int:
+def _cmd_oeis_check(args: SimpleNamespace) -> int:
     _require_at_least("--count", args.count, 1)
     entries = list_all() if args.seq is None else [lookup(args.seq)]
     fixture_dir = args.fixture_dir or None
@@ -238,7 +209,7 @@ def _best_of_three(fn, *args) -> tuple:
     return value, min(times)
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
+def _cmd_bench(args: SimpleNamespace) -> int:
     from . import oracle
     seq = lookup(args.seq).definition
     for n in args.n:
@@ -265,7 +236,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_catalog(args: argparse.Namespace) -> int:
+def _cmd_catalog(args: SimpleNamespace) -> int:
     for entry in list_all():
         seq = entry.definition
         params = " ".join(f"{k}={format_rational(v)}" for k, v in zip("rst", seq.params))
@@ -280,69 +251,135 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="tribsum",
-        description="Exact terms and closed-form partial sums of "
-                    "generalized Tribonacci sequences.")
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    # Given its prog, argparse formats no usage line to find it.
-    sub = parser.add_subparsers(dest="subcommand", required=True, prog=parser.prog)
+_SEQUENCE_OPTIONS = {"--seq": {"help": "catalog key (see the catalog subcommand)"},
+                     **{f"--{flag}": {"help": "rational literal, 'p' or 'p/q'"}
+                        for flag in _PARAM_FLAGS}}
 
-    p_term = sub.add_parser("term", help="evaluate W_n at a signed index")
-    _add_sequence_args(p_term)
-    p_term.add_argument("--n", type=_integer, required=True)
-    p_term.set_defaults(func=_cmd_term)
-
-    p_sum = sub.add_parser("sum", help="evaluate a partial sum")
-    _add_sequence_args(p_sum)
-    p_sum.add_argument("--dir", choices=("fwd", "bwd"), required=True)
-    p_sum.add_argument("--parity", choices=("all", "even", "odd"), required=True)
-    p_sum.add_argument("--n", type=_integer, required=True)
-    p_sum.add_argument("--check", action="store_true",
-                       help="also run the literal sum and fail on mismatch")
-    p_sum.set_defaults(func=_cmd_sum)
-
-    p_verify = sub.add_parser("verify", help="run the verification sweeps")
-    p_verify.add_argument("--seq", help="restrict to one catalog key")
-    p_verify.add_argument("--max-n", type=_integer, default=100)
-    p_verify.add_argument("--random", type=_integer, default=0, metavar="K",
-                          help="additionally check K random parameter sets")
-    p_verify.add_argument("--seed", type=_integer, default=0)
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_oeis = sub.add_parser("oeis-check",
-                            help="compare catalog sequences against OEIS b-files")
-    p_oeis.add_argument("--seq", help="restrict to one catalog key")
-    p_oeis.add_argument("--count", type=_integer, default=50)
-    p_oeis.add_argument("--fixture-dir", help="override the fixture directory")
-    p_oeis.set_defaults(func=_cmd_oeis_check)
-
-    p_bench = sub.add_parser("bench",
-                             help="time closed-form sums against the naive sum")
-    p_bench.add_argument("--seq", default="tribonacci")
-    p_bench.add_argument("--n", type=_integer, nargs="+",
-                         default=[1_000, 10_000, 100_000])
-    p_bench.set_defaults(func=_cmd_bench)
-
-    p_cat = sub.add_parser("catalog", help="list the built-in sequences")
-    p_cat.set_defaults(func=_cmd_catalog)
-
-    return parser
+# The parser's own options and description, then each subcommand's help,
+# handler and options; each option maps its name to its add_argument
+# call's keyword arguments.
+_PROGRAM = {"--format": {"choices": ("text", "json"), "default": "text"}}
+_DESCRIPTION = ("Exact terms and closed-form partial sums of "
+                "generalized Tribonacci sequences.")
+_COMMANDS = {
+    "term": ("evaluate W_n at a signed index", _cmd_term, {
+        **_SEQUENCE_OPTIONS,
+        "--n": {"type": _integer, "required": True}}),
+    "sum": ("evaluate a partial sum", _cmd_sum, {
+        **_SEQUENCE_OPTIONS,
+        "--dir": {"choices": ("fwd", "bwd"), "required": True},
+        "--parity": {"choices": ("all", "even", "odd"), "required": True},
+        "--n": {"type": _integer, "required": True},
+        "--check": {"action": "store_true",
+                    "help": "also run the literal sum and fail on mismatch"}}),
+    "verify": ("run the verification sweeps", _cmd_verify, {
+        "--seq": {"help": "restrict to one catalog key"},
+        "--max-n": {"type": _integer, "default": 100},
+        "--random": {"type": _integer, "default": 0, "metavar": "K",
+                     "help": "additionally check K random parameter sets"},
+        "--seed": {"type": _integer, "default": 0}}),
+    "oeis-check": ("compare catalog sequences against OEIS b-files", _cmd_oeis_check, {
+        "--seq": {"help": "restrict to one catalog key"},
+        "--count": {"type": _integer, "default": 50},
+        "--fixture-dir": {"help": "override the fixture directory"}}),
+    "bench": ("time closed-form sums against the naive sum", _cmd_bench, {
+        "--seq": {"default": "tribonacci"},
+        "--n": {"type": _integer, "nargs": "+", "default": [1_000, 10_000, 100_000]}}),
+    "catalog": ("list the built-in sequences", _cmd_catalog, {}),
+}
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    # Filled as parsing goes: --format is set before any later argument fails.
-    args = argparse.Namespace()
-    argv = list(sys.argv[1:] if argv is None else argv)
+def build_parser():
+    """The argparse parser of _PROGRAM and _COMMANDS: the only source of
+    help, usage and error text, and the one place argparse is loaded."""
+    from ._parser import build_parser
+    return build_parser(_PROGRAM, _DESCRIPTION, _COMMANDS)
+
+
+def _read_options(argv: list[str], i: int, options: dict, values: dict) -> int | None:
+    """Read ``--option VALUE`` and ``--flag`` items of *options* from argv[i:]
+    into *values*, converted as argparse converts them, up to the first
+    item that does not start with "-".  Return that item's index, or None
+    for an item argparse must read: a name not in full or given twice, a
+    list option, a missing value or one that starts with "-", or a value
+    its option's type or choices reject."""
+    while i < len(argv) and argv[i][:1] == "-":
+        spec, dest = options.get(argv[i]), _dest(argv[i])
+        if spec is None or dest in values or "nargs" in spec:
+            return None
+        if spec.get("action") == "store_true":
+            values[dest] = True
+            i += 1
+            continue
+        if i + 1 == len(argv) or argv[i + 1][:1] == "-":
+            return None
+        try:
+            value = spec.get("type", str)(argv[i + 1])
+        except ValueError:
+            return None
+        if value not in spec.get("choices", (value,)):
+            return None
+        values[dest] = value
+        i += 2
+    return i
+
+
+def _dest(name: str) -> str:
+    return name[2:].replace("-", "_")
+
+
+def _defaults(options: dict) -> dict:
+    return {_dest(name): False if spec.get("action") == "store_true" else spec.get("default")
+            for name, spec in options.items()}
+
+
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse makes of a canonical *argv*, read from the
+    same table without argparse, or None for any other argv."""
+    program = {}
+    i = _read_options(argv, 0, _PROGRAM, program)
+    if i is None or i == len(argv) or argv[i] not in _COMMANDS:
+        return None
+    _, func, options = _COMMANDS[argv[i]]
+    values = {}
+    if _read_options(argv, i + 1, options, values) != len(argv):
+        return None
+    if any(spec.get("required") and _dest(name) not in values
+           for name, spec in options.items()):
+        return None
+    return SimpleNamespace(**{**_defaults(_PROGRAM), **program, "subcommand": argv[i],
+                              **_defaults(options), **values, "func": func})
+
+
+def _parse(argv: list[str], args: SimpleNamespace) -> int | None:
+    """Parse *argv* into *args* with argparse.  Return None, or the exit
+    code of a usage error written as a JSON record; in text mode argparse
+    writes the usage error and exits, and help exits too."""
+    from ._parser import UsageError
     # argparse takes a separate "-3/4" for an option name; core validates it.
     for i in range(len(argv) - 1, 0, -1):
         if (argv[i - 1] in _PARAM_OPTIONS and len(argv[i]) > 1
                 and argv[i][0] == "-" and argv[i][1] in "0123456789"):
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
-        parser.parse_args(argv, args)
+        build_parser().parse_args(argv, args)
+    except UsageError as exc:
+        if args.format != "json":
+            exc.exit()
+        return _error(args, EXIT_USAGE, exc)
+    return None
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    args = _read(argv)
+    try:
+        if args is None:
+            # Filled as parsing goes: --format is set before any later argument fails.
+            args = SimpleNamespace()
+            code = _parse(argv, args)
+            if code is not None:
+                return code
         code = args.func(args)
         sys.stdout.flush()
         return code
@@ -352,10 +389,6 @@ def main(argv: list[str] | None = None) -> int:
         # SIGPIPE" in the signal module's documentation.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except UsageError as exc:
-        if args.format != "json":
-            argparse.ArgumentParser.error(exc.parser, str(exc))  # usage text, exit 2
-        return _error(args, EXIT_USAGE, exc)
     except SumMismatch as exc:
         return _error(args, EXIT_MISMATCH, exc, "mismatch: ")
     except (UnknownSequence, ValueError) as exc:  # NegativeIndexWithZeroT is a ValueError

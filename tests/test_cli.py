@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -9,10 +11,12 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tribsum
 import tribsum.sums as sums
-from tribsum import cli, oracle
+from tribsum import _parser, cli, oracle
 from tribsum.catalog import list_all, lookup
 from tribsum.core import SequenceDef, format_rational, term_matrix
 from tribsum.oeis import default_fixture_dir
@@ -670,7 +674,7 @@ class TestJsonErrors:
             return out
 
         ours = texts()
-        monkeypatch.setattr(cli, "_HelpFormatter", argparse.HelpFormatter)
+        monkeypatch.setattr(_parser, "_HelpFormatter", argparse.HelpFormatter)
         assert ours == texts()
         assert all((out or err).startswith("usage: tribsum") for _, out, err in ours)
 
@@ -678,7 +682,7 @@ class TestJsonErrors:
         """The formatter's lazy attributes are the width and help position
         alone; any other missing name is an AttributeError, so hasattr is
         False and reading it sets no width."""
-        formatter = cli._HelpFormatter("tribsum")
+        formatter = _parser._HelpFormatter("tribsum")
         assert not hasattr(formatter, "no_such_name")
         assert "_width" not in vars(formatter)
         assert formatter._width == argparse.HelpFormatter("tribsum")._width
@@ -814,6 +818,237 @@ def test_cold_cli_term_sum_catalog_skip_pathlib():
     assert set(seen["modules"]) & (_PATH_MODULES | _WIDTH_MODULES | {"json"}) == set()
     assert {"tribsum.oeis", "tribsum.verify", "json"} <= set(seen["all"])
     assert set(seen["all"]) & _ANNOTATION_MODULES == set()
+
+
+# Loaded by argparse, which only help, usage and error text needs.
+_ARGPARSE_MODULES = {"argparse", "gettext", "locale"}
+
+# Canonical command lines (full option names, no value that starts with "-"),
+# each in text and JSON.  It lists the modules before it loads json to print them.
+_CANONICAL_SCRIPT = """
+import contextlib, io, sys
+baseline = set(sys.modules)
+from tribsum import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main([*fmt, *argv]) for fmt in ([], ["--format", "json"]) for argv in (
+        ["term", "--seq", "tribonacci", "--n", "20000"],
+        ["term", "--r", "3/7", "--s", "5/4", "--t", "2/9", "--w0", "1/2", "--w1", "0",
+         "--w2", "3", "--n", "300"],
+        ["sum", "--r", "3/7", "--s", "5/4", "--t", "2/9", "--w0", "1/2", "--w1", "0",
+         "--w2", "3", "--dir", "bwd", "--parity", "odd", "--n", "40", "--check"],
+        ["catalog"], ["oeis-check", "--seq", "tribonacci"],
+        ["verify", "--seq", "perrin", "--max-n", "3"])]
+loaded = sorted(set(sys.modules) - baseline)
+import json
+print(json.dumps({"codes": codes, "baseline": sorted(baseline), "loaded": loaded}))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-S"]], ids=["site", "no-site"])
+def test_canonical_cold_calls_load_no_argparse(flags):
+    """A fresh interpreter reads canonical term, sum, catalog, oeis-check and
+    verify command lines from cli's option table: in text and in JSON,
+    none of _ARGPARSE_MODULES loads."""
+    src = str(Path(tribsum.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, *flags, "-c", _CANONICAL_SCRIPT], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    seen = json.loads(out)
+    assert seen["codes"] == [EXIT_OK] * 12
+    assert {"tribsum.cli", "tribsum.verify"} <= set(seen["loaded"])
+    assert set(seen["loaded"]) & (_ARGPARSE_MODULES | {"tribsum._parser"}) == set()
+    if flags:
+        assert set(seen["baseline"]) & _ARGPARSE_MODULES == set()
+
+
+_HELP_SCRIPT = """
+import contextlib, io, json, sys
+from tribsum import cli
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    try:
+        code = cli.main({argv!r})
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, out.getvalue(), err.getvalue(), "argparse" in sys.modules]))
+"""
+
+_TERM_USAGE = """\
+usage: tribsum term [-h] [--seq SEQ] [--r R] [--s S] [--t T] [--w0 W0]
+                    [--w1 W1] [--w2 W2] --n N
+"""
+
+# At 80 columns, as Python 3.10-3.13 all lay them out.
+_HELP_TEXTS = [
+    (["--help"], 0, """\
+usage: tribsum [-h] [--format {text,json}]
+               {term,sum,verify,oeis-check,bench,catalog} ...
+
+Exact terms and closed-form partial sums of generalized Tribonacci sequences.
+
+positional arguments:
+  {term,sum,verify,oeis-check,bench,catalog}
+    term                evaluate W_n at a signed index
+    sum                 evaluate a partial sum
+    verify              run the verification sweeps
+    oeis-check          compare catalog sequences against OEIS b-files
+    bench               time closed-form sums against the naive sum
+    catalog             list the built-in sequences
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}
+""", ""),
+    (["term", "--help"], 0, _TERM_USAGE + """
+options:
+  -h, --help  show this help message and exit
+  --seq SEQ   catalog key (see the catalog subcommand)
+  --r R       rational literal, 'p' or 'p/q'
+  --s S       rational literal, 'p' or 'p/q'
+  --t T       rational literal, 'p' or 'p/q'
+  --w0 W0     rational literal, 'p' or 'p/q'
+  --w1 W1     rational literal, 'p' or 'p/q'
+  --w2 W2     rational literal, 'p' or 'p/q'
+  --n N
+""", ""),
+    (["term", "--seq", "tribonacci", "--n", "abc"], EXIT_USAGE, "", _TERM_USAGE
+     + "tribsum term: error: argument --n: invalid int value: 'abc'\n"),
+]
+
+
+@pytest.mark.parametrize("flags", [[], ["-S"]], ids=["site", "no-site"])
+@pytest.mark.parametrize("argv, code, out, err", _HELP_TEXTS,
+                         ids=["help", "term-help", "bad-int"])
+def test_help_and_usage_still_from_argparse(flags, argv, code, out, err):
+    """Help and usage errors load argparse in a fresh interpreter and print
+    the text argparse's parser has always printed."""
+    src = str(Path(tribsum.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
+    seen = subprocess.run([sys.executable, *flags, "-c", _HELP_SCRIPT.format(argv=argv)],
+                          env=env, check=True, capture_output=True, text=True).stdout
+    assert json.loads(seen) == [code, out, err, True]
+
+
+_HUGE = "1" * 4301  # past the interpreter's int conversion limit
+
+# Each subcommand's required (or run-time bounding) options, then optional
+# pieces: canonical ones, and some argparse alone reads.
+_SKELETONS = {
+    "term": [("--seq", "tribonacci"), ("--n", "7")],
+    "sum": [("--seq", "perrin"), ("--dir", "bwd"), ("--parity", "odd"), ("--n", "4")],
+    "verify": [("--seq", "perrin"), ("--max-n", "2")],
+    "oeis-check": [("--seq", "tribonacci")],
+    "bench": [("--n", "10", "1000")],
+    "catalog": [],
+}
+_PIECES = {
+    "term": [("--seq", "perrin"), ("--n", "13"), ("--r", "1/2"), ("--s", "1"),
+             ("--t", "1"), ("--w0", "0"), ("--w1", "1"), ("--w2", "2")],
+    "sum": [("--seq", "tribonacci"), ("--dir", "fwd"), ("--parity", "all"),
+            ("--n", "5"), ("--check",), ("--dir", "up"), ("--r", "1")],
+    "verify": [("--max-n", "1"), ("--random", "1"), ("--seed", "3"), ("--seed", "x")],
+    "oeis-check": [("--seq", "perrin"), ("--count", "5"), ("--count", "3000"),
+                   ("--fixture-dir", "no-such-dir")],
+    "bench": [("--seq", "perrin"), ("--n", "10")],
+    "catalog": [()],  # it has no options
+}
+_OTHER = [("-h",), ("--help",), ("--se", "tribonacci"), ("--n=7",), ("--n", "-3"),
+          ("--n", _HUGE), ("--n", "-" + _HUGE), ("--bogus", "1"), ("--r", "-1/2"),
+          ("--n", "abc"), ("--check",), ("--format", "json"), ("extra",), ("--par", "all"),
+          ("--seq",), ("--", "7"), ("--w", "1")]
+_PREFIXES = st.sampled_from([[], ["--format", "text"], ["--format", "json"]]) | st.sampled_from(
+    [["--format=json"], ["--form", "json"], ["--format", "xml"], ["-h"],
+     ["--format", "json", "--format", "text"]])
+
+
+@st.composite
+def command_lines(draw):
+    """A prefix, a subcommand and its pieces in any order, each required
+    piece dropped now and then, each optional piece possibly repeated."""
+    prefix = draw(_PREFIXES)
+    name = draw(st.sampled_from(sorted(_SKELETONS)))
+    pieces = [piece for piece in _SKELETONS[name] if draw(st.integers(0, 7))]
+    pieces += draw(st.lists(st.sampled_from(_PIECES[name]), max_size=3, unique=True))
+    pieces += draw(st.lists(st.sampled_from(_OTHER), max_size=2))
+    pieces = draw(st.permutations(pieces))
+    return [*prefix, name, *(token for piece in pieces for token in piece)]
+
+
+_CANONICAL = [
+    ["term", "--seq", "tribonacci", "--n", "7"],
+    ["--format", "json", "term", "--r", "1/2", "--s", "1", "--t", "1", "--w0", "0",
+     "--w1", "1", "--w2", "2", "--n", "+13"],
+    ["--format", "text", "sum", "--check", "--n", "4", "--parity", "odd", "--dir", "bwd",
+     "--seq", "perrin"],
+    ["verify"], ["verify", "--max-n", "1", "--random", "1", "--seed", "3"],
+    ["oeis-check", "--fixture-dir", "", "--count", "5"], ["bench"],
+    ["bench", "--seq", "perrin"], ["catalog"], ["--format", "json", "catalog"],
+]
+
+
+@pytest.mark.parametrize("argv", _CANONICAL)
+def test_table_reader_reads_canonical_lines(argv):
+    """The option table's reader reads each canonical command line to the
+    namespace argparse makes of it."""
+    read = cli._read(list(argv))
+    assert read is not None
+    assert vars(read) == vars(cli.build_parser().parse_args(argv, SimpleNamespace()))
+
+
+@pytest.mark.parametrize("argv", [
+    ["--format=json", "catalog"], ["--form", "json", "catalog"], ["--format", "xml", "catalog"],
+    ["--format", "json", "--format", "json", "catalog"], ["-h"], ["catalog", "-h"],
+    ["catalog", "--help"], [], ["bogus"], ["catalog", "extra"], ["catalog", "--format", "json"],
+    ["term", "--seq", "tribonacci", "--n", "3", "--n", "3"], ["term", "--se", "tribonacci", "--n", "3"],
+    ["term", "--seq", "tribonacci", "--n=3"], ["term", "--seq", "tribonacci", "--n", "-3"],
+    ["term", "--r", "-1/2", "--s", "1", "--t", "1", "--w0", "0", "--w1", "1", "--w2", "1", "--n", "3"],
+    ["term", "--seq", "tribonacci", "--n", "abc"], ["term", "--seq", "tribonacci", "--n", _HUGE],
+    ["term", "--seq", "tribonacci"], ["term", "--seq", "tribonacci", "--n"],
+    ["sum", "--seq", "perrin", "--dir", "up", "--parity", "odd", "--n", "4"],
+    ["sum", "--seq", "perrin", "--dir", "bwd", "--parity", "odd", "--n", "4", "--check", "--check"],
+    ["verify", "--max-n", "--", "3"], ["bench", "--n", "10"], ["bench", "--n", "10", "1000"],
+], ids=["format-joined", "format-abbreviated", "format-choice", "format-repeated", "help",
+        "command-help-short", "command-help", "no-command", "unknown-command", "positional",
+        "format-after-command", "repeated", "abbreviated", "joined", "negative-int",
+        "negative-literal", "bad-int", "past-digit-limit", "missing-required", "missing-value",
+        "bad-choice", "repeated-flag", "double-dash", "list-option", "list-option-two"])
+def test_table_reader_leaves_the_rest_to_argparse(argv):
+    assert cli._read(list(argv)) is None
+
+
+@given(argv=command_lines())
+@settings(max_examples=1000, deadline=None)
+def test_table_reader_agrees_with_argparse(argv):
+    """Wherever the option table's reader returns a namespace, argparse
+    parses the same command line to an equal one."""
+    read = cli._read(list(argv))
+    if read is not None:
+        assert vars(read) == vars(cli.build_parser().parse_args(argv, SimpleNamespace()))
+
+
+@given(argv=command_lines())
+@settings(max_examples=100, deadline=None)
+def test_any_command_line_ends_cleanly(argv):
+    """main on any of these command lines returns or exits with a
+    documented code and raises nothing else; in JSON a failing call writes
+    exactly one JSON record on stderr, and any other call nothing."""
+    prefix = argv[:next(i for i, arg in enumerate(argv) if arg in _SKELETONS)]
+    as_json = prefix[-1:] == ["json"] or prefix == ["--format=json"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            assert exc.code in (EXIT_OK, EXIT_USAGE)
+            assert not (as_json and exc.code == EXIT_USAGE)
+            return
+    err = err.getvalue()
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_OEIS)
+    if as_json and code == EXIT_USAGE:
+        [line] = err.splitlines()
+        assert json.loads(line)["exit"] == code
+    elif as_json:
+        assert err == ""
 
 
 def test_reader_closing_pipe_early_exits_quietly():
