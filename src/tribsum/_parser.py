@@ -1,5 +1,6 @@
 """The argparse parser of the command line, built from ``cli``'s option
-table.  ``cli`` imports this module only for help, usage and errors, so a
+table, and the parse of a command line that table's reader leaves to it.
+``cli`` imports this module only for help, usage and errors, so a
 canonical call loads neither argparse nor the gettext and locale modules
 that argparse loads.  It imports nothing from ``cli``: run as
 ``python -m tribsum.cli``, that module is ``__main__``, not ``tribsum.cli``.
@@ -14,10 +15,6 @@ class UsageError(Exception):
     def __init__(self, parser: argparse.ArgumentParser, message: str) -> None:
         super().__init__(message)
         self.parser = parser
-
-    def exit(self):
-        """Write the usage and this message as argparse does, and exit 2."""
-        argparse.ArgumentParser.error(self.parser, str(self))
 
 
 class _HelpFormatter(argparse.HelpFormatter):
@@ -76,3 +73,25 @@ def build_parser(program: dict, description: str, commands: dict) -> argparse.Ar
         _add_options(command, options)
         command.set_defaults(func=func)
     return parser
+
+
+def parse(parser: argparse.ArgumentParser, argv: list[str], args: object,
+          joined: set[str]) -> UsageError | None:
+    """Parse *argv* into the namespace *args* with *parser*.  Return None, or
+    the usage error of a ``--format json`` command line; in text mode
+    argparse writes the usage and the error and exits 2, and help exits 0.
+
+    argparse takes a separate "-3/4" for an option name, so a value that
+    starts with "-" and a digit is first joined to the option of *joined*
+    before it, as "--s=-3/4"; core validates it as a literal."""
+    for i in range(len(argv) - 1, 0, -1):
+        if (argv[i - 1] in joined and len(argv[i]) > 1
+                and argv[i][0] == "-" and argv[i][1] in "0123456789"):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+    try:
+        parser.parse_args(argv, args)
+    except UsageError as exc:
+        if args.format != "json":
+            argparse.ArgumentParser.error(exc.parser, str(exc))
+        return exc
+    return None

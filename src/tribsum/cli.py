@@ -10,10 +10,19 @@ error, 3 verification mismatch, 4 OEIS check failure.
 Each subcommand's help, handler and options are declared once, in
 ``_COMMANDS``.  ``main`` reads a command line of the canonical shape
 ``[--format F] SUBCOMMAND (--option VALUE | --flag)*`` from that table
-itself; any other (help, abbreviations, ``--opt=value``, repeats, values
-that start with "-" or that an option's type rejects) goes to the argparse
-parser that ``_parser`` builds from the same table.  So argparse, gettext
-and locale load only for help, usage and errors.
+itself, negative values included; any other (help, abbreviations,
+``--opt=value``, repeats, values that an option's type rejects or that
+start with "-" and are not negative numbers) goes to ``_parser``, which
+builds the argparse parser from the same table.  So argparse, gettext and
+locale load only for help, usage and errors.
+
+term, sum, bench and catalog run here.  verify's handler is in
+:mod:`tribsum.verify` and oeis-check's in :mod:`tribsum.oeis`, each loaded
+with its subcommand and passed this module's record writer and the
+functions it calls through this module.  A record whose keys and values
+are ints, bools, None, printable ASCII without '"' or '\\', or lists of
+these is written without json; json loads only for any other record, such
+as bench's float speedup or a message that needs escaping.
 """
 
 import os
@@ -21,9 +30,9 @@ import sys
 import time
 from types import SimpleNamespace
 
-from .catalog import CatalogEntry, UnknownSequence, list_all, lookup
+from .catalog import UnknownSequence, list_all, lookup
 from .core import (_LITERAL, Direction, Parity, SequenceDef, SumMismatch, SumQuery,
-                   format_rational, term_matrix)
+                   _require_at_least, format_rational, term_matrix)
 
 EXIT_OK = 0
 EXIT_BROKEN_PIPE = 1
@@ -72,13 +81,41 @@ def _render(value) -> str:
         sys.set_int_max_str_digits(previous)
 
 
-# json loads only where a --format json record is written, never in text mode.
+def _plain(value) -> str | None:
+    """What json.dumps writes for *value* if it is an int, a bool, None, a
+    string of printable ASCII with no '"' or '\\', or a list of these, else
+    None."""
+    kind = type(value)
+    if kind is str:
+        if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
+            return f'"{value}"'
+    elif kind is int:
+        return str(value)
+    elif kind is bool or value is None:
+        return "null" if value is None else "true" if value else "false"
+    elif kind is list:
+        items = [_plain(item) for item in value]
+        if None not in items:
+            return f"[{', '.join(items)}]"
+    return None
+
+
+def _dumps(record: dict) -> str:
+    """``json.dumps(record, sort_keys=True)`` of a record with string keys:
+    from _plain where every key and value has a plain form, else from json,
+    which loads only here."""
+    fields = []
+    for key in sorted(record):
+        name, value = _plain(key), _plain(record[key])
+        if name is None or value is None:
+            import json
+            return json.dumps(record, sort_keys=True)
+        fields.append(f"{name}: {value}")
+    return f"{{{', '.join(fields)}}}"
+
+
 def _emit(args: SimpleNamespace, record: dict, text: str) -> None:
-    if args.format == "json":
-        import json
-        print(json.dumps(record, sort_keys=True))
-    else:
-        print(text)
+    print(_dumps(record) if args.format == "json" else text)
 
 
 def _error(args: SimpleNamespace, code: int, exc: Exception,
@@ -86,10 +123,8 @@ def _error(args: SimpleNamespace, code: int, exc: Exception,
     """Write *exc* to stderr, as *prefix* and its message or as a JSON
     record, and return the exit *code*."""
     if args.format == "json":
-        import json
-        text = json.dumps({"command": args.subcommand, "status": "error",
-                           "error": type(exc).__name__, "message": str(exc),
-                           "exit": code}, sort_keys=True)
+        text = _dumps({"command": args.subcommand, "status": "error",
+                       "error": type(exc).__name__, "message": str(exc), "exit": code})
     else:
         text = f"{prefix}{exc}"
     print(text, file=sys.stderr)
@@ -106,11 +141,6 @@ def evaluate(seq: SequenceDef, query: SumQuery, check: bool = False):
 def align(seq: SequenceDef, bfile):
     from .oeis import align
     return align(seq, bfile)
-
-
-def _require_at_least(flag: str, value: int, low: int) -> None:
-    if value < low:
-        raise ValueError(f"{flag} must be at least {low}, not {value}")
 
 
 def _cmd_term(args: SimpleNamespace) -> int:
@@ -134,69 +164,16 @@ def _cmd_sum(args: SimpleNamespace) -> int:
     return EXIT_OK
 
 
+# verify and oeis-check run in their own modules, which load with them; oeis
+# calls lookup and align through this module, where callers may replace them.
 def _cmd_verify(args: SimpleNamespace) -> int:
-    from . import verify  # only this subcommand needs verify and identities
-    _require_at_least("--max-n", args.max_n, 0)
-    _require_at_least("--random", args.random, 0)
-    reports = verify.run_all(max_n=args.max_n, seq_filter=args.seq,
-                             random_count=args.random, seed=args.seed)
-    all_ok = all(r.succeeded for r in reports)
-    for report in reports:
-        record = {"command": "verify", "suite": report.name,
-                  "passed": report.passed, "failed": report.failed,
-                  "status": "PASS" if report.succeeded else "FAIL",
-                  "failures": report.failures}
-        text = (f"{report.name}: {'PASS' if report.succeeded else 'FAIL'} "
-                f"({report.passed} passed, {report.failed} failed)")
-        _emit(args, record, text)
-        if args.format != "json":
-            for failure in report.failures:
-                print(f"  {failure}", file=sys.stderr)
-    passed, failed = sum(r.passed for r in reports), sum(r.failed for r in reports)
-    _emit(args, {"command": "verify", "suite": "total", "passed": passed,
-                 "failed": failed, "status": "PASS" if all_ok else "FAIL"},
-          f"PASS: {passed} checks" if all_ok
-          else f"FAIL: {passed + failed} checks, {failed} failed")
-    return EXIT_OK if all_ok else EXIT_MISMATCH
-
-
-def _oeis_outcome(entry: CatalogEntry, fixture_dir: str | None,
-                  count: int) -> tuple[dict, str]:
-    """One entry's record fields after command and seq, and its text after the key."""
-    from .oeis import FixtureMissing, MalformedBFile, fetch_bfile
-    oeis_id = entry.primary_oeis_id
-    if oeis_id is None:
-        return {"status": "skipped", "reason": "no OEIS id"}, "skipped: no OEIS id"
-    try:
-        bfile = fetch_bfile(oeis_id, fixture_dir)
-    except (FixtureMissing, MalformedBFile) as exc:
-        return ({"oeis_id": oeis_id, "status": "error", "reason": str(exc)},
-                f"{oeis_id} error: {exc}")
-    report = align(entry.definition, bfile)
-    if report.shift is None:
-        return {"oeis_id": oeis_id, "status": "no-alignment"}, f"{oeis_id} no alignment found"
-    matched = min(report.matched_terms, count)
-    fields = {"oeis_id": oeis_id, "status": "aligned", "shift": report.shift,
-              "matched": matched, "requested": count, "ok": matched >= count}
-    text = f"{oeis_id} aligned (shift {report.shift}), {matched}/{count} match"
-    expected = entry.oeis_offset_shift
-    if expected is not None and report.shift != expected:  # an index-offset regression
-        fields.update(ok=False, catalog_shift=expected)
-        text += f", catalog shift {expected}"
-    return fields, text
+    from .verify import run_command
+    return EXIT_OK if run_command(args, _emit) else EXIT_MISMATCH
 
 
 def _cmd_oeis_check(args: SimpleNamespace) -> int:
-    _require_at_least("--count", args.count, 1)
-    entries = list_all() if args.seq is None else [lookup(args.seq)]
-    fixture_dir = args.fixture_dir or None
-    any_failed = False
-    for entry in entries:
-        fields, text = _oeis_outcome(entry, fixture_dir, args.count)
-        any_failed |= fields["status"] != "skipped" and fields.get("ok") is not True
-        _emit(args, {"command": "oeis-check", "seq": entry.key, **fields},
-              f"{entry.key}: {text}")
-    return EXIT_OEIS if any_failed else EXIT_OK
+    from .oeis import check_command
+    return EXIT_OK if check_command(args, _emit, lookup, align) else EXIT_OEIS
 
 
 def _best_of_three(fn, *args) -> tuple:
@@ -301,8 +278,8 @@ def _read_options(argv: list[str], i: int, options: dict, values: dict) -> int |
     into *values*, converted as argparse converts them, up to the first
     item that does not start with "-".  Return that item's index, or None
     for an item argparse must read: a name not in full or given twice, a
-    list option, a missing value or one that starts with "-", or a value
-    its option's type or choices reject."""
+    list option, a missing value or one _takes_value leaves to argparse,
+    or a value its option's type or choices reject."""
     while i < len(argv) and argv[i][:1] == "-":
         spec, dest = options.get(argv[i]), _dest(argv[i])
         if spec is None or dest in values or "nargs" in spec:
@@ -311,7 +288,7 @@ def _read_options(argv: list[str], i: int, options: dict, values: dict) -> int |
             values[dest] = True
             i += 1
             continue
-        if i + 1 == len(argv) or argv[i + 1][:1] == "-":
+        if i + 1 == len(argv) or not _takes_value(argv[i], spec, argv[i + 1]):
             return None
         try:
             value = spec.get("type", str)(argv[i + 1])
@@ -322,6 +299,19 @@ def _read_options(argv: list[str], i: int, options: dict, values: dict) -> int |
         values[dest] = value
         i += 2
     return i
+
+
+def _takes_value(name: str, spec: dict, text: str) -> bool:
+    """Whether *text* is read as option *name*'s value here, as argparse
+    reads it: any text that does not start with "-"; after a parameter, "-"
+    and an ASCII digit, which _parser joins to it as "--s=-5/4"; after an
+    integer option, "-" and ASCII digits, which argparse takes for a
+    negative number.  Any other text that starts with "-" is argparse's."""
+    if text[:1] != "-":
+        return True
+    if name in _PARAM_OPTIONS:
+        return len(text) > 1 and text[1] in "0123456789"
+    return spec.get("type") is _integer and text[1:].isascii() and text[1:].isdigit()
 
 
 def _dest(name: str) -> str:
@@ -351,35 +341,17 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
                               **_defaults(options), **values, "func": func})
 
 
-def _parse(argv: list[str], args: SimpleNamespace) -> int | None:
-    """Parse *argv* into *args* with argparse.  Return None, or the exit
-    code of a usage error written as a JSON record; in text mode argparse
-    writes the usage error and exits, and help exits too."""
-    from ._parser import UsageError
-    # argparse takes a separate "-3/4" for an option name; core validates it.
-    for i in range(len(argv) - 1, 0, -1):
-        if (argv[i - 1] in _PARAM_OPTIONS and len(argv[i]) > 1
-                and argv[i][0] == "-" and argv[i][1] in "0123456789"):
-            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
-    try:
-        build_parser().parse_args(argv, args)
-    except UsageError as exc:
-        if args.format != "json":
-            exc.exit()
-        return _error(args, EXIT_USAGE, exc)
-    return None
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = _read(argv)
     try:
         if args is None:
+            from ._parser import parse
             # Filled as parsing goes: --format is set before any later argument fails.
             args = SimpleNamespace()
-            code = _parse(argv, args)
-            if code is not None:
-                return code
+            failure = parse(build_parser(), argv, args, _PARAM_OPTIONS)
+            if failure is not None:
+                return _error(args, EXIT_USAGE, failure)
         code = args.func(args)
         sys.stdout.flush()
         return code

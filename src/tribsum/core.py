@@ -117,6 +117,12 @@ def _require_int(value: object, what: str) -> None:
         raise TypeError(f"{what} must be an int, not {value!r}")
 
 
+def _require_at_least(flag: str, value: int, low: int) -> None:
+    """Raise ValueError unless the command-line option *flag* is at least *low*."""
+    if value < low:
+        raise ValueError(f"{flag} must be at least {low}, not {value}")
+
+
 def _require_type(value: object, kind: type, what: str) -> None:
     """Raise TypeError unless *value* is an instance of *kind*."""
     if not isinstance(value, kind):

@@ -8,13 +8,16 @@ indexing and the b-file's own offset by searching a small window of
 candidate shifts; a report with no shift is one that found none.
 
 B-files are read only from a fixture directory: the bundled package data,
-or a directory the caller names.  Nothing here touches the network.
+or a directory the caller names.  Nothing here touches the network.  The
+CLI ``oeis-check`` subcommand runs :func:`check_command`.
 """
 
 import re
 from collections import namedtuple
+from collections.abc import Callable
+from types import SimpleNamespace
 
-from .core import SequenceDef
+from .core import SequenceDef, _require_at_least
 from .oracle import term_table
 
 # Candidate index shifts, smallest first.  The window reaches to +6 because
@@ -137,3 +140,50 @@ def fetch_bfile(oeis_id: str, fixture_dir: "str | Path | None" = None) -> BFile:
     except UnicodeDecodeError as exc:
         raise MalformedBFile(f"{path}: {exc}") from None
     return parse_bfile(content, oeis_id)
+
+
+# The catalog loads with the oeis-check subcommand, not with this module's
+# library use, so the annotation that names CatalogEntry is a string.
+def _outcome(entry: "CatalogEntry", fixture_dir: str | None, count: int,
+             align: Callable) -> tuple[dict, str]:
+    """One entry's record fields after command and seq, and its text after the key."""
+    oeis_id = entry.primary_oeis_id
+    if oeis_id is None:
+        return {"status": "skipped", "reason": "no OEIS id"}, "skipped: no OEIS id"
+    try:
+        bfile = fetch_bfile(oeis_id, fixture_dir)
+    except (FixtureMissing, MalformedBFile) as exc:
+        return ({"oeis_id": oeis_id, "status": "error", "reason": str(exc)},
+                f"{oeis_id} error: {exc}")
+    report = align(entry.definition, bfile)
+    if report.shift is None:
+        return {"oeis_id": oeis_id, "status": "no-alignment"}, f"{oeis_id} no alignment found"
+    matched = min(report.matched_terms, count)
+    fields = {"oeis_id": oeis_id, "status": "aligned", "shift": report.shift,
+              "matched": matched, "requested": count, "ok": matched >= count}
+    text = f"{oeis_id} aligned (shift {report.shift}), {matched}/{count} match"
+    expected = entry.oeis_offset_shift
+    if expected is not None and report.shift != expected:  # an index-offset regression
+        fields.update(ok=False, catalog_shift=expected)
+        text += f", catalog shift {expected}"
+    return fields, text
+
+
+def check_command(args: SimpleNamespace, emit: Callable, lookup: Callable,
+                  align: Callable) -> bool:
+    """The ``oeis-check`` subcommand: align each catalog entry named by the
+    parsed *args* (found by *lookup*, all of them without ``--seq``) with
+    its b-file by *align*, and write its record through
+    ``emit(args, record, text)``.  Return whether every entry with an OEIS
+    id matched its first ``--count`` terms at the catalog's shift."""
+    from .catalog import list_all
+    _require_at_least("--count", args.count, 1)
+    entries = list_all() if args.seq is None else [lookup(args.seq)]
+    fixture_dir = args.fixture_dir or None
+    all_ok = True
+    for entry in entries:
+        fields, text = _outcome(entry, fixture_dir, args.count, align)
+        all_ok &= fields["status"] == "skipped" or fields.get("ok") is True
+        emit(args, {"command": "oeis-check", "seq": entry.key, **fields},
+             f"{entry.key}: {text}")
+    return all_ok

@@ -4,19 +4,22 @@ partition, and the named-sequence identities.  Each clause runs through
 the kernel and combine :func:`~tribsum.sums.evaluate` runs, at every n up
 to max_n; ``tests/test_clause_identities.py`` proves it for all n and W.
 
-The CLI ``verify`` subcommand drives these; the test suite reuses them so
-the command line and pytest exercise identical checks.
+The CLI ``verify`` subcommand drives these through :func:`run_command`;
+the test suite reuses them so the command line and pytest exercise
+identical checks.
 """
 
 import random
+import sys
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from types import SimpleNamespace
 
 from . import identities, oracle
 from .catalog import list_all, lookup
-from .core import SequenceDef
+from .core import SequenceDef, _require_at_least
 from .sums import (
     Direction,
     FormulaCase,
@@ -180,3 +183,31 @@ def run_all(max_n: int = 100,
         sweep_identities(min(max_n, 50),
                          keys={e.key for e in entries}),
     ]
+
+
+def run_command(args: SimpleNamespace, emit: Callable) -> bool:
+    """The ``verify`` subcommand: run :func:`run_all` on the parsed *args*
+    and write each suite's record, then the total's, through
+    ``emit(args, record, text)``.  Return whether every check passed."""
+    _require_at_least("--max-n", args.max_n, 0)
+    _require_at_least("--random", args.random, 0)
+    reports = run_all(max_n=args.max_n, seq_filter=args.seq,
+                      random_count=args.random, seed=args.seed)
+    all_ok = all(r.succeeded for r in reports)
+    for report in reports:
+        record = {"command": "verify", "suite": report.name,
+                  "passed": report.passed, "failed": report.failed,
+                  "status": "PASS" if report.succeeded else "FAIL",
+                  "failures": report.failures}
+        text = (f"{report.name}: {'PASS' if report.succeeded else 'FAIL'} "
+                f"({report.passed} passed, {report.failed} failed)")
+        emit(args, record, text)
+        if args.format != "json":
+            for failure in report.failures:
+                print(f"  {failure}", file=sys.stderr)
+    passed, failed = sum(r.passed for r in reports), sum(r.failed for r in reports)
+    emit(args, {"command": "verify", "suite": "total", "passed": passed,
+                "failed": failed, "status": "PASS" if all_ok else "FAIL"},
+         f"PASS: {passed} checks" if all_ok
+         else f"FAIL: {passed + failed} checks, {failed} failed")
+    return all_ok

@@ -823,42 +823,58 @@ def test_cold_cli_term_sum_catalog_skip_pathlib():
 # Loaded by argparse, which only help, usage and error text needs.
 _ARGPARSE_MODULES = {"argparse", "gettext", "locale"}
 
-# Canonical command lines (full option names, no value that starts with "-"),
-# each in text and JSON.  It lists the modules before it loads json to print them.
+# Canonical command lines (full option names, negative values included), each
+# in text and JSON, and an error whose JSON record needs no escaping.  It
+# lists the modules before it loads json to print them.
 _CANONICAL_SCRIPT = """
 import contextlib, io, sys
 baseline = set(sys.modules)
 from tribsum import cli
-with contextlib.redirect_stdout(io.StringIO()):
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
     codes = [cli.main([*fmt, *argv]) for fmt in ([], ["--format", "json"]) for argv in (
         ["term", "--seq", "tribonacci", "--n", "20000"],
+        ["term", "--seq", "tribonacci", "--n", "-13"],
         ["term", "--r", "3/7", "--s", "5/4", "--t", "2/9", "--w0", "1/2", "--w1", "0",
          "--w2", "3", "--n", "300"],
         ["sum", "--r", "3/7", "--s", "5/4", "--t", "2/9", "--w0", "1/2", "--w1", "0",
          "--w2", "3", "--dir", "bwd", "--parity", "odd", "--n", "40", "--check"],
+        ["sum", "--r", "3/7", "--s", "-5/4", "--t", "2/9", "--w0", "1/2", "--w1", "0",
+         "--w2", "-3", "--dir", "bwd", "--parity", "odd", "--n", "40", "--check"],
         ["catalog"], ["oeis-check", "--seq", "tribonacci"],
-        ["verify", "--seq", "perrin", "--max-n", "3"])]
+        ["verify", "--seq", "perrin", "--max-n", "3"],
+        ["term", "--seq", "nosuch", "--n", "3"])]
 loaded = sorted(set(sys.modules) - baseline)
 import json
-print(json.dumps({"codes": codes, "baseline": sorted(baseline), "loaded": loaded}))
+print(json.dumps({"codes": codes, "baseline": sorted(baseline), "loaded": loaded,
+                  "out": out.getvalue(), "err": err.getvalue()}))
 """
 
 
 @pytest.mark.parametrize("flags", [[], ["-S"]], ids=["site", "no-site"])
 def test_canonical_cold_calls_load_no_argparse(flags):
-    """A fresh interpreter reads canonical term, sum, catalog, oeis-check and
-    verify command lines from cli's option table: in text and in JSON,
-    none of _ARGPARSE_MODULES loads."""
+    """A fresh interpreter reads canonical term (a negative --n too), sum (a
+    negative literal too), catalog, oeis-check and verify command lines
+    from cli's option table: in text and in JSON, none of _ARGPARSE_MODULES
+    loads.  Nor does json, although the JSON records, an error's among
+    them, are written and parse as JSON."""
     src = str(Path(tribsum.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, *flags, "-c", _CANONICAL_SCRIPT], env=env,
                          check=True, capture_output=True, text=True).stdout
     seen = json.loads(out)
-    assert seen["codes"] == [EXIT_OK] * 12
+    assert seen["codes"] == ([EXIT_OK] * 8 + [EXIT_USAGE]) * 2
     assert {"tribsum.cli", "tribsum.verify"} <= set(seen["loaded"])
-    assert set(seen["loaded"]) & (_ARGPARSE_MODULES | {"tribsum._parser"}) == set()
+    assert set(seen["loaded"]) & (_ARGPARSE_MODULES | {"tribsum._parser", "json"}) == set()
+    assert "json" not in seen["baseline"]
     if flags:
         assert set(seen["baseline"]) & _ARGPARSE_MODULES == set()
+    records = [json.loads(line) for line in seen["out"].splitlines() if line[:1] == "{"]
+    assert [r["command"] for r in records if r.get("suite", "total") == "total"] == [
+        "term", "term", "term", "sum", "sum", *["catalog"] * 15, "oeis-check", "verify"]
+    error = json.loads(seen["err"].splitlines()[-1])
+    assert (error["error"], error["exit"]) == ("UnknownSequence", EXIT_USAGE)
+    assert seen["err"].startswith("error: unknown sequence 'nosuch'")
 
 
 _HELP_SCRIPT = """
@@ -955,7 +971,8 @@ _PIECES = {
 _OTHER = [("-h",), ("--help",), ("--se", "tribonacci"), ("--n=7",), ("--n", "-3"),
           ("--n", _HUGE), ("--n", "-" + _HUGE), ("--bogus", "1"), ("--r", "-1/2"),
           ("--n", "abc"), ("--check",), ("--format", "json"), ("extra",), ("--par", "all"),
-          ("--seq",), ("--", "7"), ("--w", "1")]
+          ("--seq",), ("--", "7"), ("--w", "1"), ("--n", "-0"), ("--n", "-1_3"),
+          ("--n", "-\u0661\u0662"), ("--n", "-.5"), ("--r", "-3/00"), ("--r", "-.5")]
 _PREFIXES = st.sampled_from([[], ["--format", "text"], ["--format", "json"]]) | st.sampled_from(
     [["--format=json"], ["--form", "json"], ["--format", "xml"], ["-h"],
      ["--format", "json", "--format", "text"]])
@@ -983,7 +1000,17 @@ _CANONICAL = [
     ["verify"], ["verify", "--max-n", "1", "--random", "1", "--seed", "3"],
     ["oeis-check", "--fixture-dir", "", "--count", "5"], ["bench"],
     ["bench", "--seq", "perrin"], ["catalog"], ["--format", "json", "catalog"],
+    ["term", "--seq", "tribonacci", "--n", "-3"],
+    ["term", "--r", "-1/2", "--s", "1", "--t", "1", "--w0", "0", "--w1", "1", "--w2", "1",
+     "--n", "3"],
 ]
+
+
+def _argparse(argv):
+    """The namespace main's argparse path makes of *argv*, "-p/q" joined."""
+    args = SimpleNamespace()
+    assert _parser.parse(cli.build_parser(), list(argv), args, cli._PARAM_OPTIONS) is None
+    return vars(args)
 
 
 @pytest.mark.parametrize("argv", _CANONICAL)
@@ -992,7 +1019,7 @@ def test_table_reader_reads_canonical_lines(argv):
     namespace argparse makes of it."""
     read = cli._read(list(argv))
     assert read is not None
-    assert vars(read) == vars(cli.build_parser().parse_args(argv, SimpleNamespace()))
+    assert vars(read) == _argparse(argv)
 
 
 @pytest.mark.parametrize("argv", [
@@ -1000,8 +1027,11 @@ def test_table_reader_reads_canonical_lines(argv):
     ["--format", "json", "--format", "json", "catalog"], ["-h"], ["catalog", "-h"],
     ["catalog", "--help"], [], ["bogus"], ["catalog", "extra"], ["catalog", "--format", "json"],
     ["term", "--seq", "tribonacci", "--n", "3", "--n", "3"], ["term", "--se", "tribonacci", "--n", "3"],
-    ["term", "--seq", "tribonacci", "--n=3"], ["term", "--seq", "tribonacci", "--n", "-3"],
-    ["term", "--r", "-1/2", "--s", "1", "--t", "1", "--w0", "0", "--w1", "1", "--w2", "1", "--n", "3"],
+    ["term", "--seq", "tribonacci", "--n=3"], ["term", "--seq", "tribonacci", "--n", "-1_3"],
+    ["term", "--seq", "tribonacci", "--n", "-\u0661\u0662"],
+    ["term", "--seq", "tribonacci", "--n", "-13\t"], ["term", "--seq", "-13", "--n", "3"],
+    ["term", "--r", "-x", "--s", "1", "--t", "1", "--w0", "0", "--w1", "1", "--w2", "1",
+     "--n", "3"],
     ["term", "--seq", "tribonacci", "--n", "abc"], ["term", "--seq", "tribonacci", "--n", _HUGE],
     ["term", "--seq", "tribonacci"], ["term", "--seq", "tribonacci", "--n"],
     ["sum", "--seq", "perrin", "--dir", "up", "--parity", "odd", "--n", "4"],
@@ -1009,9 +1039,11 @@ def test_table_reader_reads_canonical_lines(argv):
     ["verify", "--max-n", "--", "3"], ["bench", "--n", "10"], ["bench", "--n", "10", "1000"],
 ], ids=["format-joined", "format-abbreviated", "format-choice", "format-repeated", "help",
         "command-help-short", "command-help", "no-command", "unknown-command", "positional",
-        "format-after-command", "repeated", "abbreviated", "joined", "negative-int",
-        "negative-literal", "bad-int", "past-digit-limit", "missing-required", "missing-value",
-        "bad-choice", "repeated-flag", "double-dash", "list-option", "list-option-two"])
+        "format-after-command", "repeated", "abbreviated", "joined", "negative-underscore",
+        "negative-non-ascii", "negative-tab", "negative-string-option",
+        "parameter-not-a-literal", "bad-int", "past-digit-limit", "missing-required",
+        "missing-value", "bad-choice", "repeated-flag", "double-dash", "list-option",
+        "list-option-two"])
 def test_table_reader_leaves_the_rest_to_argparse(argv):
     assert cli._read(list(argv)) is None
 
@@ -1023,7 +1055,7 @@ def test_table_reader_agrees_with_argparse(argv):
     parses the same command line to an equal one."""
     read = cli._read(list(argv))
     if read is not None:
-        assert vars(read) == vars(cli.build_parser().parse_args(argv, SimpleNamespace()))
+        assert vars(read) == _argparse(argv)
 
 
 @given(argv=command_lines())
@@ -1049,6 +1081,39 @@ def test_any_command_line_ends_cleanly(argv):
         assert json.loads(line)["exit"] == code
     elif as_json:
         assert err == ""
+
+
+# The keys of every record the CLI writes, and values of any JSON type a
+# record holds: any text (quotes, backslashes, control characters, non-ASCII,
+# astral and lone surrogates), ASCII and printable ASCII, ints, bools, None,
+# lists of strings and floats, NaN and infinities among them.
+_RECORD_KEYS = ["case_used", "catalog_shift", "closed_ns", "command", "dir", "display_name",
+                "error", "exit", "failed", "failures", "initial", "key", "matched", "message",
+                "n", "oeis_id", "oeis_ids", "ok", "oracle_checked", "oracle_ns", "params",
+                "parity", "passed", "reason", "requested", "seq", "shift", "speedup", "status",
+                "suite", "value"]
+_TEXT = (st.text(st.characters(exclude_categories=()) | st.characters(categories=["Cs"])
+                 | st.sampled_from('"\\')) | st.text(st.characters(max_codepoint=0x7F))
+         | st.from_regex(r"[ -~]*", fullmatch=True))
+_RECORD_VALUES = (_TEXT | st.integers() | st.booleans() | st.none() | st.lists(_TEXT, max_size=3)
+                  | st.floats())
+
+
+@given(record=st.dictionaries(st.sampled_from(_RECORD_KEYS), _RECORD_VALUES, max_size=8))
+@settings(max_examples=500, deadline=None)
+@example(record={"command": "term", "seq": None, "n": -13, "value": "18"})
+@example(record={"message": "unknown sequence 'no\"such'", "failures": ["\\", "\ud800"],
+                 "speedup": float("nan"), "ok": True})
+@example(record={"message": "no\"such"})
+@example(record={"failures": ["back\\slash"]})
+@example(record={"reason": "café"})
+@example(record={"reason": "tab\there"})
+@example(record={"seq": "\x7f"})
+def test_record_writer_writes_what_json_writes(record):
+    """Each record is written byte for byte as json writes it.  The one-field
+    examples each break one condition of a plain string, which any other
+    non-plain field in the same record would hide."""
+    assert cli._dumps(record) == json.dumps(record, sort_keys=True)
 
 
 def test_reader_closing_pipe_early_exits_quietly():
