@@ -1,9 +1,11 @@
 """The argparse parser of the command line, built from ``cli``'s option
 table, and the parse of a command line that table's reader leaves to it.
-``cli`` imports this module only for help, usage and errors, so a
-canonical call loads neither argparse nor the gettext and locale modules
-that argparse loads.  It imports nothing from ``cli``: run as
-``python -m tribsum.cli``, that module is ``__main__``, not ``tribsum.cli``.
+``cli`` imports this module only for help, usage, errors and other
+non-canonical command lines, so a canonical call loads neither argparse
+nor the gettext, locale and shutil modules that argparse loads.  The
+parser formats text with argparse's own formatter.  This module imports
+nothing from ``cli``: run as ``python -m tribsum.cli``, that module is
+``__main__``, not ``tribsum.cli``.
 """
 
 import argparse
@@ -17,27 +19,7 @@ class UsageError(Exception):
         self.parser = parser
 
 
-class _HelpFormatter(argparse.HelpFormatter):
-    """argparse's formatter, reading the terminal width only to format help
-    or usage: argparse also builds one per add_argument, to check metavars,
-    and the width's shutil import costs a cold call 3-4 ms."""
-
-    def __init__(self, prog: str) -> None:
-        super().__init__(prog, width=80)
-        del self._width, self._max_help_position  # __getattr__ sets both on first read
-
-    def __getattr__(self, name: str):
-        if name not in ("_width", "_max_help_position"):
-            raise AttributeError(name)
-        full = argparse.HelpFormatter(self._prog)
-        self._width, self._max_help_position = full._width, full._max_help_position
-        return getattr(self, name)
-
-
 class _Parser(argparse.ArgumentParser):
-    def __init__(self, **kwargs) -> None:
-        super().__init__(formatter_class=_HelpFormatter, **kwargs)
-
     def error(self, message: str):
         raise UsageError(self, message)
 

@@ -266,13 +266,6 @@ _COMMANDS = {
 }
 
 
-def build_parser():
-    """The argparse parser of _PROGRAM and _COMMANDS: the only source of
-    help, usage and error text, and the one place argparse is loaded."""
-    from ._parser import build_parser
-    return build_parser(_PROGRAM, _DESCRIPTION, _COMMANDS)
-
-
 def _read_options(argv: list[str], i: int, options: dict, values: dict) -> int | None:
     """Read ``--option VALUE`` and ``--flag`` items of *options* from argv[i:]
     into *values*, converted as argparse converts them, up to the first
@@ -346,10 +339,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _read(argv)
     try:
         if args is None:
-            from ._parser import parse
+            from ._parser import build_parser, parse
             # Filled as parsing goes: --format is set before any later argument fails.
             args = SimpleNamespace()
-            failure = parse(build_parser(), argv, args, _PARAM_OPTIONS)
+            failure = parse(build_parser(_PROGRAM, _DESCRIPTION, _COMMANDS),
+                            argv, args, _PARAM_OPTIONS)
             if failure is not None:
                 return _error(args, EXIT_USAGE, failure)
         code = args.func(args)

@@ -8,16 +8,17 @@ coefficients, and each result is one division of such an int at the end.
 Setting up a walk reads each numerator and denominator once and does no
 Fraction arithmetic; going backward, the reversed triple is formed as
 fully reduced integer pairs.
-A step drops each term whose coefficient is 0 and adds or subtracts each
-whose coefficient is +-1, so only other coefficients multiply: a Tribonacci
-step is two additions.  The walk is compiled from one step text per pattern
-of the three coefficients, each 0, 1, -1 or other; the text depends on the
-pattern and on no value, and the coefficients are its arguments.  It is
-compiled in two forms.  A generator (at most 64) yields every term; terms,
-term tables and running prefix sums are read off it, and
-``tribsum.term_iterative`` is :func:`oracle_term`.  A sum loop (at most
-256, one per pattern, stride and scale) adds the terms of one literal sum
-as it walks them.  This is the package's only O(|n|) recurrence walk.
+Terms, term tables and running prefix sums are read off a plain generator
+of the recurrence, and ``tribsum.term_iterative`` is :func:`oracle_term`.
+A literal sum runs the walk's one compiled form, a sum loop (at most 256,
+one per pattern, stride and scale) that adds the sum's terms as it walks
+them.  Its step drops each term whose coefficient is 0 and adds or
+subtracts each whose coefficient is +-1, so only other coefficients
+multiply: a Tribonacci step is two additions.  The loop is compiled from
+one step text per pattern of the three coefficients, each 0, 1, -1 or
+other; the text depends on the pattern and on no value, and the
+coefficients are its arguments.  This is the package's only O(|n|)
+recurrence walk.
 A literal sum finds its family's first bound, first walk position and
 stride in the oracle's own table, by the query's direction and parity
 values, and sets its walk up in straight-line code: it runs no enum code.
@@ -78,9 +79,9 @@ def _walk(seq: SequenceDef, direction: Direction) -> tuple[int, int, Iterator[in
     """(q, d, ints) where the j-th int is d*q^j times the j-th term walked:
     W_j forward, W_{-j-1} backward, without end.
 
-    The ints come from one generator holding three live terms, and a reader
-    divides once per result it returns.  Backward, they are the walk from
-    (W_2, W_1, W_0) past its first three terms.
+    The ints come from one plain generator of the recurrence holding three
+    live terms, and a reader divides once per result it returns.  Backward,
+    they are the walk from (W_2, W_1, W_0) past its first three terms.
     """
     q, d, start = _start(seq, direction is Direction.BACKWARD)
     ints = _steps(*start)
@@ -92,9 +93,8 @@ def _walk(seq: SequenceDef, direction: Direction) -> tuple[int, int, Iterator[in
 # A step's term for each class of coefficient: 0 drops it, +-1 adds or
 # subtracts it, and any other value (None) multiplies.
 _TERM = {0: "", 1: " + {v}", -1: " - {v}", None: " + {c} * {v}"}
-# One compiled walk per pattern of classes, so at most 4^3 = 64, and one
-# sum loop per pattern, stride (1 or 2) and scale, so at most 256.
-_WALKS: dict = {}
+# One sum loop per pattern of classes (at most 4^3 = 64), stride (1 or 2)
+# and scale, so at most 256.
 _SUMS: dict = {}
 
 
@@ -123,22 +123,12 @@ def _define(text: str) -> Callable:
     return namespace.popitem()[1]
 
 
-def _compile(pattern: tuple) -> Callable[..., Iterator[int]]:
-    """The walk for one pattern, as a generator."""
-    return _define("def walk(R, S, T, low, mid, high):\n"
-                   "    while True:\n"
-                   "        yield low\n"
-                   f"        low, mid, high = mid, high, {_step(pattern, 'high', 'mid', 'low')}\n")
-
-
 def _steps(R: int, S: int, T: int, low: int, mid: int, high: int) -> Iterator[int]:
     """low, mid, high, then u_k = R*u_{k-1} + S*u_{k-2} + T*u_{k-3} without
-    end, by the walk compiled for the pattern of (R, S, T)."""
-    pattern = _pattern(R, S, T)
-    walk = _WALKS.get(pattern)
-    if walk is None:
-        walk = _WALKS[pattern] = _compile(pattern)
-    return walk(R, S, T, low, mid, high)
+    end."""
+    while True:
+        yield low
+        low, mid, high = mid, high, R * high + S * mid + T * low
 
 
 def _compile_sum(pattern: tuple, stride: int, horner: bool) -> Callable[..., int]:

@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import io
 import json
@@ -658,14 +657,15 @@ class TestJsonErrors:
 
     @pytest.mark.parametrize("columns", ["40", "80", "200"])
     def test_help_and_usage_as_argparse_lays_them_out(self, capsys, monkeypatch, columns):
-        """The parser's formatter, which reads the terminal width late, lays
-        out every help and usage text as argparse's own formatter does."""
-        monkeypatch.setenv("COLUMNS", columns)
+        """Help exits 0 and usage errors 2, each text starting with its usage
+        line, and argparse wraps the help to the terminal width it reads:
+        narrower than 200 columns, it takes more lines."""
         argvs = [["--help"], *([name, "--help"] for name in
                                ("term", "sum", "verify", "oeis-check", "bench", "catalog")),
                  [], ["term", "--seq", "tribonacci", "--n", "abc"], ["bogus"]]
 
-        def texts():
+        def texts(width):
+            monkeypatch.setenv("COLUMNS", width)
             out = []
             for argv in argvs:
                 with pytest.raises(SystemExit) as exc:
@@ -673,19 +673,13 @@ class TestJsonErrors:
                 out.append((exc.value.code, *capsys.readouterr()))
             return out
 
-        ours = texts()
-        monkeypatch.setattr(_parser, "_HelpFormatter", argparse.HelpFormatter)
-        assert ours == texts()
+        ours = texts(columns)
+        assert [code for code, _, _ in ours] == [EXIT_OK] * 7 + [EXIT_USAGE] * 3
         assert all((out or err).startswith("usage: tribsum") for _, out, err in ours)
-
-    def test_formatter_has_only_the_late_width(self):
-        """The formatter's lazy attributes are the width and help position
-        alone; any other missing name is an AttributeError, so hasattr is
-        False and reading it sets no width."""
-        formatter = _parser._HelpFormatter("tribsum")
-        assert not hasattr(formatter, "no_such_name")
-        assert "_width" not in vars(formatter)
-        assert formatter._width == argparse.HelpFormatter("tribsum")._width
+        if columns != "200":
+            wide = texts("200")
+            for i in (0, 2):  # --help, sum --help
+                assert ours[i][1].count("\n") > wide[i][1].count("\n")
 
     def test_text_mode_unchanged(self, capsys, monkeypatch):
         _break_fwd_all(monkeypatch)
@@ -776,15 +770,15 @@ def test_fresh_interpreter_loads_exactly(statement, loaded):
 
 
 # Loaded with pathlib, which only fixture paths need, and with shutil, which
-# only argparse's terminal width for help and usage text needs.
+# argparse loads to read the terminal width whenever it builds a parser.
 _PATH_MODULES = {"pathlib", "urllib.parse", "ipaddress", "ntpath", "fnmatch"}
 _WIDTH_MODULES = {"shutil", "bz2", "lzma"}
 
 # Annotations are builtin syntax, so no call loads these.
 _ANNOTATION_MODULES = {"typing", "__future__"}
 
-# It lists the modules before it loads json to print them, and again after
-# oeis-check and verify, which write JSON records.
+# It lists the modules after the text calls and again after oeis-check and
+# verify write their JSON records, each time before it loads json to print them.
 _NO_PATH_SCRIPT = """
 import contextlib, io, sys
 from tribsum import cli
@@ -797,17 +791,19 @@ with contextlib.redirect_stdout(io.StringIO()):
     modules = sorted(sys.modules)
     codes += [cli.main(["--format", "json", *argv]) for argv in (
         ["oeis-check", "--seq", "tribonacci"], ["verify", "--seq", "perrin", "--max-n", "3"])]
+    loaded = sorted(sys.modules)
 import json
-print(json.dumps({"codes": codes, "modules": modules, "all": sorted(sys.modules)}))
+print(json.dumps({"codes": codes, "modules": modules, "all": loaded}))
 """
 
 
 def test_cold_cli_term_sum_catalog_skip_pathlib():
     """Without site (-S), so no .pth file preloads them, a fresh term, sum
     and catalog run in text mode loads none of _PATH_MODULES and
-    _WIDTH_MODULES: it formats no help, so it reads no terminal width.  It
-    writes no JSON record, so it loads no json either.  Neither they nor
-    oeis-check and verify in JSON load _ANNOTATION_MODULES."""
+    _WIDTH_MODULES: it builds no argparse parser, so it reads no terminal
+    width.  It writes no JSON record, so it loads no json either.  Neither
+    do oeis-check and verify in JSON, whose records need no escaping, and no
+    call loads _ANNOTATION_MODULES."""
     src = str(Path(tribsum.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-S", "-c", _NO_PATH_SCRIPT], env=env,
@@ -816,7 +812,8 @@ def test_cold_cli_term_sum_catalog_skip_pathlib():
     assert seen["codes"] == [EXIT_OK] * 5
     assert "tribsum.cli" in seen["modules"]
     assert set(seen["modules"]) & (_PATH_MODULES | _WIDTH_MODULES | {"json"}) == set()
-    assert {"tribsum.oeis", "tribsum.verify", "json"} <= set(seen["all"])
+    assert {"tribsum.oeis", "tribsum.verify"} <= set(seen["all"])
+    assert "json" not in seen["all"]
     assert set(seen["all"]) & _ANNOTATION_MODULES == set()
 
 
@@ -1009,7 +1006,8 @@ _CANONICAL = [
 def _argparse(argv):
     """The namespace main's argparse path makes of *argv*, "-p/q" joined."""
     args = SimpleNamespace()
-    assert _parser.parse(cli.build_parser(), list(argv), args, cli._PARAM_OPTIONS) is None
+    parser = _parser.build_parser(cli._PROGRAM, cli._DESCRIPTION, cli._COMMANDS)
+    assert _parser.parse(parser, list(argv), args, cli._PARAM_OPTIONS) is None
     return vars(args)
 
 

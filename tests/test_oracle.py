@@ -123,8 +123,9 @@ class TestOracleSumBranches:
 
 
 class TestWalkPatterns:
-    """Each step drops a coefficient of 0, adds or subtracts one of +-1 and
-    multiplies by any other, in one walk compiled per pattern of (R, S, T)."""
+    """The term walk is the plain recurrence, and each step of a sum loop,
+    compiled per pattern of (R, S, T), drops a coefficient of 0, adds or
+    subtracts one of +-1 and multiplies by any other."""
 
     COEFFS = (-3, -1, 0, 1, 2)  # every class, and "other" of each sign
     INTEGER_TRIPLES = [(1, 3, 1), (0, 2, 1), (1, 1, -1), (1, 0, 0), (-1, 0, 1), (2, -1, 1)]
@@ -136,7 +137,6 @@ class TestWalkPatterns:
             while len(expected) < 40:
                 expected.append(R * expected[-1] + S * expected[-2] + T * expected[-3])
             assert list(islice(oracle._steps(R, S, T, 5, -7, 3), 40)) == expected
-        assert len(oracle._WALKS) <= 64
 
     @pytest.mark.parametrize("stride", (1, 2))
     @pytest.mark.parametrize("horner", (False, True), ids=["plain", "horner"])
@@ -195,7 +195,6 @@ class TestWalkPatterns:
                     q = SumQuery(direction, parity, n)
                     assert oracle_sum(seq, q) == sum(
                         (terms[k] for k in query_indices(q)), Fraction(0))
-        assert len(oracle._WALKS) <= 64
 
 
 class TestTermTable:
@@ -269,12 +268,16 @@ class TestAgainstReference:
         kernel_objects = [getattr(core, name) for name in kernel]
         assert not any(value is obj for value in vars(oracle).values()
                        for obj in kernel_objects)
-        # A compiled walk names nothing but its own arguments.
-        for pattern in product((0, 1, -1, None), repeat=3):
-            assert oracle._compile(pattern).__code__.co_names == ()
-        oracle_term(SequenceDef.of(1, 3, 1, 2, -1, 3), -40)
-        assert all(walk.__code__.co_names == () for walk in oracle._WALKS.values())
-        # Nor does a sum loop: it counts with its arguments, not with range.
+        # The sum loop is the only compiled form: terms, term tables and
+        # running sums leave it unchanged.
+        seq = SequenceDef.of(1, 3, 1, 2, -1, 3)
+        loops = dict(oracle._SUMS)
+        oracle_term(seq, -40)
+        term_table(seq, -40, 40)
+        list(prefix_sums(seq, Direction.BACKWARD, Parity.ODD, 40))
+        assert oracle._SUMS == loops
+        # A sum loop names nothing but its own arguments: it counts with
+        # them, not with range.
         for pattern, stride, horner in product(product((0, 1, -1, None), repeat=3),
                                                (1, 2), (False, True)):
             assert oracle._compile_sum(pattern, stride, horner).__code__.co_names == ()
