@@ -4,8 +4,8 @@ Subcommands: term, sum, verify, oeis-check, bench, catalog.  Results print
 as plain text by default; ``--format json`` emits one self-contained JSON
 record per result (newline-delimited), verify's failures inside their
 suite's record, and each error as one JSON record on stderr.  Exit codes:
-0 success, 1 output pipe closed by its reader, 2 usage or precondition
-error, 3 verification mismatch, 4 OEIS check failure.
+0 success, 1 output closed (a pipe by its reader, or stdout at start), 2
+usage or precondition error, 3 verification mismatch, 4 OEIS check failure.
 
 Each subcommand's help, handler and options are declared once, in
 ``_COMMANDS``.  ``main`` reads a command line of the canonical shape
@@ -23,8 +23,12 @@ functions it calls through this module.  A record whose keys and values
 are ints, bools, None, printable ASCII without '"' or '\\', or lists of
 these is written without json; json loads only for any other record, such
 as bench's float speedup or a message that needs escaping.
+
+A ``tribsum`` process ends through ``run``, which skips the interpreter's
+teardown of a process about to end; ``main`` returns its code to callers.
 """
 
+import atexit
 import os
 import sys
 import time
@@ -335,6 +339,8 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if sys.stdout is None:  # fd 1 closed at start: the output has no reader
+        return EXIT_BROKEN_PIPE
     argv = list(sys.argv[1:] if argv is None else argv)
     args = _read(argv)
     try:
@@ -361,5 +367,22 @@ def main(argv: list[str] | None = None) -> int:
         return _error(args, EXIT_USAGE, exc, "error: ")
 
 
+def run() -> int:
+    """main() on sys.argv, then the end of the process without teardown:
+    flush stdout and stderr, run the exit handlers, flush what they wrote
+    and ``os._exit``.  Teardown would only free memory, as the CLI starts no
+    thread and leaves nothing to a finalizer.  SystemExit (help, usage), an
+    uncaught exception and a failed flush, whose code is returned for
+    ``sys.exit(run())``, take the normal exit."""
+    code = main()
+    flushes = [stream.flush for stream in (sys.stdout, sys.stderr) if stream is not None]
+    try:
+        for step in (*flushes, atexit._run_exitfuncs, *flushes):
+            step()
+    except OSError:
+        return code
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

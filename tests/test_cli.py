@@ -1128,3 +1128,142 @@ def test_reader_closing_pipe_early_exits_quietly():
         code = proc.wait(timeout=120)
     assert head.isdigit() and len(head) == 10
     assert (code, err) == (EXIT_BROKEN_PIPE, b"")
+
+
+def test_closed_stdout_exits_quietly(capsys, monkeypatch):
+    """With fd 1 closed at start, sys.stdout is None: the output has no
+    reader, so the call exits 1 and writes nothing on stderr."""
+    monkeypatch.setattr(sys, "stdout", None)
+    code = main(["--format", "json", "term", "--seq", "tribonacci", "--n", "5"])
+    assert (code, capsys.readouterr().err) == (EXIT_BROKEN_PIPE, "")
+
+
+# cli.run ends its process, so each test of it runs in a subprocess.
+def _process(*argv, prelude=None, close_stdout=False):
+    """(exit code, stdout, stderr) of ``python -m tribsum.cli *argv``, or
+    with *prelude* of a ``-c`` script that runs it and then calls
+    ``sys.exit(cli.run())``, as the installed script does.  With
+    *close_stdout* the process starts with fd 1 closed.  Its stdout is
+    buffered, as by default, so what is left unflushed is lost."""
+    src = str(Path(tribsum.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED="")
+    shell = ["sh", "-c", 'exec "$@" >&-', "sh"] if close_stdout else []
+    command = ["-m", "tribsum.cli"] if prelude is None else [
+        "-c", f"import sys\nfrom tribsum import cli\n{prelude}\nsys.exit(cli.run())"]
+    proc = subprocess.run([*shell, sys.executable, *command, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+_UNKNOWN = ["--format", "json", "term", "--seq", "nosuch", "--n", "3"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--format", "json", "term", "--seq", "tribonacci", "--n", "-40"], EXIT_OK),
+    (["sum", "--seq", "perrin", "--dir", "bwd", "--parity", "odd", "--n", "40", "--check"],
+     EXIT_OK),
+    (["catalog"], EXIT_OK),
+    (_UNKNOWN, EXIT_USAGE),
+], ids=["term", "sum-check", "catalog", "unknown-sequence"])
+def test_process_writes_what_main_writes(capsys, argv, code):
+    """python -m tribsum.cli exits with main's code and writes its bytes."""
+    seen = run(capsys, *argv)
+    assert seen[0] == code
+    assert _process(*argv) == seen
+
+
+def test_process_failing_oeis_check(capsys, tmp_path):
+    """A b-file no shift aligns with (all zeros) exits 4, as in-process."""
+    (tmp_path / "b000073.txt").write_text("".join(f"{n} 0\n" for n in range(40)))
+    argv = ["--format", "json", "oeis-check", "--seq", "tribonacci",
+            "--fixture-dir", str(tmp_path)]
+    seen = run(capsys, *argv)
+    assert seen[0] == EXIT_OEIS
+    assert _process(*argv) == seen
+
+
+def test_installed_script_shape_keeps_mismatch_exit(capsys, monkeypatch):
+    """sys.exit(run()), with the literal sum patched to disagree, exits 3
+    with the record main writes."""
+    argv = ["--format", "json", "sum", "--seq", "tribonacci", "--dir", "fwd",
+            "--parity", "all", "--n", "30", "--check"]
+    monkeypatch.setattr(sums, "sum_oracle", lambda seq, query: -1)
+    seen = run(capsys, *argv)
+    assert seen[0] == EXIT_MISMATCH
+    prelude = "import tribsum.sums as sums\nsums.sum_oracle = lambda seq, query: -1"
+    assert _process(*argv, prelude=prelude) == seen
+
+
+# One exit handler writes to fd 1 past the stdout buffer, then prints into it.
+_HANDLER = """
+import atexit, os
+def handler():
+    os.write(1, b"exit handler ran\\n")
+    print("and printed")
+atexit.register(handler)
+"""
+
+# A catalog listing that fails after its first entry, whose line is then
+# still in the stdout buffer when main returns.
+_ONE_ENTRY = """
+def entries(list_all=cli.list_all):
+    yield from list_all()[:1]
+    raise ValueError("no more entries")
+cli.list_all = entries
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["--format", "json", "term", "--seq", "tribonacci", "--n", "13"], _UNKNOWN,
+], ids=["term", "unknown-sequence"])
+def test_exit_handlers_run_after_the_record(capsys, argv):
+    """A handler registered before run() still runs, after the record, what
+    it prints is flushed too, and the exit code stands."""
+    code, out, err = run(capsys, *argv)
+    assert _process(*argv, prelude=_HANDLER) == (
+        code, out + "exit handler ran\nand printed\n", err)
+
+
+def test_exit_handlers_run_after_output_left_in_the_buffer(capsys):
+    """main returns with the first catalog line still in the stdout
+    buffer: run flushes it before the handler runs."""
+    first = run(capsys, "catalog")[1].splitlines(keepends=True)[0]
+    assert _process("catalog", prelude=_ONE_ENTRY + _HANDLER) == (
+        EXIT_USAGE, first + "exit handler ran\nand printed\n", "error: no more entries\n")
+
+
+def test_failed_flush_takes_the_normal_exit():
+    """Where run's flush fails (stdout is /dev/full), run returns main's
+    code and the interpreter's own exit reports the failure, with its exit
+    code 120, as when main was the script."""
+    prelude = _ONE_ENTRY + 'import os\nos.dup2(os.open("/dev/full", os.O_WRONLY), 1)'
+    code, out, err = _process("catalog", prelude=prelude)
+    assert (code, out) == (120, "")
+    assert err.startswith("error: no more entries\n") and "Traceback" not in err
+    assert err.endswith("OSError: [Errno 28] No space left on device\n")
+
+
+def test_long_record_arrives_whole_through_a_pipe():
+    """W_300000's 79,000 digits are more than a pipe buffer holds: all of
+    them reach the reader, so the flush comes before the process ends."""
+    code, out, err = _process("term", "--seq", "tribonacci", "--n", "300000")
+    assert (code, err) == (EXIT_OK, "")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert out == format_rational(term_matrix(lookup("tribonacci").definition, 300000)) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_process_help_exits_normally():
+    code, out, err = _process("--help")
+    assert (code, err) == (EXIT_OK, "")
+    assert out.startswith("usage: tribsum")
+
+
+def test_process_with_closed_stdout_exits_quietly():
+    """``tribsum ... >&-``: main exits 1 and run's flush skips the missing
+    stdout."""
+    argv = ["--format", "json", "term", "--seq", "tribonacci", "--n", "5"]
+    assert _process(*argv, close_stdout=True) == (EXIT_BROKEN_PIPE, "", "")
