@@ -110,5 +110,9 @@ printf '%s\n' '{"command": "term", "n": 13, "seq": "tribonacci", "value": "927"}
 # A stdout closed at start has no reader: exit exactly 1, with nothing on stderr.
 code=0; PYTHONPATH=src python -m tribsum.cli --format json term --seq tribonacci --n 5 >&- 2>"$RUNNER_TEMP/closed.txt" || code=$?; test "$code" -eq 1
 test ! -s "$RUNNER_TEMP/closed.txt"
+# A stderr closed at start drops the error record and keeps its code: exit exactly 2, with
+# nothing on stdout, where print would write a record meant for a stderr that is None.
+code=0; PYTHONPATH=src python -m tribsum.cli --format json term --seq nosuch --n 3 2>&- >"$RUNNER_TEMP/closed_stderr.txt" || code=$?; test "$code" -eq 2
+test ! -s "$RUNNER_TEMP/closed_stderr.txt"
 # Warm rows, each the best of three calls.
 PYTHONPATH=src python -m tribsum.cli --format json bench --n 10 1000

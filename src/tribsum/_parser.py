@@ -60,8 +60,7 @@ def build_parser(program: dict, description: str, commands: dict) -> argparse.Ar
 def parse(parser: argparse.ArgumentParser, argv: list[str], args: object,
           joined: set[str]) -> UsageError | None:
     """Parse *argv* into the namespace *args* with *parser*.  Return None, or
-    the usage error of a ``--format json`` command line; in text mode
-    argparse writes the usage and the error and exits 2, and help exits 0.
+    the usage error, which the caller writes; help exits 0.
 
     argparse takes a separate "-3/4" for an option name, so a value that
     starts with "-" and a digit is first joined to the option of *joined*
@@ -73,7 +72,5 @@ def parse(parser: argparse.ArgumentParser, argv: list[str], args: object,
     try:
         parser.parse_args(argv, args)
     except UsageError as exc:
-        if args.format != "json":
-            argparse.ArgumentParser.error(exc.parser, str(exc))
         return exc
     return None

@@ -6,6 +6,7 @@ record per result (newline-delimited), verify's failures inside their
 suite's record, and each error as one JSON record on stderr.  Exit codes:
 0 success, 1 output closed (a pipe by its reader, or stdout at start), 2
 usage or precondition error, 3 verification mismatch, 4 OEIS check failure.
+A closed stderr drops what would go there and keeps the exit code.
 
 Each subcommand's help, handler and options are declared once, in
 ``_COMMANDS``.  ``main`` reads a command line of the canonical shape
@@ -122,16 +123,27 @@ def _emit(args: SimpleNamespace, record: dict, text: str) -> None:
     print(_dumps(record) if args.format == "json" else text)
 
 
+def _warn(text: str) -> None:
+    """Print *text* to stderr, which is line-buffered.  A closed stderr,
+    None from the start or a stream whose writes fail, is dropped with the
+    text: print would write to stdout for None, and a failed write left in
+    the buffer would fail the flush at exit and change the exit code."""
+    if sys.stderr is not None:
+        try:
+            print(text, file=sys.stderr)
+        except OSError:
+            sys.stderr = None
+
+
 def _error(args: SimpleNamespace, code: int, exc: Exception,
            prefix: str = "") -> int:
     """Write *exc* to stderr, as *prefix* and its message or as a JSON
     record, and return the exit *code*."""
     if args.format == "json":
-        text = _dumps({"command": args.subcommand, "status": "error",
-                       "error": type(exc).__name__, "message": str(exc), "exit": code})
+        _warn(_dumps({"command": args.subcommand, "status": "error",
+                      "error": type(exc).__name__, "message": str(exc), "exit": code}))
     else:
-        text = f"{prefix}{exc}"
-    print(text, file=sys.stderr)
+        _warn(f"{prefix}{exc}")
     return code
 
 
@@ -172,7 +184,7 @@ def _cmd_sum(args: SimpleNamespace) -> int:
 # calls lookup and align through this module, where callers may replace them.
 def _cmd_verify(args: SimpleNamespace) -> int:
     from .verify import run_command
-    return EXIT_OK if run_command(args, _emit) else EXIT_MISMATCH
+    return EXIT_OK if run_command(args, _emit, _warn) else EXIT_MISMATCH
 
 
 def _cmd_oeis_check(args: SimpleNamespace) -> int:
@@ -351,7 +363,11 @@ def main(argv: list[str] | None = None) -> int:
             failure = parse(build_parser(_PROGRAM, _DESCRIPTION, _COMMANDS),
                             argv, args, _PARAM_OPTIONS)
             if failure is not None:
-                return _error(args, EXIT_USAGE, failure)
+                if args.format == "json":
+                    return _error(args, EXIT_USAGE, failure)
+                # argparse's own usage and error text, and its exit
+                _warn(f"{failure.parser.format_usage()}{failure.parser.prog}: error: {failure}")
+                raise SystemExit(EXIT_USAGE)
         code = args.func(args)
         sys.stdout.flush()
         return code

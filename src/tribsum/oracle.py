@@ -1,10 +1,12 @@
 """The literal reference implementation used as ground truth by every test.
 
-Everything here rests on one walk of the recurrence, forward from W_0 or
-backward from W_{-1}, that holds three live terms.  The walk steps on
-ints: with q the common denominator of the coefficients and d that of the
-starting terms, u_k = d*q^k*W_k follows a recurrence with integer
-coefficients, and each result is one division of such an int at the end.
+Everything here rests on one walk of the recurrence that holds three live
+terms: forward from W_0, and backward as the walk of V_j = W_{2-j} from
+V_0 = W_2, counted by V's index as the kernel and the closed forms count
+it.  The walk steps on ints: with q the common denominator of the
+coefficients and d that of the starting terms, u_k = d*q^k*W_k (or V_k)
+follows a recurrence with integer coefficients, and each result is one
+division of such an int at the end.
 Setting up a walk reads each numerator and denominator once and does no
 Fraction arithmetic; going backward, the reversed triple is formed as
 fully reduced integer pairs.
@@ -38,10 +40,10 @@ from .core import (Direction, NegativeIndexWithZeroT, Parity, SequenceDef,
 
 def _start(seq: SequenceDef, backward: bool) -> tuple[int, int, tuple[int, ...]]:
     """(q, d, (R, S, T, low, mid, high)): the integers a walk steps by and
-    its first three scaled terms, W_0, W_1, W_2 forward and W_2, W_1, W_0
-    backward.
+    its first three scaled terms, W_0, W_1, W_2 forward and V_0, V_1, V_2 =
+    W_2, W_1, W_0 backward.
 
-    The j-th term walked is d*q^j times its W, and each step is
+    The j-th term walked, W_j or V_j, is scaled by d*q^j, and each step is
     u_k = R*u_{k-1} + S*u_{k-2} + T*u_{k-3} with R = r*q, S = s*q^2 and
     T = t*q^3.  Backward is the forward walk of the reversed recurrence
     (-s/t, -r/t, 1/t), with its own q; at t = 0 it raises
@@ -75,19 +77,15 @@ def _start(seq: SequenceDef, backward: bool) -> tuple[int, int, tuple[int, ...]]
                   an * (d // ad), bn * (d // bd) * q, cn * (d // cd) * q * q)
 
 
-def _walk(seq: SequenceDef, direction: Direction) -> tuple[int, int, Iterator[int]]:
+def _walk(seq: SequenceDef, backward: bool) -> tuple[int, int, Iterator[int]]:
     """(q, d, ints) where the j-th int is d*q^j times the j-th term walked:
-    W_j forward, W_{-j-1} backward, without end.
+    W_j forward, V_j = W_{2-j} backward, without end.
 
     The ints come from one plain generator of the recurrence holding three
-    live terms, and a reader divides once per result it returns.  Backward,
-    they are the walk from (W_2, W_1, W_0) past its first three terms.
+    live terms, and a reader divides once per result it returns.
     """
-    q, d, start = _start(seq, direction is Direction.BACKWARD)
-    ints = _steps(*start)
-    if direction is Direction.FORWARD:
-        return q, d, ints
-    return q, d * q**3, islice(ints, 3, None)
+    q, d, start = _start(seq, backward)
+    return q, d, _steps(*start)
 
 
 # A step's term for each class of coefficient: 0 drops it, +-1 adds or
@@ -168,38 +166,39 @@ def _compile_sum(pattern: tuple, stride: int, horner: bool) -> Callable[..., int
         + "".join(f"    {line}\n" for line in tail))
 
 
+def _terms(seq: SequenceDef, backward: bool, start: int, count: int) -> Iterator[Fraction]:
+    """The *count* terms walked from position *start* on: W_start, W_{start+1},
+    ... forward and W_{2-start}, W_{1-start}, ... backward."""
+    q, den, ints = _walk(seq, backward)
+    den *= q**start
+    for u in islice(ints, start, start + count):
+        yield Fraction(u, den)
+        den *= q
+
+
 def oracle_term(seq: SequenceDef, n: int) -> Fraction:
     """W_n, reached by walking from the initial terms."""
     _require_int(n, "the index n")
-    j = n if n >= 0 else -n - 1
-    q, d, ints = _walk(seq, Direction.FORWARD if n >= 0 else Direction.BACKWARD)
-    return Fraction(next(islice(ints, j, None)), d * q**j)
+    return next(_terms(seq, n < 0, 2 - n if n < 0 else n, 1))
 
 
 term_iterative = oracle_term
 
 
-def _terms(seq: SequenceDef, direction: Direction, count: int) -> Iterator[Fraction]:
-    q, den, ints = _walk(seq, direction)
-    for u in islice(ints, count):
-        yield Fraction(u, den)
-        den *= q
-
-
 def term_table(seq: SequenceDef, lo: int, hi: int) -> dict[int, Fraction]:
     """W_0 .. W_hi and W_{-1} .. W_lo by index, walked once each way."""
-    table = dict(enumerate(_terms(seq, Direction.FORWARD, max(hi + 1, 0))))
+    table = dict(enumerate(_terms(seq, False, 0, max(hi + 1, 0))))
     if lo < 0:
-        table.update(zip(range(-1, lo - 1, -1), _terms(seq, Direction.BACKWARD, -lo)))
+        table.update(zip(range(-1, lo - 1, -1), _terms(seq, True, 3, -lo)))
     return table
 
 
 # Each sum family's (first bound n, walk position of the first term added,
 # stride), by its direction's and parity's values: only backward sums start
-# at n = 1.  W_k sits at walk position k going forward and at -k - 1 going
-# back.  This is the oracle's own copy; tribsum.sums keeps its rows apart.
+# at n = 1.  W_k sits at walk position k forward and 2 - k backward.  This
+# is the oracle's own copy; tribsum.sums keeps its rows apart.
 _FAMILIES = {("fwd", "all"): (0, 0, 1), ("fwd", "even"): (0, 0, 2), ("fwd", "odd"): (0, 1, 2),
-             ("bwd", "all"): (1, 0, 1), ("bwd", "even"): (1, 1, 2), ("bwd", "odd"): (1, 0, 2)}
+             ("bwd", "all"): (1, 3, 1), ("bwd", "even"): (1, 4, 2), ("bwd", "odd"): (1, 3, 2)}
 
 
 def prefix_sums(seq: SequenceDef, direction: Direction, parity: Parity,
@@ -211,7 +210,7 @@ def prefix_sums(seq: SequenceDef, direction: Direction, parity: Parity,
     sum is one division.
     """
     first, start, stride = _FAMILIES[direction._value_, parity._value_]
-    q, den, ints = _walk(seq, direction)
+    q, den, ints = _walk(seq, first)  # first is 1 exactly going back
     q_step, den = q**stride, den * q**start
     total = 0
     for n, u in zip(range(first, max_n + 1), islice(ints, start, None, stride)):
@@ -233,8 +232,6 @@ def oracle_sum(seq: SequenceDef, query: SumQuery) -> Fraction:
     direction, parity, n = query
     first, start, stride = _FAMILIES[direction._value_, parity._value_]
     q, d, walk = _start(seq, first)  # first is 1 exactly going back
-    if first:
-        start += 3  # past W_2, W_1, W_0 to W_{-1}
     count = n + 1 - first
     key = (_pattern(*walk[:3]), stride, q != 1)
     loop = _SUMS.get(key)

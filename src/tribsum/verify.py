@@ -10,7 +10,6 @@ identical checks.
 """
 
 import random
-import sys
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -185,10 +184,11 @@ def run_all(max_n: int = 100,
     ]
 
 
-def run_command(args: SimpleNamespace, emit: Callable) -> bool:
+def run_command(args: SimpleNamespace, emit: Callable, warn: Callable) -> bool:
     """The ``verify`` subcommand: run :func:`run_all` on the parsed *args*
     and write each suite's record, then the total's, through
-    ``emit(args, record, text)``.  Return whether every check passed."""
+    ``emit(args, record, text)``, and in text mode each failure through
+    ``warn(text)``, to stderr.  Return whether every check passed."""
     _require_at_least("--max-n", args.max_n, 0)
     _require_at_least("--random", args.random, 0)
     reports = run_all(max_n=args.max_n, seq_filter=args.seq,
@@ -204,7 +204,7 @@ def run_command(args: SimpleNamespace, emit: Callable) -> bool:
         emit(args, record, text)
         if args.format != "json":
             for failure in report.failures:
-                print(f"  {failure}", file=sys.stderr)
+                warn(f"  {failure}")
     passed, failed = sum(r.passed for r in reports), sum(r.failed for r in reports)
     emit(args, {"command": "verify", "suite": "total", "passed": passed,
                 "failed": failed, "status": "PASS" if all_ok else "FAIL"},

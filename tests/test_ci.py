@@ -9,3 +9,8 @@ def test_workflow_runs_the_smoke_script():
     workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
     assert "run: bash ci/smoke.sh\n" in workflow
     subprocess.run(["bash", "-n", str(ROOT / "ci" / "smoke.sh")], check=True)
+
+
+def test_cli_bytes_script_parses():
+    """bash parses the script that records the CLI's bytes for a diff."""
+    subprocess.run(["bash", "-n", str(ROOT / "ci" / "cli_bytes.sh")], check=True)

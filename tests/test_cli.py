@@ -1138,16 +1138,51 @@ def test_closed_stdout_exits_quietly(capsys, monkeypatch):
     assert (code, capsys.readouterr().err) == (EXIT_BROKEN_PIPE, "")
 
 
+class _FailingStream(io.StringIO):
+    """A stream whose writes fail, as on a descriptor open only for reading."""
+
+    def write(self, text):
+        raise OSError(9, "Bad file descriptor")
+
+
+@pytest.mark.parametrize("stderr", [None, _FailingStream()], ids=["none", "failing"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_closed_stderr_keeps_the_code(capsys, monkeypatch, stderr, fmt):
+    """With fd 2 closed at start sys.stderr is None, and print would write
+    to stdout; a reused fd 2 gives a stream whose writes fail.  Either way
+    an error keeps its exit code and writes nothing to stdout."""
+    monkeypatch.setattr(sys, "stderr", stderr)
+    code = main(["--format", fmt, "term", "--seq", "nosuch", "--n", "3"])
+    assert (code, capsys.readouterr().out) == (EXIT_USAGE, "")
+    if fmt == "text":  # argparse's usage error: its text is dropped, its exit kept
+        with pytest.raises(SystemExit) as exc:
+            main(["term", "--seq", "tribonacci", "--n", "abc"])
+        assert (exc.value.code, capsys.readouterr().out) == (EXIT_USAGE, "")
+
+
+@pytest.mark.parametrize("stderr", [None, _FailingStream()], ids=["none", "failing"])
+def test_closed_stderr_drops_verify_failure_lines(capsys, monkeypatch, stderr):
+    """verify's text-mode failure lines follow the same rule: stdout and
+    the exit code are those of an open stderr."""
+    _break_fwd_all(monkeypatch)
+    argv = ["verify", "--seq", "perrin", "--max-n", "3"]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_MISMATCH and err
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert run(capsys, *argv)[:2] == (code, out)
+
+
 # cli.run ends its process, so each test of it runs in a subprocess.
-def _process(*argv, prelude=None, close_stdout=False):
+def _process(*argv, prelude=None, redirect=None, unbuffered=""):
     """(exit code, stdout, stderr) of ``python -m tribsum.cli *argv``, or
     with *prelude* of a ``-c`` script that runs it and then calls
     ``sys.exit(cli.run())``, as the installed script does.  With
-    *close_stdout* the process starts with fd 1 closed.  Its stdout is
-    buffered, as by default, so what is left unflushed is lost."""
+    *redirect*, a shell redirection such as ">&-", the process starts with
+    that descriptor changed.  PYTHONUNBUFFERED is *unbuffered*: empty by
+    default, so stdout is buffered and what is left unflushed is lost."""
     src = str(Path(tribsum.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED="")
-    shell = ["sh", "-c", 'exec "$@" >&-', "sh"] if close_stdout else []
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    shell = ["sh", "-c", f'exec "$@" {redirect}', "sh"] if redirect else []
     command = ["-m", "tribsum.cli"] if prelude is None else [
         "-c", f"import sys\nfrom tribsum import cli\n{prelude}\nsys.exit(cli.run())"]
     proc = subprocess.run([*shell, sys.executable, *command, *argv], env=env,
@@ -1266,4 +1301,24 @@ def test_process_with_closed_stdout_exits_quietly():
     """``tribsum ... >&-``: main exits 1 and run's flush skips the missing
     stdout."""
     argv = ["--format", "json", "term", "--seq", "tribonacci", "--n", "5"]
-    assert _process(*argv, close_stdout=True) == (EXIT_BROKEN_PIPE, "", "")
+    assert _process(*argv, redirect=">&-") == (EXIT_BROKEN_PIPE, "", "")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"], ids=["closed", "read-only"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_process_with_closed_stderr_keeps_the_code(fmt, redirect, unbuffered):
+    """``tribsum ... 2>&-``: stderr is None, or a stream whose writes fail
+    where fd 2 was reused at start (opened for reading here).  Either way,
+    buffered or not, an error exits with its own code and writes nothing
+    to stdout: an unknown sequence 2, a usage error 2, and 3 for a checked
+    sum whose literal sum is patched to disagree, through the installed
+    script's sys.exit(run())."""
+    disagree = "import tribsum.sums as sums\nsums.sum_oracle = lambda seq, query: -1"
+    for code, argv, prelude in [
+            (EXIT_USAGE, ["term", "--seq", "nosuch", "--n", "3"], None),
+            (EXIT_USAGE, ["term", "--seq", "tribonacci", "--n", "abc"], None),
+            (EXIT_MISMATCH, ["sum", "--seq", "tribonacci", "--dir", "fwd", "--parity", "all",
+                             "--n", "30", "--check"], disagree)]:
+        assert _process("--format", fmt, *argv, prelude=prelude, redirect=redirect,
+                        unbuffered=unbuffered) == (code, "", "")

@@ -52,18 +52,18 @@ def test_warm_queries_run_no_enum_code():
 
 
 # Where a generic clause's window starts, in the walk's own order (W_0, W_1,
-# ... forward, W_{-1}, W_{-2}, ... backward), from the last term the sum
-# adds: just past it for all-index sums, at it for even ones and one term
-# before it for odd ones, in either direction.
+# ... forward, V_0, V_1, ... = W_2, W_1, ... backward), from the last term
+# the sum adds: just past it for all-index sums, at it for even ones and one
+# term before it for odd ones, in either direction.
 WINDOW_FROM_LAST = {"all": 1, "even": 0, "odd": -1}
 
 
 def test_oracle_families_match_sums_rows():
     """The two copies of the family table: the first bound and the stride
     agree, the oracle's first walk position is the row's first term
-    W_(a*first + b) forward and W_(b - a*first) backward, and each generic
-    clause's window sits where WINDOW_FROM_LAST puts it from the oracle's
-    last term, at every bound."""
+    W_(a*first + b) forward and W_(b - a*first) = V_(2 - (b - a*first))
+    backward, and each generic clause's window sits where WINDOW_FROM_LAST
+    puts it from the oracle's last term, at every bound."""
     assert set(oracle._FAMILIES) == set(sums._FAMILIES)
     for (direction, parity), (first, start, stride) in oracle._FAMILIES.items():
         row = sums._FAMILIES[direction, parity]
@@ -71,16 +71,16 @@ def test_oracle_families_match_sums_rows():
         forward = direction == "fwd"
         if forward:  # W_k at walk position k
             assert start == row.term_offset + row.stride * first
-        else:  # W_k at walk position -k - 1
-            assert start == -(row.term_offset - row.stride * first) - 1
+        else:  # W_k at walk position 2 - k, V's index
+            assert start == 2 - (row.term_offset - row.stride * first)
         clause = sums._CLAUSES[row.clauses[0]]
         assert clause.condition == "generic"
         for n in range(first, first + 8):
             last = start + stride * (n - first)
             if clause.back is None:
                 window = clause.stride * n + clause.offset
-            else:  # V's window V_m, where V_{p+3} = W_{-p-1} sits at walk position p
+            else:  # V's window V_m, at walk position m
                 name, shift, _ = clause.back
                 v = sums._CLAUSES[name]
-                window = v.stride * (n + shift) + v.offset - 3
+                window = v.stride * (n + shift) + v.offset
             assert window - last == WINDOW_FROM_LAST[parity]
