@@ -195,8 +195,8 @@ def term_table(seq: SequenceDef, lo: int, hi: int) -> dict[int, Fraction]:
 
 # Each sum family's (first bound n, walk position of the first term added,
 # stride), by its direction's and parity's values: only backward sums start
-# at n = 1.  W_k sits at walk position k forward and 2 - k backward.  This
-# is the oracle's own copy; tribsum.sums keeps its rows apart.
+# at n = 1.  W_k sits at walk position k forward and 2 - k backward.  The
+# only such table: tribsum.sums' family rows name only their clauses.
 _FAMILIES = {("fwd", "all"): (0, 0, 1), ("fwd", "even"): (0, 0, 2), ("fwd", "odd"): (0, 1, 2),
              ("bwd", "all"): (1, 3, 1), ("bwd", "even"): (1, 4, 2), ("bwd", "odd"): (1, 3, 2)}
 

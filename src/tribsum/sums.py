@@ -11,16 +11,17 @@ flagged as ``OracleFallback`` in the result.  The paper's formulas are the
 seven forward clauses and the two backward (0, 2, 1) ones; every other
 backward sum steps back to a forward one of V_j = W_{2-j}.
 
-Each family and each clause has one row, built once at import: a family's
-found by its direction's and parity's values and a clause's by its case's
-name, so no query hashes an enum member or reads its ``.value``.  A clause's
-row holds its form, the window its form reads and, for a backward clause
-that steps back, V's forward clause and the start terms it drops.
+Each family and each clause has one row, built once at import: a family's,
+found by its direction's and parity's values, names the clauses dispatch
+tries, and a clause's, found by its case's name, holds its gate, its form,
+the window its form reads and, for a backward clause that steps back, V's
+forward clause and the start terms it drops.  So no query hashes an enum
+member or reads its ``.value``.  A gate is its clause's divisor where the
+clause is proven and 0 everywhere else; at most one of a family's "generic"
+and "021" gates is nonzero, and dispatch and :func:`closed_form_value` read
+it once per sum.
 
-One table, :func:`_gate`, gives each condition's divisor where its clauses
-are proven and 0 everywhere else, and at most one of its "generic" and "021"
-gates is nonzero; dispatch and :func:`closed_form_value` read it once per
-sum.  Each clause is a linear form: it returns integer coefficient triples
+Each clause is a linear form: it returns integer coefficient triples
 (rho, kappa), polynomials in (r, s, t, o, n) homogeneous in (r, s, t, o), for
 the window X_m, X_m+1, X_m+2 its family reads and for X_0, X_1, X_2, X = W
 or V.  There is one combine.  A sum reads its six rationals once, in the
@@ -93,27 +94,31 @@ class SumResult(namedtuple("SumResult", "value case_used")):
     __slots__ = ()
 
 
-# Parity members as globals: a read through the class costs about 0.12 us on 3.11.
-_ALL, _EVEN = Parity.ALL, Parity.EVEN
+# Each clause's gate: its divisor at (r, s, t) over o where it is proven,
+# else 0.  Each clause's numerator is homogeneous in (r, s, t, o) of its
+# gate's degree; at o = 1 each clause's form is the paper's, term for term.
+def _d1(r, s, t, o=1):  # the generic all-index clauses
+    return r + s + t - o
 
 
-def _gate(condition: str, parity: Parity, r, s, t, o=1):
-    """The divisor of *condition*'s clauses at (r, s, t) over o where they
-    are proven, else 0: d1 = r+s+t-o (parity ALL) or d1*d2, d2 = r-s+t+o,
-    for "generic"; r + t on s = o for "s=1"; s - o on r + t = 0 for
-    "r+t=0"; 1 (EVEN) or 2 (ODD) at (0, 2o, o) for "021"; 0 for "oracle".
-    Each clause's numerator is homogeneous in (r, s, t, o) of its gate's
-    degree; at o = 1 each clause's form is the paper's, term for term."""
-    if condition == "generic":
-        d1 = r + s + t - o
-        return d1 if parity is _ALL else d1 * (r - s + t + o)
-    if condition == "s=1":
-        return r + t if s == o else 0
-    if condition == "r+t=0":
-        return s - o if r + t == 0 else 0
-    if condition == "021" and parity is not _ALL and (r, s, t) == (0, 2 * o, o):
-        return 1 if parity is _EVEN else 2
-    return 0
+def _d1_d2(r, s, t, o=1):  # the generic even and odd clauses
+    return (r + s + t - o) * (r - s + t + o)
+
+
+def _on_s1(r, s, t, o=1):
+    return r + t if s == o else 0
+
+
+def _on_r_plus_t0(r, s, t, o=1):
+    return s - o if r + t == 0 else 0
+
+
+def _at_021_even(r, s, t, o=1):
+    return 1 if (r, s, t) == (0, 2 * o, o) else 0
+
+
+def _at_021_odd(r, s, t, o=1):
+    return 2 if (r, s, t) == (0, 2 * o, o) else 0
 
 
 TermFn = Callable[[int], Fraction]
@@ -158,17 +163,11 @@ def _bwd_021_odd(r, s, t, o, n: int):  # rho on W_{-2n-1}, W_{-2n}, W_{-2n+1}
     return (-1, -3, 1), (1 + 2 * n, 2 * n - 1, 1 - 2 * n)
 
 
-# A clause's row: its case; its condition and parity, of which _gate makes
-# its divisor; form, its (rho, kappa) at (R, S, T, L) and n; the window
-# m = stride*n + offset that form reads; and back, for a backward clause
-# that steps back, (V's forward clause by name, its n less the backward n,
-# the V_0, V_1, V_2 it drops), else None.
-_Clause = namedtuple("_Clause", "case condition parity form stride offset back")
-
-
-def _row(case: FormulaCase, form=None, stride=0, offset=0, back=None) -> _Clause:
-    return _Clause(case, case.value[2], case.value[1], form, stride, offset, back)
-
+# A clause's row: its case; its gate; form, its (rho, kappa) at (R, S, T, L)
+# and n; the window m = stride*n + offset that form reads; and back, for a
+# backward clause that steps back, (V's forward clause by name, its n less
+# the backward n, the V_0, V_1, V_2 it drops), else None.
+_Clause = namedtuple("_Clause", "case gate form stride offset back", defaults=(None, 0, 0, None))
 
 # Each clause's row by its case's name.  A numerator is rho . D*(X_m,
 # X_m+1, X_m+2) + kappa . D*(X_0, X_1, X_2), D the window's common
@@ -177,46 +176,44 @@ def _row(case: FormulaCase, form=None, stride=0, offset=0, back=None) -> _Clause
 # and the odd one FwdOdd_V(n) - V_1; r + t = 0 is s = 1 on V, and each gate
 # on V vanishes with the backward one.  (0, 2, 1) reverses to (-2, 0, 1).
 _CLAUSES = {row.case.name: row for row in (
-    _row(FormulaCase.FwdAll_Generic, _fwd_all_generic, 1, 1),
-    _row(FormulaCase.FwdEven_Generic, _fwd_even_generic, 2, 0),
-    _row(FormulaCase.FwdOdd_Generic, _fwd_odd_generic, 2, 0),
-    _row(FormulaCase.FwdEven_S1, _fwd_even_s1, 2, 0),
-    _row(FormulaCase.FwdOdd_S1, _fwd_odd_s1, 2, 0),
-    _row(FormulaCase.Fwd_021_Even, _fwd_021_even, 2, 0),
-    _row(FormulaCase.Fwd_021_Odd, _fwd_021_odd, 2, 0),
-    _row(FormulaCase.Bwd_021_Even, _bwd_021_even, -2, -1),
-    _row(FormulaCase.Bwd_021_Odd, _bwd_021_odd, -2, -1),
-    _row(FormulaCase.BwdAll_Generic, back=("FwdAll_Generic", 2, (1, 1, 1))),
-    _row(FormulaCase.BwdEven_Generic, back=("FwdEven_Generic", 1, (1, 0, 1))),
-    _row(FormulaCase.BwdOdd_Generic, back=("FwdOdd_Generic", 0, (0, 1, 0))),
-    _row(FormulaCase.BwdEven_RplusT0, back=("FwdEven_S1", 1, (1, 0, 1))),
-    _row(FormulaCase.BwdOdd_RplusT0, back=("FwdOdd_S1", 0, (0, 1, 0))),
-    _row(FormulaCase.OracleFallback),
+    _Clause(FormulaCase.FwdAll_Generic, _d1, _fwd_all_generic, 1, 1),
+    _Clause(FormulaCase.FwdEven_Generic, _d1_d2, _fwd_even_generic, 2, 0),
+    _Clause(FormulaCase.FwdOdd_Generic, _d1_d2, _fwd_odd_generic, 2, 0),
+    _Clause(FormulaCase.FwdEven_S1, _on_s1, _fwd_even_s1, 2, 0),
+    _Clause(FormulaCase.FwdOdd_S1, _on_s1, _fwd_odd_s1, 2, 0),
+    _Clause(FormulaCase.Fwd_021_Even, _at_021_even, _fwd_021_even, 2, 0),
+    _Clause(FormulaCase.Fwd_021_Odd, _at_021_odd, _fwd_021_odd, 2, 0),
+    _Clause(FormulaCase.Bwd_021_Even, _at_021_even, _bwd_021_even, -2, -1),
+    _Clause(FormulaCase.Bwd_021_Odd, _at_021_odd, _bwd_021_odd, -2, -1),
+    _Clause(FormulaCase.BwdAll_Generic, _d1, back=("FwdAll_Generic", 2, (1, 1, 1))),
+    _Clause(FormulaCase.BwdEven_Generic, _d1_d2, back=("FwdEven_Generic", 1, (1, 0, 1))),
+    _Clause(FormulaCase.BwdOdd_Generic, _d1_d2, back=("FwdOdd_Generic", 0, (0, 1, 0))),
+    _Clause(FormulaCase.BwdEven_RplusT0, _on_r_plus_t0, back=("FwdEven_S1", 1, (1, 0, 1))),
+    _Clause(FormulaCase.BwdOdd_RplusT0, _on_r_plus_t0, back=("FwdOdd_S1", 0, (0, 1, 0))),
+    _Clause(FormulaCase.OracleFallback, lambda r, s, t, o=1: 0),  # no clause is proven
 )}
 _FALLBACK = _CLAUSES["OracleFallback"]
 
-# A sum family's row: first, its first bound n; stride a and term_offset b:
-# it sums W_(a*j + b) over j = 0..n forward and W_(b - a*j) over j = 1..n
-# backward (the clause proof reads them, and a test checks them against the
-# oracle's own table); and the clauses dispatch tries, "generic" first.
-_Family = namedtuple("_Family", "first stride term_offset clauses")
+# The clauses dispatch tries for each sum family, "generic" first, by its
+# direction's and parity's values.  What each family sums is the oracle's
+# own table.
 _FAMILIES = {
-    ("fwd", "all"): _Family(0, 1, 0, ("FwdAll_Generic",)),
-    ("fwd", "even"): _Family(0, 2, 0, ("FwdEven_Generic", "Fwd_021_Even")),
-    ("fwd", "odd"): _Family(0, 2, 1, ("FwdOdd_Generic", "Fwd_021_Odd")),
-    ("bwd", "all"): _Family(1, 1, 0, ("BwdAll_Generic",)),
-    ("bwd", "even"): _Family(1, 2, 0, ("BwdEven_Generic", "Bwd_021_Even")),
-    ("bwd", "odd"): _Family(1, 2, 1, ("BwdOdd_Generic", "Bwd_021_Odd")),
+    ("fwd", "all"): ("FwdAll_Generic",),
+    ("fwd", "even"): ("FwdEven_Generic", "Fwd_021_Even"),
+    ("fwd", "odd"): ("FwdOdd_Generic", "Fwd_021_Odd"),
+    ("bwd", "all"): ("BwdAll_Generic",),
+    ("bwd", "even"): ("BwdEven_Generic", "Bwd_021_Even"),
+    ("bwd", "odd"): ("BwdOdd_Generic", "Bwd_021_Odd"),
 }
 
 
 def _dispatch(triple: tuple, query: SumQuery) -> tuple[_Clause, int]:
     """(clause row, its gate): the first clause of the query's family whose
-    :func:`_gate` is nonzero, else the fallback's row and 0.  ``_value_``,
+    row's gate is nonzero, else the fallback's row and 0.  ``_value_``,
     unlike ``.value``, runs no code in enum.py."""
-    for name in _FAMILIES[query.direction._value_, query.parity._value_].clauses:
+    for name in _FAMILIES[query.direction._value_, query.parity._value_]:
         clause = _CLAUSES[name]
-        gate = _gate(clause.condition, clause.parity, *triple)
+        gate = clause.gate(*triple)
         if gate:
             return clause, gate
     return _FALLBACK, 0
@@ -224,7 +221,7 @@ def _dispatch(triple: tuple, query: SumQuery) -> tuple[_Clause, int]:
 
 def select_case(params: RecurrenceParams, query: SumQuery) -> FormulaCase:
     """The clause of the one condition, "generic" or "021" (never both), whose
-    :func:`_gate` is nonzero, else the oracle fallback.  The S1 and RplusT0
+    row's gate is nonzero, else the oracle fallback.  The S1 and RplusT0
     clauses specialize the generic ones and are never dispatched to."""
     return _dispatch(integer_triple(*params), query)[0].case
 
@@ -233,7 +230,7 @@ def closed_form_value(case: FormulaCase, seq: SequenceDef, n: int,
                       term: TermFn | None = None) -> Fraction:
     """Evaluate a specific closed-form clause directly (no dispatch).
 
-    ValueError where the case's :func:`_gate` is 0, as it always is for
+    ValueError where the gate in the case's row is 0, as it always is for
     OracleFallback.  n follows :class:`SumQuery`'s rules.  The clause reads
     one window of three terms, W's or mirrored V's (:func:`_clause`), from
     :func:`~tribsum.core.scaled_window` by default, else from *term*,
@@ -247,7 +244,7 @@ def closed_form_value(case: FormulaCase, seq: SequenceDef, n: int,
     clause = _CLAUSES[case._name_]
     p = seq.params
     triple = integer_triple(*p)
-    gate = _gate(clause.condition, clause.parity, *triple)
+    gate = clause.gate(*triple)
     if not gate:
         raise ValueError(f"{case.name} is not a proven closed form at "
                          f"(r, s, t) = ({p.r}, {p.s}, {p.t})")
@@ -266,7 +263,7 @@ def _clause(clause: _Clause, n: int, triple: tuple, gate: int, starts: tuple) ->
     name, shift, (x0, x1, x2) = back
     clause, n = _CLAUSES[name], n + shift  # V's forward clause, less the V_0, V_1, V_2 it drops
     triple, starts = reversed_set_up(triple, starts)  # at t = 0, NegativeIndexWithZeroT
-    gate = _gate(clause.condition, clause.parity, *triple)
+    gate = clause.gate(*triple)
     rho, (k0, k1, k2) = clause.form(*triple, n)
     return (rho, (k0 - gate * x0, k1 - gate * x1, k2 - gate * x2), gate,
             clause.stride * n + clause.offset, triple, starts)

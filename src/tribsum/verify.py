@@ -24,8 +24,8 @@ from .sums import (
     FormulaCase,
     Parity,
     SumQuery,
+    _CLAUSES,
     _brief,
-    _gate,
     closed_form_value,
     evaluate,
     select_case,
@@ -127,11 +127,12 @@ _SPECIALIZATION_MAX_N = 10
 
 def _pinned(rng: random.Random, condition: str) -> tuple[Fraction, ...]:
     """(a, 1, b) for "s=1", else (-a, b, a) with t = a != 0 (backward clauses),
-    from random a and b, where the gate of *condition* is nonzero."""
+    from random a and b, where the gate of *condition*'s even row is nonzero."""
+    gate = _CLAUSES["FwdEven_S1" if condition == "s=1" else "BwdEven_RplusT0"].gate
     while True:
         a, b = random_rational(rng), random_rational(rng)
         r, s, t = (a, Fraction(1), b) if condition == "s=1" else (-a, b, a)
-        if _gate(condition, Parity.EVEN, r, s, t) and (condition == "s=1" or t != 0):
+        if gate(r, s, t) and (condition == "s=1" or t != 0):
             return r, s, t
 
 

@@ -27,7 +27,7 @@ from tribsum.sums import (
     FormulaCase,
     Parity,
     SumQuery,
-    _gate,
+    _CLAUSES,
     closed_form_value,
     evaluate,
     select_case,
@@ -90,7 +90,7 @@ def _generic_sequence(rng):
     d1*d2 != 0, then W_0, W_1, W_2."""
     while True:
         r, s, t = (random_rational(rng) for _ in range(3))
-        if _gate("generic", Parity.EVEN, r, s, t):
+        if _CLAUSES["FwdEven_Generic"].gate(r, s, t):
             return SequenceDef.of(r, s, t, *(random_rational(rng) for _ in range(3)))
 
 

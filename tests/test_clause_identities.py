@@ -16,8 +16,9 @@ X(k) = (X_k, X_k+1, X_k+2).
 
 With M = [[0, 1, 0], [0, 0, 1], [t, s, r]], W(k) = M^k W(0) and
 W_k = e0 M^k W(0), e0 = (1, 0, 0).  A family has a stride
-a and a term offset b, read off its row in ``sums._FAMILIES``: it sums
-W_(a j + b) over j = 0..n forward and W_(b - a j) over j = 1..n backward.
+a, 1 for all-index sums and 2 otherwise, and a term offset b, 1 for odd
+sums and 0 otherwise: it sums W_(a j + b) over j = 0..n forward and
+W_(b - a j) over j = 1..n backward.
 A clause's window starts at m = a n + c forward and m = c - a n backward,
 c its window offset, which its row gives (for a case that steps back, V's
 forward row and the shift of n).  W(0) is
@@ -74,7 +75,7 @@ from types import CodeType, FunctionType
 import pytest
 
 from tribsum import sums
-from tribsum.sums import Direction
+from tribsum.sums import Direction, Parity
 
 E0 = (1, 0, 0)
 ZERO = (0, 0, 0)
@@ -107,10 +108,9 @@ def w_rows(case: sums.FormulaCase, n: int, r, s, t) -> tuple:
     the rows sums._clause builds on the set-up (r, s, t, 1), W_STARTS,
     read on W where it returns that set-up, and reversed where it returns
     V's, whose window V(m) is W(-m) reversed."""
-    _, parity, condition = case.value
+    row = sums._CLAUSES[case.name]
     rho, kappa, gate, m, (R, S, T, L), starts = sums._clause(
-        sums._CLAUSES[case.name], n, (r, s, t, 1), sums._gate(condition, parity, r, s, t),
-        W_STARTS)
+        row, n, (r, s, t, 1), row.gate(r, s, t), W_STARTS)
     if ((R, S, T, L), starts) == ((r, s, t, 1), W_STARTS):
         return rho, kappa, gate, m
     # V follows (-s/t, -r/t, 1/t), scaled by L, from (W_2, W_1, W_0).
@@ -143,11 +143,9 @@ def identities(case: sums.FormulaCase, r, s, t) -> list[tuple[tuple, tuple]]:
     """The (left, right) row pairs whose equality at (r, s, t) proves *case*
     there: k1 (M^a - I) = 0, the step at the first n, the base case."""
     direction, parity, _ = case.value
-    family = sums._FAMILIES[direction.value, parity.value]
-    a, b, first = family.stride, family.term_offset, family.first
-    M = ((0, 1, 0), (0, 0, 1), (t, s, r))
     forward = direction is Direction.FORWARD
-    assert first == (0 if forward else 1)
+    a, b, first = 1 if parity is Parity.ALL else 2, int(parity is Parity.ODD), int(not forward)
+    M = ((0, 1, 0), (0, 0, 1), (t, s, r))
     rho, kappa, gate, m = w_rows(case, first, r, s, t)
     rho_next, kappa_next, gate_next, m_next = w_rows(case, first + 1, r, s, t)
     assert (rho_next, gate_next, m_next - m) == (rho, gate, a if forward else -a)
@@ -185,16 +183,15 @@ def test_gate_vanishes_with_the_condition(case):
     """The gate sums._clause builds, V's for a case that steps back, is 0
     exactly where the case's own gate at W is: a sum it dispatches to never
     divides by 0, and one it does not is not a closed form there."""
-    _, parity, condition = case.value
     for point in grid(case):
         gate = w_rows(case, 1, *point)[2]
-        assert bool(gate) == bool(sums._gate(condition, parity, *point))
+        assert bool(gate) == bool(sums._CLAUSES[case.name].gate(*point))
 
 
 def test_binds_no_kernel_code():
     """The proof names no kernel, oracle, combine or set-up, so it shares no
-    code with what it proves beyond the gate, the row tables and the rows
-    sums._clause builds, whose set-up it checks itself."""
+    code with what it proves beyond the clause rows, their gates and the
+    rows sums._clause builds, whose set-up it checks itself."""
     module = sys.modules[__name__]
     names, codes = set(), [value.__code__ for value in vars(module).values()
                            if isinstance(value, FunctionType)]
@@ -202,7 +199,7 @@ def test_binds_no_kernel_code():
         code = codes.pop()
         names |= set(code.co_names)
         codes += [const for const in code.co_consts if isinstance(const, CodeType)]
-    assert {"_gate", "_clause", "_CLAUSES", "_FAMILIES"} <= names
+    assert {"gate", "_clause", "_CLAUSES"} <= names
     kernel = {"tribsum.sums": ("closed_form_value", "evaluate", "_combine", "sum_oracle"),
               "tribsum.core": ("scaled_window", "integer_triple", "reversed_set_up",
                                "term_matrix"),

@@ -9,7 +9,7 @@ import pytest
 from tribsum import cli, oracle, term_iterative
 from tribsum.core import (Direction, NegativeIndexWithZeroT, Parity, SequenceDef, SumQuery,
                           integer_triple, scaled_window, term_matrix)
-from tribsum.sums import (FormulaCase, _gate, closed_form_value, evaluate, select_case,
+from tribsum.sums import (FormulaCase, _CLAUSES, closed_form_value, evaluate, select_case,
                           sum_oracle)
 
 MESSAGE = "stepping back needs t != 0"
@@ -24,7 +24,7 @@ def _backward_cases(seq):
     triple = integer_triple(*seq.params)
     return [case for case in FormulaCase
             if case.value[0] is Direction.BACKWARD
-            and _gate(case.value[2], case.value[1], *triple)]
+            and _CLAUSES[case.name].gate(*triple)]
 
 
 def _calls(seq):

@@ -21,7 +21,6 @@ from tribsum.sums import (
     Parity,
     SumMismatch,
     SumQuery,
-    _gate,
     closed_form_value,
     evaluate,
     select_case,
@@ -39,6 +38,17 @@ rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 
 def seq_of(r, s, t, w0, w1, w2):
     return SequenceDef.of(r, s, t, w0, w1, w2)
+
+
+def row_gate(name):
+    """The gate in the clause row of the case named *name*."""
+    return sums._CLAUSES[name].gate
+
+
+# The case names of the generic rows: all-index ones gated by d1, even and
+# odd ones by d1*d2.
+ALL_GENERIC = ("FwdAll_Generic", "BwdAll_Generic")
+PAIR_GENERIC = ("FwdEven_Generic", "FwdOdd_Generic", "BwdEven_Generic", "BwdOdd_Generic")
 
 
 class TestQueryValidation:
@@ -61,21 +71,22 @@ class TestQueryValidation:
 
 
 class TestDenominators:
-    """The generic rows of _gate: d1 = r+s+t-1 for all-index sums and
+    """The gates of the generic rows: d1 = r+s+t-1 for all-index sums and
     d1*d2, d2 = r-s+t+1, for even and odd ones, in either direction."""
 
     def test_examples(self):
         for triple, d1, d1d2 in [((1, 1, 1), 2, 4), ((0, 2, 1), 2, 0), ((0, 1, 1), 1, 1)]:
-            assert _gate("generic", Parity.ALL, *triple) == d1
-            assert _gate("generic", Parity.EVEN, *triple) == d1d2
-            assert _gate("generic", Parity.ODD, *triple) == d1d2
+            assert [row_gate(name)(*triple) for name in ALL_GENERIC] == [d1] * 2
+            assert [row_gate(name)(*triple) for name in PAIR_GENERIC] == [d1d2] * 4
 
     @given(r=rationals, s=rationals, t=rationals)
     @settings(max_examples=100, deadline=None)
     def test_product_factorization(self, r, s, t):
-        assert _gate("generic", Parity.ALL, r, s, t) == r + s + t - 1
-        assert (_gate("generic", Parity.EVEN, r, s, t)
-                == 2 * s + 2 * r * t + r * r - s * s + t * t - 1)
+        for name in ALL_GENERIC:
+            assert row_gate(name)(r, s, t) == r + s + t - 1
+        for name in PAIR_GENERIC:
+            assert (row_gate(name)(r, s, t)
+                    == 2 * s + 2 * r * t + r * r - s * s + t * t - 1)
 
 
 class TestSelectCase:
@@ -123,19 +134,20 @@ class TestDispatchPartition:
     @settings(max_examples=200, deadline=None)
     @example(plane="free", r=Fraction(0), s=Fraction(2), t=Fraction(1))
     def test_at_most_one_gate_open(self, plane, r, s, t):
-        """For every parity at most one of the "generic" and "021" gates is
-        nonzero, at o = 1 and on the integer_triple ints alike, and
-        select_case returns that condition's case, else the fallback."""
+        """For every family at most one gate of the clauses its row names,
+        "generic" and "021", is nonzero, at o = 1 and on the integer_triple
+        ints alike, and select_case returns that clause's case, else the
+        fallback."""
         params = RecurrenceParams(*PLANES[plane](r, s, t))
         ints = core.integer_triple(*params)
-        for parity in Parity:
-            opened = [[c for c in ("generic", "021") if sums._gate(c, parity, *triple)]
+        for direction, parity in FAMILIES:
+            names = sums._FAMILIES[direction.value, parity.value]
+            opened = [[name for name in names if row_gate(name)(*triple)]
                       for triple in (params, ints)]
             assert opened[0] == opened[1] and len(opened[0]) <= 1
-            for direction in Direction:
-                case = select_case(params, SumQuery(direction, parity, 1))
-                assert case is (FormulaCase((direction, parity, *opened[0]))
-                                if opened[0] else FormulaCase.OracleFallback)
+            case = select_case(params, SumQuery(direction, parity, 1))
+            assert case is (FormulaCase[opened[0][0]] if opened[0]
+                            else FormulaCase.OracleFallback)
 
 
 class TestForwardSums:
@@ -371,7 +383,7 @@ class TestParityPartition:
         r = s - t - 1 if zero_d2 else 1 - s - t
         seq = seq_of(r, s, t, w0, w1, w2)
         # d2 = 0 zeroes the even/odd gate d1*d2; d1 = 0 zeroes all three.
-        assert _gate("generic", Parity.EVEN if zero_d2 else Parity.ALL, r, s, t) == 0
+        assert row_gate("FwdEven_Generic" if zero_d2 else "FwdAll_Generic")(r, s, t) == 0
         left = sum_forward_even(seq, n).value + sum_forward_odd(seq, n).value
         assert left == sum_forward_all(seq, 2 * n + 1).value
         if t != 0 and n >= 1:
@@ -622,36 +634,39 @@ OUTSIDE_SEQ = {
 
 H = Fraction(1, 2)
 
-# condition, (r, s, t), and the divisor _gate documents at o = 1 for parity
-# ALL, EVEN, ODD: nonzero where the clauses are proven, else 0.
+S1 = ("FwdEven_S1", "FwdOdd_S1")
+RPLUST0 = ("BwdEven_RplusT0", "BwdOdd_RplusT0")
+EVEN_021 = ("Fwd_021_Even", "Bwd_021_Even")
+ODD_021 = ("Fwd_021_Odd", "Bwd_021_Odd")
+FALLBACK = ("OracleFallback",)
+# The degree in (r, s, t, o) of the gate of each group of rows.
+GATE_DEGREE = {ALL_GENERIC: 1, PAIR_GENERIC: 2, S1: 1, RPLUST0: 1, EVEN_021: 0, ODD_021: 0,
+               FALLBACK: 0}
+
+# The plane or point, (r, s, t), and the divisor the gate of each group of
+# rows documents there at o = 1: nonzero where the clauses are proven, else 0.
 GATE_ROWS = [
-    ("generic", (H, 3, -2), (H, -Fraction(7, 4), -Fraction(7, 4))),  # d2 = -7/2
-    ("generic", (1, 1, -1), (0, 0, 0)),  # d1 = 0
-    ("generic", (1, 3, 1), (4, 0, 0)),  # d2 = 0 only
-    ("s=1", (H, 1, Fraction(1, 3)), (Fraction(5, 6),) * 3),
-    ("s=1", (H, 1, -H), (0, 0, 0)),  # on s = 1 with r + t = 0
-    ("s=1", (H, 2, Fraction(1, 3)), (0, 0, 0)),  # off s = 1
-    ("r+t=0", (-H, Fraction(3, 4), H), (-Fraction(1, 4),) * 3),
-    ("r+t=0", (-H, 1, H), (0, 0, 0)),  # on r + t = 0 with s = 1
-    ("r+t=0", (H, Fraction(3, 4), H), (0, 0, 0)),  # off r + t = 0
-    ("021", (0, 2, 1), (0, 1, 2)),  # ALL: the generic clause, d1 = 2
-    ("021", (0, 2, 2), (0, 0, 0)),
-    ("021", (0, 4, 2), (0, 0, 0)),  # (0, 2o, o) at o = 2, not at o = 1
-    ("oracle", (H, 3, -2), (0, 0, 0)),
-    ("oracle", (0, 2, 1), (0, 0, 0)),
+    ("generic", (H, 3, -2), {ALL_GENERIC: H, PAIR_GENERIC: -Fraction(7, 4)}),  # d2 = -7/2
+    ("generic", (1, 1, -1), {ALL_GENERIC: 0, PAIR_GENERIC: 0}),  # d1 = 0
+    ("generic", (1, 3, 1), {ALL_GENERIC: 4, PAIR_GENERIC: 0}),  # d2 = 0 only
+    ("s=1", (H, 1, Fraction(1, 3)), {S1: Fraction(5, 6)}),
+    ("s=1", (H, 1, -H), {S1: 0}),  # on s = 1 with r + t = 0
+    ("s=1", (H, 2, Fraction(1, 3)), {S1: 0}),  # off s = 1
+    ("r+t=0", (-H, Fraction(3, 4), H), {RPLUST0: -Fraction(1, 4)}),
+    ("r+t=0", (-H, 1, H), {RPLUST0: 0}),  # on r + t = 0 with s = 1
+    ("r+t=0", (H, Fraction(3, 4), H), {RPLUST0: 0}),  # off r + t = 0
+    # All-index sums at (0, 2, 1) take the generic clause, d1 = 2.
+    ("021", (0, 2, 1), {EVEN_021: 1, ODD_021: 2, ALL_GENERIC: 2}),
+    ("021", (0, 2, 2), {EVEN_021: 0, ODD_021: 0}),
+    ("021", (0, 4, 2), {EVEN_021: 0, ODD_021: 0}),  # (0, 2o, o) at o = 2, not at o = 1
+    ("oracle", (H, 3, -2), {FALLBACK: 0}),
+    ("oracle", (0, 2, 1), {FALLBACK: 0}),
 ]
 
 
-def gate_degree(condition, parity):
-    """The degree in (r, s, t, o) of *condition*'s divisor."""
-    if condition == "generic":
-        return 1 if parity is Parity.ALL else 2
-    return 0 if condition in ("021", "oracle") else 1
-
-
 class TestSinglePredicate:
-    """One gate table decides every clause on both window sources, and n is
-    checked by SumQuery's rules on either."""
+    """Each clause's row holds the gate that decides it on both window
+    sources, and n is checked by SumQuery's rules on either."""
 
     @pytest.mark.parametrize("case", list(FormulaCase), ids=lambda c: c.name)
     def test_special_clause_outside_condition_raises(self, case):
@@ -668,14 +683,16 @@ class TestSinglePredicate:
     @pytest.mark.parametrize("condition, triple, divisors", GATE_ROWS,
                              ids=[f"{c}-{','.join(map(str, t))}" for c, t, _ in GATE_ROWS])
     def test_gate_table(self, condition, triple, divisors):
-        """_gate at o = 1, and at L*(r, s, t, 1) from integer_triple, where
-        a divisor of degree k scales by L**k and a 0 stays 0."""
+        """Each row's gate at o = 1, and at L*(r, s, t, 1) from
+        integer_triple, where a divisor of degree k scales by L**k and a 0
+        stays 0."""
         ints = core.integer_triple(*RecurrenceParams(*triple))
-        for parity, divisor in zip(Parity, divisors):
-            assert sums._gate(condition, parity, *map(Fraction, triple)) == divisor
-            scaled = sums._gate(condition, parity, *ints)
-            assert type(scaled) is int
-            assert scaled == divisor * ints[3] ** gate_degree(condition, parity)
+        for names, divisor in divisors.items():
+            for name in names:
+                assert row_gate(name)(*map(Fraction, triple)) == divisor
+                scaled = row_gate(name)(*ints)
+                assert type(scaled) is int
+                assert scaled == divisor * ints[3] ** GATE_DEGREE[names]
 
     @pytest.mark.parametrize("case", CLOSED_CASES, ids=lambda c: c.name)
     def test_integer_path_returns_fraction(self, case):
@@ -788,9 +805,9 @@ class TestIntegerCombine:
         pinned = {"generic": (r, s, t), "s=1": (r, 1, t), "r+t=0": (-t, s, t),
                   "021": (0, 2, 1)}
         for case in CLOSED_CASES:
-            direction, parity, condition = case.value
+            direction, _, condition = case.value
             triple = pinned[condition]
-            if not sums._gate(condition, parity, *triple) or (
+            if not row_gate(case.name)(*triple) or (
                     direction is Direction.BACKWARD and (triple[2] == 0 or n == 0)):
                 continue
             seq = seq_of(*triple, w0, w1, w2)
@@ -805,7 +822,7 @@ class TestIntegerCombine:
         """rho . X(m) + kappa . X(0) from the rows sums._clause builds at
         (k*r, k*s, k*t, k) over its gate there is the sum at o = 1; X is W,
         or V_j = W_{2-j} for a case that steps back."""
-        direction, parity, condition = case.value
+        direction, _, condition = case.value
         seq = SCALED_SEQ[condition]
         n += direction is Direction.BACKWARD
         term = table_term(seq, n)
@@ -814,7 +831,7 @@ class TestIntegerCombine:
         def value(o):
             scaled = (o * seq.params.r, o * seq.params.s, o * seq.params.t, o)
             rho, kappa, gate, m, _, (u0, u1, u2, _) = sums._clause(
-                sums._CLAUSES[case.name], n, scaled, sums._gate(condition, parity, *scaled),
+                sums._CLAUSES[case.name], n, scaled, row_gate(case.name)(*scaled),
                 (seq.w0, seq.w1, seq.w2, 1))
             assert m == kernel_start(case, n)
             numerator = (sum(c * x(m + j) for j, c in enumerate(rho))
@@ -935,7 +952,7 @@ class TestTelescoping:
     @settings(max_examples=25, deadline=None)
     def test_difference_is_added_term(self, query_indices, r, s, t, w0, w1, w2, n):
         seq = seq_of(r, s, t, w0, w1, w2)
-        assume(_gate("generic", Parity.EVEN, r, s, t) != 0)  # d1*d2
+        assume(row_gate("FwdEven_Generic")(r, s, t) != 0)  # d1*d2
         for direction, parity in FAMILIES:
             if direction is Direction.BACKWARD and t == 0:
                 continue
@@ -962,7 +979,7 @@ class TestIntsOnly:
         seqs = (Q252_SEQ, CONDITION_SEQ["021"], fallback)
         queries = [SumQuery(d, p, n) for d in Direction for p in Parity for n in (1, 2, 41)]
         clauses = [(case, seq) for case in CLOSED_CASES for seq in SCALED_SEQ.values()
-                   if _gate(case.value[2], case.value[1], *core.integer_triple(*seq.params))]
+                   if row_gate(case.name)(*core.integer_triple(*seq.params))]
         for below, above in READOUT_SIDES:
             assert (last_square_bits(Q252_SEQ, below) <= core._READOUT_BITS
                     < last_square_bits(Q252_SEQ, above))
@@ -1050,19 +1067,32 @@ class TestSetUp:
         assert reversed_starts == (starts[2], starts[1], starts[0], starts[3])
 
     def test_case_table(self):
-        """One clause row per FormulaCase, under its name, with the case's
-        parity and condition; a backward row that steps back names a
-        forward row of its parity.  Each family's row, under its direction's
-        and parity's values, names its "generic" and "021" clauses in that
-        order, so dispatch finds every case its gates open."""
+        """One clause row per FormulaCase, under its name; a backward row
+        that steps back names a forward row of its parity.  Each family's
+        row, under its direction's and parity's values, names its "generic"
+        and "021" clauses in that order, so dispatch finds every case its
+        gates open."""
         assert len(sums._CLAUSES) == len(FormulaCase)
         for case in FormulaCase:
             row = sums._CLAUSES[case.name]
-            assert row.case is case and (row.parity, row.condition) == case.value[1:]
+            assert row.case is case
             if row.back is not None:
                 assert steps_back(case) and sums._CLAUSES[row.back[0]].case is clause_case(case)
         assert set(sums._FAMILIES) == {(d.value, p.value) for d, p in FAMILIES}
         for direction, parity in FAMILIES:
-            assert list(sums._FAMILIES[direction.value, parity.value].clauses) == [
+            assert list(sums._FAMILIES[direction.value, parity.value]) == [
                 case.name for condition in ("generic", "021") for case in FormulaCase
                 if case.value == (direction, parity, condition)]
+
+    def test_rows_agree(self):
+        """Rows whose cases share a (parity, condition) label share one gate
+        function, and each name in a family's clause list is a row of that
+        family's direction and parity."""
+        gates = {}
+        for case in FormulaCase:
+            gates.setdefault(case.value[1:], set()).add(sums._CLAUSES[case.name].gate)
+        assert all(len(shared) == 1 for shared in gates.values()), gates
+        for (direction, parity), names in sums._FAMILIES.items():
+            for name in names:
+                assert sums._CLAUSES[name].case.value[:2] == (Direction(direction),
+                                                              Parity(parity))
