@@ -49,6 +49,11 @@ for format in text json; do
   run_case "$format-sum-021-fwd-even" --format "$format" sum --r 0 --s 2 --t 1 --w0 1 --w1 2 --w2 3 --dir fwd --parity even --n 40
   run_case "$format-sum-021-bwd-odd" --format "$format" sum --r 0 --s 2 --t 1 --w0 1 --w1 2 --w2 3 --dir bwd --parity odd --n 40
   run_case "$format-sum-fwd-odd" --format "$format" sum --r 3/7 --s -5/4 --t 2/9 --w0 1/2 --w1 0 --w2 -3 --dir fwd --parity odd --n 40 --check
+  # The backward clauses that step back to V: all-index; even at T < 0, where V's triple is
+  # (S, R, -L, -T); and odd, as above, also read out past the readout crossover.
+  run_case "$format-sum-bwd-all" --format "$format" sum --seq tribonacci --dir bwd --parity all --n 40
+  run_case "$format-sum-bwd-even-negative-t" --format "$format" sum --r 1/2 --s -1/6 --t -5/12 --w0 1 --w1 -2 --w2 3 --dir bwd --parity even --n 40 --check
+  run_case "$format-sum-bwd-odd-readout" --format "$format" sum --seq tribonacci --dir bwd --parity odd --n 12000
   run_case "$format-sum-zero-t" --format "$format" sum --r 1/2 --s 1/2 --t 0 --w0 0 --w1 1 --w2 1 --dir bwd --parity all --n 3
   run_case "$format-unknown" --format "$format" term --seq nosuch --n 3
   # The oracle's prefix_sums and term_table.

@@ -3,8 +3,9 @@
 A sequence is defined by W_n = r*W_{n-1} + s*W_{n-2} + t*W_{n-3} with
 initial terms W_0, W_1, W_2.  When t != 0, V_j = W_{2-j} follows the
 reversed recurrence (-s/t, -r/t, 1/t) from (W_2, W_1, W_0), so each
-backward term or sum is a forward one of V: the kernel and the closed
-forms step back only in :func:`reversed_set_up`, the oracle on its own.
+backward term or sum is a forward one of V: V's integer triple has one
+rule, :func:`reversed_set_up`, and its starts one reader, the kernel at a
+window m < 0.  The oracle steps back on its own.
 
 All arithmetic is exact over the rationals (``fractions.Fraction``); there
 are no floating-point code paths.  A query reads each of its six
@@ -303,14 +304,13 @@ def integer_triple(a: Fraction, b: Fraction, c: Fraction) -> tuple[int, int, int
     return an * (L // ad), bn * (L // bd), cn * (L // cd), L
 
 
-def reversed_set_up(triple: tuple, starts: tuple) -> tuple[tuple, tuple]:
-    """The set-up of V_j = W_{2-j} from W's: sign(T)*(-S, -R, L, T), least
-    as gcd(R, S, T, L) = 1, and (u2, u1, u0, d); at T = 0 there is none."""
+def reversed_set_up(triple: tuple) -> tuple[int, int, int, int]:
+    """The integer triple of V_j = W_{2-j} from W's (R, S, T, L): sign(T)*
+    (-S, -R, L, T), least as gcd(R, S, T, L) = 1; at T = 0 there is none."""
     R, S, T, L = triple
     if not T:
         raise NegativeIndexWithZeroT
-    u0, u1, u2, d = starts
-    return ((-S, -R, L, T) if T > 0 else (S, R, -L, -T)), (u2, u1, u0, d)
+    return (-S, -R, L, T) if T > 0 else (S, R, -L, -T)
 
 
 def scaled_window(triple: tuple, starts: tuple, m: int, rho: IntRow) -> tuple[int, int]:
@@ -322,8 +322,8 @@ def scaled_window(triple: tuple, starts: tuple, m: int, rho: IntRow) -> tuple[in
     With x^k = c0 + c1*x + c2*x^2 modulo x^3 - r*x^2 - s*x - t,
     W_{k+j} = c0*W_j + c1*W_{j+1} + c2*W_{j+2} (Cayley-Hamilton; Fiduccia
     1985).  With q = L, y = q*x satisfies y^3 - R*y^2 - S*L*y - T*L^2.
-    For m < 0 the window is V's at -m reversed, so the same power runs on
-    :func:`reversed_set_up` with rho reversed: q = |T|.
+    For m < 0 the window is V's at -m reversed: the same power runs on
+    :func:`reversed_set_up`, (u2, u1, u0, d) and rho reversed; q = |T|.
     e = q^(|m|+2) (1 at m = 0).  Each bit of |m| after the leading
     one costs a square (six products, or five squares above the
     _FIVE_SQUARE_BITS crossover), each set bit after it a shift by y.  The
@@ -332,9 +332,9 @@ def scaled_window(triple: tuple, starts: tuple, m: int, rho: IntRow) -> tuple[in
     instead of five, and reads |m| = 1 off y with neither.
     """
     _require_int(m, "the index m")
-    if m < 0:  # (W_m, W_m+1, W_m+2) = (V_{-m+2}, V_{-m+1}, V_{-m})
-        (triple, starts), m, rho = reversed_set_up(triple, starts), -m, rho[::-1]
     u0, u1, u2, _ = starts
+    if m < 0:  # (W_m, W_m+1, W_m+2) = (V_{-m+2}, V_{-m+1}, V_{-m}), V_j = W_{2-j}
+        triple, m, rho, u0, u2 = reversed_set_up(triple), -m, rho[::-1], u2, u0
     if m == 0:
         return rho[0] * u0 + rho[1] * u1 + rho[2] * u2, 1
     R, S, T, q = triple

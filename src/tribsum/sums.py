@@ -18,18 +18,19 @@ the window its form reads and, for a backward clause that steps back, V's
 forward clause and the start terms it drops.  So no query hashes an enum
 member or reads its ``.value``.  A gate is its clause's divisor where the
 clause is proven and 0 everywhere else; at most one of a family's "generic"
-and "021" gates is nonzero, and dispatch and :func:`closed_form_value` read
+and "021" gates is nonzero, and dispatch and :func:`closed_form_value` test
 it once per sum.
 
-Each clause is a linear form: it returns integer coefficient triples
-(rho, kappa), polynomials in (r, s, t, o, n) homogeneous in (r, s, t, o), for
-the window X_m, X_m+1, X_m+2 its family reads and for X_0, X_1, X_2, X = W
-or V.  There is one combine.  A sum reads its six rationals once, in the
-integer set-up of :mod:`tribsum.core`: (R, S, T, L) = L*(r, s, t, 1) and
-u = d*(W_0, W_1, W_2), reversed for V.  It calls its clause once on
-(R, S, T, L), takes rho . D*window from :func:`~tribsum.core.scaled_window`
-(or from a caller's term function), with D = d*q^(|m|+2), adds
-kappa . D*(X_0, X_1, X_2) as (kappa . u)*q^(|m|+2) and builds one Fraction.
+A clause's form returns integer coefficient triples (rho, kappa),
+polynomials in (r, s, t, o, n) homogeneous in (r, s, t, o), on a window and
+on the start terms of W, or of V for a clause that steps back.  :func:`_clause`
+states each as one identity on W, gate*S(n) = rho . W(m) + kappa . W(0), as
+V(k) is W(-k) reversed.  There is one combine.  A sum reads its six rationals
+once, in the integer set-up of :mod:`tribsum.core`: (R, S, T, L) =
+L*(r, s, t, 1) and u = d*(W_0, W_1, W_2).  It calls its clause once, takes
+rho . D*W(m) from :func:`~tribsum.core.scaled_window` (or from a caller's
+term function), D = d*q^(|m|+2), adds kappa . D*W(0) as (kappa . u)*q^(|m|+2)
+and builds one Fraction.
 """
 
 import enum
@@ -207,23 +208,22 @@ _FAMILIES = {
 }
 
 
-def _dispatch(triple: tuple, query: SumQuery) -> tuple[_Clause, int]:
-    """(clause row, its gate): the first clause of the query's family whose
-    row's gate is nonzero, else the fallback's row and 0.  ``_value_``,
-    unlike ``.value``, runs no code in enum.py."""
+def _dispatch(triple: tuple, query: SumQuery) -> _Clause:
+    """The first clause row of the query's family whose gate is nonzero,
+    else the fallback's.  ``_value_``, unlike ``.value``, runs no code in
+    enum.py."""
     for name in _FAMILIES[query.direction._value_, query.parity._value_]:
         clause = _CLAUSES[name]
-        gate = clause.gate(*triple)
-        if gate:
-            return clause, gate
-    return _FALLBACK, 0
+        if clause.gate(*triple):
+            return clause
+    return _FALLBACK
 
 
 def select_case(params: RecurrenceParams, query: SumQuery) -> FormulaCase:
     """The clause of the one condition, "generic" or "021" (never both), whose
     row's gate is nonzero, else the oracle fallback.  The S1 and RplusT0
     clauses specialize the generic ones and are never dispatched to."""
-    return _dispatch(integer_triple(*params), query)[0].case
+    return _dispatch(integer_triple(*params), query).case
 
 
 def closed_form_value(case: FormulaCase, seq: SequenceDef, n: int,
@@ -231,11 +231,11 @@ def closed_form_value(case: FormulaCase, seq: SequenceDef, n: int,
     """Evaluate a specific closed-form clause directly (no dispatch).
 
     ValueError where the gate in the case's row is 0, as it always is for
-    OracleFallback.  n follows :class:`SumQuery`'s rules.  The clause reads
-    one window of three terms, W's or mirrored V's (:func:`_clause`), from
-    :func:`~tribsum.core.scaled_window` by default, else from *term*,
-    called for exactly those three W indices and returning ints or
-    Fractions; :func:`_combine` makes one Fraction of it.
+    OracleFallback.  n follows :class:`SumQuery`'s rules.  The clause's
+    identity on W (:func:`_clause`) reads W_m, W_m+1 and W_m+2 from
+    :func:`~tribsum.core.scaled_window` by default, else from *term*, called
+    for exactly those indices, in that order, returning ints or Fractions;
+    :func:`_combine` makes one Fraction of it.
 
     No code in this package passes *term*.  It stays only for the
     benchmark's traced runs (``tribbench/worker.py``), which time the
@@ -244,46 +244,44 @@ def closed_form_value(case: FormulaCase, seq: SequenceDef, n: int,
     clause = _CLAUSES[case._name_]
     p = seq.params
     triple = integer_triple(*p)
-    gate = clause.gate(*triple)
-    if not gate:
+    if not clause.gate(*triple):
         raise ValueError(f"{case.name} is not a proven closed form at "
                          f"(r, s, t) = ({p.r}, {p.s}, {p.t})")
     SumQuery(direction, parity, n)  # checks n by the query's rules
-    return _combine(clause, n, triple, gate, integer_triple(seq.w0, seq.w1, seq.w2), term)
+    return _combine(clause, n, triple, integer_triple(seq.w0, seq.w1, seq.w2), term)
 
 
-def _clause(clause: _Clause, n: int, triple: tuple, gate: int, starts: tuple) -> tuple:
-    """(rho, kappa, gate, m, triple, starts) for *clause* at n and *gate* on
-    W's set-up: gate*S(n) = rho . X(m) + kappa . X(0), X(k) = (X_k, X_k+1, X_k+2),
-    X the sequence of the set-up returned, W's or for a clause that steps back V's."""
+def _clause(clause: _Clause, n: int, triple: tuple) -> tuple:
+    """(rho, kappa, gate, m) for *clause* at n on W's set-up *triple*:
+    gate*S(n) = rho . W(m) + kappa . W(0), W(k) = (W_k, W_k+1, W_k+2), also
+    for a clause that steps back, whose V(k) is W(-k) reversed."""
     back = clause.back
     if back is None:
         rho, kappa = clause.form(*triple, n)
-        return rho, kappa, gate, clause.stride * n + clause.offset, triple, starts
+        return rho, kappa, clause.gate(*triple), clause.stride * n + clause.offset
     name, shift, (x0, x1, x2) = back
     clause, n = _CLAUSES[name], n + shift  # V's forward clause, less the V_0, V_1, V_2 it drops
-    triple, starts = reversed_set_up(triple, starts)  # at t = 0, NegativeIndexWithZeroT
+    triple = reversed_set_up(triple)  # at t = 0, NegativeIndexWithZeroT
     gate = clause.gate(*triple)
     rho, (k0, k1, k2) = clause.form(*triple, n)
-    return (rho, (k0 - gate * x0, k1 - gate * x1, k2 - gate * x2), gate,
-            clause.stride * n + clause.offset, triple, starts)
+    return (rho[::-1], (k2 - gate * x2, k1 - gate * x1, k0 - gate * x0), gate,
+            -clause.stride * n - clause.offset)
 
 
-def _combine(clause: _Clause, n: int, triple: tuple, gate: int, starts: tuple,
+def _combine(clause: _Clause, n: int, triple: tuple, starts: tuple,
              term: TermFn | None = None) -> Fraction:
     """:func:`closed_form_value` past its checks of the clause and n, on the
     ints of :func:`~tribsum.core.integer_triple`, (R, S, T, L) and
-    (u0, u1, u2, d), where *gate* is nonzero.  On :func:`_clause`'s
-    set-up the window is X_{m+j} = n_j / (d*e): the kernel's,
-    e = q^(|m|+2), or *term*'s, e the lcm of its denominators.  The sum is
-    rho . (n0, n1, n2) + (kappa . u)*e, one bignum product, over gate*d*e."""
-    rho, (k0, k1, k2), gate, m, triple, starts = _clause(clause, n, triple, gate, starts)
+    (u0, u1, u2, d).  The window of :func:`_clause`'s identity is
+    W_{m+j} = n_j / (d*e): the kernel's, e = q^(|m|+2), or *term*'s, e the
+    lcm of its denominators.  The sum is rho . (n0, n1, n2) +
+    (kappa . u)*e, one bignum product, over gate*d*e."""
+    rho, (k0, k1, k2), gate, m = _clause(clause, n, triple)
     u0, u1, u2, d = starts
     if term is None:
         value, e = scaled_window(triple, starts, m, rho)
-    else:  # V_m, V_m+1, V_m+2 are W_{2-m}, W_{1-m}, W_{-m}
-        indices = range(2 - m, -1 - m, -1) if clause.back else range(m, m + 3)
-        window = [as_rational(term(k)) for k in indices]
+    else:
+        window = [as_rational(term(k)) for k in range(m, m + 3)]
         e = math.lcm(*(v.denominator for v in window))
         n0, n1, n2 = (d * v.numerator * (e // v.denominator) for v in window)
         value = rho[0] * n0 + rho[1] * n1 + rho[2] * n2
@@ -304,10 +302,10 @@ def evaluate(seq: SequenceDef, query: SumQuery, check: bool = False) -> SumResul
     value is the literal sum itself, so it is computed only once.
     """
     triple = integer_triple(*seq.params)
-    clause, gate = _dispatch(triple, query)
-    if not gate:
+    clause = _dispatch(triple, query)
+    if clause is _FALLBACK:
         return SumResult(sum_oracle(seq, query), clause.case)
-    value = _combine(clause, query.n, triple, gate, integer_triple(seq.w0, seq.w1, seq.w2))
+    value = _combine(clause, query.n, triple, integer_triple(seq.w0, seq.w1, seq.w2))
     if check:
         expected = sum_oracle(seq, query)
         if value != expected:

@@ -5,14 +5,12 @@ identity, which runs no kernel, no oracle, no ``closed_form_value`` and no
 
 A clause is a pair (rho, kappa) of coefficient rows with, at o = 1,
 
-    gate * S(n) = rho . (W_m, W_m+1, W_m+2) + kappa . (W_0, W_1, W_2).
+    gate * S(n) = rho . W(m) + kappa . W(0),
 
-The rows, gate and m proved are the ones ``sums._clause`` builds from each
-case's row in ``sums._CLAUSES``, which ``_combine`` reads.  For a backward
-case other than (0, 2, 1) they are a forward clause on V_j = W_{2-j}, the
-sequence of (-s/t, -r/t, 1/t) from (W_2, W_1, W_0), so rho . V(m) +
-kappa . V(0) is rho reversed . W(-m) plus kappa reversed . W(0), with
-X(k) = (X_k, X_k+1, X_k+2).
+with W(k) = (W_k, W_k+1, W_k+2).  The rows, gate and m proved are the ones
+``sums._clause`` states on W from each case's row in ``sums._CLAUSES``,
+which ``_combine`` reads, for every case, the backward ones that step back
+to V_j = W_{2-j} included.
 
 With M = [[0, 1, 0], [0, 0, 1], [t, s, r]], W(k) = M^k W(0) and
 W_k = e0 M^k W(0), e0 = (1, 0, 0).  A family has a stride
@@ -81,8 +79,6 @@ E0 = (1, 0, 0)
 ZERO = (0, 0, 0)
 AXIS = [Fraction(x) for x in range(-3, 4)]
 CASES = [case for case in sums.FormulaCase if case is not sums.FormulaCase.OracleFallback]
-# Marks which sequence a set-up returned by sums._clause starts from.
-W_STARTS = (0, 1, 2, 1)
 
 
 def grid(case: sums.FormulaCase) -> list[tuple[Fraction, Fraction, Fraction]]:
@@ -105,18 +101,8 @@ def grid(case: sums.FormulaCase) -> list[tuple[Fraction, Fraction, Fraction]]:
 
 def w_rows(case: sums.FormulaCase, n: int, r, s, t) -> tuple:
     """(rho, kappa, gate, m) with gate * S(n) = rho . W(m) + kappa . W(0):
-    the rows sums._clause builds on the set-up (r, s, t, 1), W_STARTS,
-    read on W where it returns that set-up, and reversed where it returns
-    V's, whose window V(m) is W(-m) reversed."""
-    row = sums._CLAUSES[case.name]
-    rho, kappa, gate, m, (R, S, T, L), starts = sums._clause(
-        row, n, (r, s, t, 1), row.gate(r, s, t), W_STARTS)
-    if ((R, S, T, L), starts) == ((r, s, t, 1), W_STARTS):
-        return rho, kappa, gate, m
-    # V follows (-s/t, -r/t, 1/t), scaled by L, from (W_2, W_1, W_0).
-    assert L != 0 and (R * t, S * t, T * t) == (-s * L, -r * L, L)
-    assert starts == (*W_STARTS[2::-1], W_STARTS[3])
-    return tuple(rho[::-1]), tuple(kappa[::-1]), gate, -m
+    the identity sums._clause states on the set-up (r, s, t, 1)."""
+    return sums._clause(sums._CLAUSES[case.name], n, (r, s, t, 1))
 
 
 def times(row, matrix, k: int = 1):
@@ -180,9 +166,10 @@ def test_clause_identities(case):
 @pytest.mark.parametrize("case", [case for case in CASES if case.value[0] is Direction.BACKWARD],
                          ids=lambda case: case.name)
 def test_gate_vanishes_with_the_condition(case):
-    """The gate sums._clause builds, V's for a case that steps back, is 0
-    exactly where the case's own gate at W is: a sum it dispatches to never
-    divides by 0, and one it does not is not a closed form there."""
+    """The gate of the identity sums._clause states, V's for a case that
+    steps back, is 0 exactly where the case's own gate at W is: a sum it
+    dispatches to never divides by 0, and one it does not is not a closed
+    form there."""
     for point in grid(case):
         gate = w_rows(case, 1, *point)[2]
         assert bool(gate) == bool(sums._CLAUSES[case.name].gate(*point))
@@ -191,7 +178,7 @@ def test_gate_vanishes_with_the_condition(case):
 def test_binds_no_kernel_code():
     """The proof names no kernel, oracle, combine or set-up, so it shares no
     code with what it proves beyond the clause rows, their gates and the
-    rows sums._clause builds, whose set-up it checks itself."""
+    identities sums._clause states."""
     module = sys.modules[__name__]
     names, codes = set(), [value.__code__ for value in vars(module).values()
                            if isinstance(value, FunctionType)]

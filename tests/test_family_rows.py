@@ -68,10 +68,6 @@ def test_oracle_families_match_sums_rows():
         assert clause.case.value[2] == "generic"
         for n in range(first, first + 8):
             last = start + stride * (n - first)
-            if clause.back is None:
-                window = clause.stride * n + clause.offset
-            else:  # V's window V_m, at walk position m
-                name, shift, _ = clause.back
-                v = sums._CLAUSES[name]
-                window = v.stride * (n + shift) + v.offset
+            m = sums._clause(clause, n, (1, 1, 1, 1))[3]
+            window = m if direction == "fwd" else -m  # W(m) is V(-m) reversed
             assert window - last == WINDOW_FROM_LAST[parity]

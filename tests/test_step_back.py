@@ -1,16 +1,20 @@
 """Every way to step back with t = 0 raises NegativeIndexWithZeroT with one
 message: the kernel, the oracle's walk, the sums on both dispatch paths, and
-the CLI's JSON error records."""
+the CLI's JSON error records.  And every clause's identity, which
+tribsum.sums states on W also for the backward clauses that step back to
+V_j = W_{2-j}, holds against the literal walk."""
 
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
 from tribsum import cli, oracle, term_iterative
 from tribsum.core import (Direction, NegativeIndexWithZeroT, Parity, SequenceDef, SumQuery,
                           integer_triple, scaled_window, term_matrix)
-from tribsum.sums import (FormulaCase, _CLAUSES, closed_form_value, evaluate, select_case,
-                          sum_oracle)
+from tribsum.sums import (FormulaCase, _CLAUSES, _clause, closed_form_value, evaluate,
+                          select_case, sum_oracle)
 
 MESSAGE = "stepping back needs t != 0"
 
@@ -78,3 +82,39 @@ def test_cli_error_records(capsys, r, s, argv):
     assert json.loads(captured.err) == {"command": argv[0], "status": "error",
                                         "error": "NegativeIndexWithZeroT", "message": MESSAGE,
                                         "exit": cli.EXIT_USAGE}
+
+
+def _draw(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+
+def _on_condition(rng, condition, backward):
+    """A random rational (r, s, t) on *condition*, with t != 0 going back."""
+    while True:
+        r, s, t = _draw(rng), _draw(rng), _draw(rng)
+        triple = {"generic": (r, s, t), "s=1": (r, 1, t), "r+t=0": (-t, s, t),
+                  "021": (0, 2, 1)}[condition]
+        if not backward or triple[2]:
+            return triple
+
+
+@pytest.mark.parametrize("case", [case for case in FormulaCase
+                                  if case is not FormulaCase.OracleFallback],
+                         ids=lambda case: case.name)
+def test_every_identity_holds_on_w(case):
+    """gate * S(n) = rho . (W_m, W_m+1, W_m+2) + kappa . (W_0, W_1, W_2) for
+    the identity _clause states on W's integer triple, with S(n) the literal
+    sum and W the oracle's terms, at random points of the case's condition
+    and the first 13 bounds of its family."""
+    direction, parity, condition = case.value
+    first = oracle._FAMILIES[direction.value, parity.value][0]
+    rng = random.Random(case.name)
+    for _ in range(12):
+        triple = _on_condition(rng, condition, direction is Direction.BACKWARD)
+        seq = SequenceDef.of(*triple, _draw(rng), _draw(rng), _draw(rng))
+        for n in range(first, first + 13):
+            rho, kappa, gate, m = _clause(_CLAUSES[case.name], n, integer_triple(*seq.params))
+            w = oracle.term_table(seq, min(m, 0), max(m + 2, 2))
+            expected = gate * oracle.oracle_sum(seq, SumQuery(direction, parity, n))
+            assert expected == (sum(c * w[m + j] for j, c in enumerate(rho))
+                                + sum(c * w[j] for j, c in enumerate(kappa))), (seq, n)

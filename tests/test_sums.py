@@ -451,38 +451,36 @@ def clause_case(case):
     return FormulaCase((Direction.FORWARD, parity, "s=1" if condition == "r+t=0" else condition))
 
 
-def kernel_start(case, n):
-    """The first index m of the window a sum of *case* at bound n reads from
-    its one kernel call: W_m forward and for (0, 2, 1), else V_m.  With
-    W_{-k} = V_{k+2} the backward sums are FwdAll_V(n+2) - V_0 - V_1 - V_2,
-    FwdEven_V(n+1) - V_0 - V_2 and FwdOdd_V(n) - V_1."""
+def window_start(case, n):
+    """The W index m where the window a sum of *case* at bound n reads from
+    its one kernel call starts.  With W_{-k} = V_{k+2} the backward sums
+    that step back are FwdAll_V(n+2) - V_0 - V_1 - V_2, FwdEven_V(n+1) -
+    V_0 - V_2 and FwdOdd_V(n) - V_1, whose window V(k) is W(-k) reversed."""
     direction, parity, condition = case.value
     if direction is Direction.FORWARD:
         return n + 1 if parity is Parity.ALL else 2 * n
     if condition == "021":
         return -2 * n - 1
-    return {Parity.ALL: n + 3, Parity.EVEN: 2 * n + 2, Parity.ODD: 2 * n}[parity]
+    return -{Parity.ALL: n + 3, Parity.EVEN: 2 * n + 2, Parity.ODD: 2 * n}[parity]
 
 
 def window_indices(case, n):
-    """The W indices of that window in its order: V_m, V_m+1, V_m+2 are
-    W_{2-m}, W_{1-m}, W_{-m}."""
-    m = kernel_start(case, n)
-    return [2 - m, 1 - m, -m] if steps_back(case) else [m, m + 1, m + 2]
-
-
-def window_start(case, n):
-    """The least W index of the window, where core.scaled_window on W's
-    set-up makes the same kernel run as the sum."""
-    return min(window_indices(case, n))
+    """The W indices of that window, in the order a *term* is called."""
+    m = window_start(case, n)
+    return [m, m + 1, m + 2]
 
 
 def kernel_call(case, seq, n):
     """(triple, m) of the kernel call a sum of *case* at bound n makes: on
-    L*(r, s, t, 1), or for a case that steps back on V's triple."""
+    L*(r, s, t, 1), at its window's start."""
+    return core.integer_triple(*seq.params), window_start(case, n)
+
+
+def clause_triple(case, seq):
+    """The integer triple a sum of *case* calls its clause's form on:
+    L*(r, s, t, 1), or for a case that steps back V's."""
     r, s, t = seq.params
-    triple = (-s / t, -r / t, 1 / t) if steps_back(case) else (r, s, t)
-    return core.integer_triple(*triple), kernel_start(case, n)
+    return core.integer_triple(*((-s / t, -r / t, 1 / t) if steps_back(case) else (r, s, t)))
 
 
 # A sequence meeting each condition's guard, with d1 * d2 != 0 outside "021".
@@ -536,7 +534,7 @@ class TestWindowDispatch:
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f"{f[0].value}-{f[1].value}")
     def test_evaluate_computes_one_window(self, monkeypatch, family, condition):
         """One integer set-up, a read of (r, s, t) and one of W_0..W_2, and
-        one kernel call on its ints, or on V's for a case that steps back."""
+        one kernel call on its ints, at a negative m for a backward case."""
         seq = CONDITION_SEQ[condition]
         reads, calls = count_set_up(monkeypatch)
         result = evaluate(seq, SumQuery(*family, 1000))
@@ -601,7 +599,7 @@ class TestOneClauseCall:
         monkeypatch.setattr(core, "_READOUT_BITS", bits - (side == "above"))
         row, calls = sums._CLAUSES[clause_case(case).name], []
         clause = row.form
-        triple = kernel_call(case, seq, n)[0]  # the clause runs on the kernel's triple
+        triple = clause_triple(case, seq)
 
         def counting(*args):
             calls.append(args)
@@ -819,23 +817,19 @@ class TestIntegerCombine:
            n=st.integers(min_value=0, max_value=30))
     @settings(max_examples=20, deadline=None)
     def test_clause_is_homogeneous(self, case, k, n):
-        """rho . X(m) + kappa . X(0) from the rows sums._clause builds at
-        (k*r, k*s, k*t, k) over its gate there is the sum at o = 1; X is W,
-        or V_j = W_{2-j} for a case that steps back."""
+        """rho . W(m) + kappa . W(0) from the identity sums._clause states
+        at (k*r, k*s, k*t, k) over its gate there is the sum at o = 1."""
         direction, _, condition = case.value
         seq = SCALED_SEQ[condition]
         n += direction is Direction.BACKWARD
         term = table_term(seq, n)
-        x = (lambda k: term(2 - k)) if steps_back(case) else term
 
         def value(o):
             scaled = (o * seq.params.r, o * seq.params.s, o * seq.params.t, o)
-            rho, kappa, gate, m, _, (u0, u1, u2, _) = sums._clause(
-                sums._CLAUSES[case.name], n, scaled, row_gate(case.name)(*scaled),
-                (seq.w0, seq.w1, seq.w2, 1))
-            assert m == kernel_start(case, n)
-            numerator = (sum(c * x(m + j) for j, c in enumerate(rho))
-                         + sum(c * u for c, u in zip(kappa, (u0, u1, u2))))
+            rho, kappa, gate, m = sums._clause(sums._CLAUSES[case.name], n, scaled)
+            assert m == window_start(case, n)
+            numerator = (sum(c * term(m + j) for j, c in enumerate(rho))
+                         + sum(c * term(j) for j, c in enumerate(kappa)))
             return numerator / gate
 
         assert value(k) == value(1) == closed_form_value(case, seq, n, term=term)
@@ -1046,25 +1040,37 @@ class TestSetUp:
         e = core.scaled_window(core.integer_triple(*triple), starts, m, rho)[1]
         assert e == (q ** (abs(m) + 2) if m else 1)
 
-    @given(triple=shared_denominators(3), initial=shared_denominators(3))
+    @given(triple=shared_denominators(3))
     @settings(max_examples=200, deadline=None)
-    @example(triple=(Fraction(2, 3), Fraction(4, 9), Fraction(-8, 27)),
-             initial=(Fraction(1), Fraction(-1, 2), Fraction(3)))
-    @example(triple=(Fraction(2, 5), Fraction(3, 5), Fraction(-6)),
-             initial=(Fraction(1, 6), Fraction(0), Fraction(-5, 4)))
-    def test_reversed_set_up(self, triple, initial):
-        """V_j = W_{2-j}: its set-up is the one of the reversed triple
-        (-s/t, -r/t, 1/t), least and with a positive denominator, and
-        (u2, u1, u0, d); at t = 0 there is none."""
+    @example(triple=(Fraction(2, 3), Fraction(4, 9), Fraction(-8, 27)))
+    @example(triple=(Fraction(2, 5), Fraction(3, 5), Fraction(-6)))
+    def test_reversed_set_up(self, triple):
+        """V_j = W_{2-j} follows the reversed triple (-s/t, -r/t, 1/t): its
+        integer triple, least and with a positive denominator; at t = 0
+        there is none."""
         r, s, t = triple
-        starts = core.integer_triple(*initial)
         if t == 0:
             with pytest.raises(NegativeIndexWithZeroT):
-                core.reversed_set_up(core.integer_triple(*triple), starts)
+                core.reversed_set_up(core.integer_triple(*triple))
             return
-        ints, reversed_starts = core.reversed_set_up(core.integer_triple(*triple), starts)
-        assert ints == core.integer_triple(-s / t, -r / t, 1 / t)
-        assert reversed_starts == (starts[2], starts[1], starts[0], starts[3])
+        assert core.reversed_set_up(core.integer_triple(*triple)) == core.integer_triple(
+            -s / t, -r / t, 1 / t)
+
+    @given(triple=shared_denominators(3), initial=shared_denominators(3),
+           m=st.integers(-40, -1), rho=st.tuples(*[st.integers(-9, 9)] * 3))
+    @settings(max_examples=200, deadline=None)
+    @example(triple=(Fraction(2, 3), Fraction(4, 9), Fraction(-8, 27)),
+             initial=(Fraction(1), Fraction(-1, 2), Fraction(3)), m=-7, rho=(1, 2, -3))
+    @example(triple=(Fraction(2, 5), Fraction(3, 5), Fraction(-6)),
+             initial=(Fraction(1, 6), Fraction(0), Fraction(-5, 4)), m=-1, rho=(0, 0, 1))
+    def test_negative_window(self, triple, initial, m, rho):
+        """For m < 0 the kernel runs V's triple from V's starts (W_2, W_1,
+        W_0): its form over d*e is rho . (W_m, W_m+1, W_m+2), the oracle's."""
+        assume(triple[2] != 0)
+        starts = core.integer_triple(*initial)
+        value, e = core.scaled_window(core.integer_triple(*triple), starts, m, rho)
+        window = term_table(seq_of(*triple, *initial), m, m + 2)
+        assert Fraction(value, starts[3] * e) == sum(c * window[m + j] for j, c in enumerate(rho))
 
     def test_case_table(self):
         """One clause row per FormulaCase, under its name; a backward row
